@@ -13,17 +13,19 @@ import json
 import os
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import bvp
-from .errors import MinnetError, NotReflectable, ParseError
-from .holomorphic import power_function, read_grid, write_grid
-from .minimal import (MinimalPair, is_asymptotic, mixed_area,
-                      quad_curvatures, tangent_normals)
+from .errors import (BadParameter, DomainMismatch, MinnetError, NotReflectable,
+                     ParseError)
+from .holomorphic import HoloGrid, power_function, read_grid, write_grid
+from .minimal import Curvatures, MinimalPair, is_asymptotic, tangent_normals
 from .mobius import Isometry, stereographic_lift
-from .net import (CheckReport, Net3, _dump, are_parallel_meshes,
-                  is_circular, is_isothermic, read_net, write_net)
+from .net import (CheckReport, EdgeLabels, Net3, _dump, _norm, circularity_residuals,
+                  cross_ratio_residuals, edge_angles, json_to_bundle, read_net,
+                  worst_report, write_net)
 from .reflection import (SymmetryOrbit, analyze_boundary_asymptotic,
                          analyze_boundary_isothermic, build_orbit,
                          reflect_isothermic, rotate_extend_asymptotic)
@@ -64,164 +66,170 @@ def _read_threads() -> int:
 # Verification battery
 # ---------------------------------------------------------------------------
 
-def _report_entry(report: CheckReport) -> dict:
-    return {"ok": bool(report.ok),
-            "max_residual": float(report.max_residual),
-            "worst": list(report.worst) if report.worst is not None else None}
+@dataclass
+class _Nets:
+    """Inputs of one battery run, its checks, and the arrays they share."""
+
+    tol: float
+    iso: Net3 | None = None
+    normals: Net3 | None = None
+    labels: EdgeLabels | None = None
+    asym: Net3 | None = None
+    grid: HoloGrid | None = None
+
+    @cached_property
+    def quads(self) -> tuple:
+        return self.iso.domain.quads
+
+    @cached_property
+    def curvature(self) -> Curvatures:
+        """The mixed-area pass that minimality and steiner share."""
+        return Curvatures(self.iso.quad_array(), self.normals.quad_array(), self.tol)
+
+    def _undefined(self, undefined: np.ndarray) -> CheckReport | None:
+        if undefined.any():
+            return CheckReport(False, float("inf"), self.quads[int(np.argmax(undefined))],
+                               extra={"error": "non-planar quad or vanishing area"})
+        return None
+
+    def circularity(self) -> CheckReport:
+        pts = self.iso.quad_array()
+        diagonal = np.maximum(_norm(np.ptp(pts, axis=1)), 1e-300)
+        return worst_report(circularity_residuals(pts) / diagonal, self.quads, self.tol,
+                            diagonal)
+
+    def isothermic(self) -> CheckReport:
+        return worst_report(cross_ratio_residuals(self.iso, self.labels), self.quads, self.tol)
+
+    def minimality(self) -> CheckReport:
+        return (self._undefined(self.curvature.undefined)
+                or worst_report(np.abs(self.curvature.H), self.quads, self.tol))
+
+    def gauss_parallel(self) -> CheckReport:
+        return worst_report(edge_angles(self.iso, self.normals), list(self.iso.domain.edges()),
+                            max(self.tol, 1e-9))
+
+    def steiner(self) -> CheckReport:
+        offsets = np.random.default_rng(20240214).uniform(-1.0, 1.0, len(self.quads))
+        defects, undefined = self.curvature.steiner_defects(offsets)
+        return self._undefined(undefined) or worst_report(defects, self.quads, self.tol,
+                                                          np.abs(self.curvature.area))
+
+    def gauss_matches_grid(self) -> CheckReport:
+        verts = self.normals.domain.vertices
+        lift = np.array([stereographic_lift(self.grid.values[v]) for v in verts])
+        return worst_report(_norm(self.normals.as_array() - lift), verts, self.tol)
+
+    def asymptotic_stars(self) -> CheckReport:
+        return is_asymptotic(self.asym, self.tol)
+
+    def conjugate_normals(self) -> CheckReport:
+        star = np.array(list(tangent_normals(self.asym).values()))
+        gauss = self.normals.as_array()
+        return worst_report(np.minimum(_norm(star - gauss), _norm(star + gauss)),
+                            self.asym.domain.vertices, self.tol)
+
+    def boundaries(self) -> dict:
+        """Each boundary line is a planar curvature line of the isothermic net
+        exactly when it is a straight asymptotic line of the conjugate net."""
+        dom, checks = self.iso.domain, {}
+        for axis, index in (("row", dom.n0), ("row", dom.n1),
+                            ("col", dom.m0), ("col", dom.m1)):
+            iso = analyze_boundary_isothermic(self.iso, self.normals, index, axis, self.tol)
+            asym = analyze_boundary_asymptotic(self.asym, index, axis, self.tol)
+            checks[f"boundary_{axis}_{index}"] = {
+                "ok": ((iso.kind == "planar_curvature_line")
+                       == (asym.kind == "straight_asymptotic_line")),
+                "max_residual": iso.residuals["congruence_plane"], "scale": iso.scale,
+                "worst": [axis, index], "isothermic_kind": iso.kind,
+                "asymptotic_kind": asym.kind}
+        return checks
 
 
-def _minimality_check(net: Net3, normals: Net3, tol: float) -> dict:
-    """Max |H| over quads; geometric failures name the offending quad."""
-    worst_h, worst_q = 0.0, None
-    for q in net.domain.quads:
-        try:
-            h = abs(quad_curvatures(net.quad_points(q), normals.quad_points(q)).H)
-        except MinnetError as exc:
-            return {"ok": False, "max_residual": float("inf"),
-                    "worst": list(q), "error": str(exc)}
-        if h > worst_h:
-            worst_h, worst_q = h, q
-    return {"ok": worst_h <= tol, "max_residual": worst_h,
-            "worst": list(worst_q) if worst_q else None}
+# The battery in report order: each check with the inputs it needs.
+CHECKS = (
+    (_Nets.circularity, {"iso"}),
+    (_Nets.isothermic, {"iso", "labels"}),
+    (_Nets.minimality, {"iso", "normals"}),
+    (_Nets.gauss_parallel, {"iso", "normals"}),
+    (_Nets.steiner, {"iso", "normals"}),
+    (_Nets.gauss_matches_grid, {"normals", "grid"}),
+    (_Nets.asymptotic_stars, {"asym"}),
+    (_Nets.conjugate_normals, {"asym", "normals"}),
+    (_Nets.boundaries, {"iso", "normals", "asym"}),
+)
+
+
+def _entry(report: CheckReport) -> dict:
+    entry = {"ok": bool(report.ok), "max_residual": float(report.max_residual),
+             "scale": float(report.scale),
+             "worst": list(report.worst) if report.worst is not None else None}
+    if "error" in report.extra:
+        entry["error"] = report.extra["error"]
+    return entry
+
+
+def _run_checks(nets: _Nets) -> dict:
+    present = {name for name in ("iso", "normals", "labels", "asym", "grid")
+               if getattr(nets, name) is not None}
+    if len({getattr(nets, name).domain for name in present - {"labels"}}) > 1:
+        raise DomainMismatch("the nets and the grid live on different domains")
+    checks: dict[str, dict] = {}
+    for check, needs in CHECKS:
+        if needs <= present:
+            found = check(nets)
+            checks.update(found if isinstance(found, dict) else {check.__name__: _entry(found)})
+    return {"ok": all(c["ok"] for c in checks.values()), "checks": checks}
 
 
 def verify_pair(pair: MinimalPair, tol: float = 1e-9) -> dict:
     """All invariants of a generated isothermic/asymptotic/gauss triple."""
-    checks: dict[str, dict] = {}
-    f, ft, n, grid = pair.isothermic, pair.asymptotic, pair.gauss, pair.grid
-
-    worst_c, worst_q = 0.0, None
-    for q in f.domain.quads:
-        _, res = is_circular(f, q, tol)
-        rel = res / max(np.linalg.norm(np.ptp(np.asarray(f.quad_points(q)), axis=0)), 1e-300)
-        if rel > worst_c:
-            worst_c, worst_q = rel, q
-    checks["circularity"] = {"ok": worst_c <= tol, "max_residual": worst_c,
-                             "worst": list(worst_q) if worst_q else None}
-
-    checks["isothermic"] = _report_entry(is_isothermic(f, grid.labels, tol))
-
-    checks["minimality"] = _minimality_check(f, n, tol)
-
-    ok_par, ang = are_parallel_meshes(f, n, max(tol, 1e-9))
-    checks["gauss_parallel"] = {"ok": ok_par, "max_residual": ang, "worst": None}
-
-    rng = np.random.default_rng(20240214)
-    worst_s = 0.0
-    for q in f.domain.quads:
-        t = float(rng.uniform(-1.0, 1.0))
-        qf, qn = f.quad_points(q), n.quad_points(q)
-        qc = quad_curvatures(qf, qn)
-        offset = [p + t * v for p, v in zip(qf, qn)]
-        af = mixed_area(qf, qf)
-        nhat = af / np.linalg.norm(af)
-        a_t = float(mixed_area(offset, offset, 1e-6) @ nhat)
-        predicted = (1.0 - 2.0 * t * qc.H + t * t * qc.K) * qc.areaF
-        worst_s = max(worst_s, abs(a_t - predicted) / abs(qc.areaF))
-    checks["steiner"] = {"ok": worst_s <= tol, "max_residual": worst_s, "worst": None}
-
-    rep = is_asymptotic(ft, tol)
-    checks["asymptotic_stars"] = _report_entry(rep)
-
-    normals = tangent_normals(ft)
-    worst_n = max(min(float(np.linalg.norm(normals[v] - n.positions[v])),
-                      float(np.linalg.norm(normals[v] + n.positions[v])))
-                  for v in ft.domain.vertices)
-    checks["conjugate_normals"] = {"ok": worst_n <= tol, "max_residual": worst_n,
-                                   "worst": None}
-
-    dom = f.domain
-    duality_ok = True
-    for axis, index in (("row", dom.n0), ("row", dom.n1),
-                        ("col", dom.m0), ("col", dom.m1)):
-        iso = analyze_boundary_isothermic(f, n, index, axis, tol)
-        asym = analyze_boundary_asymptotic(ft, index, axis, tol)
-        agree = ((iso.kind == "planar_curvature_line")
-                 == (asym.kind == "straight_asymptotic_line"))
-        duality_ok = duality_ok and agree
-        checks[f"boundary_{axis}_{index}"] = {
-            "ok": agree, "max_residual": iso.residuals["congruence_plane"],
-            "worst": None, "isothermic_kind": iso.kind, "asymptotic_kind": asym.kind}
-    checks["conjugate_duality"] = {"ok": duality_ok, "max_residual": 0.0, "worst": None}
-
-    return {"ok": all(c["ok"] for c in checks.values()), "checks": checks}
+    return _run_checks(_Nets(tol, pair.isothermic, pair.gauss, pair.grid.labels,
+                             pair.asymptotic, pair.grid))
 
 
 def verify_net_file(path: str, tol: float, as_isothermic: bool = False,
                     conjugate: str | None = None, grid_path: str | None = None) -> dict:
-    """Verification battery for a single net file (plus optional companions)."""
-    bundle = read_net(path)
-    net = bundle.net
-    checks: dict[str, dict] = {}
+    """The battery on a net file and its optional companions.
 
-    looks_asymptotic = is_asymptotic(net, tol).ok and not as_isothermic
-    if bundle.normals is not None or as_isothermic or not looks_asymptotic:
-        worst_c, worst_q = 0.0, None
-        for q in net.domain.quads:
-            _, res = is_circular(net, q, tol)
-            rel = res / max(np.linalg.norm(np.ptp(np.asarray(net.quad_points(q)), axis=0)), 1e-300)
-            if rel > worst_c:
-                worst_c, worst_q = rel, q
-        checks["circularity"] = {"ok": worst_c <= tol, "max_residual": worst_c,
-                                 "worst": list(worst_q) if worst_q else None}
-        if bundle.labels is not None and checks["circularity"]["ok"]:
-            checks["isothermic"] = _report_entry(is_isothermic(net, bundle.labels, tol))
-    else:
-        checks["asymptotic_stars"] = _report_entry(is_asymptotic(net, tol))
-
-    if bundle.normals is not None:
-        normals = Net3(net.domain, bundle.normals, check_edges=False)
-        checks["minimality"] = _minimality_check(net, normals, tol)
-        ok_par, ang = are_parallel_meshes(net, normals, max(tol, 1e-9))
-        checks["gauss_parallel"] = {"ok": ok_par, "max_residual": ang, "worst": None}
-
-    if grid_path is not None:
-        grid = read_grid(grid_path)
-        lift = {v: stereographic_lift(grid.values[v]) for v in grid.domain.vertices}
-        if bundle.normals is not None:
-            worst = max(float(np.linalg.norm(bundle.normals[v] - lift[v]))
-                        for v in net.domain.vertices)
-            checks["gauss_matches_grid"] = {"ok": worst <= tol,
-                                            "max_residual": worst, "worst": None}
-
-    if conjugate is not None:
-        other = read_net(conjugate).net
-        rep = is_asymptotic(other, tol)
-        checks["conjugate_asymptotic"] = _report_entry(rep)
-        if bundle.normals is not None:
-            normals_other = tangent_normals(other)
-            worst = max(min(float(np.linalg.norm(normals_other[v] - bundle.normals[v])),
-                            float(np.linalg.norm(normals_other[v] + bundle.normals[v])))
-                        for v in other.domain.vertices)
-            checks["shared_normals"] = {"ok": worst <= tol, "max_residual": worst,
-                                        "worst": None}
-
-    return {"ok": all(c["ok"] for c in checks.values()), "checks": checks}
+    The file is the isothermic net when it carries normals, when
+    as_isothermic is set or when it is not asymptotic; otherwise it is the
+    asymptotic net.  The conjugate file takes the other role.
+    """
+    iso = read_net(path)
+    asym = read_net(conjugate) if conjugate is not None else None
+    nets = _Nets(tol, grid=read_grid(grid_path) if grid_path is not None else None)
+    if iso.normals is None and not as_isothermic and is_asymptotic(iso.net, tol).ok:
+        iso, asym = asym, iso
+    if iso is not None:
+        nets.iso, nets.labels = iso.net, iso.labels
+        if iso.normals is not None:
+            nets.normals = Net3(iso.net.domain, iso.normals, check_edges=False)
+    if asym is not None:
+        nets.asym = asym.net
+    return _run_checks(nets)
 
 
 # ---------------------------------------------------------------------------
 # OBJ export
 # ---------------------------------------------------------------------------
 
+def _write_obj(path: str, vertices, faces) -> None:
+    """Vertex positions and 0-based faces as OBJ (1-based indices)."""
+    with open(path, "w") as fh:
+        for p in vertices:
+            fh.write(f"v {p[0]:.17g} {p[1]:.17g} {p[2]:.17g}\n")
+        for face in faces:
+            fh.write("f " + " ".join(str(i + 1) for i in face) + "\n")
+
+
 def export_net_obj(net: Net3, path: str) -> None:
     """Quad OBJ with deterministic m-major vertex order."""
-    verts = net.domain.vertices
-    index = {v: i + 1 for i, v in enumerate(verts)}
-    with open(path, "w") as fh:
-        for v in verts:
-            p = net.positions[v]
-            fh.write(f"v {p[0]:.17g} {p[1]:.17g} {p[2]:.17g}\n")
-        for q in net.domain.quads:
-            i, j, k, l = (index[w] for w in net.domain.quad_vertices(q))
-            fh.write(f"f {i} {j} {k} {l}\n")
+    _write_obj(path, net.as_array(), net.domain.quad_index)
 
 
 def export_orbit_obj(orbit: SymmetryOrbit, path: str) -> None:
-    with open(path, "w") as fh:
-        for p in orbit.vertices:
-            fh.write(f"v {p[0]:.17g} {p[1]:.17g} {p[2]:.17g}\n")
-        for face in orbit.faces:
-            fh.write("f " + " ".join(str(i + 1) for i in face) + "\n")
+    _write_obj(path, orbit.vertices, orbit.faces)
 
 
 def orbit_to_json(orbit: SymmetryOrbit) -> dict:
@@ -246,54 +254,75 @@ def export_obj(path_in: str, path_out: str) -> None:
     except OSError as exc:
         raise ParseError(f"cannot read {path_in}: {exc}") from exc
     if isinstance(doc, dict) and doc.get("kind") == "orbit":
-        with open(path_out, "w") as fh:
-            for p in doc["vertices"]:
-                fh.write(f"v {p[0]:.17g} {p[1]:.17g} {p[2]:.17g}\n")
-            for face in doc["faces"]:
-                fh.write("f " + " ".join(str(i + 1) for i in face) + "\n")
-        return
-    from .net import json_to_bundle
-    bundle = json_to_bundle(doc)
-    export_net_obj(bundle.net, path_out)
+        _write_obj(path_out, doc["vertices"], doc["faces"])
+    else:
+        export_net_obj(json_to_bundle(doc).net, path_out)
 
 
 # ---------------------------------------------------------------------------
 # Generation pipelines
 # ---------------------------------------------------------------------------
 
-def _boundary_reflections(pair: MinimalPair, tol: float) -> list[Isometry]:
+def _boundary_reflections(net: Net3, normals: Net3, tol: float) -> list[Isometry]:
     """Plane reflections of every reflectable boundary line of the piece."""
-    f, n = pair.isothermic, pair.gauss
-    dom = f.domain
+    dom = net.domain
     generators = []
     for axis, index in (("row", dom.n0), ("col", dom.m0), ("row", dom.n1),
                         ("col", dom.m1)):
-        analysis = analyze_boundary_isothermic(f, n, index, axis, tol)
+        analysis = analyze_boundary_isothermic(net, normals, index, axis, tol)
         if analysis.kind == "planar_curvature_line":
             generators.append(Isometry.plane_reflection(analysis.plane))
     return generators
 
 
+def _write_orbit(net: Net3, normals: Net3, tol: float, max_word: int, path: str,
+                 obj_path: str | None) -> SymmetryOrbit:
+    """Close the group of the piece's boundary reflections; write the orbit.
+
+    A boundary line counts as planar at max(tol, 1e-7) of its size.  Group
+    elements merge at max(tol, 1e-6): distinct elements of a finite group
+    differ by O(1), while products of reflections carry roundoff that can
+    exceed 1e-9.  Vertices weld at max(tol, 1e-9) of the piece's size:
+    welding at 1e-6 merges distinct vertices of large pieces.
+    """
+    generators = _boundary_reflections(net, normals, max(tol, 1e-7))
+    if not generators:
+        raise NotReflectable("no reflectable boundary lines found")
+    orbit = build_orbit(net, generators, max_word=max_word,
+                        dedup_tol=max(tol, 1e-6), weld_tol=max(tol, 1e-9))
+    with open(path, "w") as fh:
+        fh.write(_dump(orbit_to_json(orbit)))
+        fh.write("\n")
+    if obj_path:
+        export_orbit_obj(orbit, obj_path)
+    return orbit
+
+
 def _family_pair(config: PipelineConfig) -> tuple[MinimalPair, dict]:
     family = config.family
     info: dict = {"family": family}
-    if family == "enneper":
-        k = config.params["k"]
-        size = config.params["size"]
-        if k < 1:
-            raise MinnetError("enneper requires k >= 1")
-        grid = power_function(2.0 * k / (k + 1.0), size, size)
-        info["gamma"] = 2.0 * k / (k + 1.0)
-    elif family == "planar_enneper":
-        grid = power_function(3.0, config.params["size"], config.params["size"])
-        info["gamma"] = 3.0
+    if family in ("enneper", "planar_enneper"):
+        if family == "planar_enneper":
+            gamma = 3.0
+        elif config.params["k"] < 1:
+            raise BadParameter("enneper requires k >= 1")
+        else:
+            gamma = 2.0 * config.params["k"] / (config.params["k"] + 1.0)
+        try:
+            grid = power_function(gamma, config.params["size"], config.params["size"])
+        except ValueError as exc:
+            raise BadParameter(f"--size {config.params['size']}: {exc}") from exc
+        info["gamma"] = gamma
     elif family == "knoid":
         spec = bvp.BoundarySpec(config.params["k"], config.params["nmax"],
                                 config.params["mmax"])
         seed = None
         if config.params.get("seed_file"):
-            with open(config.params["seed_file"]) as fh:
-                seed = np.array(json.load(fh)["params"], dtype=float)
+            try:
+                with open(config.params["seed_file"]) as fh:
+                    seed = np.array(json.load(fh)["params"], dtype=float)
+            except (OSError, ValueError, KeyError, TypeError) as exc:
+                raise ParseError(f"seed file {config.params['seed_file']}: {exc!r}") from exc
         result = bvp.solve_knoid(spec, tol=config.params.get("solver_tol", 1e-10),
                                  max_iter=config.params.get("max_iter", 500),
                                  seed_params=seed, strict=True)
@@ -339,19 +368,10 @@ def cmd_generate(config: PipelineConfig) -> int:
     report["files"] = files
 
     if config.orbit:
-        generators = _boundary_reflections(pair, max(config.tol, 1e-7))
-        if not generators:
-            raise NotReflectable("no reflectable boundary lines found")
-        loose = config.family in ("knoid", "platonic")
-        dedup = 1e-6 if loose else 1e-9
-        orbit = build_orbit(pair.isothermic, generators, max_word=config.max_word,
-                            dedup_tol=dedup, weld_tol=max(dedup, 1e-9))
-        orbit_path = f"{base}.orbit.json"
-        with open(orbit_path, "w") as fh:
-            fh.write(_dump(orbit_to_json(orbit)))
-            fh.write("\n")
-        export_orbit_obj(orbit, f"{base}.orbit.obj")
-        files.extend([orbit_path, f"{base}.orbit.obj"])
+        orbit_path, obj_path = f"{base}.orbit.json", f"{base}.orbit.obj"
+        orbit = _write_orbit(pair.isothermic, pair.gauss, config.tol, config.max_word,
+                             orbit_path, obj_path)
+        files.extend([orbit_path, obj_path])
         report["orbit"] = {"elements": len(orbit.elements),
                            "vertices": int(len(orbit.vertices)),
                            "weld_residual": float(orbit.weld_residual),
@@ -397,23 +417,7 @@ def cmd_orbit(args) -> int:
     if bundle.normals is None:
         raise ParseError("orbit construction requires normals in the net file")
     normals = Net3(bundle.net.domain, bundle.normals, check_edges=False)
-    dom = bundle.net.domain
-    generators = []
-    for axis, index in (("row", dom.n0), ("col", dom.m0), ("row", dom.n1),
-                        ("col", dom.m1)):
-        analysis = analyze_boundary_isothermic(bundle.net, normals, index, axis,
-                                               args.tol)
-        if analysis.kind == "planar_curvature_line":
-            generators.append(Isometry.plane_reflection(analysis.plane))
-    if not generators:
-        raise NotReflectable("no reflectable boundary lines found")
-    orbit = build_orbit(bundle.net, generators, max_word=args.max_word,
-                        dedup_tol=max(args.tol, 1e-9), weld_tol=max(args.tol, 1e-9))
-    with open(args.out, "w") as fh:
-        fh.write(_dump(orbit_to_json(orbit)))
-        fh.write("\n")
-    if args.obj:
-        export_orbit_obj(orbit, args.obj)
+    _write_orbit(bundle.net, normals, args.tol, args.max_word, args.out, args.obj)
     return EXIT_OK
 
 
@@ -531,18 +535,8 @@ def main(argv=None) -> int:
     try:
         threads = _read_threads()
         if args.command == "generate":
-            params = {}
-            if args.family == "enneper":
-                params = {"k": args.k, "size": args.size}
-            elif args.family == "planar-enneper":
-                params = {"size": args.size}
-            elif args.family == "knoid":
-                params = {"k": args.k, "nmax": args.nmax, "mmax": args.mmax,
-                          "solver_tol": args.solver_tol, "max_iter": args.max_iter,
-                          "seed_file": args.seed_file}
-            elif args.family == "platonic":
-                params = {"preset": args.preset, "resolution": args.resolution,
-                          "solver_tol": args.solver_tol, "max_iter": args.max_iter}
+            params = {k: v for k, v in vars(args).items() if k not in (
+                "command", "family", "tol", "out", "report", "orbit", "max_word")}
             config = PipelineConfig(
                 command="generate",
                 family=args.family.replace("-", "_"),

@@ -26,7 +26,11 @@ class NotIsothermic(MinnetError):
 
 
 class ParseError(MinnetError):
-    """Malformed or inconsistent net file."""
+    """Malformed or inconsistent input file."""
+
+
+class BadParameter(MinnetError):
+    """A command-line parameter is outside the range a construction accepts."""
 
 
 class UnsupportedGamma(MinnetError):

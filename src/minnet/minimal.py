@@ -21,7 +21,7 @@ along the common quad normal n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -29,8 +29,10 @@ from .errors import (ClosureFailure, InconsistentBundle, NotCoplanar,
                      NotIsothermic, ZeroArea, ZeroDg)
 from .holomorphic import HoloGrid
 from .mobius import CNum, is_inf, stereographic_lift
-from .net import (CheckReport, EdgeLabels, LatticeDomain, Net3, Vertex,
-                  _quad_scale, is_isothermic, planarity_residual)
+from .net import (MIN_EDGE, CheckReport, EdgeLabels, LatticeDomain, Net3, Vertex,
+                  _dot, _norm, _quad_scale, are_parallel_meshes,
+                  circularity_residuals, is_isothermic, planarity_residual,
+                  planarity_residuals, point_scales, worst_report)
 
 CLOSURE_TOL = 1e-9
 
@@ -147,52 +149,58 @@ def christoffel(net: Net3, labels: EdgeLabels, tol: float = 1e-9) -> Net3:
 # Asymptotic nets and normals
 # ---------------------------------------------------------------------------
 
-def vertex_star(net: Net3, v: Vertex) -> list[np.ndarray]:
-    """The vertex with its present axis neighbors (3 to 5 points)."""
-    m, n = v
-    pts = [net.positions[v]]
-    for w in ((m + 1, n), (m - 1, n), (m, n + 1), (m, n - 1)):
-        if w in net.domain:
-            pts.append(net.positions[w])
-    return pts
+def _vertex_stars(net: Net3, vertices) -> list[tuple[list[int], np.ndarray]]:
+    """Each vertex with its present axis neighbors (3 to 5 points).
+
+    Stars are grouped by size as (positions in vertices, (stars, k, 3)
+    points), the vertex first and then (m+1,n), (m-1,n), (m,n+1), (m,n-1).
+    """
+    dom = net.domain
+    groups: dict[int, tuple[list[int], list[list[int]]]] = {}
+    for row, (m, n) in enumerate(vertices):
+        star = [dom.vertex_index[w] for w in ((m, n), (m + 1, n), (m - 1, n), (m, n + 1),
+                                              (m, n - 1)) if w in dom]
+        rows, index = groups.setdefault(len(star), ([], []))
+        rows.append(row)
+        index.append(star)
+    pts = net.as_array()
+    return [(rows, pts[np.array(index)]) for rows, index in groups.values()]
 
 
 def is_asymptotic(net: Net3, tol: float = 1e-9) -> CheckReport:
     """Star coplanarity at interior vertices plus per-quad non-degeneracy.
 
     The report is ok when every full 5-point star is coplanar; quads that
-    are themselves planar are listed as degenerate in extra.
+    are themselves planar are listed as degenerate in extra.  The residual
+    of a star is relative to its diameter.
     """
-    max_res, worst = 0.0, None
-    for v in net.domain.vertices:
-        pts = vertex_star(net, v)
-        if len(pts) < 5:
-            continue
-        res = planarity_residual(pts) / max(_quad_scale(pts), 1e-300)
-        if res > max_res:
-            max_res, worst = res, v
-    degenerate = []
-    for q in net.domain.quads:
-        pts = net.quad_points(q)
-        if planarity_residual(pts) <= tol * max(_quad_scale(pts), 1e-300):
-            degenerate.append(q)
-    return CheckReport(max_res <= tol, max_res, worst,
-                       extra={"degenerate_quads": degenerate,
-                              "nondegenerate_ok": not degenerate})
+    verts = net.domain.vertices
+    res, scale = np.zeros(len(verts)), np.ones(len(verts))
+    for rows, pts in _vertex_stars(net, verts):
+        if pts.shape[1] == 5:
+            scale[rows] = np.maximum(point_scales(pts), 1e-300)
+            res[rows] = planarity_residuals(pts) / scale[rows]
+    quads = net.quad_array()
+    flat = planarity_residuals(quads) <= tol * np.maximum(point_scales(quads), 1e-300)
+    degenerate = [net.domain.quads[i] for i in np.flatnonzero(flat)]
+    return replace(worst_report(res, verts, tol, scale),
+                   extra={"degenerate_quads": degenerate, "nondegenerate_ok": not degenerate})
 
 
-def tangent_normals(net: Net3) -> dict[Vertex, np.ndarray]:
+def tangent_normals(net: Net3, vertices=None) -> dict[Vertex, np.ndarray]:
     """Unit normals of the per-vertex star planes of an asymptotic net.
 
-    Sign is arbitrary per vertex; callers align against a reference.
+    Computed at the given vertices (all by default).  Sign is arbitrary per
+    vertex; callers align against a reference.
     """
-    normals = {}
-    for v in net.domain.vertices:
-        pts = np.asarray(vertex_star(net, v))
-        centered = pts - pts.mean(axis=0)
-        _, _, vt = np.linalg.svd(centered, full_matrices=False)
-        normals[v] = vt[2] if vt.shape[0] == 3 else np.cross(vt[0], vt[1])
-    return normals
+    verts = net.domain.vertices if vertices is None else list(vertices)
+    normals: list = [None] * len(verts)
+    for rows, pts in _vertex_stars(net, verts):
+        vt = np.linalg.svd(pts - pts.mean(axis=1, keepdims=True), full_matrices=False)[2]
+        found = vt[:, 2] if vt.shape[1] == 3 else np.cross(vt[:, 0], vt[:, 1])
+        for row, normal in zip(rows, found):
+            normals[row] = normal
+    return dict(zip(verts, normals))
 
 
 def propagate_normals(net: Net3, n0, root: Vertex | None = None,
@@ -272,16 +280,61 @@ def quad_curvatures(quad_f, quad_n, tol: float = 1e-9) -> QuadCurvature:
                          areaF=area_f, mixed=mixed)
 
 
+def mixed_areas(f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """mixed_area of every pair of quads in two (quads, 4, 3) stacks, untested for planarity."""
+    return 0.25 * (np.cross(f[:, 2] - f[:, 0], g[:, 3] - g[:, 1])
+                   + np.cross(g[:, 2] - g[:, 0], f[:, 3] - f[:, 1]))
+
+
+class Curvatures:
+    """quad_curvatures of every quad of a net F with Gauss map N, in one
+    mixed-area pass over the (quads, 4, 3) corner stacks f and n.
+
+    undefined marks the quads where quad_curvatures raises (a non-planar
+    quad or a vanishing area); H, K, area = |A(F)| and normal = A(F)/|A(F)|
+    hold no meaningful value there.
+    """
+
+    def __init__(self, f: np.ndarray, n: np.ndarray, tol: float = 1e-9):
+        self.f, self.n = f, n
+        scale = np.maximum(point_scales(f), 1e-300)
+        af = mixed_areas(f, f)
+        self.area = _norm(af)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            self.normal = af / self.area[:, None]
+            self.H = -_dot(mixed_areas(f, n), self.normal) / self.area
+            self.K = _dot(mixed_areas(n, n), self.normal) / self.area
+        self.undefined = ((planarity_residuals(f) > tol * scale)
+                          | (self.area <= 1e-12 * scale * scale)
+                          | (planarity_residuals(n) > tol * np.maximum(point_scales(n), 1e-300)))
+
+    def steiner_defects(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """|A(F + tN) - (1 - 2tH + t^2 K) A(F)| / |A(F)| along the quad normal.
+
+        t holds one offset per quad.  Also returns where the defect is
+        undefined, which includes offset quads that are not planar to 1e-6.
+        """
+        offset = self.f + t[:, None, None] * self.n
+        predicted = (1.0 - 2.0 * t * self.H + t * t * self.K) * self.area
+        with np.errstate(divide="ignore", invalid="ignore"):
+            defects = (np.abs(_dot(mixed_areas(offset, offset), self.normal) - predicted)
+                       / np.abs(self.area))
+        bent = planarity_residuals(offset) > 1e-6 * np.maximum(point_scales(offset), 1e-300)
+        return defects, self.undefined | bent
+
+
 def offset_net(net: Net3, normals: Net3, t: float, tol: float = 1e-9) -> Net3:
     """Parallel offset F + t*N; validated circular and edge-parallel to F."""
-    from .net import are_parallel_meshes, is_circular
     out = Net3(net.domain, {v: net.positions[v] + t * normals.positions[v]
                             for v in net.domain.vertices})
     if t != 0.0:
-        for q in out.domain.quads:
-            ok, res = is_circular(out, q, max(tol, 1e-8))
-            if not ok:
-                raise NotCoplanar(f"offset quad {q} not circular (residual {res:.3e})")
+        pts = out.quad_array()
+        res = circularity_residuals(pts)
+        bad = res > max(tol, 1e-8) * np.maximum(point_scales(pts), MIN_EDGE)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise NotCoplanar(f"offset quad {out.domain.quads[i]} not circular "
+                              f"(residual {res[i]:.3e})")
         ok, worst = are_parallel_meshes(net, out, max(tol, 1e-8))
         if not ok:
             raise NotCoplanar(f"offset not edge-parallel (angle {worst:.3e})")

@@ -63,7 +63,10 @@ def sphere_distinct(a: CNum, b: CNum, eps: float = GAP_EPS) -> bool:
 
 @dataclass(frozen=True)
 class Quaternion:
-    """Hamilton quaternion w + x*i + y*j + z*k with float components."""
+    """Hamilton quaternion w + x*i + y*j + z*k.
+
+    Components are floats, or equal-shape arrays for many quaternions at once.
+    """
 
     w: float
     x: float
@@ -107,7 +110,7 @@ class Quaternion:
 
     def inverse(self) -> "Quaternion":
         n2 = self.norm2()
-        if n2 <= GAP_EPS * GAP_EPS:
+        if np.any(n2 <= GAP_EPS * GAP_EPS):
             raise DegenerateQuad("quaternion too small to invert")
         return Quaternion(self.w / n2, -self.x / n2, -self.y / n2, -self.z / n2)
 

@@ -18,8 +18,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateFit, DomainMismatch, NotCircular, ParseError
-from .mobius import cross_ratio_quat, fit_plane
+from .errors import DegenerateQuad, DomainMismatch, NotCircular, ParseError
+from .mobius import GAP_EPS, Quaternion
 
 Vertex = tuple[int, int]
 Quad = tuple[int, int]
@@ -87,6 +87,25 @@ class LatticeDomain:
     def quad_vertices(self, q: Quad) -> tuple[Vertex, Vertex, Vertex, Vertex]:
         m, n = q
         return (m, n), (m + 1, n), (m + 1, n + 1), (m, n + 1)
+
+    @cached_property
+    def vertex_index(self) -> dict[Vertex, int]:
+        """Position of each vertex in `vertices`."""
+        return {v: i for i, v in enumerate(self.vertices)}
+
+    @cached_property
+    def quad_index(self) -> np.ndarray:
+        """(quads, 4) vertex indices of each quad's vertex cycle."""
+        index = self.vertex_index
+        return np.array([[index[v] for v in self.quad_vertices(q)] for q in self.quads],
+                        dtype=np.intp).reshape(-1, 4)
+
+    @cached_property
+    def edge_index(self) -> np.ndarray:
+        """(edges, 2) vertex indices of the edges, in `edges()` order."""
+        index = self.vertex_index
+        return np.array([(index[a], index[b]) for a, b in self.edges()],
+                        dtype=np.intp).reshape(-1, 2)
 
     def edges(self):
         """All lattice edges between present vertices, horizontal then vertical."""
@@ -198,11 +217,12 @@ class Net3:
     def quad_points(self, q: Quad) -> list[np.ndarray]:
         return [self.positions[v] for v in self.domain.quad_vertices(q)]
 
-    def edge_vector(self, a: Vertex, b: Vertex) -> np.ndarray:
-        return self.positions[b] - self.positions[a]
-
     def as_array(self) -> np.ndarray:
         return np.array([self.positions[v] for v in self.domain.vertices])
+
+    def quad_array(self) -> np.ndarray:
+        """(quads, 4, 3) corner positions of every quad, in `domain.quads` order."""
+        return self.as_array()[self.domain.quad_index].reshape(-1, 4, 3)
 
     def scale(self) -> float:
         pts = self.as_array()
@@ -218,21 +238,56 @@ class Net3:
 
 @dataclass(frozen=True)
 class CheckReport:
-    """Outcome of a per-quad or per-vertex verification pass."""
+    """Outcome of a per-quad or per-vertex verification pass.
+
+    scale is what the residual at worst was divided by (1.0 for absolute
+    residuals).
+    """
 
     ok: bool
     max_residual: float
     worst: object = None
+    scale: float = 1.0
     extra: dict = field(default_factory=dict)
 
 
+def worst_report(residuals, locations, tol: float, scales=None) -> CheckReport:
+    """Report on the largest residual (the first one on ties).
+
+    locations and scales are indexed like residuals; worst is None when
+    every residual is 0.
+    """
+    worst = float(np.max(residuals, initial=0.0))
+    if not worst > 0.0:
+        return CheckReport(worst <= tol, worst)
+    i = int(np.argmax(residuals))
+    return CheckReport(worst <= tol, worst, locations[i],
+                       1.0 if scales is None else float(scales[i]))
+
+
+# Whole-array versions of the per-quad predicates below.  They repeat the
+# scalar arithmetic operation for operation (np.dot and np.linalg.norm of
+# one vector agree bit for bit with _dot and _norm), so that residuals and
+# worst locations equal those of the scalar references exactly.
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products over the last axis, each equal to np.dot of the pair."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _norm(a: np.ndarray) -> np.ndarray:
+    return np.sqrt(_dot(a, a))
+
+
+def point_scales(pts: np.ndarray) -> np.ndarray:
+    """Largest pairwise distance in every point set of a (sets, k, 3) stack."""
+    k = pts.shape[1]
+    return np.max([_norm(pts[:, i] - pts[:, j]) for i in range(k) for j in range(i + 1, k)],
+                  axis=0, initial=0.0)
+
+
 def _quad_scale(pts) -> float:
-    pts = np.asarray(pts)
-    d = 0.0
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            d = max(d, float(np.linalg.norm(pts[i] - pts[j])))
-    return d
+    return float(point_scales(np.asarray(pts, dtype=float)[None])[0])
 
 
 def circularity_residual(pts) -> float:
@@ -242,18 +297,39 @@ def circularity_residual(pts) -> float:
     centered = pts - centroid
     _, s, vt = np.linalg.svd(centered, full_matrices=False)
     coplanar = float(np.abs(centered @ vt[2]).max()) if s[0] > 0 else 0.0
-    # circumcenter in the fitted plane: solve 2(p_i - p_0)·c = |p_i|^2 - |p_0|^2
-    basis = vt[:2]
-    uv = centered @ basis.T
+    # circumcenter in the fitted plane: least squares for
+    # 2(p_i - p_0)·c = |p_i|^2 - |p_0|^2, by the 2x2 normal equations
+    uv = centered @ vt[:2].T
     a = 2.0 * (uv[1:] - uv[0])
     b = (uv[1:] ** 2).sum(axis=1) - (uv[0] ** 2).sum()
-    try:
-        center, *_ = np.linalg.lstsq(a, b, rcond=None)
-    except np.linalg.LinAlgError:
+    g00, g01, g11 = ((a[:, i] * a[:, j]).sum() for i, j in ((0, 0), (0, 1), (1, 1)))
+    r0, r1 = ((a[:, i] * b).sum() for i in (0, 1))
+    det = g00 * g11 - g01 * g01
+    if det == 0.0:
         return float("inf")
+    center = np.array([(g11 * r0 - g01 * r1) / det, (g00 * r1 - g01 * r0) / det])
     radii = np.linalg.norm(uv - center, axis=1)
     spread = float(radii.max() - radii.min())
     return max(coplanar, spread)
+
+
+def circularity_residuals(pts: np.ndarray) -> np.ndarray:
+    """circularity_residual of every quad in a (quads, 4, 3) stack."""
+    centered = pts - pts.mean(axis=1, keepdims=True)
+    _, s, vt = np.linalg.svd(centered, full_matrices=False)
+    coplanar = np.where(s[:, 0] > 0, np.abs(centered @ vt[:, 2, :, None])[..., 0].max(axis=1),
+                        0.0)
+    uv = centered @ vt[:, :2].transpose(0, 2, 1)
+    a = 2.0 * (uv[:, 1:] - uv[:, :1])
+    b = (uv[:, 1:] ** 2).sum(axis=2) - (uv[:, 0] ** 2).sum(axis=1)[:, None]
+    g00, g01, g11 = ((a[..., i] * a[..., j]).sum(axis=1) for i, j in ((0, 0), (0, 1), (1, 1)))
+    r0, r1 = ((a[..., i] * b).sum(axis=1) for i in (0, 1))
+    det = g00 * g11 - g01 * g01
+    with np.errstate(divide="ignore", invalid="ignore"):
+        center = np.stack([(g11 * r0 - g01 * r1) / det, (g00 * r1 - g01 * r0) / det], axis=1)
+        radii = np.linalg.norm(uv - center[:, None], axis=2)
+    spread = radii.max(axis=1) - radii.min(axis=1)
+    return np.where(det == 0.0, np.inf, np.maximum(coplanar, spread))
 
 
 def is_circular(net: Net3, quad: Quad, tol: float = 1e-9) -> tuple[bool, float]:
@@ -267,27 +343,55 @@ def is_circular(net: Net3, quad: Quad, tol: float = 1e-9) -> tuple[bool, float]:
     return res <= tol * max(_quad_scale(pts), MIN_EDGE), res
 
 
+def cross_ratio_residuals(net: Net3, labels: EdgeLabels) -> np.ndarray:
+    """|Re cr(F_i,F_j,F_k,F_l) - alpha(m)/beta(n)| of every quad.
+
+    The cross ratio is cross_ratio_quat's product, evaluated on arrays.
+    """
+    dom = net.domain
+    pts = net.quad_array()
+    sides = _norm(pts - np.roll(pts, -1, axis=1))
+    if (sides <= GAP_EPS).any():
+        q = dom.quads[int(np.argmax((sides <= GAP_EPS).any(axis=1)))]
+        raise DegenerateQuad(f"quad {q} has coincident consecutive points")
+    zero = np.zeros(len(pts))
+    x = [Quaternion(zero, *pts[:, i].T) for i in range(4)]
+    cr = (x[0] - x[1]) * (x[1] - x[2]).inverse() * (x[2] - x[3]) * (x[3] - x[0]).inverse()
+    corners = np.array(dom.quads, dtype=np.intp).reshape(-1, 2)
+    alpha = np.array([labels.alpha_at(m) for m in range(dom.m0, dom.m1)])
+    beta = np.array([labels.beta_at(n) for n in range(dom.n0, dom.n1)])
+    return np.abs(cr.w - alpha[corners[:, 0] - dom.m0] / beta[corners[:, 1] - dom.n0])
+
+
 def is_isothermic(net: Net3, labels: EdgeLabels, tol: float = 1e-9) -> CheckReport:
     """Check cr(F_i,F_j,F_k,F_l) = alpha(m)/beta(n) on every quad.
 
     Raises NotCircular if some quad fails concircularity at tol first.
     """
-    worst_circ = (None, 0.0)
-    for q in net.domain.quads:
-        ok, res = is_circular(net, q, tol)
-        rel = res / max(_quad_scale(net.quad_points(q)), MIN_EDGE)
-        if not ok and rel > worst_circ[1]:
-            worst_circ = (q, rel)
-    if worst_circ[0] is not None:
-        raise NotCircular(f"quad {worst_circ[0]} non-circular (relative residual {worst_circ[1]:.3e})")
+    pts = net.quad_array()
+    res, diameter = circularity_residuals(pts), np.maximum(point_scales(pts), MIN_EDGE)
+    rel = np.where(res > tol * diameter, res / diameter, 0.0)  # is_circular's test
+    if rel.any():
+        raise NotCircular(f"quad {net.domain.quads[int(np.argmax(rel))]} non-circular "
+                          f"(relative residual {rel.max():.3e})")
+    return worst_report(cross_ratio_residuals(net, labels), net.domain.quads, tol)
 
-    max_res, worst = 0.0, None
-    for q in net.domain.quads:
-        cr = cross_ratio_quat(*net.quad_points(q))
-        res = abs(cr.re - labels.ratio(q))
-        if res > max_res:
-            max_res, worst = res, q
-    return CheckReport(max_res <= tol, max_res, worst)
+
+def edge_angles(f: Net3, g: Net3) -> np.ndarray:
+    """Angle between corresponding edges of f and g, in `domain.edges()` order.
+
+    Measured sign-free as asin of the normalized cross product; 0 on edges
+    that vanish in either net.
+    """
+    if f.domain != g.domain:
+        raise DomainMismatch("nets live on different domains")
+    a, b = f.domain.edge_index.T
+    fp, gp = f.as_array(), g.as_array()
+    u, v = fp[b] - fp[a], gp[b] - gp[a]
+    nu, nv = _norm(u), _norm(v)
+    s = np.divide(_norm(np.cross(u, v)), nu * nv, out=np.zeros(len(u)),
+                  where=(nu > MIN_EDGE) & (nv > MIN_EDGE))
+    return np.arcsin(np.minimum(1.0, s))
 
 
 def are_parallel_meshes(f: Net3, g: Net3, tol: float = 1e-9) -> tuple[bool, float]:
@@ -296,28 +400,22 @@ def are_parallel_meshes(f: Net3, g: Net3, tol: float = 1e-9) -> tuple[bool, floa
     Zero edges of either net are skipped.  Returns (ok, worst angle in
     radians measured as asin of the normalized cross product).
     """
-    if f.domain != g.domain:
-        raise DomainMismatch("nets live on different domains")
-    worst = 0.0
-    for a, b in f.domain.edges():
-        u = f.edge_vector(a, b)
-        v = g.edge_vector(a, b)
-        nu, nv = np.linalg.norm(u), np.linalg.norm(v)
-        if nu <= MIN_EDGE or nv <= MIN_EDGE:
-            continue
-        s = np.linalg.norm(np.cross(u, v)) / (nu * nv)
-        worst = max(worst, float(np.arcsin(min(1.0, s))))
+    worst = float(np.max(edge_angles(f, g), initial=0.0))
     return worst <= tol, worst
 
 
 def planarity_residual(pts) -> float:
     """Max distance to the best plane; 0 if points span less than a plane."""
     pts = np.asarray(pts, dtype=float)
-    try:
-        _, res = fit_plane(pts)
-    except DegenerateFit:
-        return 0.0
-    return res
+    return float(planarity_residuals(pts[None])[0]) if len(pts) >= 3 else 0.0
+
+
+def planarity_residuals(pts: np.ndarray) -> np.ndarray:
+    """planarity_residual of every point set in a (sets, k, 3) stack, k >= 3."""
+    centered = pts - pts.mean(axis=1, keepdims=True)
+    _, s, vt = np.linalg.svd(centered, full_matrices=False)
+    res = np.abs(centered @ vt[:, 2, :, None])[..., 0].max(axis=1)
+    return np.where((s[:, 0] < 1e-14) | (s[:, 1] <= 1e-12 * s[:, 0]), 0.0, res)
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,7 @@ class BoundaryAnalysis:
     gauss_circle: str = "none"   # 'great_circle' | 'small_circle' | 'none'
     gauss_plane: PlaneR3 | None = None
     residuals: dict = field(default_factory=dict)
+    scale: float = 1.0        # bounding-box diagonal of the line, for tol * scale
 
 
 def boundary_vertices(domain: LatticeDomain, index: int, axis: str = "row") -> list[Vertex]:
@@ -108,7 +109,7 @@ def analyze_boundary_isothermic(net: Net3, normals: Net3, index: int,
             "small_circle" if r_small <= tol else "none")
     return BoundaryAnalysis(axis, index, kind, plane=plane,
                             gauss_circle=gauss_circle, gauss_plane=gauss_plane,
-                            residuals=residuals)
+                            residuals=residuals, scale=scale)
 
 
 def analyze_boundary_asymptotic(net: Net3, index: int, axis: str = "row",
@@ -124,7 +125,7 @@ def analyze_boundary_asymptotic(net: Net3, index: int, axis: str = "row",
     line, r_line = fit_line(pts)
     residuals = {"line": r_line}
 
-    normals = tangent_normals(net)
+    normals = tangent_normals(net, verts)
     r_perp = max(abs(float(normals[v] @ line.direction)) for v in verts)
     residuals["gauss_perpendicular"] = r_perp
 
@@ -132,8 +133,9 @@ def analyze_boundary_asymptotic(net: Net3, index: int, axis: str = "row",
     residuals["tests_agree"] = straight == (r_perp <= max(tol, 1e3 * r_line / scale))
     if straight:
         return BoundaryAnalysis(axis, index, "straight_asymptotic_line", line=line,
-                                gauss_circle="great_circle", residuals=residuals)
-    return BoundaryAnalysis(axis, index, "none", line=line, residuals=residuals)
+                                gauss_circle="great_circle", residuals=residuals,
+                                scale=scale)
+    return BoundaryAnalysis(axis, index, "none", line=line, residuals=residuals, scale=scale)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,43 @@
+"""The battery's whole-array checks against the scalar per-quad references."""
+
+import numpy as np
+import pytest
+
+from minnet.cli import verify_pair
+from minnet.minimal import mixed_area, quad_curvatures
+from minnet.mobius import cross_ratio_quat
+from minnet.net import is_circular
+
+
+def scalar_battery(pair):
+    """(max residual, worst quad) of four checks, computed one quad at a time."""
+    f, n, labels = pair.isothermic, pair.gauss, pair.grid.labels
+    rng = np.random.default_rng(20240214)       # the battery's Steiner offsets
+    found = dict.fromkeys(("circularity", "isothermic", "minimality", "steiner"), (0.0, None))
+    for q in f.domain.quads:
+        qf, qn = f.quad_points(q), n.quad_points(q)
+        qc = quad_curvatures(qf, qn)
+        t = float(rng.uniform(-1.0, 1.0))
+        af = mixed_area(qf, qf)
+        offset = [p + t * v for p, v in zip(qf, qn)]
+        offset_area = float(mixed_area(offset, offset, 1e-6) @ (af / np.linalg.norm(af)))
+        predicted = (1.0 - 2.0 * t * qc.H + t * t * qc.K) * qc.areaF
+        residuals = {
+            "circularity": is_circular(f, q)[1] / np.linalg.norm(np.ptp(np.asarray(qf), axis=0)),
+            "isothermic": abs(cross_ratio_quat(*qf).re - labels.ratio(q)),
+            "minimality": abs(qc.H),
+            "steiner": abs(offset_area - predicted) / abs(qc.areaF),
+        }
+        for name, res in residuals.items():
+            if res > found[name][0]:
+                found[name] = (res, q)
+    return found
+
+
+@pytest.mark.parametrize("fixture", ["enneper_pair", "planar_enneper_pair", "trinoid_pair"])
+def test_array_checks_equal_scalar_references(fixture, request):
+    pair = request.getfixturevalue(fixture)
+    checks = verify_pair(pair)["checks"]
+    for name, (residual, quad) in scalar_battery(pair).items():
+        assert checks[name]["max_residual"] == pytest.approx(residual, rel=1e-12, abs=0), name
+        assert checks[name]["worst"] == list(quad), name

@@ -59,6 +59,23 @@ class TestGenerate:
             b2 = open(f"{out2}.{suffix}.dnet.json", "rb").read()
             assert b1 == b2
 
+    @pytest.mark.parametrize("family, seed", [
+        (["enneper", "--k", "3", "--size", "1"], None),
+        (["knoid", "--k", "3"], None),          # --seed-file names a missing file
+        (["knoid", "--k", "3"], "{broken"),
+        (["knoid", "--k", "3"], '{"iterations": 3}'),
+    ])
+    def test_bad_input_is_typed_error(self, tmp_path, capsys, family, seed):
+        argv = ["generate", *family, "--out", str(tmp_path / "x")]
+        if family[0] == "knoid":
+            path = tmp_path / "seed.json"
+            if seed is not None:
+                path.write_text(seed)
+            argv += ["--seed-file", str(path)]
+        assert run(argv) == 3
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert error["error"] in ("BadParameter", "ParseError")
+
     def test_threads_env_validation(self, tmp_path):
         code = run(["generate", "enneper", "--k", "2", "--size", "5",
                     "--out", str(tmp_path / "x")], env={"MINNET_THREADS": "zero"})
@@ -93,6 +110,27 @@ class TestVerify:
         assert failed
         assert any(v.get("worst") for k, v in rep["checks"].items()
                    if not v["ok"])
+        for name in failed:
+            assert rep["checks"][name]["worst"] is not None, name
+            assert isinstance(rep["checks"][name]["scale"], float), name
+
+    @pytest.mark.parametrize("family", [["enneper", "--k", "3"], ["planar-enneper"]])
+    def test_verify_runs_the_generate_battery(self, tmp_path, family):
+        base = str(tmp_path / "net")
+        generated, verified = str(tmp_path / "g.json"), str(tmp_path / "v.json")
+        assert run(["generate", *family, "--size", "6", "--out", base,
+                    "--report", generated]) == 0
+        assert run(["verify", f"{base}.iso.dnet.json", "--grid", f"{base}.grid.dnet.json",
+                    "--conjugate", f"{base}.asym.dnet.json", "--report", verified]) == 0
+        gen, ver = (json.loads(open(p).read())["checks"] for p in (generated, verified))
+        assert list(ver) == list(gen)
+        for name, entry in gen.items():
+            assert ver[name]["ok"] == entry["ok"], name
+            assert ver[name]["max_residual"] == pytest.approx(entry["max_residual"],
+                                                               rel=1e-12, abs=1e-15), name
+            for key in ("ok", "max_residual", "scale", "worst"):
+                assert key in entry, (name, key)
+            assert entry["worst"] is not None or entry["max_residual"] == 0, name
 
     def test_asymptotic_as_isothermic_fails_circularity(self, tmp_path):
         base = str(tmp_path / "enn")
@@ -201,3 +239,12 @@ class TestReflectAndConjugate:
         doc = json.loads(open(out).read())
         assert doc["kind"] == "orbit"
         assert len(doc["elements"]) == 8
+
+    def test_orbit_command_matches_generate(self, tmp_path):
+        # the octahedral group's closure residual is above 1e-9
+        base = str(tmp_path / "oct")
+        assert run(["generate", "platonic", "--preset", "octahedral", "--resolution", "3",
+                    "--orbit", "--out", base, "--report", str(tmp_path / "r.json")]) == 0
+        out = tmp_path / "group.json"
+        assert run(["orbit", f"{base}.iso.dnet.json", "--out", str(out)]) == 0
+        assert out.read_bytes() == open(f"{base}.orbit.json", "rb").read()
