@@ -21,8 +21,17 @@ Shooting alone turns out to be badly conditioned (propagation across the
 grid amplifies boundary perturbations and drags optimizers into collapsed
 configurations), so solve_knoid minimizes the equivalent collocation
 system instead: all interior vertices are unknowns and every quad
-contributes its cross-ratio deviation directly.  Both reach the same
-solutions; the shooting residual remains the verification surface.
+contributes its cross-ratio deviation directly.
+
+The collocation residual is evaluated on one complex vertex array, and
+Levenberg-Marquardt gets its Jacobian in closed form (the sparse-structured
+Jacobian of Nocedal & Wright, Numerical Optimization, ch. 10).  Each quad's
+cr = (a-b)(c-d)/((b-c)(d-a)) is holomorphic in its corners, with
+dcr/da = cr (1/(a-b) + 1/(d-a)) and its three siblings; these are chained
+through dV/dx: the identity (as a Cauchy-Riemann 2x2 block) for interior
+vertices, and the derivative of the cumulative-exp encodings for the three
+boundary sequences.  Containment rows take the gradient of the active
+branch of the penalty.
 
 Platonic presets replace the wedge/circle data by the Möbius-triangle data
 of the rotation group: sides meeting at (pi/2, pi/3, pi/3) for the
@@ -88,13 +97,20 @@ class BoundarySpec:
 
 @dataclass
 class SolveResult:
-    """Solved grid with residual maxima and total iteration count."""
+    """Solved grid with residual maxima and total iteration count.
+
+    params is the collocation vector of the solve, accepted back as
+    seed_params.  trace holds one entry per LM iteration: the cost, the
+    damping lambda of the last trial step, max|cr+1| and whether the step
+    was accepted.
+    """
 
     grid: HoloGrid
     residuals: dict[str, float]
     iterations: int
     converged: bool
     params: np.ndarray | None = field(repr=False, default=None)
+    trace: list[dict] = field(repr=False, default_factory=list)
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +290,7 @@ def _cr4(a: complex, b: complex, c: complex, d: complex) -> complex:
 
 
 def _jacobian(fun, x: np.ndarray, r0: np.ndarray) -> np.ndarray:
-    """Central-difference Jacobian, tolerant of blowups at trial points."""
+    """Central-difference Jacobian, for callers without a closed form."""
     jac = np.empty((len(r0), len(x)))
     for i in range(len(x)):
         step = 1e-6 * max(1.0, abs(x[i]))
@@ -282,50 +298,45 @@ def _jacobian(fun, x: np.ndarray, r0: np.ndarray) -> np.ndarray:
         xp[i] += step
         xm = x.copy()
         xm[i] -= step
-        try:
-            jac[:, i] = (fun(xp) - fun(xm)) / (2.0 * step)
-        except PropagationBlowup:
-            try:
-                jac[:, i] = (fun(xp) - r0) / step
-            except PropagationBlowup:
-                try:
-                    jac[:, i] = (r0 - fun(xm)) / step
-                except PropagationBlowup:
-                    jac[:, i] = 0.0
+        jac[:, i] = (fun(xp) - fun(xm)) / (2.0 * step)
     return jac
 
 
 def levenberg_marquardt(fun, x0: np.ndarray, converged, max_iter: int = 500,
                         lam0: float = 1e-3, lam_down: float = 0.5,
-                        lam_up: float = 4.0, lam_cap: float = 1e14):
+                        lam_up: float = 4.0, lam_cap: float = 1e14,
+                        jac=None, on_iteration=None):
     """Damped Gauss-Newton with multiplicative damping schedule.
 
-    fun may raise PropagationBlowup at a trial point; the step is rejected
-    like any non-decreasing step.  Returns (x, iterations, success).
+    jac(x) gives the Jacobian of fun at x; without it a central difference
+    is taken.  A trial step is accepted when it lowers the cost |fun|^2.
+    on_iteration(x, cost, lam, accepted), when given, is called after every
+    iteration with the iterate, its cost and the damping of the last trial.
+    Returns (x, iterations, success).
     """
     x = np.asarray(x0, dtype=float).copy()
     r = fun(x)
     cost = float(r @ r)
     lam = lam0
+    diagonal = np.diag_indices(len(x))
     for it in range(1, max_iter + 1):
         if converged(x):
             return x, it - 1, True
-        jac = _jacobian(fun, x, r)
-        a = jac.T @ jac
-        g = jac.T @ r
-        stepped = False
+        j = jac(x) if jac is not None else _jacobian(fun, x, r)
+        a = j.T @ j
+        g = j.T @ r
+        stepped, tried = False, lam
         while lam <= lam_cap:
-            m = a + lam * (np.diag(np.diag(a)) + 1e-12 * np.eye(len(x)))
+            tried = lam
+            m = a.copy()
+            m[diagonal] += lam * (np.diag(a) + 1e-12)
             try:
                 delta = np.linalg.solve(m, -g)
             except np.linalg.LinAlgError:
                 lam *= lam_up
                 continue
-            try:
-                r_new = fun(x + delta)
-                c_new = float(r_new @ r_new)
-            except PropagationBlowup:
-                c_new = math.inf
+            r_new = fun(x + delta)
+            c_new = float(r_new @ r_new)
             if c_new < cost:
                 x = x + delta
                 r, cost = r_new, c_new
@@ -333,6 +344,8 @@ def levenberg_marquardt(fun, x0: np.ndarray, converged, max_iter: int = 500,
                 stepped = True
                 break
             lam *= lam_up
+        if on_iteration is not None:
+            on_iteration(x, cost, tried, stepped)
         if not stepped:
             return x, it, converged(x)
     return x, max_iter, converged(x)
@@ -361,6 +374,31 @@ class _Triangle:
         angular = max(0.0, -ang, ang - self.wedge) * max(abs(z), 1e-12)
         radial = max(0.0, abs(z - self.center) - self.radius)
         return max(angular, radial)
+
+    def region_penalty(self, z: np.ndarray):
+        """region_distance of every entry of z, and its gradient
+        d/dRe + i d/dIm: that of the active branch, zero where the
+        penalty is zero."""
+        r = np.abs(z)
+        ang = np.arctan2(z.imag, z.real)
+        over = np.maximum(np.maximum(0.0, -ang), ang - self.wedge)
+        rho = np.maximum(r, 1e-12)
+        angular = over * rho
+        off = z - self.center
+        dist = np.abs(off)
+        radial = np.maximum(0.0, dist - self.radius)
+        penalty = np.maximum(angular, radial)
+        grad = np.zeros_like(z)
+        rad = radial > angular
+        grad[rad] = off[rad] / dist[rad]
+        act = ~rad & (angular > 0.0)
+        za, ra = z[act], r[act]
+        # over is -ang below the real axis and ang - wedge beyond the ray;
+        # grad(ang) = i z / r^2 and grad(rho) = z / r while r > 1e-12
+        sign = np.where(ang[act] < 0.0, -1.0, 1.0)
+        grad[act] = (sign * rho[act] * 1j * za / ra ** 2
+                     + over[act] * np.where(ra > 1e-12, za / ra, 0.0))
+        return penalty, grad
 
     def arc_point(self, frac: float) -> complex:
         return self.center + self.radius * cmath.exp(
@@ -398,96 +436,165 @@ def _spherical_triangle(theta0: float, theta1: float, theta_end: float) -> _Tria
     return _Triangle(theta0, corner, puncture, center, radius, arc_start, span)
 
 
+def _cumexp(u: np.ndarray, upper: float):
+    """upper * s / (s[-1] + 1) with s = cumsum(exp(u)), a strictly
+    increasing sequence in (0, upper), and its derivative D[j, i] =
+    d out_j / d u_i = upper * e_i * ([i <= j] / (s[-1] + 1) - s_j / (s[-1] + 1)^2)."""
+    if len(u) == 0:
+        return np.empty(0), np.empty((0, 0))
+    e = np.exp(np.clip(u, -EXP_CLIP, EXP_CLIP))
+    s = np.cumsum(e)
+    total = s[-1] + 1.0
+    slope = np.where(np.abs(u) <= EXP_CLIP, e, 0.0)   # the clip is flat beyond
+    deriv = upper * slope * (np.tri(len(u)) / total - s[:, None] / total ** 2)
+    return upper * s / total, deriv
+
+
 class _TriangleCollocation:
-    """Least-squares system: boundary sequences on the triangle sides plus
-    free interior values, with per-quad cross-ratio -1 residuals."""
+    """Least-squares system on the vertex array V[m, n] of the
+    (m_max + 1) x (n_max + 1) grid, with per-quad cross-ratio -1 residuals.
+
+    Unknowns x: the cumulative-exp encodings of the bottom row (m_max), the
+    left column (n_max - 1) and the arc row (m_max, as fractions of the
+    arc), then the (Re, Im) pairs of the interior vertices in n-major
+    order.  Residual rows: (Re, Im) of cr+1 per quad in n-major order, the
+    containment penalty of every vertex in (m, n) order, then the
+    regularization of the left-column radii.
+    """
 
     def __init__(self, tri: _Triangle, m_max: int, n_max: int):
         self.tri = tri
         self.m_max = m_max
         self.n_max = n_max
-        self.interior = [(m, n) for n in range(1, n_max)
-                         for m in range(1, m_max + 1)]
-        self.n_params = 2 * m_max + (n_max - 1) + 2 * len(self.interior)
+        self.n_boundary = 2 * m_max + n_max - 1
+        self.n_params = self.n_boundary + 2 * m_max * (n_max - 1)
+        flat = np.arange((m_max + 1) * (n_max + 1)).reshape(m_max + 1, n_max + 1)
+        # flat vertex index of each quad's corners a, b, c, d = (m, n),
+        # (m+1, n), (m+1, n+1), (m, n+1), quads in n-major order
+        self._corners = [flat[:-1, :-1].T.ravel(), flat[1:, :-1].T.ravel(),
+                         flat[1:, 1:].T.ravel(), flat[:-1, 1:].T.ravel()]
+        # parameter column of each vertex's real part; -1 on the boundary
+        column = np.full((m_max + 1, n_max + 1), -1)
+        column[1:, 1:n_max] = (self.n_boundary + 2 * np.arange(
+            m_max * (n_max - 1))).reshape(n_max - 1, m_max).T
+        self._column = column.ravel()
 
-    def values(self, x: np.ndarray) -> dict[Vertex, complex]:
-        m_max, n_max, tri = self.m_max, self.n_max, self.tri
-        i = 0
-        bottom = _increasing_open(x[i:i + m_max], tri.puncture)
-        i += m_max
-        left = _increasing_closed(x[i:i + n_max - 1], abs(tri.corner))
-        i += n_max - 1
-        arc = _increasing_open(x[i:i + m_max], 1.0)
-        i += m_max
-        vals: dict[Vertex, complex] = {(0, 0): 0j, (0, n_max): tri.corner}
-        for m in range(1, m_max + 1):
-            vals[(m, 0)] = complex(bottom[m - 1])
+    def _vertices(self, x: np.ndarray):
+        """Flat vertex array V, left-column radii, dV/dx over the boundary
+        columns and d(left)/dx over its block."""
+        tri, m_max, n_max, nb = self.tri, self.m_max, self.n_max, self.n_boundary
+        bottom, d_bottom = _cumexp(x[:m_max], tri.puncture)
+        left, d_left = _cumexp(x[m_max:m_max + n_max - 1], abs(tri.corner))
+        arc, d_arc = _cumexp(x[m_max + n_max - 1:nb], 1.0)
         ray = cmath.exp(1j * tri.wedge)
-        for n in range(1, n_max):
-            vals[(0, n)] = left[n - 1] * ray
-        for m in range(1, m_max + 1):
-            vals[(m, n_max)] = tri.arc_point(arc[m - 1])
-        for v in self.interior:
-            vals[v] = complex(x[i], x[i + 1])
-            i += 2
-        return vals
+        v = np.empty((m_max + 1, n_max + 1), dtype=complex)
+        v[0, 0] = 0j
+        v[0, n_max] = tri.corner
+        v[1:, 0] = bottom
+        v[0, 1:n_max] = left * ray
+        v[1:, n_max] = tri.center + tri.radius * np.exp(
+            1j * (tri.arc_start + tri.arc_span * arc))
+        v[1:, 1:n_max] = (x[nb::2] + 1j * x[nb + 1::2]).reshape(n_max - 1, m_max).T
+        dv = np.zeros((m_max + 1, n_max + 1, nb), dtype=complex)
+        dv[1:, 0, :m_max] = d_bottom
+        dv[0, 1:n_max, m_max:m_max + n_max - 1] = ray * d_left
+        dv[1:, n_max, m_max + n_max - 1:] = (
+            1j * tri.arc_span * (v[1:, n_max] - tri.center))[:, None] * d_arc
+        return v.ravel(), left, dv.reshape(-1, nb), d_left
 
-    def encode(self, bottom, left, arc, interior_vals) -> np.ndarray:
-        parts = [_increasing_open_inverse(bottom, self.tri.puncture),
-                 _increasing_closed_inverse(left, abs(self.tri.corner)),
-                 _increasing_open_inverse(arc, 1.0)]
-        flat = []
-        for v in self.interior:
-            z = interior_vals[v]
-            flat.extend((z.real, z.imag))
-        return np.concatenate(parts + [np.array(flat)])
+    def vertices(self, x: np.ndarray) -> np.ndarray:
+        """V[m, n] as an (m_max + 1, n_max + 1) complex array."""
+        return self._vertices(x)[0].reshape(self.m_max + 1, self.n_max + 1)
 
-    def boundary_data(self, x: np.ndarray):
-        m_max, n_max = self.m_max, self.n_max
-        bottom = _increasing_open(x[:m_max], self.tri.puncture)
-        left = _increasing_closed(x[m_max:m_max + n_max - 1], abs(self.tri.corner))
-        arc = _increasing_open(x[m_max + n_max - 1:2 * m_max + n_max - 1], 1.0)
-        return bottom, left, arc
+    def _cross_ratios(self, v: np.ndarray):
+        """cr(a, b, c, d) per quad, 1e9 where den = (b-c)(d-a) vanishes, and
+        its slopes dq/da, dq/db, dq/dc, dq/dd (zero there), e.g.
+        dq/da = q (1/(a-b) + 1/(d-a)) = (c-d)/den + q/(d-a)."""
+        a, b, c, d = (v[i] for i in self._corners)
+        zero = (b - c) * (d - a) == 0
+        bc, da = np.where(zero, 1.0, b - c), np.where(zero, 1.0, d - a)
+        den = bc * da
+        q = np.where(zero, 1e9, ((a - b) * (c - d)) / den)
+        ab_den, cd_den = (a - b) / den, (c - d) / den
+        slopes = [cd_den + q / da, -cd_den - q / bc, ab_den + q / bc, -ab_den - q / da]
+        return q, [np.where(zero, 0.0, s) for s in slopes]
 
     def residual(self, x: np.ndarray, reg_weight: float,
                  left_ref: np.ndarray) -> np.ndarray:
-        vals = self.values(x)
-        out = []
-        for n in range(self.n_max):
-            for m in range(self.m_max):
-                q = _cr4(vals[(m, n)], vals[(m + 1, n)],
-                         vals[(m + 1, n + 1)], vals[(m, n + 1)])
-                out.extend(((q + 1.0).real, (q + 1.0).imag))
-        for v in sorted(vals):
-            out.append(self.tri.region_distance(vals[v]))
-        _, left, _ = self.boundary_data(x)
-        out.extend(reg_weight * (left - left_ref))
-        return np.array(out)
+        v, left, _, _ = self._vertices(x)
+        q = self._cross_ratios(v)[0] + 1.0
+        return np.concatenate([np.stack([q.real, q.imag], axis=1).ravel(),
+                               self.tri.region_penalty(v)[0],
+                               reg_weight * (left - left_ref)])
+
+    def jacobian(self, x: np.ndarray, reg_weight: float) -> np.ndarray:
+        """Closed-form d(residual)/dx.  Complex derivatives of the vertex
+        values are chained through dV/dx; an interior vertex has dV/dRe = 1
+        and dV/dIm = i, which gives the Cauchy-Riemann 2x2 block of each
+        holomorphic quad derivative."""
+        v, _, dv, d_left = self._vertices(x)
+        m_max, n_max, nb = self.m_max, self.n_max, self.n_boundary
+        n_quads, n_vertices = m_max * n_max, len(v)
+        jac = np.zeros((2 * n_quads + n_vertices + n_max - 1, self.n_params))
+        quad_rows = 2 * np.arange(n_quads)
+        boundary = np.zeros((n_quads, nb), dtype=complex)
+        for corner, slope in zip(self._corners, self._cross_ratios(v)[1]):
+            boundary += slope[:, None] * dv[corner]
+            col = self._column[corner]
+            inner = col >= 0
+            rows, col, s = quad_rows[inner], col[inner], slope[inner]
+            jac[rows, col], jac[rows + 1, col] = s.real, s.imag
+            jac[rows, col + 1], jac[rows + 1, col + 1] = -s.imag, s.real
+        jac[0:2 * n_quads:2, :nb] = boundary.real
+        jac[1:2 * n_quads:2, :nb] = boundary.imag
+        grad = self.tri.region_penalty(v)[1]
+        inner = self._column >= 0
+        rows, col = 2 * n_quads + np.flatnonzero(inner), self._column[inner]
+        jac[rows, col], jac[rows, col + 1] = grad.real[inner], grad.imag[inner]
+        jac[2 * n_quads:2 * n_quads + n_vertices, :nb] = (grad.conj()[:, None] * dv).real
+        jac[2 * n_quads + n_vertices:, m_max:m_max + n_max - 1] = reg_weight * d_left
+        return jac
+
+    def encode(self, bottom, left, arc, interior) -> np.ndarray:
+        """Parameter vector of boundary sequences and the complex interior
+        values interior[m - 1, n - 1]."""
+        z = np.asarray(interior, dtype=complex).T.ravel()
+        return np.concatenate([
+            _increasing_open_inverse(bottom, self.tri.puncture),
+            _increasing_closed_inverse(left, abs(self.tri.corner)),
+            _increasing_open_inverse(arc, 1.0),
+            np.stack([z.real, z.imag], axis=1).ravel()])
 
     def cr_max(self, x: np.ndarray) -> float:
-        vals = self.values(x)
-        return max(abs(_cr4(vals[(m, n)], vals[(m + 1, n)],
-                            vals[(m + 1, n + 1)], vals[(m, n + 1)]) + 1.0)
-                   for n in range(self.n_max) for m in range(self.m_max))
+        return float(np.max(np.abs(self._cross_ratios(self._vertices(x)[0])[0] + 1.0)))
 
     def containment_max(self, x: np.ndarray) -> float:
-        vals = self.values(x)
-        return max(self.tri.region_distance(v) for v in vals.values())
+        return float(np.max(self.tri.region_penalty(self._vertices(x)[0])[0]))
 
-    def solve(self, x0: np.ndarray, tol: float, max_iter: int):
+    def solve(self, x0: np.ndarray, tol: float, max_iter: int, trace: list):
         """Two stages: regularized to pin the free left-column directions,
-        then with the regularization released for the final polish."""
-        left_ref, iterations = self.boundary_data(x0)[1], 0
+        then with the regularization released for the final polish.  One
+        entry per LM iteration is appended to trace."""
+        left_ref, iterations = self._vertices(x0)[1], 0
         x = x0
+
+        def log(xx, cost, lam, accepted):
+            trace.append({"cost": cost, "lambda": lam,
+                          "cr_max": self.cr_max(xx), "accepted": accepted})
+
         for reg, target in ((1e-3, max(1e-7, tol * 10.0)), (1e-9, tol)):
             def fun(xx, reg=reg):
                 return self.residual(xx, reg, left_ref)
+
+            def jac(xx, reg=reg):
+                return self.jacobian(xx, reg)
 
             def done(xx, target=target):
                 return (self.cr_max(xx) <= target
                         and self.containment_max(xx) <= max(target, 1e-9))
 
-            x, it, ok = levenberg_marquardt(fun, x, done, max_iter - iterations)
+            x, it, ok = levenberg_marquardt(fun, x, done, max_iter - iterations,
+                                            jac=jac, on_iteration=log)
             iterations += it
             if iterations >= max_iter:
                 break
@@ -513,7 +620,8 @@ def _knoid_collocation_seed(spec: BoundarySpec, system: _TriangleCollocation
     left = np.array([abs(g(1j * n * h)) for n in range(1, spec.n_max)])
     arc = np.array([1.0 - cmath.phase(g(m * h + 1j * math.pi / 4.0)) / spec.ray_angle
                     for m in range(1, spec.m_max + 1)])
-    interior = {v: g(v[0] * h + 1j * v[1] * h) for v in system.interior}
+    interior = [[g(m * h + 1j * n * h) for n in range(1, spec.n_max)]
+                for m in range(1, spec.m_max + 1)]
     return system.encode(bottom, left, arc, interior)
 
 
@@ -535,13 +643,14 @@ def solve_knoid(spec: BoundarySpec, tol: float = 1e-10, max_iter: int = 500,
         if len(x0) != system.n_params:
             raise InfeasibleSpec(
                 f"seed has {len(x0)} parameters, expected {system.n_params}")
-    x, iterations, ok = system.solve(x0, tol, max_iter)
-    return _finish_solve(spec, system, x, iterations, ok, tol, strict)
+    trace: list[dict] = []
+    x, iterations, ok = system.solve(x0, tol, max_iter, trace)
+    return _finish_solve(system, x, iterations, ok, tol, strict, trace)
 
 
-def _finish_solve(spec, system: _TriangleCollocation, x, iterations, ok,
-                  tol, strict) -> SolveResult:
-    vals = system.values(x)
+def _finish_solve(system: _TriangleCollocation, x, iterations, ok,
+                  tol, strict, trace) -> SolveResult:
+    vals = {v: complex(z) for v, z in np.ndenumerate(system.vertices(x))}
     domain = LatticeDomain((0, system.m_max), (0, system.n_max))
     grid = HoloGrid(domain, vals, EdgeLabels.constant(domain))
     metrics = {
@@ -550,15 +659,8 @@ def _finish_solve(spec, system: _TriangleCollocation, x, iterations, ok,
         "containment": system.containment_max(x),
     }
     converged = bool(ok) and metrics["cross_ratio"] <= max(tol, 1e-9)
-    bottom, left, arc = system.boundary_data(x)
-    if isinstance(spec, BoundarySpec):
-        thetas = np.array([cmath.phase(vals[(m, spec.n_max)])
-                           for m in range(1, spec.m_max + 1)])
-        params = encode_knoid_params(bottom, left, np.clip(
-            thetas, 1e-12, spec.ray_angle * (1 - 1e-12)), spec)
-    else:
-        params = x
-    result = SolveResult(grid, metrics, iterations, converged, params=params)
+    result = SolveResult(grid, metrics, iterations, converged, params=x,
+                         trace=trace)
     if strict and not converged:
         raise NoConvergence(f"residuals {metrics} after {iterations} iterations",
                             result)
@@ -618,19 +720,15 @@ def _reencode_between(system_old: _TriangleCollocation,
     a = (tri_o.corner / tri_n.corner - tri_o.puncture / tri_n.puncture) / (
         tri_o.corner - tri_o.puncture)
     b = tri_o.corner / tri_n.corner - a * tri_o.corner
-
-    def mob(z: complex) -> complex:
-        return z / (a * z + b)
-
-    vals = {v: mob(z) for v, z in system_old.values(x).items()}
-    m_max, n_max = system_new.m_max, system_new.n_max
-    bottom = _monotone_floor([abs(vals[(m, 0)]) for m in range(1, m_max + 1)])
-    left = _monotone_floor([abs(vals[(0, n)]) for n in range(1, n_max)])
+    v = system_old.vertices(x)
+    v = v / (a * v + b)
+    n_max = system_new.n_max
+    bottom = _monotone_floor(np.abs(v[1:, 0]))
+    left = _monotone_floor(np.abs(v[0, 1:n_max]))
     arc = _monotone_floor(np.clip(
-        [(cmath.phase(vals[(m, n_max)] - tri_n.center) - tri_n.arc_start)
-         / tri_n.arc_span for m in range(1, m_max + 1)], 1e-9, 1 - 1e-9))
-    return system_new.encode(bottom, left, np.asarray(arc),
-                             {v: vals[v] for v in system_new.interior})
+        (np.angle(v[1:, n_max] - tri_n.center) - tri_n.arc_start) / tri_n.arc_span,
+        1e-9, 1 - 1e-9))
+    return system_new.encode(bottom, left, arc, v[1:, 1:n_max])
 
 
 def solve_platonic(preset: str | PlatonicPreset, resolution: int,
@@ -654,7 +752,8 @@ def solve_platonic(preset: str | PlatonicPreset, resolution: int,
     catenoid_spec = _CatenoidSeedSpec(n_max, m_max)
     system = _TriangleCollocation(_spherical_triangle(*start), m_max, n_max)
     x = _knoid_collocation_seed(catenoid_spec, system)
-    x, it, ok = system.solve(x, max(tol, 1e-7), min(max_iter, 100))
+    trace: list[dict] = []
+    x, it, ok = system.solve(x, max(tol, 1e-7), min(max_iter, 100), trace)
     iterations = it
 
     steps = max(2, int(math.ceil(
@@ -666,11 +765,11 @@ def solve_platonic(preset: str | PlatonicPreset, resolution: int,
         x = _reencode_between(system, system_new, x)
         system = system_new
         stage_tol = tol if s == steps else max(tol, 1e-7)
-        x, it, ok = system.solve(x, stage_tol, max(1, max_iter - iterations))
+        x, it, ok = system.solve(x, stage_tol, max(1, max_iter - iterations), trace)
         iterations += it
         if iterations >= max_iter:
             break
-    return _finish_solve(preset, system, x, iterations, ok, tol, strict)
+    return _finish_solve(system, x, iterations, ok, tol, strict, trace)
 
 
 class _CatenoidSeedSpec:

@@ -327,8 +327,7 @@ def _family_pair(config: PipelineConfig) -> tuple[MinimalPair, dict]:
                                  max_iter=config.params.get("max_iter", 500),
                                  seed_params=seed, strict=True)
         grid = result.grid
-        info["solver"] = {"iterations": result.iterations,
-                          "residuals": {k2: float(v) for k2, v in result.residuals.items()}}
+        info["solver"] = _solver_info(result)
     elif family == "platonic":
         result = bvp.solve_platonic(config.params["preset"],
                                     config.params["resolution"],
@@ -336,11 +335,18 @@ def _family_pair(config: PipelineConfig) -> tuple[MinimalPair, dict]:
                                     max_iter=config.params.get("max_iter", 500),
                                     strict=True)
         grid = result.grid
-        info["solver"] = {"iterations": result.iterations,
-                          "residuals": {k2: float(v) for k2, v in result.residuals.items()}}
+        info["solver"] = _solver_info(result)
     else:
         raise MinnetError(f"unknown family {family!r}")
     return MinimalPair.from_grid(grid), info
+
+
+def _solver_info(result: bvp.SolveResult) -> dict:
+    """Report entry of a solve; the trace goes to the report only, never
+    into a .dnet.json file."""
+    return {"iterations": result.iterations,
+            "residuals": {k: float(v) for k, v in result.residuals.items()},
+            "trace": result.trace}
 
 
 def _write_pair(base: str, pair: MinimalPair) -> list[str]:

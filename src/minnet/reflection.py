@@ -359,12 +359,21 @@ class SymmetryOrbit:
         return float(np.linalg.norm(self.vertices.max(axis=0) - self.vertices.min(axis=0)))
 
     def closure_residual(self) -> float:
-        """Max distance from any product of two elements to the nearest element."""
+        """Max distance from any product of two elements to the nearest element.
+
+        Products a∘b are formed for one a at a time against all b, and
+        Isometry.distance to every element is taken as array reductions.
+        """
+        mats = np.stack([e.matrix for e in self.elements])
+        shifts = np.stack([e.translation for e in self.elements])
         worst = 0.0
-        for a in self.elements:
-            for b in self.elements:
-                prod = a.compose(b)
-                worst = max(worst, min(prod.distance(e) for e in self.elements))
+        for mat, shift in zip(mats, shifts):
+            prod_m = mat @ mats                                   # (b, 3, 3)
+            prod_t = (mat @ shifts[..., None])[..., 0] + shift    # (b, 3)
+            dist = np.maximum(
+                np.abs(prod_m[:, None] - mats[None]).max(axis=(2, 3)),
+                np.abs(prod_t[:, None] - shifts[None]).max(axis=2))   # (b, e)
+            worst = max(worst, float(dist.min(axis=1).max()))
         return worst
 
     def invariance_residual(self, iso: Isometry) -> float:

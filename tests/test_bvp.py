@@ -4,10 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from minnet.bvp import (BoundarySpec, PlatonicPreset, decode_knoid_params,
-                        encode_knoid_params, knoid_metrics, knoid_residual,
-                        platonic_preset, smooth_knoid_seed, solve_knoid,
-                        solve_platonic)
+from minnet.bvp import (BoundarySpec, PlatonicPreset, _CatenoidSeedSpec, _cr4,
+                        _increasing_closed, _increasing_open,
+                        _knoid_collocation_seed, _knoid_triangle,
+                        _reencode_between, _spherical_triangle,
+                        _TriangleCollocation, decode_knoid_params,
+                        encode_knoid_params, knoid_residual, platonic_preset,
+                        smooth_knoid_seed, solve_knoid, solve_platonic)
 from minnet.errors import InfeasibleSpec, NoConvergence
 from minnet.holomorphic import validate_holomorphic
 
@@ -86,17 +89,120 @@ class TestKnoidResidual:
 
     def test_converged_solution_top_row_on_circle(self, trinoid_result):
         spec = BoundarySpec(3, 3, 10)
-        metrics = knoid_metrics(trinoid_result.params, spec)
-        assert metrics["boundary"] <= 1e-6
-        assert metrics["containment"] <= 1e-6
+        grid = trinoid_result.grid
+        boundary = max(abs(abs(grid[(m, spec.n_max)]) - 1.0)
+                       for m in range(1, spec.m_max + 1))
+        containment = max(spec.region_distance(grid[v])
+                          for v in grid.domain.vertices)
+        assert boundary <= 1e-6
+        assert containment <= 1e-6
+
+
+def _perturbed_system(case):
+    """A collocation system, a non-converged point and a left reference.
+
+    Random noise (relative to the triangle's size for the interior values)
+    plus three interior vertices placed below the real axis, beyond the ray
+    and outside the circle, so every branch of the penalty is active."""
+    if case == "knoid":
+        spec = BoundarySpec(3, 3, 10)
+        system = _TriangleCollocation(_knoid_triangle(spec), spec.m_max, spec.n_max)
+        x = _knoid_collocation_seed(spec, system)
+    else:
+        catenoid = _TriangleCollocation(
+            _spherical_triangle(math.pi / 2, math.pi / 2, math.pi / 2), 8, 3)
+        system = _TriangleCollocation(
+            _spherical_triangle(math.pi / 2, math.pi / 3, math.pi / 4), 8, 3)
+        x = _reencode_between(catenoid, system,
+                              _knoid_collocation_seed(_CatenoidSeedSpec(3, 8), catenoid))
+    tri, m_max, nb = system.tri, system.m_max, system.n_boundary
+    noise = np.random.default_rng(1).normal(scale=0.3, size=len(x))
+    noise[nb:] *= tri.puncture
+    x = x + noise
+
+    def put(m, n, z):
+        i = nb + 2 * ((n - 1) * m_max + m - 1)
+        x[i], x[i + 1] = z.real, z.imag
+
+    size = abs(tri.corner)
+    put(m_max // 2, 1, complex(0.5 * tri.puncture, -0.2 * size))
+    put(1, 1, 0.5 * size * cmath.exp(1j * (tri.wedge + 0.3)))
+    edge = tri.arc_point(0.5) - tri.center
+    put(m_max - 1, system.n_max - 1, tri.center + 1.1 * edge)
+    left_ref = _increasing_closed(x[m_max:m_max + system.n_max - 1], size) + 0.01
+    return system, x, left_ref
+
+
+def _loop_residual(system, x, reg_weight, left_ref):
+    """The collocation residual vertex by vertex and quad by quad."""
+    tri, m_max, n_max = system.tri, system.m_max, system.n_max
+    bottom = _increasing_open(x[:m_max], tri.puncture)
+    left = _increasing_closed(x[m_max:m_max + n_max - 1], abs(tri.corner))
+    arc = _increasing_open(x[m_max + n_max - 1:2 * m_max + n_max - 1], 1.0)
+    vals = {(0, 0): 0j, (0, n_max): tri.corner}
+    for m in range(1, m_max + 1):
+        vals[(m, 0)] = complex(bottom[m - 1])
+        vals[(m, n_max)] = tri.arc_point(arc[m - 1])
+    for n in range(1, n_max):
+        vals[(0, n)] = left[n - 1] * cmath.exp(1j * tri.wedge)
+    i = 2 * m_max + n_max - 1
+    for n in range(1, n_max):
+        for m in range(1, m_max + 1):
+            vals[(m, n)] = complex(x[i], x[i + 1])
+            i += 2
+    out = []
+    for n in range(n_max):
+        for m in range(m_max):
+            q = _cr4(vals[(m, n)], vals[(m + 1, n)],
+                     vals[(m + 1, n + 1)], vals[(m, n + 1)]) + 1.0
+            out.extend((q.real, q.imag))
+    out.extend(tri.region_distance(vals[v]) for v in sorted(vals))
+    out.extend(reg_weight * (left - left_ref))
+    return np.array(out), vals
+
+
+class TestCollocation:
+    @pytest.mark.parametrize("case", ["knoid", "octahedral"])
+    def test_residual_equals_loop(self, case):
+        system, x, left_ref = _perturbed_system(case)
+        expected, vals = _loop_residual(system, x, 1e-3, left_ref)
+        z = np.array([vals[v] for v in sorted(vals)])
+        tri = system.tri
+        assert (z.imag < -1e-3).any()
+        assert (np.angle(z) > tri.wedge + 1e-3).any()
+        assert (np.abs(z - tri.center) > tri.radius + 1e-3).any()
+        got = system.residual(x, 1e-3, left_ref)
+        assert got.shape == expected.shape
+        assert np.max(np.abs(got - expected)) <= 1e-14
+        quads = expected[:2 * system.m_max * system.n_max]
+        assert system.cr_max(x) == pytest.approx(
+            np.max(np.hypot(quads[0::2], quads[1::2])), rel=1e-14)
+        assert system.containment_max(x) == pytest.approx(
+            max(system.tri.region_distance(v) for v in z), rel=1e-14)
+
+    @pytest.mark.parametrize("case", ["knoid", "octahedral"])
+    def test_jacobian_matches_central_difference(self, case):
+        system, x, left_ref = _perturbed_system(case)
+        jac = system.jacobian(x, 1e-3)
+        fd = np.empty_like(jac)
+        for i in range(len(x)):
+            step = 1e-6 * max(1.0, abs(x[i]))
+            xp, xm = x.copy(), x.copy()
+            xp[i] += step
+            xm[i] -= step
+            fd[:, i] = (system.residual(xp, 1e-3, left_ref)
+                        - system.residual(xm, 1e-3, left_ref)) / (2.0 * step)
+        assert np.max(np.abs(jac - fd)) <= 1e-6 * np.max(np.abs(jac))
 
 
 class TestSolveKnoid:
-    @pytest.mark.parametrize("k", [3, 4, 5])
-    def test_converges(self, k):
-        result = solve_knoid(BoundarySpec(k, 3, 10))
+    @pytest.mark.parametrize("k, n_max, m_max, iterations", [
+        (3, 3, 10, 9), (4, 3, 10, 10), (5, 3, 10, 11), (3, 8, 24, 12),
+    ], ids=["3", "4", "5", "3-8-24"])
+    def test_converges(self, k, n_max, m_max, iterations):
+        result = solve_knoid(BoundarySpec(k, n_max, m_max))
         assert result.converged
-        assert result.iterations <= 500
+        assert result.iterations == iterations
         assert result.residuals["cross_ratio"] <= 1e-8
         assert result.residuals["boundary"] <= 1e-6
         assert result.residuals["containment"] <= 1e-6

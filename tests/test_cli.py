@@ -76,6 +76,33 @@ class TestGenerate:
         error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert error["error"] in ("BadParameter", "ParseError")
 
+    def test_knoid_params_seed_file_needs_no_iterations(self, tmp_path):
+        from minnet.bvp import BoundarySpec, solve_knoid
+        result = solve_knoid(BoundarySpec(3, 3, 10))
+        seed = tmp_path / "seed.json"
+        seed.write_text(json.dumps({"params": result.params.tolist()}))
+        report = str(tmp_path / "report.json")
+        assert run(["generate", "knoid", "--k", "3", "--nmax", "3", "--mmax", "10",
+                    "--seed-file", str(seed), "--out", str(tmp_path / "k"),
+                    "--report", report]) == 0
+        solver = json.loads(open(report).read())["info"]["solver"]
+        assert solver["iterations"] == 0
+        assert solver["trace"] == []
+
+    def test_solver_trace_in_report_only(self, tmp_path):
+        base = str(tmp_path / "k")
+        report = str(tmp_path / "report.json")
+        assert run(["generate", "knoid", "--k", "3", "--nmax", "2", "--mmax", "6",
+                    "--out", base, "--report", report]) == 0
+        solver = json.loads(open(report).read())["info"]["solver"]
+        trace = solver["trace"]
+        assert len(trace) == solver["iterations"] > 0
+        assert all(set(e) == {"cost", "lambda", "cr_max", "accepted"} for e in trace)
+        assert all(e["accepted"] for e in trace)
+        assert trace[-1]["cr_max"] <= 1e-10 < trace[0]["cr_max"]
+        for suffix in ("iso", "asym", "gauss", "grid"):
+            assert "trace" not in open(f"{base}.{suffix}.dnet.json").read()
+
     def test_threads_env_validation(self, tmp_path):
         code = run(["generate", "enneper", "--k", "2", "--size", "5",
                     "--out", str(tmp_path / "x")], env={"MINNET_THREADS": "zero"})

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from minnet.bvp import solve_platonic
 from minnet.errors import NotPlanarBoundary, NotReflectable, OrbitExplosion
 from minnet.holomorphic import power_function
 from minnet.minimal import (MinimalPair, is_asymptotic, quad_curvatures,
@@ -237,6 +238,23 @@ class TestOrbit:
         assert orbit.weld_residual <= 1e-9
         assert orbit.closure_residual() <= 1e-9
         assert len(orbit.vertices) < 8 * len(f.domain.vertices)
+
+    def test_closure_residual_equals_double_loop(self):
+        pair = MinimalPair.from_grid(solve_platonic("octahedral", 2).grid)
+        f, n = pair.isothermic, pair.gauss
+        dom = f.domain
+        refl = [Isometry.plane_reflection(
+                    analyze_boundary_isothermic(f, n, idx, axis, 1e-7).plane)
+                for axis, idx in (("row", dom.n0), ("col", dom.m0), ("row", dom.n1))]
+        orbit = build_orbit(f, refl, max_word=20, dedup_tol=1e-6)
+        assert len(orbit.elements) == 48
+        worst = 0.0
+        for a in orbit.elements:
+            for b in orbit.elements:
+                prod = a.compose(b)
+                worst = max(worst, min(prod.distance(e) for e in orbit.elements))
+        assert worst > 0.0
+        assert orbit.closure_residual() == worst
 
     def test_generators_permute_welded_mesh(self, enneper_pair):
         f, n = enneper_pair.isothermic, enneper_pair.gauss
