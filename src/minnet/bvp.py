@@ -53,6 +53,7 @@ import numpy as np
 from .errors import (AtInfinity, DegenerateQuad, InfeasibleSpec, NoConvergence,
                      PropagationBlowup)
 from .holomorphic import HoloGrid, propagate_fourth, validate_holomorphic
+from .mobius import c_abs
 from .net import EdgeLabels, LatticeDomain, Vertex
 
 EXP_CLIP = 300.0
@@ -650,9 +651,8 @@ def solve_knoid(spec: BoundarySpec, tol: float = 1e-10, max_iter: int = 500,
 
 def _finish_solve(system: _TriangleCollocation, x, iterations, ok,
                   tol, strict, trace) -> SolveResult:
-    vals = {v: complex(z) for v, z in np.ndenumerate(system.vertices(x))}
     domain = LatticeDomain((0, system.m_max), (0, system.n_max))
-    grid = HoloGrid(domain, vals, EdgeLabels.constant(domain))
+    grid = HoloGrid(domain, system.vertices(x).ravel(), EdgeLabels.constant(domain))
     metrics = {
         "cross_ratio": validate_holomorphic(grid).max_residual,
         "boundary": _bullet_deviation(grid, system.tri),
@@ -670,15 +670,13 @@ def _finish_solve(system: _TriangleCollocation, x, iterations, ok,
 def _bullet_deviation(grid: HoloGrid, tri: _Triangle) -> float:
     """Max deviation of the grid boundary from the three triangle sides."""
     dom = grid.domain
-    worst = 0.0
-    for m in range(dom.m0, dom.m1 + 1):
-        worst = max(worst, abs(grid.values[(m, dom.n0)].imag))
-        worst = max(worst, abs(abs(grid.values[(m, dom.n1)] - tri.center) - tri.radius))
+    v = grid.values.reshape(dom.m1 - dom.m0 + 1, dom.n1 - dom.n0 + 1)
     ray = cmath.exp(1j * tri.wedge)
-    for n in range(dom.n0, dom.n1 + 1):
-        z = grid.values[(0, n)]
-        worst = max(worst, abs((z * ray.conjugate()).imag))
-    return worst
+    bottom = np.abs(v[:, 0].imag)
+    top = np.abs(c_abs(v[:, -1] - tri.center) - tri.radius)
+    # Im(z * conj(ray)) along the left column
+    left = np.abs(v[0].real * -ray.imag + v[0].imag * ray.real)
+    return float(max(bottom.max(), top.max(), left.max()))
 
 
 # ---------------------------------------------------------------------------

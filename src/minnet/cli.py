@@ -1,9 +1,10 @@
 """Command-line frontend: generation pipelines, verification and export.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error,
-3 numeric/input failure.  MINNET_THREADS is accepted as an upper bound on
-worker parallelism; the current implementation evaluates everything
-sequentially, which trivially respects any bound >= 1.
+3 numeric/input failure.  MINNET_THREADS (an integer >= 1) caps minnet's
+own workers; minnet runs in one thread.  It does not govern the threads
+that numpy's BLAS library starts: OPENBLAS_NUM_THREADS or OMP_NUM_THREADS
+set those.
 """
 
 from __future__ import annotations
@@ -21,10 +22,10 @@ from . import bvp
 from .errors import (BadParameter, DomainMismatch, MinnetError, NotReflectable,
                      ParseError)
 from .holomorphic import HoloGrid, power_function, read_grid, write_grid
-from .minimal import Curvatures, MinimalPair, is_asymptotic, tangent_normals
-from .mobius import Isometry, stereographic_lift
+from .minimal import Curvatures, MinimalPair, gauss_map, is_asymptotic, tangent_normals
+from .mobius import Isometry
 from .net import (CheckReport, EdgeLabels, Net3, _dump, _norm, circularity_residuals,
-                  cross_ratio_residuals, edge_angles, json_to_bundle, read_net,
+                  cross_ratio_residuals, edge_angles, json_to_bundle, load_json, read_net,
                   worst_report, write_net)
 from .reflection import (SymmetryOrbit, analyze_boundary_asymptotic,
                          analyze_boundary_isothermic, build_orbit,
@@ -116,9 +117,9 @@ class _Nets:
                                                           np.abs(self.curvature.area))
 
     def gauss_matches_grid(self) -> CheckReport:
-        verts = self.normals.domain.vertices
-        lift = np.array([stereographic_lift(self.grid.values[v]) for v in verts])
-        return worst_report(_norm(self.normals.as_array() - lift), verts, self.tol)
+        lift = gauss_map(self.grid).as_array()
+        return worst_report(_norm(self.normals.as_array() - lift), self.grid.domain.vertices,
+                            self.tol)
 
     def asymptotic_stars(self) -> CheckReport:
         return is_asymptotic(self.asym, self.tol)
@@ -246,13 +247,7 @@ def orbit_to_json(orbit: SymmetryOrbit) -> dict:
 
 def export_obj(path_in: str, path_out: str) -> None:
     """OBJ export of a net file or an orbit JSON file."""
-    try:
-        with open(path_in) as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    except OSError as exc:
-        raise ParseError(f"cannot read {path_in}: {exc}") from exc
+    doc = load_json(path_in)
     if isinstance(doc, dict) and doc.get("kind") == "orbit":
         _write_obj(path_out, doc["vertices"], doc["faces"])
     else:

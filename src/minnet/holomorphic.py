@@ -21,65 +21,92 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .errors import (AtInfinity, ClosureFailure, DegenerateQuad, PoleOnGrid,
+import numpy as np
+
+from .errors import (AtInfinity, ClosureFailure, DegenerateQuad, ParseError, PoleOnGrid,
                      UnsupportedGamma, ZeroDg)
-from .mobius import CNum, INF, cross_ratio_complex, is_inf, sphere_distinct
-from .net import CheckReport, EdgeLabels, LatticeDomain, Quad, Vertex
+from .mobius import (GAP_EPS, CNum, INF, c_abs, c_div, c_join, c_mul, cross_ratio_complex,
+                     is_inf, sphere_distinct)
+from .net import (CheckReport, EdgeLabels, LatticeDomain, Net3, Vertex, _dump, edge_loops,
+                  integrate_edges, json_to_bundle, load_json, net_to_json, worst_report)
 
 
 @dataclass
 class HoloGrid:
-    """Discrete holomorphic function candidate with its edge labels."""
+    """Discrete holomorphic function candidate with its edge labels.
+
+    values holds g at `domain.vertices`, in order, as a complex array;
+    where the boolean array inf is set, g is ∞ (and values holds 0).
+    """
 
     domain: LatticeDomain
-    values: dict[Vertex, CNum]
+    values: np.ndarray
     labels: EdgeLabels
+    inf: np.ndarray | None = None
 
     def __post_init__(self):
-        self.values = {tuple(v): (val if is_inf(val) else complex(val))
-                       for v, val in self.values.items()}
-        for v in self.domain.vertices:
-            if v not in self.values:
+        count = len(self.domain.vertices)
+        self.inf = np.zeros(count, bool) if self.inf is None else np.asarray(self.inf, bool)
+        self.values = np.where(self.inf, 0j, np.asarray(self.values, dtype=complex))
+        if self.values.shape != (count,):
+            raise ValueError(f"expected {count} values, got shape {self.values.shape}")
+        a, b = self.domain.edge_index.T
+        finite = ~(self.inf[a] | self.inf[b])
+        apart = c_abs(self.values[a] - self.values[b]) > 1e-14 * self.scale()
+        coincide = np.where(finite, ~apart, self.inf[a] & self.inf[b])
+        if coincide.any():
+            i = int(np.argmax(coincide))
+            verts = self.domain.vertices
+            raise ValueError(f"coincident neighboring values on edge {verts[a[i]]}-{verts[b[i]]}")
+
+    @classmethod
+    def from_dict(cls, domain: LatticeDomain, values: dict[Vertex, CNum],
+                  labels: EdgeLabels) -> "HoloGrid":
+        """Grid from a finite value or INF at every vertex of domain."""
+        for v in domain.vertices:
+            if v not in values:
                 raise ValueError(f"missing value at vertex {v}")
-        for a, b in self.domain.edges():
-            if not sphere_distinct(self.values[a], self.values[b], 1e-14 * self.scale()):
-                raise ValueError(f"coincident neighboring values on edge {a}-{b}")
+        vals = [values[v] for v in domain.vertices]
+        inf = np.array([is_inf(z) for z in vals], dtype=bool)
+        return cls(domain, [0j if is_inf(z) else z for z in vals], labels, inf)
 
     def __getitem__(self, v: Vertex) -> CNum:
-        return self.values[v]
-
-    def quad_values(self, q: Quad) -> list[CNum]:
-        return [self.values[v] for v in self.domain.quad_vertices(q)]
+        i = self.domain.vertex_index[v]
+        return INF if self.inf[i] else complex(self.values[i])
 
     def scale(self) -> float:
-        finite = [abs(v) for v in self.values.values() if not is_inf(v)]
-        return max(max(finite), 1.0) if finite else 1.0
+        return float(np.max(c_abs(self.values[~self.inf]), initial=1.0))
 
     def infinity_vertices(self) -> list[Vertex]:
-        return [v for v in self.domain.vertices if is_inf(self.values[v])]
-
-    def transformed(self, fn) -> "HoloGrid":
-        return HoloGrid(self.domain, {v: fn(val) for v, val in self.values.items()},
-                        self.labels)
+        return [self.domain.vertices[i] for i in np.flatnonzero(self.inf)]
 
 
 def validate_holomorphic(grid: HoloGrid, tol: float = 1e-9) -> CheckReport:
-    """Per-quad residual |cr - alpha/beta| relative to max(1, |alpha/beta|)."""
-    max_res, worst = 0.0, None
-    for q in grid.domain.quads:
-        target = grid.labels.ratio(q)
-        vals = grid.quad_values(q)
-        # shift by a finite value for conditioning; cr is translation invariant
+    """Per-quad residual |cr - alpha/beta| relative to max(1, |alpha/beta|).
+
+    Quads with a vertex at INF take cross_ratio_complex; the others repeat
+    its arithmetic on arrays.
+    """
+    dom, target = grid.domain, grid.labels.quad_ratios(grid.domain)
+    # shift by a finite value for conditioning; cr is translation invariant
+    vals = grid.values[dom.quad_index]
+    vals = vals - vals[:, :1]
+    d01, d23, d12, d30 = (vals[:, a] - vals[:, b] for a, b in ((0, 1), (2, 3), (1, 2), (3, 0)))
+    num = c_mul(c_mul(1.0, d01), d23)
+    den = c_mul(c_mul(1.0, d12), d30)
+    cr = c_div(c_mul(1.0, num), den)
+    res = c_abs(cr - target) / np.maximum(1.0, np.abs(target))
+    degenerate = (np.min([c_abs(d) for d in (d01, d12, d23, d30)], axis=0) <= GAP_EPS) | (den == 0)
+    res[degenerate] = np.inf
+    for i in np.flatnonzero(grid.inf[dom.quad_index].any(axis=1)):
+        vals = [grid[v] for v in dom.quad_vertices(dom.quads[i])]
         shift = next((v for v in vals if not is_inf(v)), 0j)
-        vals = [v if is_inf(v) else v - shift for v in vals]
         try:
-            cr = cross_ratio_complex(*vals)
+            cr = cross_ratio_complex(*(v if is_inf(v) else v - shift for v in vals))
         except DegenerateQuad:
             cr = INF
-        res = float("inf") if is_inf(cr) else abs(cr - target) / max(1.0, abs(target))
-        if res > max_res:
-            max_res, worst = res, q
-    return CheckReport(max_res <= tol, max_res, worst)
+        res[i] = float("inf") if is_inf(cr) else abs(cr - target[i]) / max(1.0, abs(target[i]))
+    return worst_report(res, dom.quads, tol)
 
 
 def propagate_fourth(g1: CNum, g2: CNum, g4: CNum, q: float,
@@ -138,16 +165,32 @@ def _axis_radii(gamma: float, count: int) -> list[float]:
     return rho
 
 
-def _sweep_interior(domain: LatticeDomain, values: dict[Vertex, CNum]) -> None:
-    """Fill unset vertices by cr=-1 propagation, sweeping m+n, ties by m."""
-    todo = sorted((v for v in domain.vertices if v not in values),
-                  key=lambda v: (v[0] + v[1], v[0]))
-    for (m, n) in todo:
-        src = ((m - 1, n - 1), (m, n - 1), (m - 1, n))
-        if not all(s in values for s in src):
-            raise ValueError(f"cannot propagate value at {(m, n)}")
-        values[(m, n)] = propagate_fourth(values[src[0]], values[src[1]],
-                                          values[src[2]], -1.0)
+def _propagate_diagonals(g: np.ndarray, inf: np.ndarray) -> None:
+    """Fill g[m, n] for m, n >= 1 by cr = -1 propagation, one anti-diagonal
+    m + n at a time; g[m, 0] and g[0, n] are given.
+
+    Each step repeats propagate_fourth's arithmetic on arrays; a vertex
+    that has an input at INF or may land at INF goes through
+    propagate_fourth itself.
+    """
+    rows, cols = g.shape
+    for diag in range(2, rows + cols - 1):
+        m = np.arange(max(1, diag - cols + 1), min(rows - 1, diag - 1) + 1)
+        n = diag - m
+        g1, g2, g4 = g[m - 1, n - 1], g[m, n - 1], g[m - 1, n]
+        a, b = g1 - g2, g4 - g1
+        qb = c_mul(-1.0, b)
+        den = a + qb
+        scalar = (inf[m - 1, n - 1] | inf[m, n - 1] | inf[m - 1, n]
+                  | (np.min([c_abs(a), c_abs(b), c_abs(g2 - g4)], axis=0) <= GAP_EPS)
+                  | (c_abs(den) <= 1e-15 * np.maximum(np.maximum(c_abs(a), c_abs(qb)), 1e-300)))
+        g[m, n] = c_div(c_mul(qb, g2) + c_mul(a, g4), den)
+        for i in np.flatnonzero(scalar):
+            src = [INF if inf[v] else complex(g[v]) for v in
+                   ((m[i] - 1, n[i] - 1), (m[i], n[i] - 1), (m[i] - 1, n[i]))]
+            z = propagate_fourth(*src, -1.0)
+            inf[m[i], n[i]] = is_inf(z)
+            g[m[i], n[i]] = 0j if is_inf(z) else z
 
 
 def _power_small(gamma: float, m_extent: int, n_extent: int) -> HoloGrid:
@@ -155,42 +198,33 @@ def _power_small(gamma: float, m_extent: int, n_extent: int) -> HoloGrid:
     rho = _axis_radii(gamma, max(m_extent, n_extent))
     # exact quarter turn keeps z^1 the integer lattice
     seed_dir = 1j if gamma == 1.0 else cmath.exp(1j * gamma * math.pi / 2)
-    values: dict[Vertex, CNum] = {(0, 0): 0j}
+    g = np.zeros((m_extent + 1, n_extent + 1), dtype=complex)
+    inf = np.zeros(g.shape, dtype=bool)
     for m in range(1, m_extent + 1):
-        values[(m, 0)] = complex(rho[m])
+        g[m, 0] = complex(rho[m])
     for n in range(1, n_extent + 1):
-        values[(0, n)] = rho[n] * seed_dir
-    _sweep_interior(domain, values)
-    return HoloGrid(domain, values, EdgeLabels.constant(domain))
+        g[0, n] = rho[n] * seed_dir
+    _propagate_diagonals(g, inf)
+    return HoloGrid(domain, g.ravel(), EdgeLabels.constant(domain), inf.ravel())
 
 
-def _scalar_dual(domain: LatticeDomain, values: dict[Vertex, CNum],
-                 labels: EdgeLabels, root: Vertex,
-                 tol: float = 1e-9) -> dict[Vertex, complex]:
-    """Planar Christoffel dual: integrate d(g*) = label / conj(dg) from root."""
-    def increment(a: Vertex, b: Vertex) -> complex:
-        dg = values[b] - values[a]
-        if abs(dg) < 1e-300:
-            raise ZeroDg(f"zero difference on edge {a}-{b}")
-        lab = labels.alpha_at(min(a[0], b[0])) if a[1] == b[1] \
-            else labels.beta_at(min(a[1], b[1]))
-        return lab / dg.conjugate()
-
-    dual: dict[Vertex, complex] = {root: 0j}
-    queue = [root]
-    while queue:
-        v = queue.pop(0)
-        for w in domain.neighbors(v):
-            if w not in dual:
-                dual[w] = dual[v] + increment(v, w)
-                queue.append(w)
-    # loop closure around every quad
-    scale = max(abs(x) for x in dual.values()) or 1.0
-    for q in domain.quads:
-        i, j, k, l = domain.quad_vertices(q)
-        loop = increment(i, j) + increment(j, k) - increment(l, k) - increment(i, l)
-        if abs(loop) > tol * scale:
-            raise ClosureFailure(f"dual integration fails to close on quad {q}")
+def _scalar_dual(domain: LatticeDomain, values: np.ndarray, labels: EdgeLabels,
+                 root: Vertex, tol: float = 1e-9) -> np.ndarray:
+    """Planar Christoffel dual of finite values (in `domain.vertices` order):
+    integrate d(g*) = label / conj(dg) from root."""
+    a, b = domain.edge_index.T
+    dg = values[b] - values[a]
+    zero = c_abs(dg) < 1e-300
+    if zero.any():
+        i = int(np.argmax(zero))
+        raise ZeroDg(f"zero difference on edge {domain.vertices[a[i]]}-{domain.vertices[b[i]]}")
+    inc = c_div(labels.on_edges(domain), dg.conj())
+    dual = integrate_edges(domain, inc, root)
+    loop = c_abs(edge_loops(domain, inc))
+    bad = loop > tol * (float(np.max(c_abs(dual))) or 1.0)
+    if bad.any():
+        raise ClosureFailure(f"dual integration fails to close on quad "
+                             f"{domain.quads[int(np.argmax(bad))]}")
     return dual
 
 
@@ -198,11 +232,10 @@ def _power_large(gamma: float, m_extent: int, n_extent: int) -> HoloGrid:
     """z^gamma for gamma in (2,4): dual of 1/conj(z^(gamma-2)), origin masked."""
     base = _power_small(gamma - 2.0, m_extent, n_extent)
     domain = LatticeDomain((0, m_extent), (0, n_extent), frozenset({(0, 0)}))
-    inverted = {v: 1.0 / base.values[v].conjugate() for v in domain.vertices}
+    # the origin is the first vertex of the unmasked base grid
+    inverted = c_div(1.0, base.values[1:].conj())
     labels = EdgeLabels.constant(domain)
-    dual = _scalar_dual(domain, inverted, labels, root=(1, 0))
-    values: dict[Vertex, CNum] = {v: -dual[v] for v in domain.vertices}
-    return HoloGrid(domain, values, labels)
+    return HoloGrid(domain, -_scalar_dual(domain, inverted, labels, root=(1, 0)), labels)
 
 
 def power_function(gamma: float, m_extent: int, n_extent: int) -> HoloGrid:
@@ -258,12 +291,11 @@ def mobius_apply(grid: HoloGrid, mapping) -> HoloGrid:
     """
     if isinstance(mapping, MobiusSimilarity) and mapping.a == 0:
         raise ValueError("similarity must be invertible")
-    new_values = {v: mapping(val) for v, val in grid.values.items()}
-    scale = max([abs(v) for v in new_values.values() if not is_inf(v)], default=1.0)
-    for a, b in grid.domain.edges():
-        if not sphere_distinct(new_values[a], new_values[b], 1e-14 * max(scale, 1.0)):
-            raise PoleOnGrid(f"image values coincide on edge {a}-{b}")
-    return HoloGrid(grid.domain, new_values, grid.labels)
+    image = {v: mapping(grid[v]) for v in grid.domain.vertices}
+    try:
+        return HoloGrid.from_dict(grid.domain, image, grid.labels)
+    except ValueError as exc:
+        raise PoleOnGrid(f"image has {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -271,14 +303,8 @@ def mobius_apply(grid: HoloGrid, mapping) -> HoloGrid:
 # ---------------------------------------------------------------------------
 
 def write_grid(path, grid: HoloGrid) -> None:
-    from .net import Net3, net_to_json, _dump
-    positions = {}
-    for v in grid.domain.vertices:
-        val = grid.values[v]
-        positions[v] = (0.0, 0.0, 0.0) if is_inf(val) else (val.real, val.imag, 0.0)
-    import numpy as np
-    carrier = Net3(grid.domain, {v: np.array(p) for v, p in positions.items()},
-                   check_edges=False)
+    points = np.stack([grid.values.real, grid.values.imag, np.zeros(len(grid.values))], axis=1)
+    carrier = Net3(grid.domain, dict(zip(grid.domain.vertices, points)), check_edges=False)
     doc = net_to_json(carrier, grid.labels, infinity=grid.infinity_vertices())
     with open(path, "w") as fh:
         fh.write(_dump(doc))
@@ -286,26 +312,11 @@ def write_grid(path, grid: HoloGrid) -> None:
 
 
 def read_grid(path) -> HoloGrid:
-    import json
-
-    from .errors import ParseError
-    from .net import json_to_bundle
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
+    doc = load_json(path)
     bundle = json_to_bundle(doc, check_edges=False)
     if bundle.labels is None:
         raise ParseError("grid file must carry alpha/beta labels")
     infinity = {tuple(v) for v in doc.get("infinity", [])}
-    values: dict[Vertex, CNum] = {}
-    for v in bundle.net.domain.vertices:
-        if v in infinity:
-            values[v] = INF
-        else:
-            p = bundle.net.positions[v]
-            values[v] = complex(p[0], p[1])
-    return HoloGrid(bundle.net.domain, values, bundle.labels)
+    points = bundle.net.as_array()
+    inf = np.array([v in infinity for v in bundle.net.domain.vertices], dtype=bool)
+    return HoloGrid(bundle.net.domain, c_join(points[:, 0], points[:, 1]), bundle.labels, inf)

@@ -28,11 +28,11 @@ import numpy as np
 from .errors import (ClosureFailure, InconsistentBundle, NotCoplanar,
                      NotIsothermic, ZeroArea, ZeroDg)
 from .holomorphic import HoloGrid
-from .mobius import CNum, is_inf, stereographic_lift
+from .mobius import CNum, c_abs, c_div, c_mul, is_inf, stereographic_lift
 from .net import (MIN_EDGE, CheckReport, EdgeLabels, LatticeDomain, Net3, Vertex,
                   _dot, _norm, _quad_scale, are_parallel_meshes,
-                  circularity_residuals, is_isothermic, planarity_residual,
-                  planarity_residuals, point_scales, worst_report)
+                  circularity_residuals, edge_loops, integrate_edges, is_isothermic,
+                  planarity_residual, planarity_residuals, point_scales, worst_report)
 
 CLOSURE_TOL = 1e-9
 
@@ -58,56 +58,40 @@ def _wei_increment(gi: CNum, gj: CNum, label: float, conjugate: bool) -> np.ndar
     return label * np.array([(c * factor).real for c in vec])
 
 
-def _edge_label(labels: EdgeLabels, a: Vertex, b: Vertex) -> float:
-    if a[1] == b[1]:
-        return labels.alpha_at(min(a[0], b[0]))
-    return labels.beta_at(min(a[1], b[1]))
+def _closed(domain: LatticeDomain, increments: np.ndarray, what: str) -> None:
+    """Raise ClosureFailure at the first quad whose edge increments do not
+    sum to zero, relative to the largest of them."""
+    scale = np.max([_norm(increments[e]) for e in domain.quad_edges.T], axis=0)
+    res = _norm(edge_loops(domain, increments)) / np.maximum(scale, 1e-300)
+    bad = res > CLOSURE_TOL
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ClosureFailure(f"{what}: quad {domain.quads[i]} loop residual {res[i]:.3e}")
 
 
-def _integrate_edges(domain: LatticeDomain, increment) -> dict[Vertex, np.ndarray]:
-    """Accumulate edge increments over a BFS spanning tree.
-
-    increment(a, b) must be antisymmetric under swapping a and b; the root
-    (lexicographically smallest vertex) maps to the origin.
-    """
-    root = min(domain.vertices)
-    positions = {root: np.zeros(3)}
-    queue = [root]
-    while queue:
-        v = queue.pop(0)
-        for w in domain.neighbors(v):
-            if w not in positions:
-                positions[w] = positions[v] + increment(v, w)
-                queue.append(w)
-    return positions
-
-
-def _check_closure(domain: LatticeDomain, increment, what: str) -> float:
-    worst = 0.0
-    for q in domain.quads:
-        i, j, k, l = domain.quad_vertices(q)
-        loop = increment(i, j) + increment(j, k) - increment(l, k) - increment(i, l)
-        scale = max(np.linalg.norm(increment(i, j)), np.linalg.norm(increment(i, l)),
-                    np.linalg.norm(increment(j, k)), np.linalg.norm(increment(l, k)))
-        res = float(np.linalg.norm(loop)) / max(scale, 1e-300)
-        if res > CLOSURE_TOL:
-            raise ClosureFailure(f"{what}: quad {q} loop residual {res:.3e}")
-        worst = max(worst, res)
-    return worst
+def _net(domain: LatticeDomain, points: np.ndarray, check_edges: bool = True) -> Net3:
+    return Net3(domain, dict(zip(domain.vertices, points)), check_edges)
 
 
 def _weierstrass(grid: HoloGrid, conjugate: bool) -> Net3:
-    def increment(a: Vertex, b: Vertex) -> np.ndarray:
-        swap = a > b
-        if swap:
-            a, b = b, a
-        inc = _wei_increment(grid.values[a], grid.values[b],
-                             _edge_label(grid.labels, a, b), conjugate)
-        return -inc if swap else inc
-
-    _check_closure(grid.domain, increment,
-                   "conjugate builder" if conjugate else "isothermic builder")
-    return Net3(grid.domain, _integrate_edges(grid.domain, increment))
+    dom = grid.domain
+    a, b = dom.edge_index.T
+    gi, gj = grid.values[a], grid.values[b]
+    at_inf = grid.inf[a] | grid.inf[b]
+    dg = gj - gi
+    if (c_abs(dg)[~at_inf] < 1e-300).any():
+        raise ZeroDg("zero dg on edge")
+    prod = c_mul(gi, gj)
+    factor = 1j if conjugate else 1.0
+    vec = [c_mul(c_div(c, dg), factor).real
+           for c in (1.0 - prod, c_mul(1j, 1.0 + prod), gi + gj)]
+    labels = grid.labels.on_edges(dom)
+    increments = labels[:, None] * np.stack(vec, axis=1)
+    for i in np.flatnonzero(at_inf):
+        increments[i] = _wei_increment(grid[dom.vertices[a[i]]], grid[dom.vertices[b[i]]],
+                                       labels[i], conjugate)
+    _closed(dom, increments, "conjugate builder" if conjugate else "isothermic builder")
+    return _net(dom, integrate_edges(dom, increments))
 
 
 def weierstrass_isothermic(grid: HoloGrid) -> Net3:
@@ -121,9 +105,19 @@ def weierstrass_asymptotic(grid: HoloGrid) -> Net3:
 
 
 def gauss_map(grid: HoloGrid) -> Net3:
-    """Vertexwise unit-sphere lift of the holomorphic data."""
-    return Net3(grid.domain, {v: stereographic_lift(grid.values[v])
-                              for v in grid.domain.vertices}, check_edges=False)
+    """Vertexwise unit-sphere lift of the holomorphic data.
+
+    stereographic_lift's arithmetic on arrays; INF and values beyond 1e150
+    take stereographic_lift itself.
+    """
+    g, size = grid.values, c_abs(grid.values)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = size * size
+        den = sq + 1.0
+        lift = np.stack([2.0 * g.real / den, 2.0 * g.imag / den, (sq - 1.0) / den], axis=1)
+    for i in np.flatnonzero(grid.inf | (size > 1e150)):
+        lift[i] = stereographic_lift(grid[grid.domain.vertices[i]])
+    return _net(grid.domain, lift, check_edges=False)
 
 
 def christoffel(net: Net3, labels: EdgeLabels, tol: float = 1e-9) -> Net3:
@@ -136,13 +130,12 @@ def christoffel(net: Net3, labels: EdgeLabels, tol: float = 1e-9) -> Net3:
     if not report.ok:
         raise NotIsothermic(
             f"worst quad {report.worst} residual {report.max_residual:.3e}")
-
-    def increment(a: Vertex, b: Vertex) -> np.ndarray:
-        d = net.positions[b] - net.positions[a]
-        return _edge_label(labels, a, b) * d / float(d @ d)
-
-    _check_closure(net.domain, increment, "christoffel")
-    return Net3(net.domain, _integrate_edges(net.domain, increment))
+    pts = net.as_array()
+    a, b = net.domain.edge_index.T
+    d = pts[b] - pts[a]
+    increments = labels.on_edges(net.domain)[:, None] * d / _dot(d, d)[:, None]
+    _closed(net.domain, increments, "christoffel")
+    return _net(net.domain, integrate_edges(net.domain, increments))
 
 
 # ---------------------------------------------------------------------------
@@ -211,31 +204,25 @@ def propagate_normals(net: Net3, n0, root: Vertex | None = None,
     root keeping |N| = 1 with intersecting normal lines.  Quad loops are
     re-propagated to verify path independence.
     """
-    root = min(net.domain.vertices) if root is None else root
+    dom, pts = net.domain, net.as_array()
+    root = min(dom.vertices) if root is None else root
     n0 = np.asarray(n0, dtype=float)
-    n0 = n0 / np.linalg.norm(n0)
 
-    def step(na: np.ndarray, a: Vertex, b: Vertex) -> np.ndarray:
-        d = net.positions[b] - net.positions[a]
-        t = -2.0 * float(na @ d) / float(d @ d)
-        nb = na + t * d
-        return nb / np.linalg.norm(nb)
+    def step(na: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        d = pts[b] - pts[a]
+        nb = na + (-2.0 * _dot(na, d) / _dot(d, d))[:, None] * d
+        return nb / _norm(nb)[:, None]
 
-    normals = {root: n0}
-    queue = [root]
-    while queue:
-        v = queue.pop(0)
-        for w in net.domain.neighbors(v):
-            if w not in normals:
-                normals[w] = step(normals[v], v, w)
-                queue.append(w)
-    for q in net.domain.quads:
-        i, j, k, l = net.domain.quad_vertices(q)
-        via_j = step(step(normals[i], i, j), j, k)
-        via_l = step(step(normals[i], i, l), l, k)
-        if np.linalg.norm(via_j - via_l) > tol:
-            raise InconsistentBundle(f"normal propagation disagrees on quad {q}")
-    return Net3(net.domain, normals, check_edges=False)
+    normals = np.zeros_like(pts)
+    normals[dom.vertex_index[root]] = n0 / np.linalg.norm(n0)
+    for child, parent, _, _ in dom.spanning_tree(root):
+        normals[child] = step(normals[parent], parent, child)
+    i, j, k, l = dom.quad_index.T
+    gap = _norm(step(step(normals[i], i, j), j, k) - step(step(normals[i], i, l), l, k))
+    if (gap > tol).any():
+        raise InconsistentBundle(f"normal propagation disagrees on quad "
+                                 f"{dom.quads[int(np.argmax(gap > tol))]}")
+    return _net(dom, normals, check_edges=False)
 
 
 # ---------------------------------------------------------------------------

@@ -57,6 +57,36 @@ def sphere_distinct(a: CNum, b: CNum, eps: float = GAP_EPS) -> bool:
     return abs(a - b) > eps
 
 
+# numpy's complex *, / and abs differ from Python's in the last bit for many
+# inputs.  These repeat CPython's formulas on complex arrays (a real operand
+# counts as complex(x, 0.0)), so array code gives the bits of scalar code.
+
+def c_join(re, im) -> np.ndarray:
+    out = np.empty(np.broadcast_shapes(np.shape(re), np.shape(im)), dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
+def c_mul(a, b) -> np.ndarray:
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    return c_join(a.real * b.real - a.imag * b.imag, a.real * b.imag + a.imag * b.real)
+
+
+def c_div(a, b) -> np.ndarray:
+    """a / b by Smith's scaled division; NaN where b is 0."""
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    big = np.abs(b.real) >= np.abs(b.imag)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(big, b.imag / b.real, b.real / b.imag)
+        den = np.where(big, b.real + b.imag * ratio, b.real * ratio + b.imag)
+        return c_join(np.where(big, a.real + a.imag * ratio, a.real * ratio + a.imag) / den,
+                      np.where(big, a.imag - a.real * ratio, a.imag * ratio - a.real) / den)
+
+
+def c_abs(z) -> np.ndarray:
+    return np.hypot(np.real(z), np.imag(z))
+
+
 # ---------------------------------------------------------------------------
 # Quaternions
 # ---------------------------------------------------------------------------

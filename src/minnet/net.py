@@ -13,6 +13,7 @@ makes the opposite-edge relation structural.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -107,6 +108,55 @@ class LatticeDomain:
         return np.array([(index[a], index[b]) for a, b in self.edges()],
                         dtype=np.intp).reshape(-1, 2)
 
+    @cached_property
+    def edge_at(self) -> np.ndarray:
+        """(vertices, 2) position in `edges()` of the edge from each vertex
+        to (m+1, n) and to (m, n+1); -1 where there is none."""
+        out = np.full((len(self.vertices), 2), -1, dtype=np.intp)
+        for e, (a, b) in enumerate(self.edges()):
+            out[self.vertex_index[a], int(a[0] == b[0])] = e
+        return out
+
+    @cached_property
+    def quad_edges(self) -> np.ndarray:
+        """(quads, 4) positions in `edges()` of the edges ij, jk, lk, il of
+        each quad's vertex cycle i, j, k, l."""
+        i, j, k, l = self.quad_index.T
+        return np.stack([self.edge_at[i, 0], self.edge_at[j, 1], self.edge_at[l, 0],
+                         self.edge_at[i, 1]], axis=1)
+
+    @cached_property
+    def _trees(self) -> dict:
+        return {}
+
+    def spanning_tree(self, root: Vertex | None = None) -> list[tuple[np.ndarray, ...]]:
+        """Breadth-first spanning tree from root (the smallest vertex by default).
+
+        One (children, parents, edges, backward) group of arrays per depth:
+        vertex indices of each child and of the parent it was first reached
+        from, in discovery order, the position of their edge in `edges()`,
+        and whether the edge runs from child to parent.
+        """
+        root = min(self.vertices) if root is None else tuple(root)
+        if root not in self._trees:
+            index = self.vertex_index
+            seen, level, tree = {root}, [root], []
+            while level:
+                found = []
+                for v in level:
+                    for w in self.neighbors(v):
+                        if w not in seen:
+                            seen.add(w)
+                            found.append((w, v))
+                if found:
+                    child, parent, vertical = np.array(
+                        [(index[w], index[v], w[0] == v[0]) for w, v in found]).T
+                    tree.append((child, parent, self.edge_at[np.minimum(child, parent), vertical],
+                                 child < parent))
+                level = [w for w, _ in found]
+            self._trees[root] = tree
+        return self._trees[root]
+
     def edges(self):
         """All lattice edges between present vertices, horizontal then vertical."""
         for m, n in self.vertices:
@@ -173,9 +223,23 @@ class EdgeLabels:
     def beta_at(self, n: int) -> float:
         return self.beta[n]
 
+    def edge(self, a: Vertex, b: Vertex) -> float:
+        """Label of the lattice edge a-b."""
+        if a[1] == b[1]:
+            return self.alpha[min(a[0], b[0])]
+        return self.beta[min(a[1], b[1])]
+
+    def on_edges(self, domain: LatticeDomain) -> np.ndarray:
+        """The label of every edge of domain, in `edges()` order."""
+        return np.array([self.edge(a, b) for a, b in domain.edges()])
+
     def ratio(self, q: Quad) -> float:
         """Target cross ratio alpha(m)/beta(n) of the quad at (m, n)."""
         return self.alpha[q[0]] / self.beta[q[1]]
+
+    def quad_ratios(self, domain: LatticeDomain) -> np.ndarray:
+        """ratio(q) of every quad, in `domain.quads` order."""
+        return np.array([self.ratio(q) for q in domain.quads])
 
     def check_negative(self, domain: LatticeDomain) -> None:
         for q in domain.quads:
@@ -201,15 +265,20 @@ class Net3:
     def __post_init__(self):
         self.positions = {tuple(v): np.asarray(p, dtype=float)
                           for v, p in self.positions.items()}
-        for v in self.domain.vertices:
+        verts = self.domain.vertices
+        for v in verts:
             if v not in self.positions:
                 raise ValueError(f"missing position for vertex {v}")
-            if not np.all(np.isfinite(self.positions[v])):
-                raise ValueError(f"non-finite position at vertex {v}")
+        pts = self.as_array()
+        bad = ~np.isfinite(pts).all(axis=1)
+        if bad.any():
+            raise ValueError(f"non-finite position at vertex {verts[int(np.argmax(bad))]}")
         if self.check_edges:
-            for a, b in self.domain.edges():
-                if np.linalg.norm(self.positions[a] - self.positions[b]) <= MIN_EDGE:
-                    raise ValueError(f"degenerate edge {a}-{b}")
+            a, b = self.domain.edge_index.T
+            bad = _norm(pts[a] - pts[b]) <= MIN_EDGE
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise ValueError(f"degenerate edge {verts[a[i]]}-{verts[b[i]]}")
 
     def __getitem__(self, v: Vertex) -> np.ndarray:
         return self.positions[v]
@@ -234,6 +303,25 @@ class Net3:
     def transpose(self) -> "Net3":
         return Net3(self.domain.transpose(),
                     {(n, m): p for (m, n), p in self.positions.items()})
+
+
+def integrate_edges(domain: LatticeDomain, increments: np.ndarray,
+                    root: Vertex | None = None) -> np.ndarray:
+    """Values at `domain.vertices` from per-edge increments (in `edges()`
+    order, each from the lower to the upper vertex), summed along the
+    domain's breadth-first spanning tree; root gets 0."""
+    out = np.zeros((len(domain.vertices),) + increments.shape[1:], dtype=increments.dtype)
+    for child, parent, edge, backward in domain.spanning_tree(root):
+        step = increments[edge]
+        backward = backward.reshape((-1,) + (1,) * (step.ndim - 1))
+        out[child] = out[parent] + np.where(backward, -step, step)
+    return out
+
+
+def edge_loops(domain: LatticeDomain, increments: np.ndarray) -> np.ndarray:
+    """Sum ij + jk - lk - il of per-edge increments around every quad."""
+    ij, jk, lk, il = (increments[e] for e in domain.quad_edges.T)
+    return ij + jk - lk - il
 
 
 @dataclass(frozen=True)
@@ -357,10 +445,7 @@ def cross_ratio_residuals(net: Net3, labels: EdgeLabels) -> np.ndarray:
     zero = np.zeros(len(pts))
     x = [Quaternion(zero, *pts[:, i].T) for i in range(4)]
     cr = (x[0] - x[1]) * (x[1] - x[2]).inverse() * (x[2] - x[3]) * (x[3] - x[0]).inverse()
-    corners = np.array(dom.quads, dtype=np.intp).reshape(-1, 2)
-    alpha = np.array([labels.alpha_at(m) for m in range(dom.m0, dom.m1)])
-    beta = np.array([labels.beta_at(n) for n in range(dom.n0, dom.n1)])
-    return np.abs(cr.w - alpha[corners[:, 0] - dom.m0] / beta[corners[:, 1] - dom.n0])
+    return np.abs(cr.w - labels.quad_ratios(dom))
 
 
 def is_isothermic(net: Net3, labels: EdgeLabels, tol: float = 1e-9) -> CheckReport:
@@ -432,7 +517,7 @@ class NetBundle:
 
 
 def _fmt_float(x: float) -> str:
-    if not np.isfinite(x):
+    if not math.isfinite(x):
         raise ValueError("non-finite float in output")
     return format(float(x), ".17g")
 
@@ -528,15 +613,20 @@ def json_to_bundle(doc: dict, check_edges: bool = True) -> NetBundle:
     return NetBundle(net, labels, normals)
 
 
-def read_net(path) -> NetBundle:
-    """Read a .dnet.json file; raises ParseError with context on failure."""
+def load_json(path):
+    """The JSON document in a file; ParseError with context on failure."""
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+
+
+def read_net(path) -> NetBundle:
+    """Read a .dnet.json file; raises ParseError with context on failure."""
+    doc = load_json(path)
     if not isinstance(doc, dict):
         raise ParseError("top-level JSON value must be an object")
     return json_to_bundle(doc)

@@ -45,7 +45,7 @@ def test_criterion_1_weierstrass_validity():
         f = weierstrass_isothermic(grid)
         elapsed = max(elapsed, time.perf_counter() - t0)
         n = gauss_map(grid)
-        from minnet.minimal import _edge_label, _wei_increment
+        from minnet.minimal import _wei_increment
         for q in f.domain.quads:
             ok, res = is_circular(f, q, 1e-9)
             pts = f.quad_points(q)
@@ -53,8 +53,8 @@ def test_criterion_1_weierstrass_validity():
             worst_circ = max(worst_circ, res / scale)
             worst_h = max(worst_h, abs(quad_curvatures(pts, n.quad_points(q)).H))
             i, j, k, l = grid.domain.quad_vertices(q)
-            inc = lambda a, b: _wei_increment(grid[a], grid[b],
-                                              _edge_label(grid.labels, a, b), False)
+            inc = lambda a, b: _wei_increment(grid[a], grid[b], grid.labels.edge(a, b),
+                                              False)
             loop = inc(i, j) + inc(j, k) - inc(l, k) - inc(i, l)
             inc_scale = max(np.linalg.norm(inc(i, j)), np.linalg.norm(inc(i, l)))
             worst_closure = max(worst_closure, np.linalg.norm(loop) / inc_scale)

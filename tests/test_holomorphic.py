@@ -15,8 +15,8 @@ from minnet.net import EdgeLabels, LatticeDomain
 
 def identity_grid(m=4, n=4):
     dom = LatticeDomain((0, m), (0, n))
-    return HoloGrid(dom, {(a, b): complex(a, b) for (a, b) in dom.vertices},
-                    EdgeLabels.constant(dom))
+    return HoloGrid.from_dict(dom, {(a, b): complex(a, b) for (a, b) in dom.vertices},
+                              EdgeLabels.constant(dom))
 
 
 class TestValidate:
@@ -28,8 +28,8 @@ class TestValidate:
         # naive squaring of the lattice is not discrete holomorphic: the
         # complex-arithmetic oracle on the first quad gives (-3+4i)/5
         dom = LatticeDomain((0, 3), (0, 3), frozenset({(0, 0)}))
-        grid = HoloGrid(dom, {v: complex(v[0], v[1]) ** 2 for v in dom.vertices},
-                        EdgeLabels.constant(dom))
+        grid = HoloGrid.from_dict(dom, {v: complex(v[0], v[1]) ** 2 for v in dom.vertices},
+                                  EdgeLabels.constant(dom))
         oracle = cross_ratio_complex(1 + 0j, 4 + 0j, (2 + 1j) ** 2, (1 + 1j) ** 2)
         report = validate_holomorphic(grid)
         assert not report.ok
@@ -39,6 +39,30 @@ class TestValidate:
         grid = power_function(1.0, 5, 5)
         ident = identity_grid(5, 5)
         assert all(grid[v] == ident[v] for v in grid.domain.vertices)
+
+
+class TestConstruction:
+    def test_coincident_neighbors_rejected(self):
+        dom = LatticeDomain((0, 3), (0, 2))
+        values = {v: complex(v[0], v[1]) for v in dom.vertices}
+        values[(2, 1)] = values[(1, 1)] + 1e-15
+        with pytest.raises(ValueError, match=r"edge \(1, 1\)-\(2, 1\)"):
+            HoloGrid.from_dict(dom, values, EdgeLabels.constant(dom))
+
+    def test_infinity_edge_rejected(self):
+        dom = LatticeDomain((0, 3), (0, 2))
+        values = {v: complex(v[0], v[1]) for v in dom.vertices}
+        values[(1, 2)] = values[(2, 2)] = INF
+        with pytest.raises(ValueError, match=r"edge \(1, 2\)-\(2, 2\)"):
+            HoloGrid.from_dict(dom, values, EdgeLabels.constant(dom))
+
+    def test_infinity_at_diagonal_corners_accepted(self):
+        dom = LatticeDomain((0, 3), (0, 2))
+        values = {v: complex(v[0], v[1]) for v in dom.vertices}
+        values[(1, 1)] = values[(2, 2)] = INF
+        grid = HoloGrid.from_dict(dom, values, EdgeLabels.constant(dom))
+        assert grid.infinity_vertices() == [(1, 1), (2, 2)]
+        assert grid.values[grid.inf].tolist() == [0j, 0j]
 
 
 class TestPropagateFourth:
@@ -159,8 +183,8 @@ class TestMobiusApply:
 
     def test_inversion_of_identity_grid(self):
         dom = LatticeDomain((0, 4), (0, 4), frozenset({(0, 0)}))
-        grid = HoloGrid(dom, {v: complex(v[0], v[1]) for v in dom.vertices},
-                        EdgeLabels.constant(dom))
+        grid = HoloGrid.from_dict(dom, {v: complex(v[0], v[1]) for v in dom.vertices},
+                                  EdgeLabels.constant(dom))
         inverted = mobius_apply(grid, MobiusInversion())
         report = validate_holomorphic(inverted, 1e-9)
         assert report.ok, report.max_residual
@@ -171,7 +195,7 @@ class TestMobiusApply:
         values = {v: 1.0 + complex(v[0], v[1]) for v in dom.vertices}
         values[(0, 0)] = 1e10 + 0j
         values[(1, 0)] = 1e10 + 1.0
-        grid = HoloGrid(dom, values, EdgeLabels.constant(dom))
+        grid = HoloGrid.from_dict(dom, values, EdgeLabels.constant(dom))
         with pytest.raises(PoleOnGrid):
             mobius_apply(grid, MobiusInversion())
 
@@ -191,7 +215,7 @@ class TestGridSerialization:
         dom = LatticeDomain((0, 2), (0, 1))
         values = {v: complex(v[0], v[1]) for v in dom.vertices}
         values[(2, 1)] = INF
-        grid = HoloGrid(dom, values, EdgeLabels.constant(dom))
+        grid = HoloGrid.from_dict(dom, values, EdgeLabels.constant(dom))
         path = tmp_path / "grid.dnet.json"
         write_grid(path, grid)
         back = read_grid(path)

@@ -49,8 +49,9 @@ class TestWeierstrassEdges:
     def test_zero_dg_raises(self):
         dom = LatticeDomain((0, 2), (0, 2))
         values = {v: complex(v[0], v[1]) for v in dom.vertices}
-        grid = HoloGrid(dom, values, EdgeLabels.constant(dom))
-        grid.values[(2, 2)] = grid.values[(1, 2)]  # collapse one edge
+        grid = HoloGrid.from_dict(dom, values, EdgeLabels.constant(dom))
+        index = dom.vertex_index
+        grid.values[index[2, 2]] = grid.values[index[1, 2]]  # collapse one edge
         with pytest.raises((ZeroDg, ClosureFailure)):
             weierstrass_isothermic(grid)
 
@@ -241,15 +242,14 @@ class TestOffsetAndSteiner:
 class TestClosure:
     def test_quad_loop_closure_of_builders(self):
         # summing the signed edge increments around every quad gives zero
-        from minnet.minimal import _edge_label, _wei_increment
+        from minnet.minimal import _wei_increment
         grid = power_function(1.5, 6, 6)
         for conj in (False, True):
             worst = 0.0
             for quad in grid.domain.quads:
                 i, j, k, l = grid.domain.quad_vertices(quad)
                 inc = lambda a, b: _wei_increment(grid[a], grid[b],
-                                                  _edge_label(grid.labels, a, b),
-                                                  conj)
+                                                  grid.labels.edge(a, b), conj)
                 loop = inc(i, j) + inc(j, k) - inc(l, k) - inc(i, l)
                 scale = max(np.linalg.norm(inc(i, j)), np.linalg.norm(inc(i, l)))
                 worst = max(worst, np.linalg.norm(loop) / scale)
@@ -259,7 +259,7 @@ class TestClosure:
         dom = LatticeDomain((0, 2), (0, 2))
         rng = np.random.default_rng(35)
         values = {v: complex(*rng.normal(size=2)) for v in dom.vertices}
-        grid = HoloGrid(dom, values, EdgeLabels.constant(dom))
+        grid = HoloGrid.from_dict(dom, values, EdgeLabels.constant(dom))
         with pytest.raises(ClosureFailure):
             weierstrass_isothermic(grid)
 

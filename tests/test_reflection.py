@@ -171,9 +171,9 @@ class TestRotateExtendAsymptotic:
         labels = enneper_pair.grid.labels
         f_ext, n_ext, lab_ext = reflect_isothermic(f, n, 0, labels=labels)
         from minnet.holomorphic import HoloGrid
-        g_ext = HoloGrid(n_ext.domain,
-                         {v: stereographic_project(n_ext[v])
-                          for v in n_ext.domain.vertices}, lab_ext)
+        g_ext = HoloGrid.from_dict(n_ext.domain,
+                                   {v: stereographic_project(n_ext[v])
+                                    for v in n_ext.domain.vertices}, lab_ext)
         conj = weierstrass_asymptotic(g_ext)
         ft_ext, _ = rotate_extend_asymptotic(enneper_pair.asymptotic, 0,
                                              labels=labels)
