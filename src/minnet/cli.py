@@ -24,9 +24,9 @@ from .errors import (BadParameter, DomainMismatch, MinnetError, NotReflectable,
 from .holomorphic import HoloGrid, power_function, read_grid, write_grid
 from .minimal import Curvatures, MinimalPair, gauss_map, is_asymptotic, tangent_normals
 from .mobius import Isometry
-from .net import (CheckReport, EdgeLabels, Net3, _dump, _norm, circularity_residuals,
-                  cross_ratio_residuals, edge_angles, json_to_bundle, load_json, read_net,
-                  worst_report, write_net)
+from .net import (CheckReport, EdgeLabels, Net3, _fmt_float, _norm, circularity_residuals,
+                  cross_ratio_residuals, edge_angles, json_list, json_rows, json_to_bundle,
+                  load_json, read_net, worst_report, write_net)
 from .reflection import (SymmetryOrbit, analyze_boundary_asymptotic,
                          analyze_boundary_isothermic, build_orbit,
                          reflect_isothermic, rotate_extend_asymptotic)
@@ -66,6 +66,12 @@ def _read_threads() -> int:
 # ---------------------------------------------------------------------------
 # Verification battery
 # ---------------------------------------------------------------------------
+
+def steiner_offsets(count: int) -> np.ndarray:
+    """The Steiner check's offsets t_k = cos(2 pi phi k), phi the golden
+    ratio: spread over [-1, 1] like uniform draws, and fixed."""
+    return np.cos(np.pi * (1.0 + 5.0 ** 0.5) * np.arange(count))
+
 
 @dataclass
 class _Nets:
@@ -107,26 +113,24 @@ class _Nets:
                 or worst_report(np.abs(self.curvature.H), self.quads, self.tol))
 
     def gauss_parallel(self) -> CheckReport:
-        return worst_report(edge_angles(self.iso, self.normals), list(self.iso.domain.edges()),
+        return worst_report(edge_angles(self.iso, self.normals), self.iso.domain.edges(),
                             max(self.tol, 1e-9))
 
     def steiner(self) -> CheckReport:
-        offsets = np.random.default_rng(20240214).uniform(-1.0, 1.0, len(self.quads))
-        defects, undefined = self.curvature.steiner_defects(offsets)
+        defects, undefined = self.curvature.steiner_defects(steiner_offsets(len(self.quads)))
         return self._undefined(undefined) or worst_report(defects, self.quads, self.tol,
                                                           np.abs(self.curvature.area))
 
     def gauss_matches_grid(self) -> CheckReport:
-        lift = gauss_map(self.grid).as_array()
-        return worst_report(_norm(self.normals.as_array() - lift), self.grid.domain.vertices,
+        lift = gauss_map(self.grid).points
+        return worst_report(_norm(self.normals.points - lift), self.grid.domain.vertices,
                             self.tol)
 
     def asymptotic_stars(self) -> CheckReport:
         return is_asymptotic(self.asym, self.tol)
 
     def conjugate_normals(self) -> CheckReport:
-        star = np.array(list(tangent_normals(self.asym).values()))
-        gauss = self.normals.as_array()
+        star, gauss = tangent_normals(self.asym), self.normals.points
         return worst_report(np.minimum(_norm(star - gauss), _norm(star + gauss)),
                             self.asym.domain.vertices, self.tol)
 
@@ -203,9 +207,7 @@ def verify_net_file(path: str, tol: float, as_isothermic: bool = False,
     if iso.normals is None and not as_isothermic and is_asymptotic(iso.net, tol).ok:
         iso, asym = asym, iso
     if iso is not None:
-        nets.iso, nets.labels = iso.net, iso.labels
-        if iso.normals is not None:
-            nets.normals = Net3(iso.net.domain, iso.normals, check_edges=False)
+        nets.iso, nets.labels, nets.normals = iso.net, iso.labels, iso.normals
     if asym is not None:
         nets.asym = asym.net
     return _run_checks(nets)
@@ -226,30 +228,36 @@ def _write_obj(path: str, vertices, faces) -> None:
 
 def export_net_obj(net: Net3, path: str) -> None:
     """Quad OBJ with deterministic m-major vertex order."""
-    _write_obj(path, net.as_array(), net.domain.quad_index)
+    _write_obj(path, net.points, net.domain.quad_index)
 
 
 def export_orbit_obj(orbit: SymmetryOrbit, path: str) -> None:
     _write_obj(path, orbit.vertices, orbit.faces)
 
 
-def orbit_to_json(orbit: SymmetryOrbit) -> dict:
-    return {
-        "kind": "orbit",
-        "vertices": [[float(c) for c in p] for p in orbit.vertices],
-        "faces": [list(f) for f in orbit.faces],
-        "elements": [{"matrix": [[float(c) for c in row] for row in e.matrix],
-                      "translation": [float(c) for c in e.translation]}
-                     for e in orbit.elements],
-        "weld_residual": float(orbit.weld_residual),
-    }
+def orbit_to_json(orbit: SymmetryOrbit) -> str:
+    """The .orbit.json document of an orbit, with 17-significant-digit floats."""
+    elements = [f'{{"matrix": {json_list(json_rows(e.matrix))}, '
+                f'"translation": {json_list(map(_fmt_float, e.translation.tolist()))}}}'
+                for e in orbit.elements]
+    return (f'{{"kind": "orbit", "vertices": {json_list(json_rows(orbit.vertices))}, '
+            f'"faces": {json_list(json_rows(orbit.faces, str))}, '
+            f'"elements": {json_list(elements)}, '
+            f'"weld_residual": {_fmt_float(orbit.weld_residual)}}}')
 
 
 def export_obj(path_in: str, path_out: str) -> None:
     """OBJ export of a net file or an orbit JSON file."""
     doc = load_json(path_in)
     if isinstance(doc, dict) and doc.get("kind") == "orbit":
-        _write_obj(path_out, doc["vertices"], doc["faces"])
+        try:
+            vertices = np.array(doc["vertices"], dtype=float)
+            faces = [[int(i) for i in face] for face in doc["faces"]]
+            if vertices.ndim != 2 or vertices.shape[1] != 3:
+                raise ValueError("orbit vertices must have 3 coordinates")
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise ParseError(f"bad orbit record: {exc!r}") from exc
+        _write_obj(path_out, vertices, faces)
     else:
         export_net_obj(json_to_bundle(doc).net, path_out)
 
@@ -286,8 +294,7 @@ def _write_orbit(net: Net3, normals: Net3, tol: float, max_word: int, path: str,
     orbit = build_orbit(net, generators, max_word=max_word,
                         dedup_tol=max(tol, 1e-6), weld_tol=max(tol, 1e-9))
     with open(path, "w") as fh:
-        fh.write(_dump(orbit_to_json(orbit)))
-        fh.write("\n")
+        fh.write(orbit_to_json(orbit) + "\n")
     if obj_path:
         export_orbit_obj(orbit, obj_path)
     return orbit
@@ -346,9 +353,8 @@ def _solver_info(result: bvp.SolveResult) -> dict:
 
 def _write_pair(base: str, pair: MinimalPair) -> list[str]:
     paths = []
-    normals = {v: pair.gauss.positions[v] for v in pair.gauss.domain.vertices}
     for suffix, writer in (
-        ("iso", lambda p: write_net(p, pair.isothermic, pair.grid.labels, normals)),
+        ("iso", lambda p: write_net(p, pair.isothermic, pair.grid.labels, pair.gauss)),
         ("asym", lambda p: write_net(p, pair.asymptotic, pair.grid.labels)),
         ("gauss", lambda p: write_net(p, pair.gauss)),
         ("grid", lambda p: write_grid(p, pair.grid)),
@@ -405,11 +411,9 @@ def cmd_reflect(args) -> int:
     else:
         if bundle.normals is None:
             raise ParseError("isothermic reflection requires normals in the net file")
-        normals = Net3(bundle.net.domain, bundle.normals, check_edges=False)
         net_ext, normals_ext, labels_ext = reflect_isothermic(
-            bundle.net, normals, index, axis, args.tol, bundle.labels)
-        write_net(args.out, net_ext, labels_ext,
-                  {v: normals_ext.positions[v] for v in net_ext.domain.vertices})
+            bundle.net, bundle.normals, index, axis, args.tol, bundle.labels)
+        write_net(args.out, net_ext, labels_ext, normals_ext)
     return EXIT_OK
 
 
@@ -417,8 +421,7 @@ def cmd_orbit(args) -> int:
     bundle = read_net(args.net)
     if bundle.normals is None:
         raise ParseError("orbit construction requires normals in the net file")
-    normals = Net3(bundle.net.domain, bundle.normals, check_edges=False)
-    _write_orbit(bundle.net, normals, args.tol, args.max_word, args.out, args.obj)
+    _write_orbit(bundle.net, bundle.normals, args.tol, args.max_word, args.out, args.obj)
     return EXIT_OK
 
 

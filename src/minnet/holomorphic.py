@@ -27,7 +27,7 @@ from .errors import (AtInfinity, ClosureFailure, DegenerateQuad, ParseError, Pol
                      UnsupportedGamma, ZeroDg)
 from .mobius import (GAP_EPS, CNum, INF, c_abs, c_div, c_join, c_mul, cross_ratio_complex,
                      is_inf, sphere_distinct)
-from .net import (CheckReport, EdgeLabels, LatticeDomain, Net3, Vertex, _dump, edge_loops,
+from .net import (CheckReport, EdgeLabels, LatticeDomain, Net3, Vertex, edge_loops,
                   integrate_edges, json_to_bundle, load_json, net_to_json, worst_report)
 
 
@@ -304,11 +304,9 @@ def mobius_apply(grid: HoloGrid, mapping) -> HoloGrid:
 
 def write_grid(path, grid: HoloGrid) -> None:
     points = np.stack([grid.values.real, grid.values.imag, np.zeros(len(grid.values))], axis=1)
-    carrier = Net3(grid.domain, dict(zip(grid.domain.vertices, points)), check_edges=False)
-    doc = net_to_json(carrier, grid.labels, infinity=grid.infinity_vertices())
+    carrier = Net3(grid.domain, points, check_edges=False)
     with open(path, "w") as fh:
-        fh.write(_dump(doc))
-        fh.write("\n")
+        fh.write(net_to_json(carrier, grid.labels, infinity=grid.infinity_vertices()) + "\n")
 
 
 def read_grid(path) -> HoloGrid:
@@ -316,7 +314,11 @@ def read_grid(path) -> HoloGrid:
     bundle = json_to_bundle(doc, check_edges=False)
     if bundle.labels is None:
         raise ParseError("grid file must carry alpha/beta labels")
-    infinity = {tuple(v) for v in doc.get("infinity", [])}
-    points = bundle.net.as_array()
-    inf = np.array([v in infinity for v in bundle.net.domain.vertices], dtype=bool)
-    return HoloGrid(bundle.net.domain, c_join(points[:, 0], points[:, 1]), bundle.labels, inf)
+    dom, points = bundle.net.domain, bundle.net.points
+    try:
+        m, n = np.array(doc.get("infinity", []) or np.zeros((0, 2)), dtype=np.intp).T
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"bad infinity record: {exc}") from exc
+    inf, index = np.zeros(len(dom.vertices), dtype=bool), dom.indices(m, n)
+    inf[index[index >= 0]] = True
+    return HoloGrid(dom, c_join(points[:, 0], points[:, 1]), bundle.labels, inf)

@@ -69,10 +69,6 @@ def _closed(domain: LatticeDomain, increments: np.ndarray, what: str) -> None:
         raise ClosureFailure(f"{what}: quad {domain.quads[i]} loop residual {res[i]:.3e}")
 
 
-def _net(domain: LatticeDomain, points: np.ndarray, check_edges: bool = True) -> Net3:
-    return Net3(domain, dict(zip(domain.vertices, points)), check_edges)
-
-
 def _weierstrass(grid: HoloGrid, conjugate: bool) -> Net3:
     dom = grid.domain
     a, b = dom.edge_index.T
@@ -91,7 +87,7 @@ def _weierstrass(grid: HoloGrid, conjugate: bool) -> Net3:
         increments[i] = _wei_increment(grid[dom.vertices[a[i]]], grid[dom.vertices[b[i]]],
                                        labels[i], conjugate)
     _closed(dom, increments, "conjugate builder" if conjugate else "isothermic builder")
-    return _net(dom, integrate_edges(dom, increments))
+    return Net3(dom, integrate_edges(dom, increments))
 
 
 def weierstrass_isothermic(grid: HoloGrid) -> Net3:
@@ -117,7 +113,7 @@ def gauss_map(grid: HoloGrid) -> Net3:
         lift = np.stack([2.0 * g.real / den, 2.0 * g.imag / den, (sq - 1.0) / den], axis=1)
     for i in np.flatnonzero(grid.inf | (size > 1e150)):
         lift[i] = stereographic_lift(grid[grid.domain.vertices[i]])
-    return _net(grid.domain, lift, check_edges=False)
+    return Net3(grid.domain, lift, check_edges=False)
 
 
 def christoffel(net: Net3, labels: EdgeLabels, tol: float = 1e-9) -> Net3:
@@ -130,34 +126,31 @@ def christoffel(net: Net3, labels: EdgeLabels, tol: float = 1e-9) -> Net3:
     if not report.ok:
         raise NotIsothermic(
             f"worst quad {report.worst} residual {report.max_residual:.3e}")
-    pts = net.as_array()
     a, b = net.domain.edge_index.T
-    d = pts[b] - pts[a]
+    d = net.points[b] - net.points[a]
     increments = labels.on_edges(net.domain)[:, None] * d / _dot(d, d)[:, None]
     _closed(net.domain, increments, "christoffel")
-    return _net(net.domain, integrate_edges(net.domain, increments))
+    return Net3(net.domain, integrate_edges(net.domain, increments))
 
 
 # ---------------------------------------------------------------------------
 # Asymptotic nets and normals
 # ---------------------------------------------------------------------------
 
-def _vertex_stars(net: Net3, vertices) -> list[tuple[list[int], np.ndarray]]:
-    """Each vertex with its present axis neighbors (3 to 5 points).
+def _vertex_stars(net: Net3, vertices: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each of the given vertex numbers with its present axis neighbors
+    (3 to 5 points), from `domain.stars`.
 
     Stars are grouped by size as (positions in vertices, (stars, k, 3)
     points), the vertex first and then (m+1,n), (m-1,n), (m,n+1), (m,n-1).
     """
-    dom = net.domain
-    groups: dict[int, tuple[list[int], list[list[int]]]] = {}
-    for row, (m, n) in enumerate(vertices):
-        star = [dom.vertex_index[w] for w in ((m, n), (m + 1, n), (m - 1, n), (m, n + 1),
-                                              (m, n - 1)) if w in dom]
-        rows, index = groups.setdefault(len(star), ([], []))
-        rows.append(row)
-        index.append(star)
-    pts = net.as_array()
-    return [(rows, pts[np.array(index)]) for rows, index in groups.values()]
+    stars = net.domain.stars[vertices]
+    size = np.count_nonzero(stars >= 0, axis=1)
+    groups = []
+    for k in np.unique(size):
+        rows = np.flatnonzero(size == k)
+        groups.append((rows, net.points[stars[rows][stars[rows] >= 0].reshape(-1, k)]))
+    return groups
 
 
 def is_asymptotic(net: Net3, tol: float = 1e-9) -> CheckReport:
@@ -169,7 +162,7 @@ def is_asymptotic(net: Net3, tol: float = 1e-9) -> CheckReport:
     """
     verts = net.domain.vertices
     res, scale = np.zeros(len(verts)), np.ones(len(verts))
-    for rows, pts in _vertex_stars(net, verts):
+    for rows, pts in _vertex_stars(net, np.arange(len(verts))):
         if pts.shape[1] == 5:
             scale[rows] = np.maximum(point_scales(pts), 1e-300)
             res[rows] = planarity_residuals(pts) / scale[rows]
@@ -180,20 +173,19 @@ def is_asymptotic(net: Net3, tol: float = 1e-9) -> CheckReport:
                    extra={"degenerate_quads": degenerate, "nondegenerate_ok": not degenerate})
 
 
-def tangent_normals(net: Net3, vertices=None) -> dict[Vertex, np.ndarray]:
+def tangent_normals(net: Net3, vertices=None) -> np.ndarray:
     """Unit normals of the per-vertex star planes of an asymptotic net.
 
-    Computed at the given vertices (all by default).  Sign is arbitrary per
-    vertex; callers align against a reference.
+    One row per given vertex number (every vertex, in `domain.vertices`
+    order, by default).  Sign is arbitrary per vertex; callers align
+    against a reference.
     """
-    verts = net.domain.vertices if vertices is None else list(vertices)
-    normals: list = [None] * len(verts)
+    verts = np.arange(len(net.points)) if vertices is None else np.asarray(vertices)
+    normals = np.zeros((len(verts), 3))
     for rows, pts in _vertex_stars(net, verts):
         vt = np.linalg.svd(pts - pts.mean(axis=1, keepdims=True), full_matrices=False)[2]
-        found = vt[:, 2] if vt.shape[1] == 3 else np.cross(vt[:, 0], vt[:, 1])
-        for row, normal in zip(rows, found):
-            normals[row] = normal
-    return dict(zip(verts, normals))
+        normals[rows] = vt[:, 2] if vt.shape[1] == 3 else np.cross(vt[:, 0], vt[:, 1])
+    return normals
 
 
 def propagate_normals(net: Net3, n0, root: Vertex | None = None,
@@ -204,7 +196,7 @@ def propagate_normals(net: Net3, n0, root: Vertex | None = None,
     root keeping |N| = 1 with intersecting normal lines.  Quad loops are
     re-propagated to verify path independence.
     """
-    dom, pts = net.domain, net.as_array()
+    dom, pts = net.domain, net.points
     root = min(dom.vertices) if root is None else root
     n0 = np.asarray(n0, dtype=float)
 
@@ -222,7 +214,7 @@ def propagate_normals(net: Net3, n0, root: Vertex | None = None,
     if (gap > tol).any():
         raise InconsistentBundle(f"normal propagation disagrees on quad "
                                  f"{dom.quads[int(np.argmax(gap > tol))]}")
-    return _net(dom, normals, check_edges=False)
+    return Net3(dom, normals, check_edges=False)
 
 
 # ---------------------------------------------------------------------------
@@ -312,8 +304,7 @@ class Curvatures:
 
 def offset_net(net: Net3, normals: Net3, t: float, tol: float = 1e-9) -> Net3:
     """Parallel offset F + t*N; validated circular and edge-parallel to F."""
-    out = Net3(net.domain, {v: net.positions[v] + t * normals.positions[v]
-                            for v in net.domain.vertices})
+    out = Net3(net.domain, net.points + t * normals.points)
     if t != 0.0:
         pts = out.quad_array()
         res = circularity_residuals(pts)

@@ -30,7 +30,11 @@ MIN_EDGE = 1e-12
 
 @dataclass(frozen=True)
 class LatticeDomain:
-    """Masked rectangular subset of Z^2; ranges are inclusive."""
+    """Masked rectangular subset of Z^2; ranges are inclusive.
+
+    Every table derives from `present`, a boolean array over the box, with
+    whole-array numpy.  Vertices are numbered in m-major order.
+    """
 
     m_range: tuple[int, int]
     n_range: tuple[int, int]
@@ -44,7 +48,9 @@ class LatticeDomain:
             if not (self.m_range[0] <= v[0] <= self.m_range[1]
                     and self.n_range[0] <= v[1] <= self.n_range[1]):
                 raise ValueError(f"mask entry {v} outside range")
-        if not self._edge_connected():
+        # a full box is connected; a masked one when its spanning tree reaches every vertex
+        count = len(self.coords)
+        if not count or (self.mask and sum(len(t[0]) for t in self.spanning_tree()) < count - 1):
             raise ValueError("domain is not edge-connected")
 
     @property
@@ -69,53 +75,83 @@ class LatticeDomain:
                 and (m, n) not in self.mask)
 
     @cached_property
+    def present(self) -> np.ndarray:
+        """Boolean array over the box, indexed [m - m0, n - n0]."""
+        present = np.ones((self.m1 - self.m0 + 1, self.n1 - self.n0 + 1), dtype=bool)
+        for m, n in self.mask:
+            present[m - self.m0, n - self.n0] = False
+        return present
+
+    @cached_property
+    def _grid(self) -> np.ndarray:
+        """Vertex number of every box point, -1 where absent, in a ring of -1."""
+        grid = np.full(np.add(self.present.shape, 2), -1, dtype=np.intp)
+        grid[1:-1, 1:-1][self.present] = np.arange(np.count_nonzero(self.present))
+        return grid
+
+    def indices(self, m, n) -> np.ndarray:
+        """Vertex numbers of the points (m, n) of two integer arrays; -1 where absent."""
+        rows, cols = self._grid.shape
+        return self._grid[np.clip(np.asarray(m) - self.m0 + 1, 0, rows - 1),
+                          np.clip(np.asarray(n) - self.n0 + 1, 0, cols - 1)]
+
+    @cached_property
+    def coords(self) -> np.ndarray:
+        """(vertices, 2) m and n of every vertex."""
+        return np.argwhere(self.present) + (self.m0, self.n0)
+
+    @cached_property
     def vertices(self) -> tuple[Vertex, ...]:
-        return tuple((m, n)
-                     for m in range(self.m0, self.m1 + 1)
-                     for n in range(self.n0, self.n1 + 1)
-                     if (m, n) not in self.mask)
+        return tuple(map(tuple, self.coords.tolist()))
+
+    @cached_property
+    def vertex_index(self) -> dict[Vertex, int]:
+        """Position of each vertex in `vertices`."""
+        return dict(zip(self.vertices, range(len(self.vertices))))
+
+    @cached_property
+    def stars(self) -> np.ndarray:
+        """(vertices, 5) numbers of each vertex and of its neighbours (m+1,n),
+        (m-1,n), (m,n+1), (m,n-1); -1 where absent."""
+        g = self._grid
+        return np.stack([g[1:-1, 1:-1], g[2:, 1:-1], g[:-2, 1:-1], g[1:-1, 2:], g[1:-1, :-2]],
+                        axis=-1)[self.present]
+
+    @cached_property
+    def quad_index(self) -> np.ndarray:
+        """(quads, 4) vertex numbers of the vertex cycle (m,n), (m+1,n),
+        (m+1,n+1), (m,n+1) of every quad whose four vertices are present,
+        in m-major order of the lower-left corner (m, n)."""
+        g = self._grid[1:-1, 1:-1]
+        corners = np.stack([g[:-1, :-1], g[1:, :-1], g[1:, 1:], g[:-1, 1:]], axis=-1)
+        return corners[(corners >= 0).all(axis=-1)]
 
     @cached_property
     def quads(self) -> tuple[Quad, ...]:
-        """Lower-left corners of quads whose four vertices are all present."""
-        out = []
-        for m in range(self.m0, self.m1):
-            for n in range(self.n0, self.n1):
-                if all(v in self for v in ((m, n), (m + 1, n), (m + 1, n + 1), (m, n + 1))):
-                    out.append((m, n))
-        return tuple(out)
+        """Lower-left corners of the quads, in `quad_index` order."""
+        return tuple(map(tuple, self.coords[self.quad_index[:, 0]].tolist()))
 
     def quad_vertices(self, q: Quad) -> tuple[Vertex, Vertex, Vertex, Vertex]:
         m, n = q
         return (m, n), (m + 1, n), (m + 1, n + 1), (m, n + 1)
 
     @cached_property
-    def vertex_index(self) -> dict[Vertex, int]:
-        """Position of each vertex in `vertices`."""
-        return {v: i for i, v in enumerate(self.vertices)}
-
-    @cached_property
-    def quad_index(self) -> np.ndarray:
-        """(quads, 4) vertex indices of each quad's vertex cycle."""
-        index = self.vertex_index
-        return np.array([[index[v] for v in self.quad_vertices(q)] for q in self.quads],
-                        dtype=np.intp).reshape(-1, 4)
-
-    @cached_property
     def edge_index(self) -> np.ndarray:
-        """(edges, 2) vertex indices of the edges, in `edges()` order."""
-        index = self.vertex_index
-        return np.array([(index[a], index[b]) for a, b in self.edges()],
-                        dtype=np.intp).reshape(-1, 2)
+        """(edges, 2) vertex numbers of the edges from each vertex to (m+1, n),
+        then of those to (m, n+1), in vertex order."""
+        return np.concatenate([self.stars[self.stars[:, k] >= 0][:, [0, k]] for k in (1, 3)])
+
+    def edges(self) -> list[tuple[Vertex, Vertex]]:
+        """All lattice edges between present vertices, in `edge_index` order."""
+        verts = self.vertices
+        return [(verts[a], verts[b]) for a, b in self.edge_index.tolist()]
 
     @cached_property
     def edge_at(self) -> np.ndarray:
         """(vertices, 2) position in `edges()` of the edge from each vertex
         to (m+1, n) and to (m, n+1); -1 where there is none."""
-        out = np.full((len(self.vertices), 2), -1, dtype=np.intp)
-        for e, (a, b) in enumerate(self.edges()):
-            out[self.vertex_index[a], int(a[0] == b[0])] = e
-        return out
+        has = self.stars[:, [1, 3]] >= 0
+        return np.where(has, np.cumsum(has, axis=0) - 1 + [0, np.count_nonzero(has[:, 0])], -1)
 
     @cached_property
     def quad_edges(self) -> np.ndarray:
@@ -133,63 +169,31 @@ class LatticeDomain:
         """Breadth-first spanning tree from root (the smallest vertex by default).
 
         One (children, parents, edges, backward) group of arrays per depth:
-        vertex indices of each child and of the parent it was first reached
-        from, in discovery order, the position of their edge in `edges()`,
-        and whether the edge runs from child to parent.
+        vertex numbers of each child and of the parent it was first reached
+        from, in discovery order (parents in their own order, each trying
+        the neighbours in `stars` order), the position of their edge in
+        `edges()`, and whether the edge runs from child to parent.
         """
-        root = min(self.vertices) if root is None else tuple(root)
+        root = 0 if root is None else self.vertex_index[tuple(root)]
         if root not in self._trees:
-            index = self.vertex_index
-            seen, level, tree = {root}, [root], []
-            while level:
-                found = []
-                for v in level:
-                    for w in self.neighbors(v):
-                        if w not in seen:
-                            seen.add(w)
-                            found.append((w, v))
-                if found:
-                    child, parent, vertical = np.array(
-                        [(index[w], index[v], w[0] == v[0]) for w, v in found]).T
-                    tree.append((child, parent, self.edge_at[np.minimum(child, parent), vertical],
-                                 child < parent))
-                level = [w for w, _ in found]
+            seen = np.zeros(len(self.coords), dtype=bool)
+            seen[root] = True
+            level, tree = np.array([root]), []
+            while True:
+                # slot 4 i + j: neighbour j of the i-th parent; a vertex's first slot wins
+                found = self.stars[level, 1:].ravel()
+                slots = np.flatnonzero(found >= 0)
+                slots = slots[~seen[found[slots]]]
+                slots = slots[np.sort(np.unique(found[slots], return_index=True)[1])]
+                if not len(slots):
+                    break
+                child, parent, vertical = found[slots], level[slots // 4], slots % 4 // 2
+                seen[child] = True
+                tree.append((child, parent, self.edge_at[np.minimum(child, parent), vertical],
+                             child < parent))
+                level = child
             self._trees[root] = tree
         return self._trees[root]
-
-    def edges(self):
-        """All lattice edges between present vertices, horizontal then vertical."""
-        for m, n in self.vertices:
-            if (m + 1, n) in self:
-                yield ((m, n), (m + 1, n))
-        for m, n in self.vertices:
-            if (m, n + 1) in self:
-                yield ((m, n), (m, n + 1))
-
-    def neighbors(self, v: Vertex):
-        m, n = v
-        for w in ((m + 1, n), (m - 1, n), (m, n + 1), (m, n - 1)):
-            if w in self:
-                yield w
-
-    def _edge_connected(self) -> bool:
-        verts = [
-            (m, n)
-            for m in range(self.m0, self.m1 + 1)
-            for n in range(self.n0, self.n1 + 1)
-            if (m, n) not in self.mask
-        ]
-        if not verts:
-            return False
-        seen = {verts[0]}
-        stack = [verts[0]]
-        while stack:
-            v = stack.pop()
-            for w in self.neighbors(v):
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(verts)
 
     def transpose(self) -> "LatticeDomain":
         return LatticeDomain(self.n_range, self.m_range,
@@ -217,21 +221,16 @@ class EdgeLabels:
         return EdgeLabels({m: float(alpha) for m in range(domain.m0, domain.m1)},
                           {n: float(beta) for n in range(domain.n0, domain.n1)})
 
-    def alpha_at(self, m: int) -> float:
-        return self.alpha[m]
-
-    def beta_at(self, n: int) -> float:
-        return self.beta[n]
-
-    def edge(self, a: Vertex, b: Vertex) -> float:
-        """Label of the lattice edge a-b."""
-        if a[1] == b[1]:
-            return self.alpha[min(a[0], b[0])]
-        return self.beta[min(a[1], b[1])]
+    def _tables(self, domain: LatticeDomain) -> tuple[np.ndarray, np.ndarray]:
+        """alpha at m - m0 and beta at n - n0 over the box, padded with a last 0."""
+        return (np.array([self.alpha[m] for m in range(domain.m0, domain.m1)] + [0.0]),
+                np.array([self.beta[n] for n in range(domain.n0, domain.n1)] + [0.0]))
 
     def on_edges(self, domain: LatticeDomain) -> np.ndarray:
         """The label of every edge of domain, in `edges()` order."""
-        return np.array([self.edge(a, b) for a, b in domain.edges()])
+        alpha, beta = self._tables(domain)
+        (m, n), (mb, _) = domain.coords[domain.edge_index].transpose(1, 2, 0)
+        return np.where(m == mb, beta[n - domain.n0], alpha[m - domain.m0])
 
     def ratio(self, q: Quad) -> float:
         """Target cross ratio alpha(m)/beta(n) of the quad at (m, n)."""
@@ -239,12 +238,15 @@ class EdgeLabels:
 
     def quad_ratios(self, domain: LatticeDomain) -> np.ndarray:
         """ratio(q) of every quad, in `domain.quads` order."""
-        return np.array([self.ratio(q) for q in domain.quads])
+        alpha, beta = self._tables(domain)
+        m, n = domain.coords[domain.quad_index[:, 0]].T
+        return alpha[m - domain.m0] / beta[n - domain.n0]
 
     def check_negative(self, domain: LatticeDomain) -> None:
-        for q in domain.quads:
-            if self.ratio(q) >= 0.0:
-                raise ValueError(f"cross-ratio label ratio not negative on quad {q}")
+        bad = self.quad_ratios(domain) >= 0.0
+        if bad.any():
+            raise ValueError(f"cross-ratio label ratio not negative on quad "
+                             f"{domain.quads[int(np.argmax(bad))]}")
 
     def transpose(self) -> "EdgeLabels":
         return EdgeLabels(dict(self.beta), dict(self.alpha))
@@ -252,57 +254,51 @@ class EdgeLabels:
 
 @dataclass
 class Net3:
-    """Discrete net: per-vertex positions in R^3 over a lattice domain.
+    """Discrete net: (vertices, 3) positions in R^3 in `domain.vertices` order.
 
     Surface nets must be immersed (no zero edges); normal fields may set
     check_edges=False since parallel Gauss maps can have vanishing edges.
     """
 
     domain: LatticeDomain
-    positions: dict[Vertex, np.ndarray]
+    points: np.ndarray
     check_edges: bool = True
 
     def __post_init__(self):
-        self.positions = {tuple(v): np.asarray(p, dtype=float)
-                          for v, p in self.positions.items()}
+        self.points = np.asarray(self.points, dtype=float)
         verts = self.domain.vertices
-        for v in verts:
-            if v not in self.positions:
-                raise ValueError(f"missing position for vertex {v}")
-        pts = self.as_array()
-        bad = ~np.isfinite(pts).all(axis=1)
+        if self.points.shape != (len(verts), 3):
+            raise ValueError(f"expected {len(verts)} points in R^3, got shape {self.points.shape}")
+        bad = ~np.isfinite(self.points).all(axis=1)
         if bad.any():
             raise ValueError(f"non-finite position at vertex {verts[int(np.argmax(bad))]}")
         if self.check_edges:
             a, b = self.domain.edge_index.T
-            bad = _norm(pts[a] - pts[b]) <= MIN_EDGE
+            bad = _norm(self.points[a] - self.points[b]) <= MIN_EDGE
             if bad.any():
                 i = int(np.argmax(bad))
                 raise ValueError(f"degenerate edge {verts[a[i]]}-{verts[b[i]]}")
 
     def __getitem__(self, v: Vertex) -> np.ndarray:
-        return self.positions[v]
+        return self.points[self.domain.vertex_index[v]]
 
     def quad_points(self, q: Quad) -> list[np.ndarray]:
-        return [self.positions[v] for v in self.domain.quad_vertices(q)]
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.positions[v] for v in self.domain.vertices])
+        return [self[v] for v in self.domain.quad_vertices(q)]
 
     def quad_array(self) -> np.ndarray:
         """(quads, 4, 3) corner positions of every quad, in `domain.quads` order."""
-        return self.as_array()[self.domain.quad_index].reshape(-1, 4, 3)
+        return self.points[self.domain.quad_index]
 
     def scale(self) -> float:
-        pts = self.as_array()
-        return float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
+        return float(np.linalg.norm(self.points.max(axis=0) - self.points.min(axis=0)))
 
     def transformed(self, fn) -> "Net3":
-        return Net3(self.domain, {v: fn(p) for v, p in self.positions.items()})
+        return Net3(self.domain, [fn(p) for p in self.points])
 
     def transpose(self) -> "Net3":
-        return Net3(self.domain.transpose(),
-                    {(n, m): p for (m, n), p in self.positions.items()})
+        dom = self.domain.transpose()
+        n, m = dom.coords.T
+        return Net3(dom, self.points[self.domain.indices(m, n)], self.check_edges)
 
 
 def integrate_edges(domain: LatticeDomain, increments: np.ndarray,
@@ -471,7 +467,7 @@ def edge_angles(f: Net3, g: Net3) -> np.ndarray:
     if f.domain != g.domain:
         raise DomainMismatch("nets live on different domains")
     a, b = f.domain.edge_index.T
-    fp, gp = f.as_array(), g.as_array()
+    fp, gp = f.points, g.points
     u, v = fp[b] - fp[a], gp[b] - gp[a]
     nu, nv = _norm(u), _norm(v)
     s = np.divide(_norm(np.cross(u, v)), nu * nv, out=np.zeros(len(u)),
@@ -509,11 +505,11 @@ def planarity_residuals(pts: np.ndarray) -> np.ndarray:
 
 @dataclass
 class NetBundle:
-    """Contents of a net file: positions plus optional labels and normals."""
+    """Contents of a net file: the net plus optional labels and normal field."""
 
     net: Net3
     labels: EdgeLabels | None = None
-    normals: dict[Vertex, np.ndarray] | None = None
+    normals: Net3 | None = None
 
 
 def _fmt_float(x: float) -> str:
@@ -522,58 +518,49 @@ def _fmt_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _dump(obj) -> str:
-    """Minimal deterministic JSON writer with 17-significant-digit floats."""
-    if isinstance(obj, dict):
-        return "{" + ", ".join(f"{json.dumps(k)}: {_dump(v)}" for k, v in obj.items()) + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_dump(v) for v in obj) + "]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _fmt_float(float(obj))
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if obj is None:
-        return "null"
-    raise TypeError(f"cannot serialize {type(obj)}")
+def json_rows(values, fmt=_fmt_float) -> list[str]:
+    """Each row of a 2-d array as a JSON list, every number written once by fmt."""
+    values = np.asarray(values)
+    text = list(map(fmt, values.ravel().tolist()))
+    k = max(values.shape[-1], 1)
+    return ["[" + ", ".join(text[i:i + k]) + "]" for i in range(0, len(text), k)]
 
 
-def net_to_json(net: Net3, labels: EdgeLabels | None = None,
-                normals: dict[Vertex, np.ndarray] | None = None,
-                infinity: list[Vertex] | None = None) -> dict:
+def json_list(items) -> str:
+    return "[" + ", ".join(items) + "]"
+
+
+def net_to_json(net: Net3, labels: EdgeLabels | None = None, normals: Net3 | None = None,
+                infinity: list[Vertex] | None = None) -> str:
+    """The .dnet.json document of a net, with 17-significant-digit floats."""
     dom = net.domain
-    doc = {
-        "domain": {"m0": dom.m0, "m1": dom.m1, "n0": dom.n0, "n1": dom.n1,
-                   "mask": [list(v) for v in sorted(dom.mask)]},
-        "vertices": [{"m": m, "n": n, "p": [float(c) for c in net.positions[(m, n)]]}
-                     for (m, n) in dom.vertices],
-    }
+    records = [f'{{"m": {m}, "n": {n}, "p": {p}}}'
+               for (m, n), p in zip(dom.vertices, json_rows(net.points))]
+    doc = (f'{{"domain": {{"m0": {dom.m0}, "m1": {dom.m1}, "n0": {dom.n0}, "n1": {dom.n1}, '
+           f'"mask": {json_list(json_rows(sorted(dom.mask), str))}}}, '
+           f'"vertices": {json_list(records)}')
     if labels is not None:
-        doc["alpha"] = [labels.alpha_at(m) for m in range(dom.m0, dom.m1)]
-        doc["beta"] = [labels.beta_at(n) for n in range(dom.n0, dom.n1)]
+        alpha, beta = labels._tables(dom)
+        doc += "".join(f', "{name}": {json_list(map(_fmt_float, values[:-1].tolist()))}'
+                       for name, values in (("alpha", alpha), ("beta", beta)))
     if normals is not None:
-        doc["normals"] = [[float(c) for c in normals[v]] for v in dom.vertices]
+        doc += f', "normals": {json_list(json_rows(normals.points))}'
     if infinity is not None:
-        doc["infinity"] = [list(v) for v in sorted(infinity)]
-    return doc
+        doc += f', "infinity": {json_list(json_rows(sorted(infinity), str))}'
+    return doc + "}"
 
 
 def write_net(path, net: Net3, labels: EdgeLabels | None = None,
-              normals: dict[Vertex, np.ndarray] | None = None) -> None:
+              normals: Net3 | None = None) -> None:
     """Write a net (with optional labels and Gauss map) as .dnet.json."""
-    doc = net_to_json(net, labels, normals)
     with open(path, "w") as fh:
-        fh.write(_dump(doc))
-        fh.write("\n")
+        fh.write(net_to_json(net, labels, normals) + "\n")
 
 
 def _parse_domain(doc: dict) -> LatticeDomain:
     try:
         d = doc["domain"]
-        mask = frozenset(tuple(v) for v in d.get("mask", []))
+        mask = frozenset((int(m), int(n)) for m, n in d.get("mask", []))
         return LatticeDomain((int(d["m0"]), int(d["m1"])),
                              (int(d["n0"]), int(d["n1"])), mask)
     except (KeyError, TypeError, ValueError) as exc:
@@ -581,43 +568,54 @@ def _parse_domain(doc: dict) -> LatticeDomain:
 
 
 def json_to_bundle(doc: dict, check_edges: bool = True) -> NetBundle:
-    dom = _parse_domain(doc)
-    positions = {}
-    try:
-        for rec in doc["vertices"]:
-            positions[(int(rec["m"]), int(rec["n"]))] = np.array(rec["p"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"bad vertex record: {exc}") from exc
-    for v in dom.vertices:
-        if v not in positions:
-            raise ParseError(f"vertex {v} required by domain but missing from file")
-    try:
-        net = Net3(dom, positions, check_edges=check_edges)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
+    """The net, labels and normals of a parsed .dnet.json document.
 
-    labels = None
-    if "alpha" in doc or "beta" in doc:
-        alpha = doc.get("alpha", [])
-        beta = doc.get("beta", [])
-        if len(alpha) != dom.m1 - dom.m0 or len(beta) != dom.n1 - dom.n0:
-            raise ParseError("alpha/beta length does not match domain ranges")
-        labels = EdgeLabels({dom.m0 + i: float(a) for i, a in enumerate(alpha)},
-                            {dom.n0 + i: float(b) for i, b in enumerate(beta)})
-    normals = None
-    if "normals" in doc:
-        rows = doc["normals"]
-        if len(rows) != len(dom.vertices):
-            raise ParseError("normals length does not match vertex count")
-        normals = {v: np.array(rows[i], dtype=float) for i, v in enumerate(dom.vertices)}
+    Vertex records outside the domain are ignored; of several records of
+    one vertex the last wins.
+    """
+    dom = _parse_domain(doc)
+    try:
+        records = doc["vertices"]
+        m, n = np.array([(int(r["m"]), int(r["n"])) for r in records] or np.zeros((0, 2)),
+                        dtype=np.intp).T
+        p = np.array([r["p"] for r in records] or np.zeros((0, 3)), dtype=float)
+        if p.shape != (len(m), 3):
+            raise ValueError("a position must have 3 coordinates")
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"bad vertex record: {exc}") from exc
+    index = dom.indices(m, n)
+    found, last = np.unique(index[index >= 0][::-1], return_index=True)
+    if len(found) < len(dom.vertices):
+        missing = np.ones(len(dom.vertices), dtype=bool)
+        missing[found] = False
+        raise ParseError(f"vertex {dom.vertices[int(np.argmax(missing))]} "
+                         "required by domain but missing from file")
+    labels = normals = None
+    try:
+        net = Net3(dom, p[index >= 0][::-1][last], check_edges=check_edges)
+        if "alpha" in doc or "beta" in doc:
+            alpha, beta = doc.get("alpha", []), doc.get("beta", [])
+            if len(alpha) != dom.m1 - dom.m0 or len(beta) != dom.n1 - dom.n0:
+                raise ParseError("alpha/beta length does not match domain ranges")
+            labels = EdgeLabels({dom.m0 + i: float(a) for i, a in enumerate(alpha)},
+                                {dom.n0 + i: float(b) for i, b in enumerate(beta)})
+        if "normals" in doc:
+            normals = Net3(dom, np.array(doc["normals"], dtype=float), check_edges=False)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(str(exc)) from exc
     return NetBundle(net, labels, normals)
+
+
+def _parse_int(text: str):
+    """A JSON integer; "-0" is the -0.0 that _fmt_float writes."""
+    return -0.0 if text == "-0" else int(text)
 
 
 def load_json(path):
     """The JSON document in a file; ParseError with context on failure."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return json.load(fh, parse_int=_parse_int)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     except OSError as exc:

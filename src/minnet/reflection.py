@@ -44,16 +44,17 @@ class BoundaryAnalysis:
     scale: float = 1.0        # bounding-box diagonal of the line, for tol * scale
 
 
-def boundary_vertices(domain: LatticeDomain, index: int, axis: str = "row") -> list[Vertex]:
+def boundary_vertices(domain: LatticeDomain, index: int, axis: str = "row") -> np.ndarray:
+    """Vertex numbers along the row n = index or the column m = index, in order."""
     if axis == "row":
-        verts = [(m, index) for m in range(domain.m0, domain.m1 + 1) if (m, index) in domain]
+        verts = domain.indices(np.arange(domain.m0, domain.m1 + 1), index)
     elif axis == "col":
-        verts = [(index, n) for n in range(domain.n0, domain.n1 + 1) if (index, n) in domain]
+        verts = domain.indices(index, np.arange(domain.n0, domain.n1 + 1))
     else:
         raise ValueError("axis must be 'row' or 'col'")
-    if len(verts) < 2:
+    if np.count_nonzero(verts >= 0) < 2:
         raise ValueError(f"boundary {axis} {index} has fewer than 2 vertices")
-    return verts
+    return verts[verts >= 0]
 
 
 def analyze_boundary_isothermic(net: Net3, normals: Net3, index: int,
@@ -65,8 +66,7 @@ def analyze_boundary_isothermic(net: Net3, normals: Net3, index: int,
     cross-checked and recorded.
     """
     verts = boundary_vertices(net.domain, index, axis)
-    f_pts = np.array([net.positions[v] for v in verts])
-    n_pts = np.array([normals.positions[v] for v in verts])
+    f_pts, n_pts = net.points[verts], normals.points[verts]
     joint = np.vstack([f_pts, f_pts + n_pts])
     scale = max(float(np.linalg.norm(f_pts.max(axis=0) - f_pts.min(axis=0))), 1e-300)
 
@@ -120,13 +120,12 @@ def analyze_boundary_asymptotic(net: Net3, index: int, axis: str = "row",
     plane perpendicular to it (the great-circle condition).
     """
     verts = boundary_vertices(net.domain, index, axis)
-    pts = np.array([net.positions[v] for v in verts])
+    pts = net.points[verts]
     scale = max(float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0))), 1e-300)
     line, r_line = fit_line(pts)
     residuals = {"line": r_line}
 
-    normals = tangent_normals(net, verts)
-    r_perp = max(abs(float(normals[v] @ line.direction)) for v in verts)
+    r_perp = float(np.abs(tangent_normals(net, verts) @ line.direction).max())
     residuals["gauss_perpendicular"] = r_perp
 
     straight = r_line <= tol * scale
@@ -151,7 +150,10 @@ def _check_extreme_row(domain: LatticeDomain, index: int) -> int:
     raise NotReflectable(f"row {index} is not a boundary row of the domain")
 
 
-def _extend_rows(domain: LatticeDomain, index: int) -> tuple[LatticeDomain, int]:
+def _extend_rows(domain: LatticeDomain, index: int) -> tuple[LatticeDomain, np.ndarray, ...]:
+    """The domain mirrored across its boundary row index, and for each of
+    its vertices the number of the same vertex in domain (-1 for the new
+    ones) and of the mirrored one."""
     side = _check_extreme_row(domain, index)
     depth = (index - domain.n0) if side > 0 else (domain.n1 - index)
     if depth == 0:
@@ -160,7 +162,19 @@ def _extend_rows(domain: LatticeDomain, index: int) -> tuple[LatticeDomain, int]
     mask = set(domain.mask)
     for (m, n) in domain.mask:
         mask.add((m, 2 * index - n))
-    return LatticeDomain(domain.m_range, new_range, frozenset(mask)), side
+    extended = LatticeDomain(domain.m_range, new_range, frozenset(mask))
+    m, n = extended.coords.T
+    return extended, domain.indices(m, n), domain.indices(m, 2 * index - n)
+
+
+def _mirrored(pts: np.ndarray, old: np.ndarray, mirror: np.ndarray, iso: Isometry,
+              direction: bool = False) -> np.ndarray:
+    """Rows of the extended domain: the old ones kept, the new ones the
+    iso.apply (or iso.apply_direction) images of their mirrors, with the
+    same matrix-vector products."""
+    images = (iso.matrix @ pts[mirror][:, :, None])[:, :, 0]
+    return np.where((old >= 0)[:, None], pts[old],
+                    images if direction else images + iso.translation)
 
 
 def _mirror_labels(labels: EdgeLabels, domain_new: LatticeDomain,
@@ -196,23 +210,15 @@ def reflect_isothermic(net: Net3, normals: Net3, index: int,
             f"{analysis.residuals['congruence_plane']:.3e}")
     iso = Isometry.plane_reflection(analysis.plane)
 
-    new_domain, _ = _extend_rows(net.domain, index)
-    positions = dict(net.positions)
-    nrm = dict(normals.positions)
-    for (m, n) in new_domain.vertices:
-        if (m, n) not in positions:
-            src = (m, 2 * index - n)
-            positions[(m, n)] = iso.apply(net.positions[src])
-            nrm[(m, n)] = iso.apply_direction(normals.positions[src])
-    net_ext = Net3(new_domain, positions)
-    normals_ext = Net3(new_domain, nrm, check_edges=False)
+    new_domain, old, mirror = _extend_rows(net.domain, index)
+    net_ext = Net3(new_domain, _mirrored(net.points, old, mirror, iso))
+    normals_ext = Net3(new_domain, _mirrored(normals.points, old, mirror, iso, True),
+                       check_edges=False)
 
     # the reflected Gauss map must agree with the uniquely propagated one
-    seed = min(net.domain.vertices)
-    propagated = propagate_normals(net_ext, normals.positions[seed], root=seed,
-                                   tol=max(tol, 1e-9))
-    worst = max(float(np.linalg.norm(propagated.positions[v] - nrm[v]))
-                for v in new_domain.vertices)
+    seed = net.domain.vertices[0]
+    propagated = propagate_normals(net_ext, normals[seed], root=seed, tol=max(tol, 1e-9))
+    worst = float(np.max(np.linalg.norm(propagated.points - normals_ext.points, axis=1)))
     if worst > max(tol, 1e-9) * 10:
         raise InconsistentBundle(
             f"mirrored normals deviate from propagation by {worst:.3e}")
@@ -242,14 +248,10 @@ def rotate_extend_asymptotic(net: Net3, index: int, axis: str = "row",
             f"row {index}: line residual {analysis.residuals['line']:.3e}")
     iso = Isometry.line_rotation_180(analysis.line)
 
-    new_domain, _ = _extend_rows(net.domain, index)
-    positions = dict(net.positions)
-    for (m, n) in new_domain.vertices:
-        if (m, n) not in positions:
-            positions[(m, n)] = iso.apply(net.positions[(m, 2 * index - n)])
+    new_domain, old, mirror = _extend_rows(net.domain, index)
     labels_ext = (_mirror_labels(labels, new_domain, index)
                   if labels is not None else None)
-    return Net3(new_domain, positions), labels_ext
+    return Net3(new_domain, _mirrored(net.points, old, mirror, iso)), labels_ext
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +329,7 @@ def corner_angles(net: Net3, normals: Net3, corner: Vertex,
     # apex of the surface wedge: the corner vertex if present, otherwise
     # any point on the intersection line of the two fitted planes
     if corner in dom:
-        apex = net.positions[corner]
+        apex = net[corner]
     else:
         a_mat = np.vstack([u1, u2])
         b_vec = np.array([row.plane.offset, col.plane.offset])
@@ -456,9 +458,6 @@ def build_orbit(piece: Net3, generators: list[Isometry], max_word: int = 16,
     with negative determinant are reversed to keep orientations usable.
     """
     elements = close_group(generators, max_word, max_elements, dedup_tol)
-    verts = piece.domain.vertices
-    vidx = {v: i for i, v in enumerate(verts)}
-    base = np.array([piece.positions[v] for v in verts])
     scale = max(piece.scale(), 1e-300)
 
     grid = _VertexGrid([], weld_tol * scale)
@@ -466,7 +465,7 @@ def build_orbit(piece: Net3, generators: list[Isometry], max_word: int = 16,
     face_set = set()
     weld_residual = 0.0
     for element in elements:
-        moved = element.apply_many(base)
+        moved = element.apply_many(piece.points)
         local = []
         for p in moved:
             found = grid.nearest(p, within=weld_tol * scale)
@@ -477,8 +476,7 @@ def build_orbit(piece: Net3, generators: list[Isometry], max_word: int = 16,
                                     float(np.linalg.norm(grid.points[found] - p)))
                 local.append(found)
         flip = element.det() < 0
-        for q in piece.domain.quads:
-            i, j, k, l = (local[vidx[v]] for v in piece.domain.quad_vertices(q))
+        for i, j, k, l in np.array(local)[piece.domain.quad_index].tolist():
             face = (i, l, k, j) if flip else (i, j, k, l)
             key = tuple(sorted(face))
             if key not in face_set:

@@ -38,6 +38,19 @@ def trinoid_pair(trinoid_result):
     return MinimalPair.from_grid(trinoid_result.grid)
 
 
+def edge_label(labels, a, b):
+    """Label of the lattice edge a-b: alpha for horizontal edges, beta for vertical ones."""
+    if a[1] == b[1]:
+        return labels.alpha[min(a[0], b[0])]
+    return labels.beta[min(a[1], b[1])]
+
+
+def neighbors(domain, v):
+    """The present vertices among (m+1,n), (m-1,n), (m,n+1), (m,n-1), in that order."""
+    m, n = v
+    return [w for w in ((m + 1, n), (m - 1, n), (m, n + 1), (m, n - 1)) if w in domain]
+
+
 def random_similarity(rng):
     """Random rotation + translation + positive scale as (fn, scale)."""
     axis = rng.normal(size=3)

@@ -21,7 +21,7 @@ from minnet.reflection import (analyze_boundary_asymptotic,
                                close_group, corner_angles, reflect_isothermic,
                                rotate_extend_asymptotic)
 
-from conftest import random_circle_points
+from conftest import edge_label, random_circle_points
 
 
 def _report(name, ok, detail):
@@ -53,7 +53,7 @@ def test_criterion_1_weierstrass_validity():
             worst_circ = max(worst_circ, res / scale)
             worst_h = max(worst_h, abs(quad_curvatures(pts, n.quad_points(q)).H))
             i, j, k, l = grid.domain.quad_vertices(q)
-            inc = lambda a, b: _wei_increment(grid[a], grid[b], grid.labels.edge(a, b),
+            inc = lambda a, b: _wei_increment(grid[a], grid[b], edge_label(grid.labels, a, b),
                                               False)
             loop = inc(i, j) + inc(j, k) - inc(l, k) - inc(i, l)
             inc_scale = max(np.linalg.norm(inc(i, j)), np.linalg.norm(inc(i, l)))
@@ -71,12 +71,10 @@ def test_criterion_2_conjugacy(enneper_pairs, planar_enneper_pair):
     for pair in pairs:
         report = is_asymptotic(pair.asymptotic, 1e-9)
         worst_star = max(worst_star, report.max_residual)
-        normals = tangent_normals(pair.asymptotic)
-        lift = pair.gauss
+        normals, lift = tangent_normals(pair.asymptotic), pair.gauss.points
         worst_normal = max(worst_normal,
-                           max(min(np.linalg.norm(normals[v] - lift[v]),
-                                   np.linalg.norm(normals[v] + lift[v]))
-                               for v in lift.domain.vertices))
+                           np.minimum(np.linalg.norm(normals - lift, axis=1),
+                                      np.linalg.norm(normals + lift, axis=1)).max())
     ok = worst_star <= 1e-9 and worst_normal <= 1e-9
     _report("2 (conjugacy)", ok,
             f"star coplanarity={worst_star:.2e}, normals vs lift={worst_normal:.2e}")

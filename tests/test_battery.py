@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from minnet.cli import verify_pair
+from minnet.cli import steiner_offsets, verify_pair
 from minnet.holomorphic import power_function
 from minnet.minimal import MinimalPair, mixed_area, quad_curvatures
 from minnet.mobius import cross_ratio_quat
@@ -13,12 +13,11 @@ from minnet.net import is_circular
 def scalar_battery(pair):
     """(max residual, worst quad) of four checks, computed one quad at a time."""
     f, n, labels = pair.isothermic, pair.gauss, pair.grid.labels
-    rng = np.random.default_rng(20240214)       # the battery's Steiner offsets
+    offsets = steiner_offsets(len(f.domain.quads))
     found = dict.fromkeys(("circularity", "isothermic", "minimality", "steiner"), (0.0, None))
-    for q in f.domain.quads:
+    for q, t in zip(f.domain.quads, offsets.tolist()):
         qf, qn = f.quad_points(q), n.quad_points(q)
         qc = quad_curvatures(qf, qn)
-        t = float(rng.uniform(-1.0, 1.0))
         af = mixed_area(qf, qf)
         offset = [p + t * v for p, v in zip(qf, qn)]
         offset_area = float(mixed_area(offset, offset, 1e-6) @ (af / np.linalg.norm(af)))
@@ -51,3 +50,10 @@ def test_valid_data_passes_at_size_160():
     report = verify_pair(MinimalPair.from_grid(power_function(4 / 3, 160, 160)))
     assert report["ok"], {k: c["max_residual"] for k, c in report["checks"].items()
                           if not c["ok"]}
+
+
+def test_steiner_offsets_spread_over_the_unit_interval():
+    offsets = steiner_offsets(1000)
+    assert offsets.min() >= -1.0 and offsets.max() <= 1.0
+    assert np.histogram(offsets, bins=4, range=(-1.0, 1.0))[0].min() > 150
+    assert steiner_offsets(1000).tolist() == offsets.tolist()

@@ -19,6 +19,8 @@ from minnet.minimal import (_wei_increment, christoffel, gauss_map, propagate_no
 from minnet.mobius import is_inf, stereographic_lift
 from minnet.net import EdgeLabels, LatticeDomain
 
+from conftest import edge_label, neighbors
+
 
 def sweep_interior(domain, values):
     """Fill unset vertices by cr=-1 propagation, sweeping m+n, ties by m."""
@@ -36,7 +38,7 @@ def bfs_integrate(domain, increment, zero, root=None):
     queue = [root]
     while queue:
         v = queue.pop(0)
-        for w in domain.neighbors(v):
+        for w in neighbors(domain, v):
             if w not in out:
                 out[w] = out[v] + increment(v, w)
                 queue.append(w)
@@ -53,7 +55,7 @@ def scalar_power(gamma, m_extent, n_extent):
         labels = EdgeLabels.constant(domain)
 
         def increment(a, b):
-            return labels.edge(a, b) / (inverted[b] - inverted[a]).conjugate()
+            return edge_label(labels, a, b) / (inverted[b] - inverted[a]).conjugate()
 
         dual = bfs_integrate(domain, increment, 0j, root=(1, 0))
         return {v: -dual[v] for v in domain.vertices}
@@ -74,7 +76,7 @@ def scalar_weierstrass(grid, conjugate):
         swap = a > b
         if swap:
             a, b = b, a
-        inc = _wei_increment(grid[a], grid[b], grid.labels.edge(a, b), conjugate)
+        inc = _wei_increment(grid[a], grid[b], edge_label(grid.labels, a, b), conjugate)
         return -inc if swap else inc
 
     return bfs_integrate(grid.domain, increment, np.zeros(3))
@@ -82,8 +84,8 @@ def scalar_weierstrass(grid, conjugate):
 
 def scalar_christoffel(net, labels):
     def increment(a, b):
-        d = net.positions[b] - net.positions[a]
-        return labels.edge(a, b) * d / float(d @ d)
+        d = net[b] - net[a]
+        return edge_label(labels, a, b) * d / float(d @ d)
 
     return bfs_integrate(net.domain, increment, np.zeros(3))
 
@@ -91,7 +93,7 @@ def scalar_christoffel(net, labels):
 def scalar_normals(net, n0):
     """propagate_normals' breadth-first walk, one edge at a time."""
     def step(na, a, b):
-        d = net.positions[b] - net.positions[a]
+        d = net[b] - net[a]
         t = -2.0 * float(na @ d) / float(d @ d)
         nb = na + t * d
         return nb / np.linalg.norm(nb)
@@ -101,7 +103,7 @@ def scalar_normals(net, n0):
     queue = [root]
     while queue:
         v = queue.pop(0)
-        for w in net.domain.neighbors(v):
+        for w in neighbors(net.domain, v):
             if w not in normals:
                 normals[w] = step(normals[v], v, w)
                 queue.append(w)
@@ -114,7 +116,7 @@ def bits(values):
 
 
 def same_net(net, reference):
-    return bits(net.as_array()) == bits([reference[v] for v in net.domain.vertices])
+    return bits(net.points) == bits([reference[v] for v in net.domain.vertices])
 
 
 POWER_CASES = [pytest.param(2 * k / (k + 1), size, id=f"enneper{k}-{size}")

@@ -9,6 +9,10 @@ from minnet.holomorphic import power_function
 from minnet.minimal import MinimalPair
 from minnet.net import LatticeDomain, Net3, write_net
 
+# a 2x2 net file whose positions have 2 coordinates
+NET_2D = json.dumps({"domain": {"m0": 0, "m1": 1, "n0": 0, "n1": 1},
+                     "vertices": [{"m": m, "n": n, "p": [m, n]} for m in (0, 1) for n in (0, 1)]})
+
 
 def run(args, env=None):
     old = {}
@@ -64,14 +68,25 @@ class TestGenerate:
         (["knoid", "--k", "3"], None),          # --seed-file names a missing file
         (["knoid", "--k", "3"], "{broken"),
         (["knoid", "--k", "3"], '{"iterations": 3}'),
+        # export and verify: seed is the file they read
+        (["export"], '{"kind": "orbit", "faces": [[0, 1, 2, 3]]}'),
+        (["export"], '{"kind": "orbit", "vertices": [[0, 0, 0]]}'),
+        (["export"], '{"kind": "orbit", "vertices": [[0, "x", 0]], "faces": []}'),
+        (["export"], NET_2D),
+        (["verify"], NET_2D),
     ])
     def test_bad_input_is_typed_error(self, tmp_path, capsys, family, seed):
-        argv = ["generate", *family, "--out", str(tmp_path / "x")]
-        if family[0] == "knoid":
-            path = tmp_path / "seed.json"
-            if seed is not None:
-                path.write_text(seed)
-            argv += ["--seed-file", str(path)]
+        path = tmp_path / "seed.json"
+        if seed is not None:
+            path.write_text(seed)
+        if family[0] == "export":
+            argv = ["export", str(path), str(tmp_path / "x.obj")]
+        elif family[0] == "verify":
+            argv = ["verify", str(path)]
+        else:
+            argv = ["generate", *family, "--out", str(tmp_path / "x")]
+            if family[0] == "knoid":
+                argv += ["--seed-file", str(path)]
         assert run(argv) == 3
         error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert error["error"] in ("BadParameter", "ParseError")
@@ -184,7 +199,7 @@ class TestVerify:
 class TestExport:
     def test_two_by_two_net(self, tmp_path):
         dom = LatticeDomain((0, 1), (0, 1))
-        net = Net3(dom, {v: np.array([v[0], v[1], 0.0]) for v in dom.vertices})
+        net = Net3(dom, [[m, n, 0.0] for m, n in dom.vertices])
         src = tmp_path / "n.dnet.json"
         dst = tmp_path / "n.obj"
         write_net(src, net)
@@ -251,7 +266,7 @@ class TestReflectAndConjugate:
         from minnet.net import read_net
         conj = read_net(out).net
         asym = read_net(f"{base}.asym.dnet.json").net
-        worst = max(np.linalg.norm(conj.positions[v] - asym.positions[v])
+        worst = max(np.linalg.norm(conj[v] - asym[v])
                     for v in conj.domain.vertices)
         assert worst < 1e-12
 

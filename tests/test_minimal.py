@@ -13,12 +13,14 @@ from minnet.minimal import (MinimalPair, best_similarity, christoffel,
                             weierstrass_isothermic)
 from minnet.net import EdgeLabels, LatticeDomain, Net3, are_parallel_meshes, is_isothermic
 
+from conftest import edge_label
+
 SQUARE = [np.array(p, float) for p in [(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)]]
 
 
 def flat_net(m=3, n=3):
     dom = LatticeDomain((0, m), (0, n))
-    return Net3(dom, {v: np.array([v[0], v[1], 0.0]) for v in dom.vertices})
+    return Net3(dom, [[m, n, 0.0] for m, n in dom.vertices])
 
 
 class TestWeierstrassEdges:
@@ -99,13 +101,13 @@ class TestChristoffel:
         labels = enneper_pair.grid.labels
         dual = christoffel(enneper_pair.isothermic, labels)
         back = christoffel(dual, labels)
-        s, t, res = best_similarity(back.as_array(),
-                                    enneper_pair.isothermic.as_array())
+        s, t, res = best_similarity(back.points,
+                                    enneper_pair.isothermic.points)
         assert res <= 1e-8 * enneper_pair.isothermic.scale()
 
     def test_dual_of_minimal_is_gauss_map(self, enneper_pair):
         dual = christoffel(enneper_pair.isothermic, enneper_pair.grid.labels)
-        s, t, res = best_similarity(dual.as_array(), enneper_pair.gauss.as_array())
+        s, t, res = best_similarity(dual.points, enneper_pair.gauss.points)
         assert res <= 1e-9
 
 
@@ -125,11 +127,9 @@ class TestAsymptotic:
         assert not report.ok
 
     def test_shared_normals(self, enneper_pair):
-        normals = tangent_normals(enneper_pair.asymptotic)
-        lift = enneper_pair.gauss
-        worst = max(min(np.linalg.norm(normals[v] - lift[v]),
-                        np.linalg.norm(normals[v] + lift[v]))
-                    for v in lift.domain.vertices)
+        normals, lift = tangent_normals(enneper_pair.asymptotic), enneper_pair.gauss.points
+        worst = np.minimum(np.linalg.norm(normals - lift, axis=1),
+                           np.linalg.norm(normals + lift, axis=1)).max()
         assert worst <= 1e-9
 
 
@@ -249,7 +249,7 @@ class TestClosure:
             for quad in grid.domain.quads:
                 i, j, k, l = grid.domain.quad_vertices(quad)
                 inc = lambda a, b: _wei_increment(grid[a], grid[b],
-                                                  grid.labels.edge(a, b), conj)
+                                                  edge_label(grid.labels, a, b), conj)
                 loop = inc(i, j) + inc(j, k) - inc(l, k) - inc(i, l)
                 scale = max(np.linalg.norm(inc(i, j)), np.linalg.norm(inc(i, l)))
                 worst = max(worst, np.linalg.norm(loop) / scale)

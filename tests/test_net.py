@@ -10,7 +10,7 @@ from conftest import random_similarity
 
 def flat_net(m=3, n=3, mask=()):
     dom = LatticeDomain((0, m), (0, n), frozenset(mask))
-    return Net3(dom, {v: np.array([v[0], v[1], 0.0]) for v in dom.vertices})
+    return Net3(dom, [[m, n, 0.0] for m, n in dom.vertices])
 
 
 class TestLatticeDomain:
@@ -45,10 +45,10 @@ class TestEdgeLabels:
         labels = EdgeLabels({m: rng.uniform(0.5, 2.0) for m in range(5)},
                             {n: -rng.uniform(0.5, 2.0) for n in range(4)})
         for (m, n) in dom.quads:
-            a_ij = labels.alpha_at(m)       # edge (m,n)-(m+1,n)
-            a_lk = labels.alpha_at(m)       # edge (m,n+1)-(m+1,n+1)
-            a_il = labels.beta_at(n)        # edge (m,n)-(m,n+1)
-            a_jk = labels.beta_at(n)        # edge (m+1,n)-(m+1,n+1)
+            a_ij = labels.alpha[m]       # edge (m,n)-(m+1,n)
+            a_lk = labels.alpha[m]       # edge (m,n+1)-(m+1,n+1)
+            a_il = labels.beta[n]        # edge (m,n)-(m,n+1)
+            a_jk = labels.beta[n]        # edge (m+1,n)-(m+1,n+1)
             assert a_ij == a_lk and a_il == a_jk
             assert labels.ratio((m, n)) < 0
 
@@ -65,16 +65,16 @@ class TestNet3:
     def test_missing_vertex_rejected(self):
         dom = LatticeDomain((0, 1), (0, 1))
         with pytest.raises(ValueError):
-            Net3(dom, {(0, 0): [0, 0, 0], (1, 0): [1, 0, 0], (1, 1): [1, 1, 0]})
+            Net3(dom, [[0, 0, 0], [0, 1, 0], [1, 0, 0]])
 
     def test_degenerate_edge_rejected(self):
         dom = LatticeDomain((0, 1), (0, 0))
         with pytest.raises(ValueError):
-            Net3(dom, {(0, 0): [0, 0, 0], (1, 0): [0, 0, 0]})
+            Net3(dom, [[0, 0, 0], [0, 0, 0]])
 
     def test_zero_edges_allowed_for_normal_fields(self):
         dom = LatticeDomain((0, 1), (0, 0))
-        net = Net3(dom, {(0, 0): [0, 0, 1], (1, 0): [0, 0, 1]}, check_edges=False)
+        net = Net3(dom, [[0, 0, 1], [0, 0, 1]], check_edges=False)
         assert np.allclose(net[(0, 0)], net[(1, 0)])
 
 
@@ -87,22 +87,21 @@ class TestIsCircular:
         # circumcenter oracle: 3 base points fix the circle; the lifted
         # vertex is off that circle by more than 0.01
         net = flat_net()
-        net.positions[(1, 1)] = np.array([1.0, 1.0, 0.1])
+        net.points[net.domain.vertex_index[(1, 1)]] = np.array([1.0, 1.0, 0.1])
         ok, res = is_circular(net, (0, 0))
         assert not ok
         assert res >= 0.01
 
     def test_rectangle_is_cyclic(self):
         dom = LatticeDomain((0, 1), (0, 1))
-        net = Net3(dom, {(0, 0): [0, 0, 0], (1, 0): [2, 0, 0],
-                         (1, 1): [2, 1, 0], (0, 1): [0, 1, 0]})
+        net = Net3(dom, [[0, 0, 0], [0, 1, 0], [2, 0, 0], [2, 1, 0]])
         ok, res = is_circular(net, (0, 0))
         assert ok and res < 1e-12
 
     def test_similarity_invariance(self):
         rng = np.random.default_rng(12)
         net = flat_net()
-        net.positions[(1, 1)] = np.array([1.0, 1.0, 0.05])
+        net.points[net.domain.vertex_index[(1, 1)]] = np.array([1.0, 1.0, 0.05])
         ok0, res0 = is_circular(net, (0, 0))
         for _ in range(10):
             move, scale = random_similarity(rng)
@@ -126,7 +125,7 @@ class TestIsIsothermic:
 
     def test_noncircular_raises(self):
         net = flat_net()
-        net.positions[(1, 1)] = np.array([1.0, 1.0, 0.3])
+        net.points[net.domain.vertex_index[(1, 1)]] = np.array([1.0, 1.0, 0.3])
         with pytest.raises(NotCircular):
             is_isothermic(net, EdgeLabels.constant(net.domain))
 
@@ -146,7 +145,7 @@ class TestParallelMeshes:
     def test_random_net_fails(self):
         rng = np.random.default_rng(13)
         net = flat_net()
-        other = Net3(net.domain, {v: rng.normal(size=3) * 2 for v in net.domain.vertices})
+        other = Net3(net.domain, rng.normal(size=(len(net.domain.vertices), 3)) * 2)
         ok, worst = are_parallel_meshes(net, other)
         assert not ok and worst > 1e-3
 
@@ -165,17 +164,16 @@ class TestSerialization:
     def test_round_trip_bit_identical(self, tmp_path):
         rng = np.random.default_rng(14)
         dom = LatticeDomain((0, 3), (0, 2), frozenset({(0, 0)}))
-        net = Net3(dom, {v: rng.normal(size=3) * 7 for v in dom.vertices})
+        net = Net3(dom, rng.normal(size=(len(dom.vertices), 3)) * 7)
         labels = EdgeLabels({m: rng.uniform(0.5, 2) for m in range(3)},
                             {n: -rng.uniform(0.5, 2) for n in range(2)})
-        normals = {v: rng.normal(size=3) for v in dom.vertices}
+        normals = Net3(dom, rng.normal(size=(len(dom.vertices), 3)), check_edges=False)
         path = tmp_path / "net.dnet.json"
         write_net(path, net, labels, normals)
         bundle = read_net(path)
         assert bundle.net.domain == dom
-        for v in dom.vertices:
-            assert np.array_equal(bundle.net.positions[v], net.positions[v])
-            assert np.array_equal(bundle.normals[v], normals[v])
+        assert np.array_equal(bundle.net.points, net.points)
+        assert np.array_equal(bundle.normals.points, normals.points)
         assert bundle.labels.alpha == labels.alpha
         assert bundle.labels.beta == labels.beta
 
@@ -198,6 +196,18 @@ class TestSerialization:
         path.write_text(doc)
         with pytest.raises(ParseError):
             read_net(path)
+
+    def test_last_record_wins_and_off_domain_records_are_ignored(self, tmp_path):
+        import json
+        net = flat_net(1, 1)
+        path = tmp_path / "net.dnet.json"
+        write_net(path, net)
+        doc = json.loads(path.read_text())
+        doc["vertices"] += [{"m": 1, "n": 1, "p": [1, 1, 0.5]}, {"m": 5, "n": 0, "p": [0, 0, 0]}]
+        path.write_text(json.dumps(doc))
+        bundle = read_net(path)
+        assert bundle.net[(1, 1)].tolist() == [1.0, 1.0, 0.5]
+        assert bundle.net.points[:3].tolist() == net.points[:3].tolist()
 
     def test_invalid_json_is_parse_error(self, tmp_path):
         path = tmp_path / "broken.json"

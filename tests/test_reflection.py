@@ -27,9 +27,8 @@ def sphere_band(radius=2.0, rows=2, cols=6, dphi=0.25, dtheta=0.2):
         positions[(m, n)] = radius * np.array(
             [math.cos(phi) * math.cos(theta),
              math.sin(phi) * math.cos(theta), math.sin(theta)])
-    net = Net3(dom, positions)
-    normals = Net3(dom, {v: positions[v] / radius for v in dom.vertices},
-                   check_edges=False)
+    net = Net3(dom, [positions[v] for v in dom.vertices])
+    normals = Net3(dom, [positions[v] / radius for v in dom.vertices], check_edges=False)
     return net, normals, radius
 
 
@@ -62,8 +61,8 @@ class TestAnalyzeIsothermic:
             normals[(m, n)] = np.array([math.cos(tilt) * math.cos(phi),
                                         math.cos(tilt) * math.sin(phi),
                                         math.sin(tilt)])
-        net = Net3(dom, positions)
-        nrm = Net3(dom, normals, check_edges=False)
+        net = Net3(dom, [positions[v] for v in dom.vertices])
+        nrm = Net3(dom, [normals[v] for v in dom.vertices], check_edges=False)
         a = analyze_boundary_isothermic(net, nrm, 0, "row")
         assert a.kind == "none"
         assert a.gauss_circle == "small_circle"

@@ -1,0 +1,118 @@
+"""The direct .dnet.json and .orbit.json writer against a recursive JSON
+writer of the same documents, compared byte for byte."""
+
+import json
+
+import numpy as np
+import pytest
+
+from minnet.cli import orbit_to_json
+from minnet.holomorphic import MobiusInversion, mobius_apply, power_function, write_grid
+from minnet.minimal import MinimalPair
+from minnet.mobius import Isometry, PlaneR3
+from minnet.net import EdgeLabels, LatticeDomain, Net3, read_net, write_net
+from minnet.reflection import build_orbit
+
+
+def dump(obj) -> str:
+    """Recursive deterministic JSON writer with 17-significant-digit floats."""
+    if isinstance(obj, dict):
+        return "{" + ", ".join(f"{json.dumps(k)}: {dump(v)}" for k, v in obj.items()) + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ", ".join(dump(v) for v in obj) + "]"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        assert np.isfinite(obj)
+        return format(float(obj), ".17g")
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    raise TypeError(f"cannot serialize {type(obj)}")
+
+
+def net_doc(net, labels=None, normals=None, infinity=None) -> dict:
+    dom = net.domain
+    doc = {"domain": {"m0": dom.m0, "m1": dom.m1, "n0": dom.n0, "n1": dom.n1,
+                      "mask": [list(v) for v in sorted(dom.mask)]},
+           "vertices": [{"m": m, "n": n, "p": [float(c) for c in net[(m, n)]]}
+                        for (m, n) in dom.vertices]}
+    if labels is not None:
+        doc["alpha"] = [labels.alpha[m] for m in range(dom.m0, dom.m1)]
+        doc["beta"] = [labels.beta[n] for n in range(dom.n0, dom.n1)]
+    if normals is not None:
+        doc["normals"] = [[float(c) for c in normals[v]] for v in dom.vertices]
+    if infinity is not None:
+        doc["infinity"] = [list(v) for v in sorted(infinity)]
+    return doc
+
+
+def orbit_doc(orbit) -> dict:
+    return {"kind": "orbit",
+            "vertices": [[float(c) for c in p] for p in orbit.vertices],
+            "faces": [list(f) for f in orbit.faces],
+            "elements": [{"matrix": [[float(c) for c in row] for row in e.matrix],
+                          "translation": [float(c) for c in e.translation]}
+                         for e in orbit.elements],
+            "weld_residual": float(orbit.weld_residual)}
+
+
+@pytest.fixture(scope="module")
+def masked_net():
+    """A net with labels and normals on a masked domain with negative m0 and n0."""
+    rng = np.random.default_rng(41)
+    dom = LatticeDomain((-2, 3), (-1, 2), frozenset({(-2, -1), (1, 0), (3, 2)}))
+    net = Net3(dom, rng.normal(size=(len(dom.vertices), 3)) * [1.0, 1e-7, 3e5])
+    labels = EdgeLabels({m: rng.uniform(0.5, 2) for m in range(-2, 3)},
+                        {n: -rng.uniform(0.5, 2) for n in range(-1, 2)})
+    normals = Net3(dom, rng.normal(size=(len(dom.vertices), 3)), check_edges=False)
+    normals.points[0] = [-0.0, 0.0, 1.0]
+    return net, labels, normals
+
+
+@pytest.mark.parametrize("parts", [(), ("labels",), ("normals",), ("labels", "normals")])
+def test_net_file_equals_recursive_writer(tmp_path, masked_net, parts):
+    net, labels, normals = masked_net
+    labels = labels if "labels" in parts else None
+    normals = normals if "normals" in parts else None
+    path = tmp_path / "net.dnet.json"
+    write_net(path, net, labels, normals)
+    assert path.read_text() == dump(net_doc(net, labels, normals)) + "\n"
+
+    bundle = read_net(path)
+    again = tmp_path / "again.dnet.json"
+    write_net(again, bundle.net, bundle.labels, bundle.normals)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_grid_file_with_infinity_equals_recursive_writer(tmp_path):
+    grid = mobius_apply(power_function(1.5, 6, 6), MobiusInversion())
+    assert grid.inf.any()
+    path = tmp_path / "grid.dnet.json"
+    write_grid(path, grid)
+    carrier = Net3(grid.domain, np.stack([grid.values.real, grid.values.imag,
+                                          np.zeros(len(grid.values))], axis=1),
+                   check_edges=False)
+    assert path.read_text() == dump(net_doc(carrier, grid.labels,
+                                            infinity=grid.infinity_vertices())) + "\n"
+
+
+def test_orbit_document_equals_recursive_writer():
+    pair = MinimalPair.from_grid(power_function(1.5, 5, 5))
+    mirrors = [Isometry.plane_reflection(PlaneR3(np.array(normal), 0.0))
+               for normal in ((0.0, 1.0, 0.0), (np.sin(np.pi / 4), -np.cos(np.pi / 4), 0.0))]
+    orbit = build_orbit(pair.isothermic, mirrors)
+    assert len(orbit.elements) > 1
+    assert orbit_to_json(orbit) == dump(orbit_doc(orbit))
+
+
+def test_planar_enneper_files_round_trip(tmp_path, planar_enneper_pair):
+    """The planar Enneper net has -0.0 coordinates, written as "-0"."""
+    pair = planar_enneper_pair
+    path, again = tmp_path / "iso.dnet.json", tmp_path / "again.dnet.json"
+    write_net(path, pair.isothermic, pair.grid.labels, pair.gauss)
+    assert '"normals": [[-0, ' in path.read_text()
+    bundle = read_net(path)
+    write_net(again, bundle.net, bundle.labels, bundle.normals)
+    assert again.read_bytes() == path.read_bytes()
