@@ -698,6 +698,7 @@ PLATONIC_PRESETS = {
                                   (math.pi / 2, math.pi / 3, math.pi / 3), 12),
     "octahedral": PlatonicPreset("octahedral",
                                  (math.pi / 2, math.pi / 3, math.pi / 4), 24),
+    "icosahedral": PlatonicPreset("icosahedral", (math.pi / 2, math.pi / 3, math.pi / 5), 60),
 }
 
 

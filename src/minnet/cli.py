@@ -219,11 +219,10 @@ def verify_net_file(path: str, tol: float, as_isothermic: bool = False,
 
 def _write_obj(path: str, vertices, faces) -> None:
     """Vertex positions and 0-based faces as OBJ (1-based indices)."""
+    rows = faces.tolist() if isinstance(faces, np.ndarray) else faces
     with open(path, "w") as fh:
-        for p in vertices:
-            fh.write(f"v {p[0]:.17g} {p[1]:.17g} {p[2]:.17g}\n")
-        for face in faces:
-            fh.write("f " + " ".join(str(i + 1) for i in face) + "\n")
+        fh.write("".join(["v %.17g %.17g %.17g\n" % tuple(p) for p in vertices.tolist()]))
+        fh.write("".join(["f " + " ".join([str(i + 1) for i in f]) + "\n" for f in rows]))
 
 
 def export_net_obj(net: Net3, path: str) -> None:

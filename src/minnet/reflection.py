@@ -287,14 +287,10 @@ def _wedge_angle(u1: np.ndarray, u2: np.ndarray, axis_dir: np.ndarray,
 
 
 def _nearest_quad(domain: LatticeDomain, corner: Vertex):
-    best = None
-    for q in domain.quads:
-        d = abs(q[0] - corner[0]) + abs(q[1] - corner[1])
-        if best is None or (d, q) < best:
-            best = (d, q)
-    if best is None:
+    if not domain.quads:
         raise NotPlanarBoundary("domain has no quads")
-    return best[1]
+    return min(domain.quads,
+               key=lambda q: (abs(q[0] - corner[0]) + abs(q[1] - corner[1]), q))
 
 
 def corner_angles(net: Net3, normals: Net3, corner: Vertex,
@@ -361,91 +357,109 @@ class SymmetryOrbit:
         return float(np.linalg.norm(self.vertices.max(axis=0) - self.vertices.min(axis=0)))
 
     def closure_residual(self) -> float:
-        """Max distance from any product of two elements to the nearest element.
-
-        Products a∘b are formed for one a at a time against all b, and
-        Isometry.distance to every element is taken as array reductions.
-        """
+        """Max distance from any product of two elements to the nearest element,
+        with the products a∘b of one a at a time in one (b, e) distance table."""
         mats = np.stack([e.matrix for e in self.elements])
         shifts = np.stack([e.translation for e in self.elements])
-        worst = 0.0
+        table, worst = _components(mats, shifts), 0.0
         for mat, shift in zip(mats, shifts):
             prod_m = mat @ mats                                   # (b, 3, 3)
             prod_t = (mat @ shifts[..., None])[..., 0] + shift    # (b, 3)
-            dist = np.maximum(
-                np.abs(prod_m[:, None] - mats[None]).max(axis=(2, 3)),
-                np.abs(prod_t[:, None] - shifts[None]).max(axis=2))   # (b, e)
+            dist = _distance_table(_components(prod_m, prod_t), table)
             worst = max(worst, float(dist.min(axis=1).max()))
         return worst
 
     def invariance_residual(self, iso: Isometry) -> float:
         """Max distance from transformed welded vertices to the vertex set."""
         moved = iso.apply_many(self.vertices)
-        grid = _VertexGrid(self.vertices, max(self.weld_tol * self.scale(), 1e-12))
-        worst = 0.0
-        for p in moved:
-            idx = grid.nearest(p)
-            d = float(np.linalg.norm(self.vertices[idx] - p)) if idx is not None else float("inf")
-            worst = max(worst, d)
-        return worst
+        i, _, dist = _near_pairs(moved, self.vertices, max(self.weld_tol * self.scale(), 1e-12))
+        nearest = np.full(len(moved), np.inf)
+        np.minimum.at(nearest, i, dist)
+        return float(nearest.max(initial=0.0))
 
 
-class _VertexGrid:
-    """Uniform hash grid for near-duplicate vertex lookup."""
+def _components(mats: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """Isometries as a (12, k) array: 9 matrix entries, then 3 translation entries."""
+    return np.concatenate([mats.reshape(-1, 9), shifts], axis=1).T
 
-    def __init__(self, points, cell: float):
-        self.cell = max(cell, 1e-300)
-        self.table: dict[tuple[int, int, int], list[int]] = {}
-        self.points: list[np.ndarray] = []
-        for p in points:
-            self.add(np.asarray(p, dtype=float))
 
-    def _key(self, p) -> tuple[int, int, int]:
-        return tuple(int(math.floor(c / self.cell)) for c in p)
+def _distance_table(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Isometry.distance of every column of a to every column of b, per component."""
+    dist = np.abs(a[0][:, None] - b[0])
+    for comp_a, comp_b in zip(a[1:], b[1:]):
+        np.maximum(dist, np.abs(comp_a[:, None] - comp_b), out=dist)
+    return dist
 
-    def add(self, p) -> int:
-        idx = len(self.points)
-        self.points.append(p)
-        self.table.setdefault(self._key(p), []).append(idx)
-        return idx
 
-    def nearest(self, p, within: float | None = None) -> int | None:
-        within = self.cell if within is None else within
-        kx, ky, kz = self._key(p)
-        best, best_d = None, within
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                for dz in (-1, 0, 1):
-                    for idx in self.table.get((kx + dx, ky + dy, kz + dz), ()):
-                        d = float(np.linalg.norm(self.points[idx] - p))
-                        if d <= best_d:
-                            best, best_d = idx, d
-        return best
+def _first_representatives(n: int, later: np.ndarray, earlier: np.ndarray) -> np.ndarray:
+    """Items 0..n-1 in order; one is a representative unless it conflicts with an earlier
+    representative (pairs later > earlier).  Each round decides the first undecided one."""
+    undecided = np.bincount(later, minlength=n) > 0
+    rep = ~undecided
+    while undecided.any():
+        taken = undecided & (np.bincount(later[rep[earlier]], minlength=n) > 0)
+        free = undecided & ~taken & (np.bincount(later[undecided[earlier]], minlength=n) == 0)
+        rep, undecided = rep | free, undecided & ~taken & ~free
+    return rep
+
+
+def _near_pairs(queries: np.ndarray, points: np.ndarray, radius: float):
+    """All (i, j, |points[j] - queries[i]|) within radius, as three arrays.  Cells of
+    side 2 * radius, or more where 21 bits per axis do not cover the spread, put such
+    pairs in the 27 neighbouring cells, found in the sorted cell keys.  Distances take
+    the BLAS dot product that np.linalg.norm takes of one vector, so their bits match."""
+    both = np.concatenate([queries, points])
+    low = both.min(axis=0)
+    cell = max(2.0 * radius, float((both.max(axis=0) - low).max()) / (1 << 20), 1e-300)
+    keys = [k[:, 0] << 42 | k[:, 1] << 21 | k[:, 2]
+            for k in (np.floor((p - low) / cell).astype(np.int64) + 1 for p in (queries, points))]
+    by_key, order = np.argsort(keys[0], kind="stable"), np.argsort(keys[1], kind="stable")
+    targets, sorted_keys = keys[0][by_key], keys[1][order]
+    pairs = []
+    for offset in (np.indices((3, 3, 3)).reshape(3, -1).T - 1) @ [1 << 42, 1 << 21, 1]:
+        start = np.searchsorted(sorted_keys, targets + offset)
+        n = np.searchsorted(sorted_keys, targets + offset, "right") - start
+        pairs.append((by_key[np.repeat(np.arange(len(n)), n)],
+                      order[np.arange(n.sum()) + np.repeat(start - np.cumsum(n) + n, n)]))
+    i, j = np.concatenate(pairs, axis=1)
+    diff = points[j] - queries[i]
+    dist = np.sqrt(np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0])
+    return i[dist <= radius], j[dist <= radius], dist[dist <= radius]
 
 
 def close_group(generators: list[Isometry], max_word: int = 16,
                 max_elements: int = 10000, dedup_tol: float = 1e-9) -> list[Isometry]:
     """Breadth-first closure of the generated group.
 
-    Raises OrbitExplosion when new elements keep appearing past max_word
-    or the count exceeds max_elements (the group is likely infinite).
+    Each word length composes every frontier element with every generator as
+    stacked arrays; a candidate is new when its Isometry.distance to every element
+    found before it exceeds dedup_tol.  Raises OrbitExplosion when new elements keep
+    appearing past max_word or the count exceeds max_elements (likely infinite).
     """
-    elements = [Isometry.identity()]
-    frontier = [Isometry.identity()]
+    gen_m = np.reshape([g.matrix for g in generators], (-1, 3, 3))
+    gen_t = np.reshape([g.translation for g in generators], (-1, 3))
+    elements, frontier = [Isometry.identity()], [Isometry.identity()]
+    known = _components(np.eye(3)[None], np.zeros((1, 3)))
     for word in range(1, max_word + 1):
-        new_frontier = []
-        for e in frontier:
-            for gen in generators:
-                cand = gen.compose(e)
-                if all(cand.distance(known) > dedup_tol for known in elements):
-                    elements.append(cand)
-                    new_frontier.append(cand)
-                    if len(elements) > max_elements:
-                        raise OrbitExplosion(
-                            f"more than {max_elements} elements at word length {word}")
-        if not new_frontier:
+        cand_m = np.matmul(gen_m, np.array([e.matrix for e in frontier])[:, None])
+        cand_t = np.matmul(gen_m, np.array([e.translation for e in frontier])[:, None, :, None])
+        cand_m, cand_t = cand_m.reshape(-1, 3, 3), (cand_t[..., 0] + gen_t).reshape(-1, 3)
+        cands, count, start = _components(cand_m, cand_t), len(elements), 0
+        while start < len(cand_m):
+            k = known.shape[1]
+            block = cands[:, start:start + max(1, (1 << 18) // (k + 512))]  # tables <= 2**18
+            table = _distance_table(block, np.concatenate([known, block], axis=1))
+            later, earlier = np.nonzero(np.tril(~(table > dedup_tol), k - 1))  # NaN: no merge
+            new = _first_representatives(k + block.shape[1], k + later, earlier)[k:]
+            elements.extend(Isometry("composition", cand_m[i], cand_t[i])
+                            for i in start + np.flatnonzero(new))
+            if len(elements) > max_elements:
+                raise OrbitExplosion(
+                    f"more than {max_elements} elements at word length {word}")
+            known, start = np.concatenate([known, block[:, new]], axis=1), start + len(new)
+        frontier = elements[count:]
+        if not frontier:
             return elements
-        frontier = new_frontier
     raise OrbitExplosion(f"group did not close within word length {max_word}")
 
 
@@ -456,32 +470,22 @@ def build_orbit(piece: Net3, generators: list[Isometry], max_word: int = 16,
 
     Copies are emitted in group-element discovery order; faces of copies
     with negative determinant are reversed to keep orientations usable.
-    """
+    Each moved point, in that order, welds to its nearest earlier
+    representative within weld_tol times the piece's size, or becomes one."""
     elements = close_group(generators, max_word, max_elements, dedup_tol)
     scale = max(piece.scale(), 1e-300)
-
-    grid = _VertexGrid([], weld_tol * scale)
-    faces: list[tuple[int, int, int, int]] = []
-    face_set = set()
-    weld_residual = 0.0
-    for element in elements:
-        moved = element.apply_many(piece.points)
-        local = []
-        for p in moved:
-            found = grid.nearest(p, within=weld_tol * scale)
-            if found is None:
-                local.append(grid.add(p))
-            else:
-                weld_residual = max(weld_residual,
-                                    float(np.linalg.norm(grid.points[found] - p)))
-                local.append(found)
-        flip = element.det() < 0
-        for i, j, k, l in np.array(local)[piece.domain.quad_index].tolist():
-            face = (i, l, k, j) if flip else (i, j, k, l)
-            key = tuple(sorted(face))
-            if key not in face_set:
-                face_set.add(key)
-                faces.append(face)
-    return SymmetryOrbit(piece, list(generators), elements,
-                         np.array(grid.points), faces,
-                         weld_residual / scale, weld_tol)
+    moved = np.concatenate([e.apply_many(piece.points) for e in elements])
+    i, j, dist = _near_pairs(moved, moved, weld_tol * scale)
+    rep = _first_representatives(len(moved), i[j < i], j[j < i])
+    nearest = np.lexsort((j, dist, ~((j < i) & rep[j]), i))
+    nearest = nearest[np.unique(i[nearest], return_index=True)[1]]
+    nearest = nearest[~rep[i[nearest]]]
+    number = np.cumsum(rep) - 1
+    number[i[nearest]] = number[j[nearest]]
+    flip = np.array([e.det() < 0 for e in elements])
+    faces = number.reshape(len(elements), -1)[:, piece.domain.quad_index]
+    faces = np.where(flip[:, None, None], faces[..., [0, 3, 2, 1]], faces).reshape(-1, 4)
+    first = np.sort(np.unique(np.sort(faces, axis=1), axis=0, return_index=True)[1])
+    return SymmetryOrbit(piece, list(generators), elements, moved[rep],
+                         [tuple(f) for f in faces[first].tolist()],
+                         float(dist[nearest].max(initial=0.0)) / scale, weld_tol)

@@ -80,3 +80,90 @@ def random_circle_points(rng, count=4):
     pts = [center + radius * (math.cos(a) * u + math.sin(a) * v) for a in angles]
     basis = (center, u, v)
     return pts, angles, basis
+
+
+class VertexGrid:
+    """Uniform hash grid for near-duplicate vertex lookup, one point at a time."""
+
+    def __init__(self, points, cell: float):
+        self.cell = max(cell, 1e-300)
+        self.table = {}
+        self.points = []
+        for p in points:
+            self.add(np.asarray(p, dtype=float))
+
+    def _key(self, p):
+        return tuple(int(math.floor(c / self.cell)) for c in p)
+
+    def add(self, p) -> int:
+        idx = len(self.points)
+        self.points.append(p)
+        self.table.setdefault(self._key(p), []).append(idx)
+        return idx
+
+    def nearest(self, p, within=None):
+        """The last-scanned point at the smallest distance <= within, in the 27 cells around p."""
+        within = self.cell if within is None else within
+        kx, ky, kz = self._key(p)
+        best, best_d = None, within
+        for dx in (-1, 0, 1):
+            for dy in (-1, 0, 1):
+                for dz in (-1, 0, 1):
+                    for idx in self.table.get((kx + dx, ky + dy, kz + dz), ()):
+                        d = float(np.linalg.norm(self.points[idx] - p))
+                        if d <= best_d:
+                            best, best_d = idx, d
+        return best
+
+
+def scalar_close_group(generators, max_word=16, max_elements=10000, dedup_tol=1e-9):
+    """Breadth-first group closure, one candidate and one known element at a time."""
+    from minnet.errors import OrbitExplosion
+    from minnet.mobius import Isometry
+    elements = [Isometry.identity()]
+    frontier = [Isometry.identity()]
+    for word in range(1, max_word + 1):
+        new_frontier = []
+        for e in frontier:
+            for gen in generators:
+                cand = gen.compose(e)
+                if all(cand.distance(known) > dedup_tol for known in elements):
+                    elements.append(cand)
+                    new_frontier.append(cand)
+                    if len(elements) > max_elements:
+                        raise OrbitExplosion(
+                            f"more than {max_elements} elements at word length {word}")
+        if not new_frontier:
+            return elements
+        frontier = new_frontier
+    raise OrbitExplosion(f"group did not close within word length {max_word}")
+
+
+def scalar_build_orbit(piece, generators, max_word=16, max_elements=10000,
+                       dedup_tol=1e-9, weld_tol=1e-9):
+    """(elements, vertices, faces, weld_residual) of the orbit, welded one
+    vertex at a time: each point joins its nearest earlier representative
+    within weld_tol times the piece's size, or becomes one."""
+    elements = scalar_close_group(generators, max_word, max_elements, dedup_tol)
+    scale = max(piece.scale(), 1e-300)
+    grid = VertexGrid([], weld_tol * scale)
+    faces, face_set = [], set()
+    weld_residual = 0.0
+    for element in elements:
+        local = []
+        for p in element.apply_many(piece.points):
+            found = grid.nearest(p, within=weld_tol * scale)
+            if found is None:
+                local.append(grid.add(p))
+            else:
+                weld_residual = max(weld_residual,
+                                    float(np.linalg.norm(grid.points[found] - p)))
+                local.append(found)
+        flip = element.det() < 0
+        for i, j, k, l in np.array(local)[piece.domain.quad_index].tolist():
+            face = (i, l, k, j) if flip else (i, j, k, l)
+            key = tuple(sorted(face))
+            if key not in face_set:
+                face_set.add(key)
+                faces.append(face)
+    return elements, np.array(grid.points), faces, weld_residual / scale

@@ -206,7 +206,7 @@ def test_criterion_7_knoid_and_platonic(knoid_results):
                        f"iters={result.iterations} ring={len(orbit.elements)} "
                        f"rot(2pi/{k}) residual={invariance:.1e}")
         assert elapsed < 60.0
-    for name in ("tetrahedral", "octahedral"):
+    for name in ("tetrahedral", "octahedral", "icosahedral"):
         t0 = time.perf_counter()
         result = solve_platonic(name, 3, max_iter=500)
         pair = MinimalPair.from_grid(result.grid)

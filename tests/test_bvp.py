@@ -250,14 +250,17 @@ class TestSolvePlatonic:
     def test_presets(self):
         tet = platonic_preset("tetrahedral")
         octa = platonic_preset("octahedral")
+        ico = platonic_preset("icosahedral")
         assert tet.rotation_order == 12
         assert octa.rotation_order == 24
+        assert ico.rotation_order == 60
         assert tet.angles == (math.pi / 2, math.pi / 3, math.pi / 3)
         assert octa.angles == (math.pi / 2, math.pi / 3, math.pi / 4)
+        assert ico.angles == (math.pi / 2, math.pi / 3, math.pi / 5)
         with pytest.raises(InfeasibleSpec):
-            platonic_preset("icosahedral")
+            platonic_preset("dodecahedral")
 
-    @pytest.mark.parametrize("name", ["tetrahedral", "octahedral"])
+    @pytest.mark.parametrize("name", ["tetrahedral", "octahedral", "icosahedral"])
     def test_converges(self, name):
         result = solve_platonic(name, 3)
         assert result.converged

@@ -45,6 +45,13 @@ class TestGenerate:
             assert os.path.exists(f"{base}.{suffix}.dnet.json")
         assert os.path.exists(f"{base}.orbit.obj")
 
+    def test_icosahedral_orbit(self, tmp_path):
+        base = str(tmp_path / "ico")
+        report = tmp_path / "r.json"
+        assert run(["generate", "platonic", "--preset", "icosahedral", "--resolution", "3",
+                    "--orbit", "--out", base, "--report", str(report)]) == 0
+        assert json.loads(report.read_text())["orbit"]["elements"] == 120
+
     def test_usage_error(self, capsys):
         assert run(["generate"]) == 2
 
