@@ -313,6 +313,9 @@ def levenberg_marquardt(fun, x0: np.ndarray, converged, max_iter: int = 500,
     is taken.  A trial step is accepted when it lowers the cost |fun|^2.
     on_iteration(x, cost, lam, accepted), when given, is called after every
     iteration with the iterate, its cost and the damping of the last trial.
+    converged and on_iteration only receive iterates that fun has already
+    evaluated, and jac(x) follows converged(x) at the same x, so a caller
+    that memoizes its evaluations need not compute any of them again.
     Returns (x, iterations, success).
     """
     x = np.asarray(x0, dtype=float).copy()
@@ -451,6 +454,24 @@ def _cumexp(u: np.ndarray, upper: float):
     return upper * s / total, deriv
 
 
+@dataclass(frozen=True)
+class _Evaluation:
+    """Everything the collocation system reads at one parameter vector:
+    the flat vertex array V, the left-column radii, dV/dx over the boundary
+    columns, d(left)/dx over its block, the per-quad cross ratios with
+    their four corner slopes, and the containment penalty of every vertex
+    with its gradient."""
+
+    v: np.ndarray
+    left: np.ndarray
+    dv: np.ndarray
+    d_left: np.ndarray
+    q: np.ndarray
+    slopes: list
+    penalty: np.ndarray
+    grad: np.ndarray
+
+
 class _TriangleCollocation:
     """Least-squares system on the vertex array V[m, n] of the
     (m_max + 1) x (n_max + 1) grid, with per-quad cross-ratio -1 residuals.
@@ -461,6 +482,10 @@ class _TriangleCollocation:
     order.  Residual rows: (Re, Im) of cr+1 per quad in n-major order, the
     containment penalty of every vertex in (m, n) order, then the
     regularization of the left-column radii.
+
+    The residual, Jacobian, cr_max and containment_max all read one
+    evaluation per distinct x (see _evaluate), so Levenberg-Marquardt's
+    trial step, Jacobian, convergence test and trace share it.
     """
 
     def __init__(self, tri: _Triangle, m_max: int, n_max: int):
@@ -479,6 +504,7 @@ class _TriangleCollocation:
         column[1:, 1:n_max] = (self.n_boundary + 2 * np.arange(
             m_max * (n_max - 1))).reshape(n_max - 1, m_max).T
         self._column = column.ravel()
+        self._memo: tuple[bytes | None, _Evaluation | None] = (None, None)
 
     def _vertices(self, x: np.ndarray):
         """Flat vertex array V, left-column radii, dV/dx over the boundary
@@ -504,8 +530,24 @@ class _TriangleCollocation:
         return v.ravel(), left, dv.reshape(-1, nb), d_left
 
     def vertices(self, x: np.ndarray) -> np.ndarray:
-        """V[m, n] as an (m_max + 1, n_max + 1) complex array."""
-        return self._vertices(x)[0].reshape(self.m_max + 1, self.n_max + 1)
+        """V[m, n] as an (m_max + 1, n_max + 1) complex array (read-only)."""
+        return self._evaluate(x).v.reshape(self.m_max + 1, self.n_max + 1)
+
+    def _evaluate(self, x: np.ndarray) -> _Evaluation:
+        """The evaluation at x, built once per distinct x.  The memo holds
+        one entry keyed on the exact bytes of x, so an x changed in place
+        is evaluated afresh; its arrays are read-only because callers share
+        them."""
+        x = np.asarray(x, dtype=float)
+        key = x.tobytes()
+        if self._memo[0] != key:
+            v, left, dv, d_left = self._vertices(x)
+            q, slopes = self._cross_ratios(v)
+            penalty, grad = self.tri.region_penalty(v)
+            for a in (v, left, dv, d_left, q, penalty, grad, *slopes):
+                a.flags.writeable = False
+            self._memo = (key, _Evaluation(v, left, dv, d_left, q, slopes, penalty, grad))
+        return self._memo[1]
 
     def _cross_ratios(self, v: np.ndarray):
         """cr(a, b, c, d) per quad, 1e9 where den = (b-c)(d-a) vanishes, and
@@ -522,24 +564,24 @@ class _TriangleCollocation:
 
     def residual(self, x: np.ndarray, reg_weight: float,
                  left_ref: np.ndarray) -> np.ndarray:
-        v, left, _, _ = self._vertices(x)
-        q = self._cross_ratios(v)[0] + 1.0
+        e = self._evaluate(x)
+        q = e.q + 1.0
         return np.concatenate([np.stack([q.real, q.imag], axis=1).ravel(),
-                               self.tri.region_penalty(v)[0],
-                               reg_weight * (left - left_ref)])
+                               e.penalty, reg_weight * (e.left - left_ref)])
 
     def jacobian(self, x: np.ndarray, reg_weight: float) -> np.ndarray:
         """Closed-form d(residual)/dx.  Complex derivatives of the vertex
         values are chained through dV/dx; an interior vertex has dV/dRe = 1
         and dV/dIm = i, which gives the Cauchy-Riemann 2x2 block of each
         holomorphic quad derivative."""
-        v, _, dv, d_left = self._vertices(x)
+        e = self._evaluate(x)
+        dv, grad = e.dv, e.grad
         m_max, n_max, nb = self.m_max, self.n_max, self.n_boundary
-        n_quads, n_vertices = m_max * n_max, len(v)
+        n_quads, n_vertices = m_max * n_max, len(e.v)
         jac = np.zeros((2 * n_quads + n_vertices + n_max - 1, self.n_params))
         quad_rows = 2 * np.arange(n_quads)
         boundary = np.zeros((n_quads, nb), dtype=complex)
-        for corner, slope in zip(self._corners, self._cross_ratios(v)[1]):
+        for corner, slope in zip(self._corners, e.slopes):
             boundary += slope[:, None] * dv[corner]
             col = self._column[corner]
             inner = col >= 0
@@ -548,12 +590,11 @@ class _TriangleCollocation:
             jac[rows, col + 1], jac[rows + 1, col + 1] = -s.imag, s.real
         jac[0:2 * n_quads:2, :nb] = boundary.real
         jac[1:2 * n_quads:2, :nb] = boundary.imag
-        grad = self.tri.region_penalty(v)[1]
         inner = self._column >= 0
         rows, col = 2 * n_quads + np.flatnonzero(inner), self._column[inner]
         jac[rows, col], jac[rows, col + 1] = grad.real[inner], grad.imag[inner]
         jac[2 * n_quads:2 * n_quads + n_vertices, :nb] = (grad.conj()[:, None] * dv).real
-        jac[2 * n_quads + n_vertices:, m_max:m_max + n_max - 1] = reg_weight * d_left
+        jac[2 * n_quads + n_vertices:, m_max:m_max + n_max - 1] = reg_weight * e.d_left
         return jac
 
     def encode(self, bottom, left, arc, interior) -> np.ndarray:
@@ -567,16 +608,16 @@ class _TriangleCollocation:
             np.stack([z.real, z.imag], axis=1).ravel()])
 
     def cr_max(self, x: np.ndarray) -> float:
-        return float(np.max(np.abs(self._cross_ratios(self._vertices(x)[0])[0] + 1.0)))
+        return float(np.max(np.abs(self._evaluate(x).q + 1.0)))
 
     def containment_max(self, x: np.ndarray) -> float:
-        return float(np.max(self.tri.region_penalty(self._vertices(x)[0])[0]))
+        return float(np.max(self._evaluate(x).penalty))
 
     def solve(self, x0: np.ndarray, tol: float, max_iter: int, trace: list):
         """Two stages: regularized to pin the free left-column directions,
         then with the regularization released for the final polish.  One
         entry per LM iteration is appended to trace."""
-        left_ref, iterations = self._vertices(x0)[1], 0
+        left_ref, iterations = self._evaluate(x0).left, 0
         x = x0
 
         def log(xx, cost, lam, accepted):

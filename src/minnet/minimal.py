@@ -147,7 +147,8 @@ def _vertex_stars(net: Net3, vertices: np.ndarray) -> list[tuple[np.ndarray, np.
     stars = net.domain.stars[vertices]
     size = np.count_nonzero(stars >= 0, axis=1)
     groups = []
-    for k in np.unique(size):
+    # the sizes present, ascending; a bare np.unique would import numpy.ma
+    for k in np.flatnonzero(np.bincount(size)):
         rows = np.flatnonzero(size == k)
         groups.append((rows, net.points[stars[rows][stars[rows] >= 0].reshape(-1, k)]))
     return groups

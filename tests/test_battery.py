@@ -43,7 +43,7 @@ def test_array_checks_equal_scalar_references(fixture, request):
         assert checks[name]["worst"] == list(quad), name
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 4")
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
 def test_valid_data_passes_at_size_160():
     """Valid data fails at size 160: roundoff piles up along the integration
     tree to isothermic 2.0e-9 and gauss_parallel 2.2e-9, over tol 1e-9."""

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from minnet import bvp
 from minnet.bvp import (BoundarySpec, PlatonicPreset, _CatenoidSeedSpec, _cr4,
                         _increasing_closed, _increasing_open,
                         _knoid_collocation_seed, _knoid_triangle,
@@ -193,6 +194,86 @@ class TestCollocation:
             fd[:, i] = (system.residual(xp, 1e-3, left_ref)
                         - system.residual(xm, 1e-3, left_ref)) / (2.0 * step)
         assert np.max(np.abs(jac - fd)) <= 1e-6 * np.max(np.abs(jac))
+
+
+class TestEvaluationMemo:
+    """The collocation system evaluates each distinct x once and shares it
+    between the residual, Jacobian, convergence test and trace."""
+
+    SOLVES = {"octahedral-3": lambda: solve_platonic("octahedral", 3),
+              "knoid-3-5-15": lambda: solve_knoid(BoundarySpec(3, 5, 15))}
+
+    @staticmethod
+    def _count_builds(monkeypatch):
+        builds = []
+        build = _TriangleCollocation._vertices
+
+        def counted(self, x):
+            builds.append((self, x.tobytes()))
+            return build(self, x)
+
+        monkeypatch.setattr(_TriangleCollocation, "_vertices", counted)
+        return builds
+
+    @pytest.mark.parametrize("case", list(SOLVES))
+    def test_one_build_per_distinct_iterate(self, case, monkeypatch):
+        builds = self._count_builds(monkeypatch)
+        reached = set()
+        lm = bvp.levenberg_marquardt
+
+        def seen(f):
+            def g(x, *args):
+                reached.add(x.tobytes())
+                return f(x, *args)
+            return g
+
+        def recording_lm(fun, x0, converged, *args, jac, **kwargs):
+            return lm(seen(fun), x0, seen(converged), *args, jac=seen(jac), **kwargs)
+
+        monkeypatch.setattr(bvp, "levenberg_marquardt", recording_lm)
+        assert self.SOLVES[case]().converged
+        assert len(builds) == len(set(builds))
+        assert {x for _, x in builds} == reached
+
+    def test_in_place_change_is_evaluated_afresh(self, monkeypatch):
+        builds = self._count_builds(monkeypatch)
+        system, x, left_ref = _perturbed_system("knoid")
+        before = system.residual(x, 1e-3, left_ref)
+        system.jacobian(x, 1e-3)
+        system.cr_max(x)
+        system.containment_max(x)
+        assert len(builds) == 1
+        x[system.n_boundary + 4] += 0.05
+        x[0] -= 0.1
+        after = system.residual(x, 1e-3, left_ref)
+        assert len(builds) == 2
+        fresh = _TriangleCollocation(system.tri, system.m_max, system.n_max)
+        assert not np.array_equal(after, before)
+        assert after.tobytes() == fresh.residual(x.copy(), 1e-3, left_ref).tobytes()
+        assert system.jacobian(x, 1e-3).tobytes() == fresh.jacobian(x.copy(), 1e-3).tobytes()
+        assert system.cr_max(x) == fresh.cr_max(x.copy())
+        assert system.containment_max(x) == fresh.containment_max(x.copy())
+        assert len(builds) == 3
+
+    @pytest.mark.parametrize("case", list(SOLVES))
+    def test_solve_equals_uncached_reference(self, case, monkeypatch):
+        cached = self.SOLVES[case]()
+        evaluations = []
+
+        class Uncached(_TriangleCollocation):
+            def _evaluate(self, x):
+                self._memo = (None, None)
+                evaluations.append(x)
+                return super()._evaluate(x)
+
+        monkeypatch.setattr(bvp, "_TriangleCollocation", Uncached)
+        reference = self.SOLVES[case]()
+        assert evaluations
+        assert cached.params.tobytes() == reference.params.tobytes()
+        assert cached.iterations == reference.iterations
+        assert cached.trace == reference.trace
+        assert cached.residuals == reference.residuals
+        assert cached.grid.values.tobytes() == reference.grid.values.tobytes()
 
 
 class TestSolveKnoid:

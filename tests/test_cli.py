@@ -1,12 +1,15 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import minnet
 from minnet.cli import main
 from minnet.holomorphic import power_function
-from minnet.minimal import MinimalPair
+from minnet.minimal import MinimalPair, _vertex_stars
 from minnet.net import LatticeDomain, Net3, write_net
 
 # a 2x2 net file whose positions have 2 coordinates
@@ -297,3 +300,48 @@ class TestReflectAndConjugate:
         out = tmp_path / "group.json"
         assert run(["orbit", f"{base}.iso.dnet.json", "--out", str(out)]) == 0
         assert out.read_bytes() == open(f"{base}.orbit.json", "rb").read()
+
+
+# Runs each command in one fresh interpreter and checks that numpy.ma, which
+# pytest or scipy may already have loaded in this process, stays unloaded.
+NO_MASKED_ARRAYS = """
+import sys
+from minnet.cli import main
+for argv in (
+        ["generate", "enneper", "--k", "3", "--size", "6", "--out", "e"],
+        ["verify", "e.iso.dnet.json", "--grid", "e.grid.dnet.json",
+         "--conjugate", "e.asym.dnet.json"],
+        ["reflect", "e.asym.dnet.json", "--row", "0", "--asymptotic", "--out", "r.dnet.json"]):
+    assert main(argv) == 0, argv
+    assert "numpy.ma" not in sys.modules, argv
+"""
+
+
+class TestNoMaskedArrays:
+    def test_commands_do_not_import_numpy_ma(self, tmp_path):
+        path = os.path.dirname(os.path.dirname(minnet.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [path, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", NO_MASKED_ARRAYS], cwd=tmp_path,
+                              env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+
+    @pytest.mark.parametrize("mask", [None, "origin"])
+    def test_vertex_star_groups(self, mask):
+        if mask is None:   # one row: stars of 2 and 3 points
+            dom = LatticeDomain((0, 5), (0, 0))
+        else:              # stars of 3, 4 and 5 points around the hole
+            dom = LatticeDomain((-2, 2), (-2, 2), frozenset({(0, 0), (2, 2)}))
+        points = np.random.default_rng(3).normal(size=(len(dom.vertices), 3))
+        net = Net3(dom, points)
+        every = np.arange(len(dom.vertices))
+        for vertices in (every, np.random.default_rng(4).permutation(every)[:7]):
+            stars = dom.stars[vertices]
+            size = np.count_nonzero(stars >= 0, axis=1)
+            expected = [(np.flatnonzero(size == k), k) for k in np.unique(size)]
+            groups = _vertex_stars(net, vertices)
+            assert [(rows.tolist(), pts.shape[1]) for rows, pts in groups] == \
+                [(rows.tolist(), k) for rows, k in expected]
+            for rows, pts in groups:
+                want = points[stars[rows][stars[rows] >= 0]].reshape(len(rows), -1, 3)
+                assert pts.tobytes() == want.tobytes()
