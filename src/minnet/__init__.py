@@ -6,8 +6,7 @@ symmetry-orbit assembly, and a boundary-value solver for cross-ratio -1
 grids reproducing k-noids and Platonic-symmetric nets.
 """
 
-from .bvp import (BoundarySpec, PlatonicPreset, SolveResult, knoid_metrics,
-                  knoid_residual, platonic_preset, smooth_knoid_seed,
+from .bvp import (BoundarySpec, PlatonicPreset, SolveResult, platonic_preset,
                   solve_knoid, solve_platonic)
 from .errors import MinnetError
 from .holomorphic import (INF, HoloGrid, MobiusInversion, MobiusSimilarity,

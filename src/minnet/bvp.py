@@ -14,15 +14,8 @@ puncture 1 (the catenoidal end) excluded.  Monotone boundary sequences are
 encoded through cumulative exponentials so that every unconstrained
 parameter vector is feasible.
 
-knoid_residual implements the shooting form: the interior is propagated
-from the m=0 column and n=0 row, and the residual compares the
-reconstructed top row against the unit circle plus containment penalties.
-Shooting alone turns out to be badly conditioned (propagation across the
-grid amplifies boundary perturbations and drags optimizers into collapsed
-configurations), so solve_knoid minimizes the equivalent collocation
-system instead: all interior vertices are unknowns and every quad
-contributes its cross-ratio deviation directly.
-
+solve_knoid minimizes a collocation system: all interior vertices are
+unknowns and every quad contributes its cross-ratio deviation directly.
 The collocation residual is evaluated on one complex vertex array, and
 Levenberg-Marquardt gets its Jacobian in closed form (the sparse-structured
 Jacobian of Nocedal & Wright, Numerical Optimization, ch. 10).  Each quad's
@@ -46,15 +39,14 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (AtInfinity, DegenerateQuad, InfeasibleSpec, NoConvergence,
-                     PropagationBlowup)
-from .holomorphic import HoloGrid, propagate_fourth, validate_holomorphic
-from .mobius import c_abs
-from .net import EdgeLabels, LatticeDomain, Vertex
+from .errors import InfeasibleSpec, NoConvergence
+from .holomorphic import HoloGrid, validate_holomorphic
+from .mobius import Frozen, c_abs
+from .net import EdgeLabels, LatticeDomain
 
 EXP_CLIP = 300.0
 
@@ -63,13 +55,12 @@ EXP_CLIP = 300.0
 # Specs and results
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BoundarySpec:
+class BoundarySpec(Frozen):
     """k-noid boundary data: symmetry order k and grid truncation."""
 
-    k: int
-    n_max: int
-    m_max: int
+    def __init__(self, k: int, n_max: int, m_max: int):
+        self.__dict__.update(k=k, n_max=n_max, m_max=m_max)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.k < 3:
@@ -96,7 +87,6 @@ class BoundarySpec:
         return max(radial, angular)
 
 
-@dataclass
 class SolveResult:
     """Solved grid with residual maxima and total iteration count.
 
@@ -106,12 +96,12 @@ class SolveResult:
     was accepted.
     """
 
-    grid: HoloGrid
-    residuals: dict[str, float]
-    iterations: int
-    converged: bool
-    params: np.ndarray | None = field(repr=False, default=None)
-    trace: list[dict] = field(repr=False, default_factory=list)
+    def __init__(self, grid: HoloGrid, residuals: dict[str, float], iterations: int,
+                 converged: bool, params: np.ndarray | None = None,
+                 trace: list[dict] | None = None):
+        self.grid, self.residuals, self.iterations = grid, residuals, iterations
+        self.converged, self.params = converged, params
+        self.trace = [] if trace is None else trace
 
 
 # ---------------------------------------------------------------------------
@@ -149,19 +139,6 @@ def _increasing_closed_inverse(r: np.ndarray, upper: float) -> np.ndarray:
     return np.log(np.maximum(np.diff(np.concatenate(([0.0], s))), 1e-300))
 
 
-def _decreasing_from(w: np.ndarray, top: float) -> np.ndarray:
-    """Strictly decreasing sequence in (0, top) starting below top."""
-    s = np.cumsum(np.exp(np.clip(w, -EXP_CLIP, EXP_CLIP)))
-    return top * (1.0 - s / (s[-1] + 1.0))
-
-
-def _decreasing_from_inverse(theta: np.ndarray, top: float) -> np.ndarray:
-    frac = np.clip(1.0 - np.asarray(theta, dtype=float) / top, 1e-12, 1 - 1e-12)
-    s_last = frac[-1] / (1.0 - frac[-1])
-    s = frac * (s_last + 1.0)
-    return np.log(np.maximum(np.diff(np.concatenate(([0.0], s))), 1e-300))
-
-
 def _monotone_floor(r) -> np.ndarray:
     """Nudge a nearly-monotone sequence to be strictly increasing."""
     out = np.maximum.accumulate(np.asarray(r, dtype=float))
@@ -172,123 +149,8 @@ def _monotone_floor(r) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# k-noid parameters and shooting residual
-# ---------------------------------------------------------------------------
-
-def _split_params(params: np.ndarray, spec: BoundarySpec):
-    m, n = spec.m_max, spec.n_max
-    if len(params) != 2 * m + n - 1:
-        raise ValueError(f"expected {2 * m + n - 1} parameters, got {len(params)}")
-    return params[:m], params[m:m + n - 1], params[m + n - 1:]
-
-
-def decode_knoid_params(params: np.ndarray, spec: BoundarySpec):
-    """Parameter vector -> (row radii, column radii, arc angles), monotone."""
-    u, v, w = _split_params(np.asarray(params, dtype=float), spec)
-    return (_increasing_open(u, 1.0), _increasing_closed(v, 1.0),
-            _decreasing_from(w, spec.ray_angle))
-
-
-def encode_knoid_params(row: np.ndarray, col: np.ndarray, thetas: np.ndarray,
-                        spec: BoundarySpec) -> np.ndarray:
-    return np.concatenate([
-        _increasing_open_inverse(row, 1.0),
-        _increasing_closed_inverse(col, 1.0),
-        _decreasing_from_inverse(thetas, spec.ray_angle),
-    ])
-
-
-def _propagate_grid(spec: BoundarySpec, row: np.ndarray, col: np.ndarray
-                    ) -> dict[Vertex, complex]:
-    """Interior fill by cr=-1 propagation from the m=0 column and n=0 row."""
-    values: dict[Vertex, complex] = {(0, 0): 0j}
-    direction = cmath.exp(1j * spec.ray_angle)
-    for m in range(1, spec.m_max + 1):
-        values[(m, 0)] = complex(row[m - 1])
-    for n in range(1, spec.n_max):
-        values[(0, n)] = col[n - 1] * direction
-    values[(0, spec.n_max)] = spec.corner_value
-    for n in range(1, spec.n_max + 1):
-        for m in range(1, spec.m_max + 1):
-            try:
-                g3 = propagate_fourth(values[(m - 1, n - 1)], values[(m, n - 1)],
-                                      values[(m - 1, n)], -1.0, allow_infinity=False)
-            except (AtInfinity, DegenerateQuad) as exc:
-                raise PropagationBlowup(f"propagation failed at {(m, n)}: {exc}") from exc
-            if not (np.isfinite(g3.real) and np.isfinite(g3.imag)):
-                raise PropagationBlowup(f"non-finite value at {(m, n)}")
-            values[(m, n)] = g3
-    return values
-
-
-def knoid_residual(params: np.ndarray, spec: BoundarySpec) -> np.ndarray:
-    """Shooting residual of the k-noid problem.
-
-    Components: per-quad cross-ratio deviations from -1 (zero up to
-    roundoff since the interior is the exact propagation), the deviation
-    |g_{m,n_max}| - 1 of the reconstructed top row from the unit circle,
-    and the wedge containment penalty of every vertex.  The arc-angle
-    block of the parameter vector determines no residual component; the
-    realized angles are the arguments of the reconstructed top row.
-    """
-    row, col, _ = decode_knoid_params(params, spec)
-    values = _propagate_grid(spec, row, col)
-    out = []
-    for q_m in range(spec.m_max):
-        for q_n in range(spec.n_max):
-            cr = _cr4(values[(q_m, q_n)], values[(q_m + 1, q_n)],
-                      values[(q_m + 1, q_n + 1)], values[(q_m, q_n + 1)])
-            out.append(abs(cr + 1.0))
-    for m in range(1, spec.m_max + 1):
-        out.append(abs(values[(m, spec.n_max)]) - 1.0)
-    for v in sorted(values):
-        out.append(spec.region_distance(values[v]))
-    return np.array(out)
-
-
-def knoid_metrics(params: np.ndarray, spec: BoundarySpec) -> dict[str, float]:
-    """Max residuals of the shooting reconstruction for given parameters."""
-    row, col, _ = decode_knoid_params(params, spec)
-    values = _propagate_grid(spec, row, col)
-    boundary = max(abs(abs(values[(m, spec.n_max)]) - 1.0)
-                   for m in range(1, spec.m_max + 1))
-    containment = max(spec.region_distance(values[v]) for v in values)
-    return {"boundary": boundary, "containment": containment}
-
-
-def smooth_knoid_seed(spec: BoundarySpec) -> np.ndarray:
-    """Seed from g(w) = (tanh w)^((2k-2)/k) on a uniform square w-grid."""
-    g = _smooth_knoid_map(spec)
-    h = (math.pi / 4.0) / spec.n_max
-    row = np.array([g(m * h).real for m in range(1, spec.m_max + 1)])
-    col = np.array([abs(g(1j * n * h)) for n in range(1, spec.n_max)])
-    thetas = np.array([cmath.phase(g(m * h + 1j * math.pi / 4.0))
-                       for m in range(1, spec.m_max + 1)])
-    return encode_knoid_params(row, col, thetas, spec)
-
-
-def _smooth_knoid_map(spec: BoundarySpec):
-    power = (2.0 * spec.k - 2.0) / spec.k
-
-    def g(w: complex) -> complex:
-        t = cmath.tanh(w)
-        if t == 0:
-            return 0j
-        return cmath.exp(power * cmath.log(t))
-
-    return g
-
-
-# ---------------------------------------------------------------------------
 # Damped least squares
 # ---------------------------------------------------------------------------
-
-def _cr4(a: complex, b: complex, c: complex, d: complex) -> complex:
-    den = (b - c) * (d - a)
-    if den == 0:
-        return complex(1e9, 0.0)
-    return ((a - b) * (c - d)) / den
-
 
 def _jacobian(fun, x: np.ndarray, r0: np.ndarray) -> np.ndarray:
     """Central-difference Jacobian, for callers without a closed form."""
@@ -310,7 +172,10 @@ def levenberg_marquardt(fun, x0: np.ndarray, converged, max_iter: int = 500,
     """Damped Gauss-Newton with multiplicative damping schedule.
 
     jac(x) gives the Jacobian of fun at x; without it a central difference
-    is taken.  A trial step is accepted when it lowers the cost |fun|^2.
+    is taken (_jacobian).  Both collocation solves pass jac; the fallback
+    stays for callers with no closed form, such as the benchmark's toy
+    problem, whose finite-difference probes perfbench/tracing.py counts.
+    A trial step is accepted when it lowers the cost |fun|^2.
     on_iteration(x, cost, lam, accepted), when given, is called after every
     iteration with the iterate, its cost and the damping of the last trial.
     converged and on_iteration only receive iterates that fun has already
@@ -359,8 +224,7 @@ def levenberg_marquardt(fun, x0: np.ndarray, converged, max_iter: int = 500,
 # Collocation solve for circular-arc triangles with an end puncture
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Triangle:
+class _Triangle(NamedTuple):
     """Circular-arc triangle: real-axis side, ray side at angle `wedge`,
     and the circle closing them.  corner = apex on the ray, puncture = the
     excluded end corner on the real axis."""
@@ -454,8 +318,7 @@ def _cumexp(u: np.ndarray, upper: float):
     return upper * s / total, deriv
 
 
-@dataclass(frozen=True)
-class _Evaluation:
+class _Evaluation(NamedTuple):
     """Everything the collocation system reads at one parameter vector:
     the flat vertex array V, the left-column radii, dV/dx over the boundary
     columns, d(left)/dx over its block, the per-quad cross ratios with
@@ -654,6 +517,20 @@ def _knoid_triangle(spec: BoundarySpec) -> _Triangle:
                      arc_start=spec.ray_angle, arc_span=-spec.ray_angle)
 
 
+def _smooth_knoid_map(spec: BoundarySpec):
+    """g(w) = (tanh w)^((2k-2)/k), sampled on a uniform square w-grid for
+    the k-noid seed."""
+    power = (2.0 * spec.k - 2.0) / spec.k
+
+    def g(w: complex) -> complex:
+        t = cmath.tanh(w)
+        if t == 0:
+            return 0j
+        return cmath.exp(power * cmath.log(t))
+
+    return g
+
+
 def _knoid_collocation_seed(spec: BoundarySpec, system: _TriangleCollocation
                             ) -> np.ndarray:
     g = _smooth_knoid_map(spec)
@@ -724,8 +601,7 @@ def _bullet_deviation(grid: HoloGrid, tri: _Triangle) -> float:
 # Platonic presets
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PlatonicPreset:
+class PlatonicPreset(NamedTuple):
     """Möbius-triangle angles of a Platonic rotation group, with the
     catenoidal-end puncture placed at the last corner."""
 

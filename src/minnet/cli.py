@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -37,19 +36,16 @@ EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
 
-@dataclass
 class PipelineConfig:
     """Parsed invocation: family parameters, tolerances and output paths."""
 
-    command: str
-    family: str | None = None
-    params: dict = field(default_factory=dict)
-    tol: float = 1e-9
-    out: str | None = None
-    report: str | None = None
-    orbit: bool = False
-    max_word: int = 16
-    threads: int = 1
+    def __init__(self, command: str, family: str | None = None, params: dict | None = None,
+                 tol: float = 1e-9, out: str | None = None, report: str | None = None,
+                 orbit: bool = False, max_word: int = 16, threads: int = 1):
+        self.command, self.family = command, family
+        self.params = {} if params is None else params
+        self.tol, self.out, self.report = tol, out, report
+        self.orbit, self.max_word, self.threads = orbit, max_word, threads
 
 
 def _read_threads() -> int:
@@ -73,16 +69,14 @@ def steiner_offsets(count: int) -> np.ndarray:
     return np.cos(np.pi * (1.0 + 5.0 ** 0.5) * np.arange(count))
 
 
-@dataclass
 class _Nets:
     """Inputs of one battery run, its checks, and the arrays they share."""
 
-    tol: float
-    iso: Net3 | None = None
-    normals: Net3 | None = None
-    labels: EdgeLabels | None = None
-    asym: Net3 | None = None
-    grid: HoloGrid | None = None
+    def __init__(self, tol: float, iso: Net3 | None = None, normals: Net3 | None = None,
+                 labels: EdgeLabels | None = None, asym: Net3 | None = None,
+                 grid: HoloGrid | None = None):
+        self.tol, self.iso, self.normals, self.labels = tol, iso, normals, labels
+        self.asym, self.grid = asym, grid
 
     @cached_property
     def quads(self) -> tuple:

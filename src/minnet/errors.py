@@ -77,10 +77,6 @@ class OrbitExplosion(MinnetError):
     """Generated symmetry group exceeded the configured cap."""
 
 
-class PropagationBlowup(MinnetError):
-    """Interior cross-ratio propagation hit infinity or degeneracy."""
-
-
 class NoConvergence(MinnetError):
     """Solver stopped before reaching the requested tolerance."""
 

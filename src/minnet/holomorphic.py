@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,7 +31,6 @@ from .net import (CheckReport, EdgeLabels, LatticeDomain, Net3, Vertex, edge_loo
                   integrate_edges, json_to_bundle, load_json, net_to_json, worst_report)
 
 
-@dataclass
 class HoloGrid:
     """Discrete holomorphic function candidate with its edge labels.
 
@@ -39,10 +38,10 @@ class HoloGrid:
     where the boolean array inf is set, g is ∞ (and values holds 0).
     """
 
-    domain: LatticeDomain
-    values: np.ndarray
-    labels: EdgeLabels
-    inf: np.ndarray | None = None
+    def __init__(self, domain: LatticeDomain, values: np.ndarray, labels: EdgeLabels,
+                 inf: np.ndarray | None = None):
+        self.domain, self.values, self.labels, self.inf = domain, values, labels, inf
+        self.__post_init__()
 
     def __post_init__(self):
         count = len(self.domain.vertices)
@@ -258,8 +257,7 @@ def power_function(gamma: float, m_extent: int, n_extent: int) -> HoloGrid:
 # Möbius maps on grids
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MobiusSimilarity:
+class MobiusSimilarity(NamedTuple):
     """z ↦ a*z + b with a nonzero."""
 
     a: complex
@@ -271,7 +269,6 @@ class MobiusSimilarity:
         return self.a * z + self.b
 
 
-@dataclass(frozen=True)
 class MobiusInversion:
     """z ↦ 1/z; swaps 0 and ∞."""
 

@@ -21,7 +21,7 @@ along the common quad normal n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -170,8 +170,8 @@ def is_asymptotic(net: Net3, tol: float = 1e-9) -> CheckReport:
     quads = net.quad_array()
     flat = planarity_residuals(quads) <= tol * np.maximum(point_scales(quads), 1e-300)
     degenerate = [net.domain.quads[i] for i in np.flatnonzero(flat)]
-    return replace(worst_report(res, verts, tol, scale),
-                   extra={"degenerate_quads": degenerate, "nondegenerate_ok": not degenerate})
+    return worst_report(res, verts, tol, scale)._replace(
+        extra={"degenerate_quads": degenerate, "nondegenerate_ok": not degenerate})
 
 
 def tangent_normals(net: Net3, vertices=None) -> np.ndarray:
@@ -235,8 +235,7 @@ def mixed_area(quad_f, quad_g, tol: float = 1e-9) -> np.ndarray:
     return 0.25 * (np.cross(df_ik, dg_jl) + np.cross(dg_ik, df_jl))
 
 
-@dataclass(frozen=True)
-class QuadCurvature:
+class QuadCurvature(NamedTuple):
     """Mean/Gaussian curvature of one quad from the mixed-area ratios."""
 
     H: float
@@ -324,8 +323,7 @@ def offset_net(net: Net3, normals: Net3, t: float, tol: float = 1e-9) -> Net3:
 # Minimal pairs
 # ---------------------------------------------------------------------------
 
-@dataclass
-class MinimalPair:
+class MinimalPair(NamedTuple):
     """Isothermic/asymptotic minimal nets sharing one Gauss map."""
 
     isothermic: Net3

@@ -16,13 +16,24 @@ Conventions used throughout the toolkit:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DegenerateFit, DegenerateQuad
 
 GAP_EPS = 1e-12
+
+
+class Frozen:
+    """Base of value records whose fields __init__ sets through __dict__;
+    assigning or deleting an attribute afterwards raises AttributeError."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -91,17 +102,14 @@ def c_abs(z) -> np.ndarray:
 # Quaternions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Quaternion:
+class Quaternion(Frozen):
     """Hamilton quaternion w + x*i + y*j + z*k.
 
     Components are floats, or equal-shape arrays for many quaternions at once.
     """
 
-    w: float
-    x: float
-    y: float
-    z: float
+    def __init__(self, w: float, x: float, y: float, z: float):
+        self.__dict__.update(w=w, x=x, y=y, z=z)
 
     @staticmethod
     def from_point(p) -> "Quaternion":
@@ -148,8 +156,7 @@ class Quaternion:
         return Quaternion(s * self.w, s * self.x, s * self.y, s * self.z)
 
 
-@dataclass(frozen=True)
-class CrossRatioValue:
+class CrossRatioValue(NamedTuple):
     """Eigenvalue pair {re ± i·im_mag} of a quaternionic cross ratio."""
 
     re: float
@@ -268,20 +275,19 @@ def _unit(v) -> np.ndarray:
     return v / n
 
 
-@dataclass(frozen=True)
-class PlaneR3:
+class PlaneR3(Frozen):
     """Plane {x in R^3 : normal·x = offset} with unit normal."""
 
-    normal: np.ndarray
-    offset: float
+    def __init__(self, normal: np.ndarray, offset: float):
+        self.__dict__.update(normal=normal, offset=offset)
+        self.__post_init__()
 
     def __post_init__(self):
         n = np.asarray(self.normal, dtype=float)
         scale = np.linalg.norm(n)
         if scale < 1e-14:
             raise ValueError("plane normal must be nonzero")
-        object.__setattr__(self, "normal", n / scale)
-        object.__setattr__(self, "offset", float(self.offset) / scale)
+        self.__dict__.update(normal=n / scale, offset=float(self.offset) / scale)
 
     @staticmethod
     def from_point_normal(point, normal) -> "PlaneR3":
@@ -295,34 +301,32 @@ class PlaneR3:
         return abs(self.signed_distance(p)) <= tol
 
 
-@dataclass(frozen=True)
-class LineR3:
+class LineR3(Frozen):
     """Line base + R·direction with unit direction."""
 
-    base: np.ndarray
-    direction: np.ndarray
+    def __init__(self, base: np.ndarray, direction: np.ndarray):
+        self.__dict__.update(base=base, direction=direction)
+        self.__post_init__()
 
     def __post_init__(self):
-        object.__setattr__(self, "base", np.asarray(self.base, dtype=float))
-        object.__setattr__(self, "direction", _unit(self.direction))
+        self.__dict__.update(base=np.asarray(self.base, dtype=float),
+                             direction=_unit(self.direction))
 
     def distance(self, p) -> float:
         d = np.asarray(p, dtype=float) - self.base
         return float(np.linalg.norm(d - np.dot(d, self.direction) * self.direction))
 
 
-@dataclass(frozen=True, eq=False)
-class Isometry:
+class Isometry(Frozen):
     """Rigid motion p ↦ matrix @ p + translation.
 
     kind is one of 'plane_reflection', 'line_rotation_180', 'identity' or
     'composition'; the matrix is orthogonal in all cases.
     """
 
-    kind: str
-    matrix: np.ndarray
-    translation: np.ndarray
-    source: object = field(default=None, repr=False)
+    def __init__(self, kind: str, matrix: np.ndarray, translation: np.ndarray,
+                 source: object = None):
+        self.__dict__.update(kind=kind, matrix=matrix, translation=translation, source=source)
 
     @staticmethod
     def identity() -> "Isometry":

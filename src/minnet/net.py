@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DegenerateQuad, DomainMismatch, NotCircular, ParseError
-from .mobius import GAP_EPS, Quaternion
+from .mobius import GAP_EPS, Frozen, Quaternion
 
 Vertex = tuple[int, int]
 Quad = tuple[int, int]
@@ -28,20 +28,21 @@ Quad = tuple[int, int]
 MIN_EDGE = 1e-12
 
 
-@dataclass(frozen=True)
-class LatticeDomain:
+class LatticeDomain(Frozen):
     """Masked rectangular subset of Z^2; ranges are inclusive.
 
     Every table derives from `present`, a boolean array over the box, with
-    whole-array numpy.  Vertices are numbered in m-major order.
+    whole-array numpy.  Vertices are numbered in m-major order.  Domains
+    compare and hash by their ranges and mask.
     """
 
-    m_range: tuple[int, int]
-    n_range: tuple[int, int]
-    mask: frozenset[Vertex] = frozenset()
+    def __init__(self, m_range: tuple[int, int], n_range: tuple[int, int],
+                 mask: frozenset[Vertex] = frozenset()):
+        self.__dict__.update(m_range=m_range, n_range=n_range, mask=mask)
+        self.__post_init__()
 
     def __post_init__(self):
-        object.__setattr__(self, "mask", frozenset(tuple(v) for v in self.mask))
+        self.__dict__["mask"] = frozenset(tuple(v) for v in self.mask)
         if self.m_range[0] > self.m_range[1] or self.n_range[0] > self.n_range[1]:
             raise ValueError("empty lattice range")
         for v in self.mask:
@@ -52,6 +53,17 @@ class LatticeDomain:
         count = len(self.coords)
         if not count or (self.mask and sum(len(t[0]) for t in self.spanning_tree()) < count - 1):
             raise ValueError("domain is not edge-connected")
+
+    def _key(self) -> tuple:
+        return self.m_range, self.n_range, self.mask
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def m0(self) -> int:
@@ -200,8 +212,7 @@ class LatticeDomain:
                              frozenset((n, m) for m, n in self.mask))
 
 
-@dataclass(frozen=True)
-class EdgeLabels:
+class EdgeLabels(Frozen):
     """Cross-ratio factorizing functions stored per column (alpha) and row (beta).
 
     alpha[m] labels horizontal edges (m,n)-(m+1,n); beta[n] labels vertical
@@ -209,12 +220,12 @@ class EdgeLabels:
     by construction.
     """
 
-    alpha: dict[int, float]
-    beta: dict[int, float]
+    def __init__(self, alpha: dict[int, float], beta: dict[int, float]):
+        self.__dict__.update(alpha=alpha, beta=beta)
+        self.__post_init__()
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", dict(self.alpha))
-        object.__setattr__(self, "beta", dict(self.beta))
+        self.__dict__.update(alpha=dict(self.alpha), beta=dict(self.beta))
 
     @staticmethod
     def constant(domain: LatticeDomain, alpha: float = 1.0, beta: float = -1.0) -> "EdgeLabels":
@@ -252,7 +263,6 @@ class EdgeLabels:
         return EdgeLabels(dict(self.beta), dict(self.alpha))
 
 
-@dataclass
 class Net3:
     """Discrete net: (vertices, 3) positions in R^3 in `domain.vertices` order.
 
@@ -260,9 +270,9 @@ class Net3:
     check_edges=False since parallel Gauss maps can have vanishing edges.
     """
 
-    domain: LatticeDomain
-    points: np.ndarray
-    check_edges: bool = True
+    def __init__(self, domain: LatticeDomain, points: np.ndarray, check_edges: bool = True):
+        self.domain, self.points, self.check_edges = domain, points, check_edges
+        self.__post_init__()
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=float)
@@ -320,8 +330,7 @@ def edge_loops(domain: LatticeDomain, increments: np.ndarray) -> np.ndarray:
     return ij + jk - lk - il
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     """Outcome of a per-quad or per-vertex verification pass.
 
     scale is what the residual at worst was divided by (1.0 for absolute
@@ -332,7 +341,7 @@ class CheckReport:
     max_residual: float
     worst: object = None
     scale: float = 1.0
-    extra: dict = field(default_factory=dict)
+    extra: dict = {}          # shared default: never mutated in place
 
 
 def worst_report(residuals, locations, tol: float, scales=None) -> CheckReport:
@@ -503,8 +512,7 @@ def planarity_residuals(pts: np.ndarray) -> np.ndarray:
 # Serialization (.dnet.json)
 # ---------------------------------------------------------------------------
 
-@dataclass
-class NetBundle:
+class NetBundle(NamedTuple):
     """Contents of a net file: the net plus optional labels and normal field."""
 
     net: Net3

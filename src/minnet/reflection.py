@@ -13,7 +13,7 @@ weld the transformed copies into a single quad mesh.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,8 +29,7 @@ from .net import EdgeLabels, LatticeDomain, Net3, Vertex
 # Boundary analyses
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BoundaryAnalysis:
+class BoundaryAnalysis(NamedTuple):
     """Classification of one boundary lattice line."""
 
     axis: str                 # 'row' or 'col'
@@ -40,7 +39,7 @@ class BoundaryAnalysis:
     line: LineR3 | None = None
     gauss_circle: str = "none"   # 'great_circle' | 'small_circle' | 'none'
     gauss_plane: PlaneR3 | None = None
-    residuals: dict = field(default_factory=dict)
+    residuals: dict = {}      # shared default: never mutated in place
     scale: float = 1.0        # bounding-box diagonal of the line, for tol * scale
 
 
@@ -341,17 +340,19 @@ def corner_angles(net: Net3, normals: Net3, corner: Vertex,
 # Symmetry orbits
 # ---------------------------------------------------------------------------
 
-@dataclass
 class SymmetryOrbit:
-    """Closed isometry group applied to a fundamental piece, welded."""
+    """Closed isometry group applied to a fundamental piece, welded.
 
-    fundamental: Net3
-    generators: list[Isometry]
-    elements: list[Isometry]
-    vertices: np.ndarray
-    faces: list[tuple[int, int, int, int]]
-    weld_residual: float      # max weld distance relative to the mesh scale
-    weld_tol: float
+    weld_residual is the max weld distance relative to the mesh scale.
+    """
+
+    def __init__(self, fundamental: Net3, generators: list[Isometry],
+                 elements: list[Isometry], vertices: np.ndarray,
+                 faces: list[tuple[int, int, int, int]], weld_residual: float,
+                 weld_tol: float):
+        self.fundamental, self.generators, self.elements = fundamental, generators, elements
+        self.vertices, self.faces = vertices, faces
+        self.weld_residual, self.weld_tol = weld_residual, weld_tol
 
     def scale(self) -> float:
         return float(np.linalg.norm(self.vertices.max(axis=0) - self.vertices.min(axis=0)))

@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from minnet import bvp
-from minnet.bvp import (BoundarySpec, PlatonicPreset, _CatenoidSeedSpec, _cr4,
-                        _increasing_closed, _increasing_open,
+from minnet.bvp import (BoundarySpec, PlatonicPreset, _CatenoidSeedSpec,
+                        _increasing_closed, _increasing_closed_inverse,
+                        _increasing_open, _increasing_open_inverse,
                         _knoid_collocation_seed, _knoid_triangle,
                         _reencode_between, _spherical_triangle,
-                        _TriangleCollocation, decode_knoid_params,
-                        encode_knoid_params, knoid_residual, platonic_preset,
-                        smooth_knoid_seed, solve_knoid, solve_platonic)
+                        _TriangleCollocation, platonic_preset, solve_knoid,
+                        solve_platonic)
 from minnet.errors import InfeasibleSpec, NoConvergence
 from minnet.holomorphic import validate_holomorphic
 
@@ -33,60 +33,79 @@ class TestBoundarySpec:
         assert abs(spec.corner_value - cmath.exp(2j * math.pi / 3)) < 1e-15
 
 
+def _knoid_system(spec):
+    return _TriangleCollocation(_knoid_triangle(spec), spec.m_max, spec.n_max)
+
+
 class TestEncodings:
+    """The cumulative-exp encodings of the collocation system's bottom row,
+    left column and arc row: every real vector decodes to monotone
+    sequences inside the triangle's sides."""
+
     def test_monotone_for_random_vectors(self):
         rng = np.random.default_rng(41)
         spec = BoundarySpec(4, 3, 8)
+        system = _knoid_system(spec)
+        tri, m_max, n_max, nb = system.tri, spec.m_max, spec.n_max, system.n_boundary
         for _ in range(50):
-            params = rng.normal(size=2 * spec.m_max + spec.n_max - 1) * 3
-            row, col, thetas = decode_knoid_params(params, spec)
-            assert np.all(np.diff(row) > 0)
-            assert np.all(row > 0) and np.all(row < 1)
-            assert np.all(np.diff(col) > 0)
-            assert np.all(col > 0) and np.all(col < 1)
+            x = rng.normal(size=system.n_params) * 3
+            row = _increasing_open(x[:m_max], tri.puncture)
+            col = _increasing_closed(x[m_max:m_max + n_max - 1], abs(tri.corner))
+            frac = _increasing_open(x[m_max + n_max - 1:nb], 1.0)
+            for seq in (row, col, frac):
+                assert np.all(np.diff(seq) > 0)
+                assert np.all(seq > 0) and np.all(seq < 1)
+            v = system.vertices(x)
+            assert np.array_equal(v[1:, 0], row)
+            assert np.array_equal(v[0, 1:n_max], col * cmath.exp(1j * tri.wedge))
+            thetas = np.angle(v[1:, n_max])
             assert np.all(np.diff(thetas) < 0)
             assert np.all(thetas > 0) and np.all(thetas < spec.ray_angle)
 
     def test_round_trip(self):
         spec = BoundarySpec(3, 3, 6)
+        system = _knoid_system(spec)
         row = np.array([0.1, 0.25, 0.4, 0.6, 0.8, 0.95])
         col = np.array([0.3, 0.7])
         thetas = np.array([1.8, 1.2, 0.7, 0.4, 0.2, 0.1])
-        params = encode_knoid_params(row, col, thetas, spec)
-        row2, col2, thetas2 = decode_knoid_params(params, spec)
-        assert np.allclose(row, row2, atol=1e-12)
-        assert np.allclose(col, col2, atol=1e-12)
-        assert np.allclose(thetas, thetas2, atol=1e-12)
+        frac = 1.0 - thetas / spec.ray_angle
+        for seq, upper in ((row, 1.0), (frac, 1.0), (0.5 * row, 0.5)):
+            assert np.allclose(_increasing_open(_increasing_open_inverse(seq, upper), upper),
+                               seq, atol=1e-12)
+        assert np.allclose(_increasing_closed(_increasing_closed_inverse(col, 1.0), 1.0),
+                           col, atol=1e-12)
+        interior = np.arange(12).reshape(6, 2) * (0.01 + 0.02j) + 0.1
+        v = system.vertices(system.encode(row, col, frac, interior))
+        assert np.allclose(v[1:, 0], row, atol=1e-12)
+        assert np.allclose(v[0, 1:3], col * spec.corner_value, atol=1e-12)
+        assert np.allclose(np.angle(v[1:, 3]), thetas, atol=1e-12)
+        assert np.array_equal(v[1:, 1:3], interior)
 
     def test_extreme_vectors_do_not_overflow(self):
         spec = BoundarySpec(3, 2, 4)
-        params = np.full(2 * 4 + 1, 1e4)
-        row, col, thetas = decode_knoid_params(params, spec)
-        assert np.all(np.isfinite(row)) and np.all(np.isfinite(thetas))
+        system = _knoid_system(spec)
+        for value in (1e4, -1e4):
+            x = np.full(system.n_params, value)
+            assert np.all(np.isfinite(_increasing_open(x[:4], 1.0)))
+            assert np.all(np.isfinite(_increasing_closed(x[4:5], 1.0)))
+            assert np.all(np.isfinite(system.vertices(x)))
 
 
 class TestKnoidResidual:
-    def test_wrong_length_rejected(self):
-        spec = BoundarySpec(3, 3, 10)
-        with pytest.raises(ValueError):
-            knoid_residual(np.zeros(5), spec)
-
     def test_oracle_optimizer_decreases_residual(self):
-        # independent generic least-squares run on a tiny spec
+        # independent generic least-squares run on the collocation system
         from scipy.optimize import least_squares
 
-        spec = BoundarySpec(3, 1, 3)
-        x0 = smooth_knoid_seed(spec) + 0.3
-        r0 = np.linalg.norm(knoid_residual(x0, spec))
-
-        def fun(x):
-            try:
-                return knoid_residual(x, spec)
-            except Exception:
-                return np.full(len(knoid_residual(x0, spec)), 1e3)
-
-        sol = least_squares(fun, x0, method="lm", max_nfev=2000)
+        spec = BoundarySpec(3, 3, 10)
+        system = _knoid_system(spec)
+        x0 = _knoid_collocation_seed(spec, system)
+        left_ref = np.abs(system.vertices(x0)[0, 1:spec.n_max])
+        r0 = np.linalg.norm(system.residual(x0, 1e-3, left_ref))
+        sol = least_squares(lambda x: system.residual(x, 1e-3, left_ref), x0,
+                            jac=lambda x: system.jacobian(x, 1e-3), method="lm",
+                            max_nfev=2000)
         assert np.linalg.norm(sol.fun) < 0.5 * r0
+        assert system.cr_max(sol.x) <= 1e-6
 
     def test_converged_solution_top_row_on_circle(self, trinoid_result):
         spec = BoundarySpec(3, 3, 10)
@@ -132,6 +151,14 @@ def _perturbed_system(case):
     put(m_max - 1, system.n_max - 1, tri.center + 1.1 * edge)
     left_ref = _increasing_closed(x[m_max:m_max + system.n_max - 1], size) + 0.01
     return system, x, left_ref
+
+
+def _cr4(a: complex, b: complex, c: complex, d: complex) -> complex:
+    """Scalar cross ratio, 1e9 where (b-c)(d-a) vanishes."""
+    den = (b - c) * (d - a)
+    if den == 0:
+        return complex(1e9, 0.0)
+    return ((a - b) * (c - d)) / den
 
 
 def _loop_residual(system, x, reg_weight, left_ref):
@@ -323,8 +350,10 @@ class TestSolveKnoid:
         assert err.value.result is not None
 
     def test_seed_length_check(self):
-        with pytest.raises(InfeasibleSpec):
-            solve_knoid(BoundarySpec(3, 2, 6), seed_params=np.zeros(3))
+        # 3 parameters, and the 2 m_max + n_max - 1 = 13 of a boundary-only vector
+        for length in (3, 13):
+            with pytest.raises(InfeasibleSpec):
+                solve_knoid(BoundarySpec(3, 2, 6), seed_params=np.zeros(length))
 
 
 class TestSolvePlatonic:

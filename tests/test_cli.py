@@ -317,13 +317,18 @@ for argv in (
 """
 
 
+def run_python(code, cwd):
+    """Run code in a fresh interpreter that imports this minnet."""
+    path = os.path.dirname(os.path.dirname(minnet.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [path, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
+                          capture_output=True, text=True)
+
+
 class TestNoMaskedArrays:
     def test_commands_do_not_import_numpy_ma(self, tmp_path):
-        path = os.path.dirname(os.path.dirname(minnet.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [path, os.environ.get("PYTHONPATH")])))
-        done = subprocess.run([sys.executable, "-c", NO_MASKED_ARRAYS], cwd=tmp_path,
-                              env=env, capture_output=True, text=True)
+        done = run_python(NO_MASKED_ARRAYS, tmp_path)
         assert done.returncode == 0, done.stderr
 
     @pytest.mark.parametrize("mask", [None, "origin"])
@@ -345,3 +350,10 @@ class TestNoMaskedArrays:
             for rows, pts in groups:
                 want = points[stars[rows][stars[rows] >= 0]].reshape(len(rows), -1, 3)
                 assert pts.tobytes() == want.tobytes()
+
+
+def test_import_generates_no_dataclasses(tmp_path):
+    # every command pays its imports; @dataclass builds methods through exec
+    done = run_python("import sys, minnet.cli\n"
+                      "assert 'dataclasses' not in sys.modules", tmp_path)
+    assert done.returncode == 0, done.stderr
