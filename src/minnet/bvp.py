@@ -402,6 +402,9 @@ class _TriangleCollocation:
         is evaluated afresh; its arrays are read-only because callers share
         them."""
         x = np.asarray(x, dtype=float)
+        if x.shape != (self.n_params,):
+            raise ValueError(f"expected {self.n_params} collocation parameters, "
+                             f"got an array of shape {x.shape}")
         key = x.tobytes()
         if self._memo[0] != key:
             v, left, dv, d_left = self._vertices(x)

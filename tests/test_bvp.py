@@ -92,6 +92,19 @@ class TestEncodings:
 
 
 class TestKnoidResidual:
+    def test_wrong_length_rejected(self):
+        spec = BoundarySpec(3, 3, 10)
+        system = _knoid_system(spec)
+        left_ref = np.ones(spec.n_max - 1)
+        # a short vector, one parameter too few or too many, and the
+        # 2 m_max + n_max - 1 entries of a boundary-only vector
+        for length in (5, system.n_params - 1, system.n_params + 1,
+                       system.n_boundary):
+            with pytest.raises(ValueError, match="collocation parameters"):
+                system.residual(np.zeros(length), 1e-3, left_ref)
+            with pytest.raises(ValueError, match="collocation parameters"):
+                system.jacobian(np.zeros(length), 1e-3)
+
     def test_oracle_optimizer_decreases_residual(self):
         # independent generic least-squares run on the collocation system
         from scipy.optimize import least_squares
