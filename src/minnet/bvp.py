@@ -108,29 +108,16 @@ class SolveResult:
 # Monotone encodings (total: every real vector decodes to a valid sequence)
 # ---------------------------------------------------------------------------
 
-def _increasing_open(u: np.ndarray, upper: float) -> np.ndarray:
-    """Strictly increasing sequence in (0, upper), never reaching upper."""
-    s = np.cumsum(np.exp(np.clip(u, -EXP_CLIP, EXP_CLIP)))
-    return upper * s / (s[-1] + 1.0)
-
-
 def _increasing_open_inverse(r: np.ndarray, upper: float) -> np.ndarray:
+    """The u with _cumexp(u, upper)[0] == r, for r strictly increasing in (0, upper)."""
     r = np.minimum(np.asarray(r, dtype=float), upper * (1.0 - 1e-12))
     s_last = r[-1] / (upper - r[-1])
     s = r / upper * (s_last + 1.0)
     return np.log(np.maximum(np.diff(np.concatenate(([0.0], s))), 1e-300))
 
 
-def _increasing_closed(v: np.ndarray, upper: float) -> np.ndarray:
-    """Strictly increasing interior points of (0, upper); the successor of
-    the last point is pinned at upper."""
-    if len(v) == 0:
-        return np.empty(0)
-    s = np.cumsum(np.exp(np.clip(v, -EXP_CLIP, EXP_CLIP)))
-    return upper * s / (s[-1] + 1.0)
-
-
 def _increasing_closed_inverse(r: np.ndarray, upper: float) -> np.ndarray:
+    """The same inverse for interior points of (0, upper), r possibly empty."""
     if len(r) == 0:
         return np.empty(0)
     r = np.minimum(np.asarray(r, dtype=float), upper * (1.0 - 1e-12))

@@ -10,7 +10,9 @@ set those.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
+import math
 import os
 import sys
 from functools import cached_property
@@ -524,12 +526,30 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one minnet command; returns its exit code.
+
+    On entry, every object alive moves to the collector's permanent
+    generation (gc.freeze).  An in-process caller freezes its own heap
+    with it: reference counting still frees those objects, but a
+    reference cycle that is already unreachable at the call stays in
+    memory until the process exits.
+    """
+    # The ~22,000 objects that importing numpy and minnet creates live until
+    # exit.  Frozen, neither the collections during the command nor the final
+    # ones at interpreter exit walk them again (about 30 ms per process).
+    gc.freeze()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
+        # inf passes every check and NaN or a negative bound fails every one
+        for name in ("tol", "solver_tol"):
+            value = getattr(args, name, 0.0)
+            if not 0.0 <= value < math.inf:
+                raise BadParameter(f"--{name.replace('_', '-')} must be finite and "
+                                   f"non-negative, got {value}")
         threads = _read_threads()
         if args.command == "generate":
             params = {k: v for k, v in vars(args).items() if k not in (

@@ -52,7 +52,7 @@ def boundary_vertices(domain: LatticeDomain, index: int, axis: str = "row") -> n
     else:
         raise ValueError("axis must be 'row' or 'col'")
     if np.count_nonzero(verts >= 0) < 2:
-        raise ValueError(f"boundary {axis} {index} has fewer than 2 vertices")
+        raise NotReflectable(f"boundary {axis} {index} has fewer than 2 vertices")
     return verts[verts >= 0]
 
 
@@ -140,24 +140,22 @@ def analyze_boundary_asymptotic(net: Net3, index: int, axis: str = "row",
 # Extensions
 # ---------------------------------------------------------------------------
 
-def _check_extreme_row(domain: LatticeDomain, index: int) -> int:
-    """Returns +1 when index is the top row, -1 when the bottom row."""
-    if index == domain.n1:
-        return 1
-    if index == domain.n0:
-        return -1
-    raise NotReflectable(f"row {index} is not a boundary row of the domain")
+def _check_boundary_line(domain: LatticeDomain, index: int, axis: str) -> None:
+    """NotReflectable, worded with the caller's axis, unless index is the first
+    or last row (column) of a domain more than one line thick."""
+    low, high = (domain.n0, domain.n1) if axis == "row" else (domain.m0, domain.m1)
+    if index not in (low, high):
+        raise NotReflectable(f"{axis} {index} is not a boundary {axis} of the domain")
+    if low == high:
+        raise NotReflectable(f"nothing to reflect: the domain is a single {axis}")
 
 
 def _extend_rows(domain: LatticeDomain, index: int) -> tuple[LatticeDomain, np.ndarray, ...]:
-    """The domain mirrored across its boundary row index, and for each of
-    its vertices the number of the same vertex in domain (-1 for the new
+    """The domain mirrored across its first or last row index, and for each
+    of its vertices the number of the same vertex in domain (-1 for the new
     ones) and of the mirrored one."""
-    side = _check_extreme_row(domain, index)
-    depth = (index - domain.n0) if side > 0 else (domain.n1 - index)
-    if depth == 0:
-        raise NotReflectable("nothing to reflect: domain is a single row")
-    new_range = (domain.n0, index + depth) if side > 0 else (index - depth, domain.n1)
+    new_range = ((domain.n0, 2 * index - domain.n0) if index == domain.n1
+                 else (2 * index - domain.n1, domain.n1))
     mask = set(domain.mask)
     for (m, n) in domain.mask:
         mask.add((m, 2 * index - n))
@@ -196,18 +194,16 @@ def reflect_isothermic(net: Net3, normals: Net3, index: int,
     the mirrored Gauss map (cross-validated against normal propagation)
     and, when labels are given, the extended edge labels.
     """
-    if axis == "col":
-        f, n, lab = reflect_isothermic(net.transpose(), normals.transpose(),
-                                       index, "row", tol,
-                                       labels.transpose() if labels else None)
-        return f.transpose(), n.transpose(), lab.transpose() if lab else None
-
-    analysis = analyze_boundary_isothermic(net, normals, index, "row", tol)
+    _check_boundary_line(net.domain, index, axis)
+    analysis = analyze_boundary_isothermic(net, normals, index, axis, tol)
     if analysis.kind != "planar_curvature_line":
         raise NotReflectable(
-            f"row {index}: congruence-plane residual "
+            f"{axis} {index}: congruence-plane residual "
             f"{analysis.residuals['congruence_plane']:.3e}")
     iso = Isometry.plane_reflection(analysis.plane)
+    if axis == "col":
+        net, normals = net.transpose(), normals.transpose()
+        labels = labels.transpose() if labels is not None else None
 
     new_domain, old, mirror = _extend_rows(net.domain, index)
     net_ext = Net3(new_domain, _mirrored(net.points, old, mirror, iso))
@@ -224,6 +220,9 @@ def reflect_isothermic(net: Net3, normals: Net3, index: int,
 
     labels_ext = (_mirror_labels(labels, new_domain, index)
                   if labels is not None else None)
+    if axis == "col":
+        return (net_ext.transpose(), normals_ext.transpose(),
+                labels_ext.transpose() if labels_ext is not None else None)
     return net_ext, normals_ext, labels_ext
 
 
@@ -236,21 +235,23 @@ def rotate_extend_asymptotic(net: Net3, index: int, axis: str = "row",
     The boundary line at index must be straight; the new rows are the
     rotation images of the mirrored rows.
     """
-    if axis == "col":
-        f, lab = rotate_extend_asymptotic(net.transpose(), index, "row", tol,
-                                          labels.transpose() if labels else None)
-        return f.transpose(), lab.transpose() if lab else None
-
-    analysis = analyze_boundary_asymptotic(net, index, "row", tol)
+    _check_boundary_line(net.domain, index, axis)
+    analysis = analyze_boundary_asymptotic(net, index, axis, tol)
     if analysis.kind != "straight_asymptotic_line":
         raise NotReflectable(
-            f"row {index}: line residual {analysis.residuals['line']:.3e}")
+            f"{axis} {index}: line residual {analysis.residuals['line']:.3e}")
     iso = Isometry.line_rotation_180(analysis.line)
+    if axis == "col":
+        net = net.transpose()
+        labels = labels.transpose() if labels is not None else None
 
     new_domain, old, mirror = _extend_rows(net.domain, index)
+    net_ext = Net3(new_domain, _mirrored(net.points, old, mirror, iso))
     labels_ext = (_mirror_labels(labels, new_domain, index)
                   if labels is not None else None)
-    return Net3(new_domain, _mirrored(net.points, old, mirror, iso)), labels_ext
+    if axis == "col":
+        return net_ext.transpose(), labels_ext.transpose() if labels_ext is not None else None
+    return net_ext, labels_ext
 
 
 # ---------------------------------------------------------------------------

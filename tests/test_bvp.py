@@ -6,8 +6,8 @@ import pytest
 
 from minnet import bvp
 from minnet.bvp import (BoundarySpec, PlatonicPreset, _CatenoidSeedSpec,
-                        _increasing_closed, _increasing_closed_inverse,
-                        _increasing_open, _increasing_open_inverse,
+                        _cumexp, _increasing_closed_inverse,
+                        _increasing_open_inverse,
                         _knoid_collocation_seed, _knoid_triangle,
                         _reencode_between, _spherical_triangle,
                         _TriangleCollocation, platonic_preset, solve_knoid,
@@ -49,9 +49,9 @@ class TestEncodings:
         tri, m_max, n_max, nb = system.tri, spec.m_max, spec.n_max, system.n_boundary
         for _ in range(50):
             x = rng.normal(size=system.n_params) * 3
-            row = _increasing_open(x[:m_max], tri.puncture)
-            col = _increasing_closed(x[m_max:m_max + n_max - 1], abs(tri.corner))
-            frac = _increasing_open(x[m_max + n_max - 1:nb], 1.0)
+            row = _cumexp(x[:m_max], tri.puncture)[0]
+            col = _cumexp(x[m_max:m_max + n_max - 1], abs(tri.corner))[0]
+            frac = _cumexp(x[m_max + n_max - 1:nb], 1.0)[0]
             for seq in (row, col, frac):
                 assert np.all(np.diff(seq) > 0)
                 assert np.all(seq > 0) and np.all(seq < 1)
@@ -70,9 +70,9 @@ class TestEncodings:
         thetas = np.array([1.8, 1.2, 0.7, 0.4, 0.2, 0.1])
         frac = 1.0 - thetas / spec.ray_angle
         for seq, upper in ((row, 1.0), (frac, 1.0), (0.5 * row, 0.5)):
-            assert np.allclose(_increasing_open(_increasing_open_inverse(seq, upper), upper),
+            assert np.allclose(_cumexp(_increasing_open_inverse(seq, upper), upper)[0],
                                seq, atol=1e-12)
-        assert np.allclose(_increasing_closed(_increasing_closed_inverse(col, 1.0), 1.0),
+        assert np.allclose(_cumexp(_increasing_closed_inverse(col, 1.0), 1.0)[0],
                            col, atol=1e-12)
         interior = np.arange(12).reshape(6, 2) * (0.01 + 0.02j) + 0.1
         v = system.vertices(system.encode(row, col, frac, interior))
@@ -86,8 +86,8 @@ class TestEncodings:
         system = _knoid_system(spec)
         for value in (1e4, -1e4):
             x = np.full(system.n_params, value)
-            assert np.all(np.isfinite(_increasing_open(x[:4], 1.0)))
-            assert np.all(np.isfinite(_increasing_closed(x[4:5], 1.0)))
+            assert np.all(np.isfinite(_cumexp(x[:4], 1.0)[0]))
+            assert np.all(np.isfinite(_cumexp(x[4:5], 1.0)[0]))
             assert np.all(np.isfinite(system.vertices(x)))
 
 
@@ -162,7 +162,7 @@ def _perturbed_system(case):
     put(1, 1, 0.5 * size * cmath.exp(1j * (tri.wedge + 0.3)))
     edge = tri.arc_point(0.5) - tri.center
     put(m_max - 1, system.n_max - 1, tri.center + 1.1 * edge)
-    left_ref = _increasing_closed(x[m_max:m_max + system.n_max - 1], size) + 0.01
+    left_ref = _cumexp(x[m_max:m_max + system.n_max - 1], size)[0] + 0.01
     return system, x, left_ref
 
 
@@ -177,9 +177,9 @@ def _cr4(a: complex, b: complex, c: complex, d: complex) -> complex:
 def _loop_residual(system, x, reg_weight, left_ref):
     """The collocation residual vertex by vertex and quad by quad."""
     tri, m_max, n_max = system.tri, system.m_max, system.n_max
-    bottom = _increasing_open(x[:m_max], tri.puncture)
-    left = _increasing_closed(x[m_max:m_max + n_max - 1], abs(tri.corner))
-    arc = _increasing_open(x[m_max + n_max - 1:2 * m_max + n_max - 1], 1.0)
+    bottom = _cumexp(x[:m_max], tri.puncture)[0]
+    left = _cumexp(x[m_max:m_max + n_max - 1], abs(tri.corner))[0]
+    arc = _cumexp(x[m_max + n_max - 1:2 * m_max + n_max - 1], 1.0)[0]
     vals = {(0, 0): 0j, (0, n_max): tri.corner}
     for m in range(1, m_max + 1):
         vals[(m, 0)] = complex(bottom[m - 1])

@@ -15,6 +15,10 @@ from minnet.net import LatticeDomain, Net3, write_net
 # a 2x2 net file whose positions have 2 coordinates
 NET_2D = json.dumps({"domain": {"m0": 0, "m1": 1, "n0": 0, "n1": 1},
                      "vertices": [{"m": m, "n": n, "p": [m, n]} for m in (0, 1) for n in (0, 1)]})
+# the same net flat in R^3, which passes every check at any tolerance >= 0
+NET_3D = json.dumps({"domain": {"m0": 0, "m1": 1, "n0": 0, "n1": 1},
+                     "vertices": [{"m": m, "n": n, "p": [m, n, 0]}
+                                  for m in (0, 1) for n in (0, 1)]})
 
 
 def run(args, env=None):
@@ -84,6 +88,14 @@ class TestGenerate:
         (["export"], '{"kind": "orbit", "vertices": [[0, "x", 0]], "faces": []}'),
         (["export"], NET_2D),
         (["verify"], NET_2D),
+        # tolerances under which every check passes, or every check fails
+        (["enneper", "--k", "3", "--size", "6", "--tol", "inf"], None),
+        (["platonic", "--preset", "tetrahedral", "--resolution", "2",
+          "--solver-tol", "nan"], None),
+        (["platonic", "--preset", "tetrahedral", "--resolution", "2",
+          "--solver-tol", "-1"], None),
+        (["verify", "--tol", "nan"], NET_3D),
+        (["verify", "--tol", "-1"], NET_3D),
     ])
     def test_bad_input_is_typed_error(self, tmp_path, capsys, family, seed):
         path = tmp_path / "seed.json"
@@ -92,7 +104,7 @@ class TestGenerate:
         if family[0] == "export":
             argv = ["export", str(path), str(tmp_path / "x.obj")]
         elif family[0] == "verify":
-            argv = ["verify", str(path)]
+            argv = ["verify", str(path), *family[1:]]
         else:
             argv = ["generate", *family, "--out", str(tmp_path / "x")]
             if family[0] == "knoid":
@@ -100,6 +112,11 @@ class TestGenerate:
         assert run(argv) == 3
         error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert error["error"] in ("BadParameter", "ParseError")
+
+    def test_zero_tol_is_valid(self, tmp_path):
+        path = tmp_path / "flat.dnet.json"
+        path.write_text(NET_3D)
+        assert run(["verify", str(path), "--tol", "0"]) == 0
 
     def test_knoid_params_seed_file_needs_no_iterations(self, tmp_path):
         from minnet.bvp import BoundarySpec, solve_knoid
@@ -267,6 +284,24 @@ class TestReflectAndConjugate:
                     "--asymptotic", "--out", out]) == 0
         assert run(["verify", out]) == 0
 
+    @pytest.mark.parametrize("net, line, message", [
+        ("iso", ["--row", "99"], "row 99 is not a boundary row"),       # off the domain
+        ("iso", ["--col", "6"], "col 6 is not a boundary col"),
+        ("iso", ["--col", "5"], "col 5: congruence-plane residual"),    # not planar
+        ("asym", ["--row", "2", "--asymptotic"], "row 2 is not a boundary row"),
+        ("asym", ["--col", "30", "--asymptotic"], "col 30 is not a boundary col"),
+    ])
+    def test_line_not_reflectable(self, tmp_path, capsys, net, line, message):
+        base = str(tmp_path / "enn")
+        assert run(["generate", "enneper", "--k", "3", "--size", "5",
+                    "--out", base]) == 0
+        capsys.readouterr()
+        assert run(["reflect", f"{base}.{net}.dnet.json", *line,
+                    "--out", str(tmp_path / "x.dnet.json")]) == 3
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert error["error"] == "NotReflectable"
+        assert error["message"].startswith(message)
+
     def test_conjugate_matches_generated(self, tmp_path):
         base = str(tmp_path / "enn")
         assert run(["generate", "enneper", "--k", "3", "--size", "5",
@@ -356,4 +391,20 @@ def test_import_generates_no_dataclasses(tmp_path):
     # every command pays its imports; @dataclass builds methods through exec
     done = run_python("import sys, minnet.cli\n"
                       "assert 'dataclasses' not in sys.modules", tmp_path)
+    assert done.returncode == 0, done.stderr
+
+
+# main freezes the heap it starts with, so that the collections at
+# interpreter exit do not walk every object that importing numpy and minnet made
+FROZEN_HEAP = """
+import gc
+from minnet.cli import main
+assert main(["generate", "enneper", "--k", "3", "--size", "6", "--out", "e"]) == 0
+frozen, tracked = gc.get_freeze_count(), len(gc.get_objects())
+assert frozen > 0 and tracked < frozen, (tracked, frozen)
+"""
+
+
+def test_main_freezes_the_import_time_heap(tmp_path):
+    done = run_python(FROZEN_HEAP, tmp_path)
     assert done.returncode == 0, done.stderr

@@ -186,6 +186,14 @@ class TestRotateExtendAsymptotic:
             rotate_extend_asymptotic(enneper_pair.asymptotic,
                                      enneper_pair.asymptotic.domain.n1)
 
+    def test_one_vertex_line_not_reflectable(self):
+        net = Net3(LatticeDomain((0, 3), (0, 0)),
+                   np.random.default_rng(0).normal(size=(4, 3)))
+        with pytest.raises(NotReflectable, match="row"):
+            rotate_extend_asymptotic(net, 0, "row")    # the domain is one row
+        with pytest.raises(NotReflectable, match="col 3 has fewer than 2"):
+            rotate_extend_asymptotic(net, 3, "col")
+
 
 class TestConjugateDuality:
     def test_equivalence_on_all_boundaries(self, enneper_pairs,
