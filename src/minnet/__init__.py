@@ -17,9 +17,8 @@ from .minimal import (MinimalPair, QuadCurvature, christoffel, gauss_map,
                       quad_curvatures, tangent_normals, weierstrass_asymptotic,
                       weierstrass_isothermic)
 from .mobius import (CrossRatioValue, Isometry, LineR3, PlaneR3, Quaternion,
-                     apply_isometry, cross_ratio_complex, cross_ratio_quat,
-                     fit_line, fit_plane, stereographic_lift,
-                     stereographic_project)
+                     cross_ratio_complex, cross_ratio_quat, fit_line, fit_plane,
+                     stereographic_lift, stereographic_project)
 from .net import (EdgeLabels, LatticeDomain, Net3, NetBundle,
                   are_parallel_meshes, is_circular, is_isothermic, read_net,
                   write_net)

@@ -78,14 +78,6 @@ class BoundarySpec(Frozen):
     def corner_value(self) -> complex:
         return cmath.exp(1j * self.ray_angle)
 
-    def region_distance(self, z: complex) -> float:
-        """Penalty distance to the wedge {r <= 1, 0 <= arg <= ray_angle}."""
-        r = abs(z)
-        radial = max(0.0, r - 1.0)
-        ang = math.atan2(z.imag, z.real)
-        angular = max(0.0, -ang, ang - self.ray_angle) * max(r, 1e-12)
-        return max(radial, angular)
-
 
 class SolveResult:
     """Solved grid with residual maxima and total iteration count.
@@ -507,30 +499,21 @@ def _knoid_triangle(spec: BoundarySpec) -> _Triangle:
                      arc_start=spec.ray_angle, arc_span=-spec.ray_angle)
 
 
-def _smooth_knoid_map(spec: BoundarySpec):
-    """g(w) = (tanh w)^((2k-2)/k), sampled on a uniform square w-grid for
-    the k-noid seed."""
-    power = (2.0 * spec.k - 2.0) / spec.k
-
+def _collocation_seed(system: _TriangleCollocation, power: float) -> np.ndarray:
+    """g(w) = (tanh w)^power sampled on a uniform square w-grid of the
+    system's size; power (2k-2)/k gives the k-noid seed and 1 the catenoid
+    seed, whose wedges are (k-1)pi/k and pi/2."""
     def g(w: complex) -> complex:
         t = cmath.tanh(w)
-        if t == 0:
-            return 0j
-        return cmath.exp(power * cmath.log(t))
+        return 0j if t == 0 else cmath.exp(power * cmath.log(t))
 
-    return g
-
-
-def _knoid_collocation_seed(spec: BoundarySpec, system: _TriangleCollocation
-                            ) -> np.ndarray:
-    g = _smooth_knoid_map(spec)
-    h = (math.pi / 4.0) / spec.n_max
-    bottom = np.array([g(m * h).real for m in range(1, spec.m_max + 1)])
-    left = np.array([abs(g(1j * n * h)) for n in range(1, spec.n_max)])
-    arc = np.array([1.0 - cmath.phase(g(m * h + 1j * math.pi / 4.0)) / spec.ray_angle
-                    for m in range(1, spec.m_max + 1)])
-    interior = [[g(m * h + 1j * n * h) for n in range(1, spec.n_max)]
-                for m in range(1, spec.m_max + 1)]
+    m_max, n_max, wedge = system.m_max, system.n_max, system.tri.wedge
+    h = (math.pi / 4.0) / n_max
+    bottom = np.array([g(m * h).real for m in range(1, m_max + 1)])
+    left = np.array([abs(g(1j * n * h)) for n in range(1, n_max)])
+    arc = np.array([1.0 - cmath.phase(g(m * h + 1j * math.pi / 4.0)) / wedge
+                    for m in range(1, m_max + 1)])
+    interior = [[g(m * h + 1j * n * h) for n in range(1, n_max)] for m in range(1, m_max + 1)]
     return system.encode(bottom, left, arc, interior)
 
 
@@ -546,7 +529,7 @@ def solve_knoid(spec: BoundarySpec, tol: float = 1e-10, max_iter: int = 500,
     """
     system = _TriangleCollocation(_knoid_triangle(spec), spec.m_max, spec.n_max)
     if seed_params is None:
-        x0 = _knoid_collocation_seed(spec, system)
+        x0 = _collocation_seed(system, (2.0 * spec.k - 2.0) / spec.k)
     else:
         x0 = np.asarray(seed_params, dtype=float)
         if len(x0) != system.n_params:
@@ -655,9 +638,8 @@ def solve_platonic(preset: str | PlatonicPreset, resolution: int,
     m_max = 2 * resolution + 2
 
     start = (math.pi / 2, math.pi / 2, math.pi / 2)
-    catenoid_spec = _CatenoidSeedSpec(n_max, m_max)
     system = _TriangleCollocation(_spherical_triangle(*start), m_max, n_max)
-    x = _knoid_collocation_seed(catenoid_spec, system)
+    x = _collocation_seed(system, 1.0)
     trace: list[dict] = []
     x, it, ok = system.solve(x, max(tol, 1e-7), min(max_iter, 100), trace)
     iterations = it
@@ -677,13 +659,3 @@ def solve_platonic(preset: str | PlatonicPreset, resolution: int,
             break
     return _finish_solve(system, x, iterations, ok, tol, strict, trace)
 
-
-class _CatenoidSeedSpec:
-    """Just enough of a BoundarySpec for the (pi/2)^3 catenoid seed: the
-    smooth data is g(w) = tanh(w) (the k=2 case of the end formula)."""
-
-    def __init__(self, n_max: int, m_max: int):
-        self.k = 2
-        self.n_max = n_max
-        self.m_max = m_max
-        self.ray_angle = math.pi / 2

@@ -395,10 +395,7 @@ def cmd_reflect(args) -> int:
     bundle = read_net(args.net)
     if bundle.labels is None:
         raise ParseError("reflection requires edge labels in the net file")
-    axis = "row" if args.row is not None else "col"
-    index = args.row if args.row is not None else args.col
-    if index is None:
-        raise MinnetError("one of --row/--col is required")
+    axis, index = ("row", args.row) if args.row is not None else ("col", args.col)
     if args.asymptotic:
         net_ext, labels_ext = rotate_extend_asymptotic(bundle.net, index, axis,
                                                        args.tol, bundle.labels)
@@ -497,8 +494,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     ref = sub.add_parser("reflect", help="extend a net across a boundary line")
     ref.add_argument("net")
-    ref.add_argument("--row", type=int, default=None)
-    ref.add_argument("--col", type=int, default=None)
+    line = ref.add_mutually_exclusive_group(required=True)
+    line.add_argument("--row", type=int)
+    line.add_argument("--col", type=int)
     ref.add_argument("--asymptotic", action="store_true",
                      help="use the 180-degree line rotation extension")
     ref.add_argument("--tol", type=float, default=1e-9)

@@ -337,18 +337,3 @@ class MinimalPair(NamedTuple):
                            weierstrass_asymptotic(grid),
                            gauss_map(grid), grid)
 
-
-def best_similarity(source: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray, float]:
-    """Least-squares dilation s and translation t with s*source + t ≈ target.
-
-    Returns (s, t, max residual).  The sign of s is free.
-    """
-    src = np.asarray(source, dtype=float)
-    tgt = np.asarray(target, dtype=float)
-    sc = src - src.mean(axis=0)
-    tc = tgt - tgt.mean(axis=0)
-    denom = float((sc * sc).sum())
-    s = float((sc * tc).sum()) / denom if denom > 0 else 0.0
-    t = tgt.mean(axis=0) - s * src.mean(axis=0)
-    res = float(np.linalg.norm(s * src + t - tgt, axis=1).max())
-    return s, t, res

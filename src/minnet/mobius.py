@@ -152,22 +152,12 @@ class Quaternion(Frozen):
             raise DegenerateQuad("quaternion too small to invert")
         return Quaternion(self.w / n2, -self.x / n2, -self.y / n2, -self.z / n2)
 
-    def scaled(self, s: float) -> "Quaternion":
-        return Quaternion(s * self.w, s * self.x, s * self.y, s * self.z)
-
 
 class CrossRatioValue(NamedTuple):
     """Eigenvalue pair {re ± i·im_mag} of a quaternionic cross ratio."""
 
     re: float
     im_mag: float
-
-    def is_real(self, tol: float) -> bool:
-        """Concircularity test: imaginary magnitude below tol."""
-        return self.im_mag <= tol
-
-    def as_complex(self) -> complex:
-        return complex(self.re, self.im_mag)
 
 
 def cross_ratio_quat(x1, x2, x3, x4) -> CrossRatioValue:
@@ -289,17 +279,6 @@ class PlaneR3(Frozen):
             raise ValueError("plane normal must be nonzero")
         self.__dict__.update(normal=n / scale, offset=float(self.offset) / scale)
 
-    @staticmethod
-    def from_point_normal(point, normal) -> "PlaneR3":
-        n = _unit(normal)
-        return PlaneR3(n, float(np.dot(n, np.asarray(point, dtype=float))))
-
-    def signed_distance(self, p) -> float:
-        return float(np.dot(self.normal, np.asarray(p, dtype=float)) - self.offset)
-
-    def contains(self, p, tol: float = 1e-9) -> bool:
-        return abs(self.signed_distance(p)) <= tol
-
 
 class LineR3(Frozen):
     """Line base + R·direction with unit direction."""
@@ -311,10 +290,6 @@ class LineR3(Frozen):
     def __post_init__(self):
         self.__dict__.update(base=np.asarray(self.base, dtype=float),
                              direction=_unit(self.direction))
-
-    def distance(self, p) -> float:
-        d = np.asarray(p, dtype=float) - self.base
-        return float(np.linalg.norm(d - np.dot(d, self.direction) * self.direction))
 
 
 class Isometry(Frozen):
@@ -362,41 +337,12 @@ class Isometry(Frozen):
     def apply_many(self, pts: np.ndarray) -> np.ndarray:
         return pts @ self.matrix.T + self.translation
 
-    def apply_direction(self, v) -> np.ndarray:
-        """Linear part only; for mirroring unit normals."""
-        return self.matrix @ np.asarray(v, dtype=float)
-
     def det(self) -> float:
         return float(np.linalg.det(self.matrix))
 
     def distance(self, other: "Isometry") -> float:
         return max(float(np.abs(self.matrix - other.matrix).max()),
                    float(np.abs(self.translation - other.translation).max()))
-
-    def is_identity(self, tol: float = 1e-9) -> bool:
-        return self.distance(Isometry.identity()) <= tol
-
-
-def apply_isometry(iso: Isometry, p) -> np.ndarray:
-    """Apply a rigid motion to a point."""
-    return iso.apply(p)
-
-
-def rotation_matrix(axis, angle: float) -> np.ndarray:
-    """Rodrigues rotation matrix about a unit axis through the origin."""
-    a = _unit(axis)
-    c, s = math.cos(angle), math.sin(angle)
-    cross = np.array([[0, -a[2], a[1]], [a[2], 0, -a[0]], [-a[1], a[0], 0]])
-    return c * np.eye(3) + s * cross + (1 - c) * np.outer(a, a)
-
-
-def sphere_inversion(p, center, radius: float) -> np.ndarray:
-    """Inversion in the sphere of given center and radius."""
-    d = np.asarray(p, dtype=float) - np.asarray(center, dtype=float)
-    n2 = float(np.dot(d, d))
-    if n2 < 1e-28:
-        raise DegenerateQuad("inversion center hit")
-    return np.asarray(center, dtype=float) + (radius * radius / n2) * d
 
 
 # ---------------------------------------------------------------------------

@@ -213,54 +213,41 @@ class LatticeDomain(Frozen):
 
 
 class EdgeLabels(Frozen):
-    """Cross-ratio factorizing functions stored per column (alpha) and row (beta).
+    """Cross-ratio factorizing functions as two read-only arrays, indexed
+    from the lower corner (m0, n0) of the domain they go with.
 
-    alpha[m] labels horizontal edges (m,n)-(m+1,n); beta[n] labels vertical
-    edges (m,n)-(m,n+1).  The quad relation a_ij = a_lk, a_il = a_jk holds
-    by construction.
+    alpha[i] labels the horizontal edges (m0+i, n)-(m0+i+1, n); beta[j] the
+    vertical edges (m, n0+j)-(m, n0+j+1).  The quad relation a_ij = a_lk,
+    a_il = a_jk holds by construction.
     """
 
-    def __init__(self, alpha: dict[int, float], beta: dict[int, float]):
+    def __init__(self, alpha, beta):
         self.__dict__.update(alpha=alpha, beta=beta)
         self.__post_init__()
 
     def __post_init__(self):
-        self.__dict__.update(alpha=dict(self.alpha), beta=dict(self.beta))
+        alpha, beta = np.array(self.alpha, dtype=float), np.array(self.beta, dtype=float)
+        alpha.flags.writeable = beta.flags.writeable = False
+        self.__dict__.update(alpha=alpha, beta=beta)
 
     @staticmethod
     def constant(domain: LatticeDomain, alpha: float = 1.0, beta: float = -1.0) -> "EdgeLabels":
-        return EdgeLabels({m: float(alpha) for m in range(domain.m0, domain.m1)},
-                          {n: float(beta) for n in range(domain.n0, domain.n1)})
-
-    def _tables(self, domain: LatticeDomain) -> tuple[np.ndarray, np.ndarray]:
-        """alpha at m - m0 and beta at n - n0 over the box, padded with a last 0."""
-        return (np.array([self.alpha[m] for m in range(domain.m0, domain.m1)] + [0.0]),
-                np.array([self.beta[n] for n in range(domain.n0, domain.n1)] + [0.0]))
+        return EdgeLabels(np.full(domain.m1 - domain.m0, float(alpha)),
+                          np.full(domain.n1 - domain.n0, float(beta)))
 
     def on_edges(self, domain: LatticeDomain) -> np.ndarray:
         """The label of every edge of domain, in `edges()` order."""
-        alpha, beta = self._tables(domain)
-        (m, n), (mb, _) = domain.coords[domain.edge_index].transpose(1, 2, 0)
-        return np.where(m == mb, beta[n - domain.n0], alpha[m - domain.m0])
-
-    def ratio(self, q: Quad) -> float:
-        """Target cross ratio alpha(m)/beta(n) of the quad at (m, n)."""
-        return self.alpha[q[0]] / self.beta[q[1]]
+        has = domain.stars[:, [1, 3]] >= 0
+        return np.concatenate([self.alpha[domain.coords[has[:, 0], 0] - domain.m0],
+                               self.beta[domain.coords[has[:, 1], 1] - domain.n0]])
 
     def quad_ratios(self, domain: LatticeDomain) -> np.ndarray:
-        """ratio(q) of every quad, in `domain.quads` order."""
-        alpha, beta = self._tables(domain)
+        """Target cross ratio alpha(m)/beta(n) of every quad, in `domain.quads` order."""
         m, n = domain.coords[domain.quad_index[:, 0]].T
-        return alpha[m - domain.m0] / beta[n - domain.n0]
-
-    def check_negative(self, domain: LatticeDomain) -> None:
-        bad = self.quad_ratios(domain) >= 0.0
-        if bad.any():
-            raise ValueError(f"cross-ratio label ratio not negative on quad "
-                             f"{domain.quads[int(np.argmax(bad))]}")
+        return self.alpha[m - domain.m0] / self.beta[n - domain.n0]
 
     def transpose(self) -> "EdgeLabels":
-        return EdgeLabels(dict(self.beta), dict(self.alpha))
+        return EdgeLabels(self.beta, self.alpha)
 
 
 class Net3:
@@ -301,9 +288,6 @@ class Net3:
 
     def scale(self) -> float:
         return float(np.linalg.norm(self.points.max(axis=0) - self.points.min(axis=0)))
-
-    def transformed(self, fn) -> "Net3":
-        return Net3(self.domain, [fn(p) for p in self.points])
 
     def transpose(self) -> "Net3":
         dom = self.domain.transpose()
@@ -548,9 +532,10 @@ def net_to_json(net: Net3, labels: EdgeLabels | None = None, normals: Net3 | Non
            f'"mask": {json_list(json_rows(sorted(dom.mask), str))}}}, '
            f'"vertices": {json_list(records)}')
     if labels is not None:
-        alpha, beta = labels._tables(dom)
-        doc += "".join(f', "{name}": {json_list(map(_fmt_float, values[:-1].tolist()))}'
-                       for name, values in (("alpha", alpha), ("beta", beta)))
+        if (len(labels.alpha), len(labels.beta)) != (dom.m1 - dom.m0, dom.n1 - dom.n0):
+            raise ValueError("labels do not match the domain's ranges")
+        doc += "".join(f', "{name}": {json_list(map(_fmt_float, values.tolist()))}'
+                       for name, values in (("alpha", labels.alpha), ("beta", labels.beta)))
     if normals is not None:
         doc += f', "normals": {json_list(json_rows(normals.points))}'
     if infinity is not None:
@@ -605,8 +590,8 @@ def json_to_bundle(doc: dict, check_edges: bool = True) -> NetBundle:
             alpha, beta = doc.get("alpha", []), doc.get("beta", [])
             if len(alpha) != dom.m1 - dom.m0 or len(beta) != dom.n1 - dom.n0:
                 raise ParseError("alpha/beta length does not match domain ranges")
-            labels = EdgeLabels({dom.m0 + i: float(a) for i, a in enumerate(alpha)},
-                                {dom.n0 + i: float(b) for i, b in enumerate(beta)})
+            # float() per entry: numpy would read null as NaN
+            labels = EdgeLabels([float(a) for a in alpha], [float(b) for b in beta])
         if "normals" in doc:
             normals = Net3(dom, np.array(doc["normals"], dtype=float), check_edges=False)
     except (TypeError, ValueError) as exc:

@@ -167,20 +167,19 @@ def _extend_rows(domain: LatticeDomain, index: int) -> tuple[LatticeDomain, np.n
 def _mirrored(pts: np.ndarray, old: np.ndarray, mirror: np.ndarray, iso: Isometry,
               direction: bool = False) -> np.ndarray:
     """Rows of the extended domain: the old ones kept, the new ones the
-    iso.apply (or iso.apply_direction) images of their mirrors, with the
-    same matrix-vector products."""
+    iso.apply (or, with direction, the linear part's) images of their
+    mirrors, with the same matrix-vector products."""
     images = (iso.matrix @ pts[mirror][:, :, None])[:, :, 0]
     return np.where((old >= 0)[:, None], pts[old],
                     images if direction else images + iso.translation)
 
 
-def _mirror_labels(labels: EdgeLabels, domain_new: LatticeDomain,
-                   index: int) -> EdgeLabels:
-    beta = dict(labels.beta)
-    for n in range(domain_new.n0, domain_new.n1):
-        if n not in beta:
-            beta[n] = labels.beta[2 * index - 1 - n]
-    return EdgeLabels(labels.alpha, beta)
+def _mirror_labels(labels: EdgeLabels, domain: LatticeDomain, index: int) -> EdgeLabels:
+    """The labels of domain mirrored across its first or last row index:
+    alpha kept, and beta(n) = beta(2 index - 1 - n) on the new rows."""
+    beta = labels.beta
+    return EdgeLabels(labels.alpha, np.concatenate(
+        [beta, beta[::-1]] if index == domain.n1 else [beta[::-1], beta]))
 
 
 def reflect_isothermic(net: Net3, normals: Net3, index: int,
@@ -218,7 +217,7 @@ def reflect_isothermic(net: Net3, normals: Net3, index: int,
         raise InconsistentBundle(
             f"mirrored normals deviate from propagation by {worst:.3e}")
 
-    labels_ext = (_mirror_labels(labels, new_domain, index)
+    labels_ext = (_mirror_labels(labels, net.domain, index)
                   if labels is not None else None)
     if axis == "col":
         return (net_ext.transpose(), normals_ext.transpose(),
@@ -247,7 +246,7 @@ def rotate_extend_asymptotic(net: Net3, index: int, axis: str = "row",
 
     new_domain, old, mirror = _extend_rows(net.domain, index)
     net_ext = Net3(new_domain, _mirrored(net.points, old, mirror, iso))
-    labels_ext = (_mirror_labels(labels, new_domain, index)
+    labels_ext = (_mirror_labels(labels, net.domain, index)
                   if labels is not None else None)
     if axis == "col":
         return net_ext.transpose(), labels_ext.transpose() if labels_ext is not None else None

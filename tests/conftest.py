@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from minnet.bvp import BoundarySpec, solve_knoid
+from minnet.errors import DegenerateQuad
 from minnet.holomorphic import power_function
 from minnet.minimal import MinimalPair
-from minnet.mobius import rotation_matrix
 
 
 @pytest.fixture(scope="session")
@@ -38,17 +38,52 @@ def trinoid_pair(trinoid_result):
     return MinimalPair.from_grid(trinoid_result.grid)
 
 
-def edge_label(labels, a, b):
-    """Label of the lattice edge a-b: alpha for horizontal edges, beta for vertical ones."""
+def edge_label(labels, domain, a, b) -> float:
+    """Label of the lattice edge a-b of domain: alpha for horizontal edges, beta
+    for vertical ones.  A Python float, so that scalar references divide by it
+    with Python's complex arithmetic."""
     if a[1] == b[1]:
-        return labels.alpha[min(a[0], b[0])]
-    return labels.beta[min(a[1], b[1])]
+        return float(labels.alpha[min(a[0], b[0]) - domain.m0])
+    return float(labels.beta[min(a[1], b[1]) - domain.n0])
 
 
 def neighbors(domain, v):
     """The present vertices among (m+1,n), (m-1,n), (m,n+1), (m,n-1), in that order."""
     m, n = v
     return [w for w in ((m + 1, n), (m - 1, n), (m, n + 1), (m, n - 1)) if w in domain]
+
+
+def rotation_matrix(axis, angle: float) -> np.ndarray:
+    """Rodrigues rotation matrix about a unit axis through the origin."""
+    a = np.asarray(axis, dtype=float) / np.linalg.norm(axis)
+    c, s = math.cos(angle), math.sin(angle)
+    cross = np.array([[0, -a[2], a[1]], [a[2], 0, -a[0]], [-a[1], a[0], 0]])
+    return c * np.eye(3) + s * cross + (1 - c) * np.outer(a, a)
+
+
+def sphere_inversion(p, center, radius: float) -> np.ndarray:
+    """Inversion in the sphere of given center and radius."""
+    d = np.asarray(p, dtype=float) - np.asarray(center, dtype=float)
+    n2 = float(np.dot(d, d))
+    if n2 < 1e-28:
+        raise DegenerateQuad("inversion center hit")
+    return np.asarray(center, dtype=float) + (radius * radius / n2) * d
+
+
+def best_similarity(source: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray, float]:
+    """Least-squares dilation s and translation t with s*source + t ≈ target.
+
+    Returns (s, t, max residual).  The sign of s is free.
+    """
+    src = np.asarray(source, dtype=float)
+    tgt = np.asarray(target, dtype=float)
+    sc = src - src.mean(axis=0)
+    tc = tgt - tgt.mean(axis=0)
+    denom = float((sc * sc).sum())
+    s = float((sc * tc).sum()) / denom if denom > 0 else 0.0
+    t = tgt.mean(axis=0) - s * src.mean(axis=0)
+    res = float(np.linalg.norm(s * src + t - tgt, axis=1).max())
+    return s, t, res
 
 
 def random_similarity(rng):

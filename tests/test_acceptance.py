@@ -13,15 +13,14 @@ from minnet.holomorphic import power_function, validate_holomorphic
 from minnet.minimal import (MinimalPair, gauss_map, is_asymptotic, mixed_area,
                             quad_curvatures, tangent_normals,
                             weierstrass_isothermic)
-from minnet.mobius import (Isometry, cross_ratio_complex, cross_ratio_quat,
-                           rotation_matrix)
+from minnet.mobius import Isometry, cross_ratio_complex, cross_ratio_quat
 from minnet.net import is_circular, is_isothermic
 from minnet.reflection import (analyze_boundary_asymptotic,
                                analyze_boundary_isothermic, build_orbit,
                                close_group, corner_angles, reflect_isothermic,
                                rotate_extend_asymptotic)
 
-from conftest import edge_label, random_circle_points
+from conftest import edge_label, random_circle_points, rotation_matrix
 
 
 def _report(name, ok, detail):
@@ -53,8 +52,8 @@ def test_criterion_1_weierstrass_validity():
             worst_circ = max(worst_circ, res / scale)
             worst_h = max(worst_h, abs(quad_curvatures(pts, n.quad_points(q)).H))
             i, j, k, l = grid.domain.quad_vertices(q)
-            inc = lambda a, b: _wei_increment(grid[a], grid[b], edge_label(grid.labels, a, b),
-                                              False)
+            inc = lambda a, b: _wei_increment(
+                grid[a], grid[b], edge_label(grid.labels, grid.domain, a, b), False)
             loop = inc(i, j) + inc(j, k) - inc(l, k) - inc(i, l)
             inc_scale = max(np.linalg.norm(inc(i, j)), np.linalg.norm(inc(i, l)))
             worst_closure = max(worst_closure, np.linalg.norm(loop) / inc_scale)

@@ -9,13 +9,18 @@ from minnet.minimal import MinimalPair, mixed_area, quad_curvatures
 from minnet.mobius import cross_ratio_quat
 from minnet.net import is_circular
 
+from conftest import edge_label
+
 
 def scalar_battery(pair):
     """(max residual, worst quad) of four checks, computed one quad at a time."""
     f, n, labels = pair.isothermic, pair.gauss, pair.grid.labels
-    offsets = steiner_offsets(len(f.domain.quads))
+    dom = f.domain
+    offsets = steiner_offsets(len(dom.quads))
     found = dict.fromkeys(("circularity", "isothermic", "minimality", "steiner"), (0.0, None))
-    for q, t in zip(f.domain.quads, offsets.tolist()):
+    for q, t in zip(dom.quads, offsets.tolist()):
+        i, j, _, l = dom.quad_vertices(q)
+        ratio = edge_label(labels, dom, i, j) / edge_label(labels, dom, i, l)
         qf, qn = f.quad_points(q), n.quad_points(q)
         qc = quad_curvatures(qf, qn)
         af = mixed_area(qf, qf)
@@ -24,7 +29,7 @@ def scalar_battery(pair):
         predicted = (1.0 - 2.0 * t * qc.H + t * t * qc.K) * qc.areaF
         residuals = {
             "circularity": is_circular(f, q)[1] / np.linalg.norm(np.ptp(np.asarray(qf), axis=0)),
-            "isothermic": abs(cross_ratio_quat(*qf).re - labels.ratio(q)),
+            "isothermic": abs(cross_ratio_quat(*qf).re - ratio),
             "minimality": abs(qc.H),
             "steiner": abs(offset_area - predicted) / abs(qc.areaF),
         }

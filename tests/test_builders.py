@@ -55,7 +55,7 @@ def scalar_power(gamma, m_extent, n_extent):
         labels = EdgeLabels.constant(domain)
 
         def increment(a, b):
-            return edge_label(labels, a, b) / (inverted[b] - inverted[a]).conjugate()
+            return edge_label(labels, domain, a, b) / (inverted[b] - inverted[a]).conjugate()
 
         dual = bfs_integrate(domain, increment, 0j, root=(1, 0))
         return {v: -dual[v] for v in domain.vertices}
@@ -76,7 +76,8 @@ def scalar_weierstrass(grid, conjugate):
         swap = a > b
         if swap:
             a, b = b, a
-        inc = _wei_increment(grid[a], grid[b], edge_label(grid.labels, a, b), conjugate)
+        inc = _wei_increment(grid[a], grid[b], edge_label(grid.labels, grid.domain, a, b),
+                             conjugate)
         return -inc if swap else inc
 
     return bfs_integrate(grid.domain, increment, np.zeros(3))
@@ -85,7 +86,7 @@ def scalar_weierstrass(grid, conjugate):
 def scalar_christoffel(net, labels):
     def increment(a, b):
         d = net[b] - net[a]
-        return edge_label(labels, a, b) * d / float(d @ d)
+        return edge_label(labels, net.domain, a, b) * d / float(d @ d)
 
     return bfs_integrate(net.domain, increment, np.zeros(3))
 

@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 
 from minnet import bvp
-from minnet.bvp import (BoundarySpec, PlatonicPreset, _CatenoidSeedSpec,
-                        _cumexp, _increasing_closed_inverse,
-                        _increasing_open_inverse,
-                        _knoid_collocation_seed, _knoid_triangle,
+from minnet.bvp import (BoundarySpec, PlatonicPreset, _collocation_seed, _cumexp,
+                        _increasing_closed_inverse, _increasing_open_inverse,
+                        _knoid_triangle,
                         _reencode_between, _spherical_triangle,
                         _TriangleCollocation, platonic_preset, solve_knoid,
                         solve_platonic)
@@ -27,9 +26,10 @@ class TestBoundarySpec:
 
     def test_region(self):
         spec = BoundarySpec(3, 3, 10)
-        assert spec.region_distance(0.5 + 0.2j) == 0.0
-        assert spec.region_distance(1.5 + 0j) > 0.4
-        assert spec.region_distance(0.5 - 0.5j) > 0.0  # below the wedge
+        tri = _knoid_triangle(spec)
+        assert tri.region_distance(0.5 + 0.2j) == 0.0
+        assert tri.region_distance(1.5 + 0j) > 0.4
+        assert tri.region_distance(0.5 - 0.5j) > 0.0  # below the wedge
         assert abs(spec.corner_value - cmath.exp(2j * math.pi / 3)) < 1e-15
 
 
@@ -111,7 +111,7 @@ class TestKnoidResidual:
 
         spec = BoundarySpec(3, 3, 10)
         system = _knoid_system(spec)
-        x0 = _knoid_collocation_seed(spec, system)
+        x0 = _collocation_seed(system, 4.0 / 3.0)
         left_ref = np.abs(system.vertices(x0)[0, 1:spec.n_max])
         r0 = np.linalg.norm(system.residual(x0, 1e-3, left_ref))
         sol = least_squares(lambda x: system.residual(x, 1e-3, left_ref), x0,
@@ -125,7 +125,7 @@ class TestKnoidResidual:
         grid = trinoid_result.grid
         boundary = max(abs(abs(grid[(m, spec.n_max)]) - 1.0)
                        for m in range(1, spec.m_max + 1))
-        containment = max(spec.region_distance(grid[v])
+        containment = max(_knoid_triangle(spec).region_distance(grid[v])
                           for v in grid.domain.vertices)
         assert boundary <= 1e-6
         assert containment <= 1e-6
@@ -140,14 +140,14 @@ def _perturbed_system(case):
     if case == "knoid":
         spec = BoundarySpec(3, 3, 10)
         system = _TriangleCollocation(_knoid_triangle(spec), spec.m_max, spec.n_max)
-        x = _knoid_collocation_seed(spec, system)
+        x = _collocation_seed(system, 4.0 / 3.0)
     else:
         catenoid = _TriangleCollocation(
             _spherical_triangle(math.pi / 2, math.pi / 2, math.pi / 2), 8, 3)
         system = _TriangleCollocation(
             _spherical_triangle(math.pi / 2, math.pi / 3, math.pi / 4), 8, 3)
         x = _reencode_between(catenoid, system,
-                              _knoid_collocation_seed(_CatenoidSeedSpec(3, 8), catenoid))
+                              _collocation_seed(catenoid, 1.0))
     tri, m_max, nb = system.tri, system.m_max, system.n_boundary
     noise = np.random.default_rng(1).normal(scale=0.3, size=len(x))
     noise[nb:] *= tri.puncture
@@ -345,7 +345,7 @@ class TestSolveKnoid:
         args = [cmath.phase(grid[(m, 3)]) for m in range(11)]
         assert all(a > b for a, b in zip(args, args[1:]))
         assert all(abs(abs(grid[(m, 3)]) - 1.0) < 1e-9 for m in range(11))
-        assert all(spec.region_distance(grid[v]) <= 1e-9
+        assert all(_knoid_triangle(spec).region_distance(grid[v]) <= 1e-9
                    for v in grid.domain.vertices)
 
     def test_deterministic(self):

@@ -302,6 +302,15 @@ class TestReflectAndConjugate:
         assert error["error"] == "NotReflectable"
         assert error["message"].startswith(message)
 
+    @pytest.mark.parametrize("line", [["--row", "0", "--col", "99"], []])
+    def test_reflect_needs_exactly_one_line(self, tmp_path, capsys, line):
+        base = str(tmp_path / "enn")
+        assert run(["generate", "enneper", "--k", "3", "--size", "5",
+                    "--out", base]) == 0
+        out = tmp_path / "x.dnet.json"
+        assert run(["reflect", f"{base}.iso.dnet.json", *line, "--out", str(out)]) == 2
+        assert "--row" in capsys.readouterr().err and not out.exists()
+
     def test_conjugate_matches_generated(self, tmp_path):
         base = str(tmp_path / "enn")
         assert run(["generate", "enneper", "--k", "3", "--size", "5",

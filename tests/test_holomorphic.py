@@ -209,7 +209,7 @@ class TestGridSerialization:
         assert back.domain == grid.domain
         for v in grid.domain.vertices:
             assert back[v] == grid[v]
-        assert back.labels.alpha == grid.labels.alpha
+        assert np.array_equal(back.labels.alpha, grid.labels.alpha)
 
     def test_infinity_round_trip(self, tmp_path):
         dom = LatticeDomain((0, 2), (0, 1))

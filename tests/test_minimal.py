@@ -6,14 +6,14 @@ import pytest
 from minnet.errors import (ClosureFailure, NotCoplanar, NotIsothermic, ZeroArea,
                            ZeroDg)
 from minnet.holomorphic import HoloGrid, power_function
-from minnet.minimal import (MinimalPair, best_similarity, christoffel,
+from minnet.minimal import (MinimalPair, christoffel,
                             gauss_map, is_asymptotic, mixed_area, offset_net,
                             propagate_normals, quad_curvatures,
                             tangent_normals, weierstrass_asymptotic,
                             weierstrass_isothermic)
 from minnet.net import EdgeLabels, LatticeDomain, Net3, are_parallel_meshes, is_isothermic
 
-from conftest import edge_label
+from conftest import best_similarity, edge_label
 
 SQUARE = [np.array(p, float) for p in [(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)]]
 
@@ -249,7 +249,8 @@ class TestClosure:
             for quad in grid.domain.quads:
                 i, j, k, l = grid.domain.quad_vertices(quad)
                 inc = lambda a, b: _wei_increment(grid[a], grid[b],
-                                                  edge_label(grid.labels, a, b), conj)
+                                                  edge_label(grid.labels, grid.domain, a, b),
+                                                  conj)
                 loop = inc(i, j) + inc(j, k) - inc(l, k) - inc(i, l)
                 scale = max(np.linalg.norm(inc(i, j)), np.linalg.norm(inc(i, l)))
                 worst = max(worst, np.linalg.norm(loop) / scale)

@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from minnet.errors import DegenerateFit, DegenerateQuad
-from minnet.mobius import (INF, CrossRatioValue, Isometry, LineR3, PlaneR3,
-                           Quaternion, apply_isometry, cross_ratio_complex,
-                           cross_ratio_quat, fit_line, fit_plane,
-                           fit_plane_through_origin, rotation_matrix,
-                           sphere_inversion, stereographic_lift,
-                           stereographic_project)
+from minnet.mobius import (INF, Isometry, LineR3, PlaneR3,
+                           Quaternion, cross_ratio_complex, cross_ratio_quat,
+                           fit_line, fit_plane, fit_plane_through_origin,
+                           stereographic_lift, stereographic_project)
 
-from conftest import random_circle_points, random_similarity
+from conftest import (random_circle_points, random_similarity, rotation_matrix,
+                      sphere_inversion)
 
 
 def quat_close(a, b, tol=1e-12):
@@ -185,13 +184,13 @@ class TestIsometry:
         assert abs(np.linalg.norm(iso.apply(p) - iso.apply(q))
                    - np.linalg.norm(p - q)) < 1e-12
         on_plane = plane.offset * plane.normal
-        assert np.linalg.norm(apply_isometry(iso, on_plane) - on_plane) < 1e-12
+        assert np.linalg.norm(iso.apply(on_plane) - on_plane) < 1e-12
 
     def test_compose_inverse(self):
         a = Isometry.plane_reflection(PlaneR3((1, 0, 0), 1.0))
         b = Isometry.line_rotation_180(LineR3((0, 1, 0), (1, 1, 0)))
         c = a.compose(b)
-        assert c.compose(c.inverse()).is_identity(1e-12)
+        assert c.compose(c.inverse()).distance(Isometry.identity()) <= 1e-12
 
     def test_rotation_matrix(self):
         rot = rotation_matrix((0, 0, 1), math.pi / 2)
@@ -248,9 +247,3 @@ class TestFits:
         with pytest.raises(DegenerateFit):
             fit_line([(1, 1, 1), (1, 1, 1)])
 
-
-class TestCrossRatioValue:
-    def test_is_real(self):
-        assert CrossRatioValue(-1.0, 1e-12).is_real(1e-9)
-        assert not CrossRatioValue(-1.0, 1e-3).is_real(1e-9)
-        assert CrossRatioValue(0.5, 0.25).as_complex() == 0.5 + 0.25j

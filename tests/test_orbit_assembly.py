@@ -74,7 +74,7 @@ def test_irrational_angle_explodes_like_oracle():
 
 def test_close_group_without_generators():
     elements = close_group([])
-    assert len(elements) == 1 and elements[0].is_identity(0.0)
+    assert len(elements) == 1 and elements[0].distance(Isometry.identity()) == 0.0
 
 
 def _piece(points):

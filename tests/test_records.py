@@ -11,7 +11,7 @@ from minnet.net import EdgeLabels, LatticeDomain
 
 FROZEN = {
     "LatticeDomain": (lambda: LatticeDomain((0, 2), (0, 3)), "mask"),
-    "EdgeLabels": (lambda: EdgeLabels({0: 1.0}, {0: -1.0}), "alpha"),
+    "EdgeLabels": (lambda: EdgeLabels([1.0], [-1.0]), "alpha"),
     "BoundarySpec": (lambda: BoundarySpec(3, 3, 10), "k"),
     "PlaneR3": (lambda: PlaneR3(np.array([0.0, 0.0, 1.0]), 0.5), "offset"),
     "LineR3": (lambda: LineR3(np.zeros(3), np.array([1.0, 0.0, 0.0])), "direction"),
@@ -49,7 +49,8 @@ def test_plane_normalises_normal_and_offset():
     assert isinstance(plane.normal, np.ndarray)
     assert np.allclose(plane.normal, [0.0, 0.6, 0.8], rtol=0, atol=1e-15)
     assert plane.offset == pytest.approx(2.0, rel=1e-15)
-    assert plane.contains([0.0, 0.0, 2.5]) and not plane.contains([0.0, 0.0, 2.6])
+    assert plane.normal @ [0.0, 0.0, 2.5] == pytest.approx(plane.offset, rel=1e-15)
+    assert plane.normal @ [0.0, 0.0, 2.6] != pytest.approx(plane.offset, rel=1e-9)
     with pytest.raises(ValueError):
         PlaneR3(np.zeros(3), 1.0)
     assert math.isclose(np.linalg.norm(LineR3([1, 2, 3], [0, 0, 5]).direction), 1.0)

@@ -6,12 +6,15 @@ import json
 import numpy as np
 import pytest
 
-from minnet.cli import orbit_to_json
+from minnet.cli import main, orbit_to_json
+from minnet.errors import ParseError
 from minnet.holomorphic import MobiusInversion, mobius_apply, power_function, write_grid
 from minnet.minimal import MinimalPair
 from minnet.mobius import Isometry, PlaneR3
 from minnet.net import EdgeLabels, LatticeDomain, Net3, read_net, write_net
-from minnet.reflection import build_orbit
+from minnet.reflection import _extend_rows, _mirror_labels, build_orbit
+
+from conftest import edge_label
 
 
 def dump(obj) -> str:
@@ -39,8 +42,8 @@ def net_doc(net, labels=None, normals=None, infinity=None) -> dict:
            "vertices": [{"m": m, "n": n, "p": [float(c) for c in net[(m, n)]]}
                         for (m, n) in dom.vertices]}
     if labels is not None:
-        doc["alpha"] = [labels.alpha[m] for m in range(dom.m0, dom.m1)]
-        doc["beta"] = [labels.beta[n] for n in range(dom.n0, dom.n1)]
+        doc["alpha"] = [edge_label(labels, dom, (m, 0), (m + 1, 0)) for m in range(dom.m0, dom.m1)]
+        doc["beta"] = [edge_label(labels, dom, (0, n), (0, n + 1)) for n in range(dom.n0, dom.n1)]
     if normals is not None:
         doc["normals"] = [[float(c) for c in normals[v]] for v in dom.vertices]
     if infinity is not None:
@@ -64,8 +67,7 @@ def masked_net():
     rng = np.random.default_rng(41)
     dom = LatticeDomain((-2, 3), (-1, 2), frozenset({(-2, -1), (1, 0), (3, 2)}))
     net = Net3(dom, rng.normal(size=(len(dom.vertices), 3)) * [1.0, 1e-7, 3e5])
-    labels = EdgeLabels({m: rng.uniform(0.5, 2) for m in range(-2, 3)},
-                        {n: -rng.uniform(0.5, 2) for n in range(-1, 2)})
+    labels = EdgeLabels(rng.uniform(0.5, 2, 5), -rng.uniform(0.5, 2, 3))
     normals = Net3(dom, rng.normal(size=(len(dom.vertices), 3)), check_edges=False)
     normals.points[0] = [-0.0, 0.0, 1.0]
     return net, labels, normals
@@ -84,6 +86,55 @@ def test_net_file_equals_recursive_writer(tmp_path, masked_net, parts):
     again = tmp_path / "again.dnet.json"
     write_net(again, bundle.net, bundle.labels, bundle.normals)
     assert again.read_bytes() == path.read_bytes()
+
+
+def test_labels_equal_per_edge_lookup(masked_net):
+    net, labels, _ = masked_net
+    dom = net.domain
+    assert labels.on_edges(dom).tolist() == [edge_label(labels, dom, a, b)
+                                             for a, b in dom.edges()]
+    assert labels.quad_ratios(dom).tolist() == [
+        edge_label(labels, dom, (m, n), (m + 1, n)) / edge_label(labels, dom, (m, n), (m, n + 1))
+        for m, n in dom.quads]
+
+
+@pytest.mark.parametrize("row", ["n0", "n1"])
+def test_mirrored_labels_repeat_beta_across_the_row(masked_net, row):
+    net, labels, _ = masked_net
+    dom = net.domain
+    index = getattr(dom, row)
+    extended = _extend_rows(dom, index)[0]
+    mirrored = _mirror_labels(labels, dom, index)
+    beta = {n: edge_label(labels, dom, (0, n), (0, n + 1)) for n in range(dom.n0, dom.n1)}
+    assert mirrored.alpha.tolist() == labels.alpha.tolist()
+    assert mirrored.beta.tolist() == [beta[n] if n in beta else beta[2 * index - 1 - n]
+                                      for n in range(extended.n0, extended.n1)]
+
+
+def test_labels_of_another_domain_are_not_written(tmp_path, masked_net):
+    net, labels, _ = masked_net
+    with pytest.raises(ValueError, match="domain's ranges"):
+        write_net(tmp_path / "net.dnet.json", net, labels.transpose())
+
+
+def test_label_arrays_are_read_only(masked_net):
+    _, labels, _ = masked_net
+    for values in (labels.alpha, labels.beta, labels.transpose().alpha):
+        with pytest.raises(ValueError):
+            values[0] = 0.0
+
+
+@pytest.mark.parametrize("entry", [None, "x"])
+def test_non_numeric_label_is_parse_error(tmp_path, masked_net, entry):
+    net, labels, _ = masked_net
+    path = tmp_path / "net.dnet.json"
+    write_net(path, net, labels)
+    doc = json.loads(path.read_text())
+    doc["alpha"][1] = entry
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParseError):
+        read_net(path)
+    assert main(["verify", str(path)]) == 3
 
 
 def test_grid_file_with_infinity_equals_recursive_writer(tmp_path):
