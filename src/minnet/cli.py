@@ -23,11 +23,13 @@ from . import bvp
 from .errors import (BadParameter, DomainMismatch, MinnetError, NotReflectable,
                      ParseError)
 from .holomorphic import HoloGrid, power_function, read_grid, write_grid
-from .minimal import Curvatures, MinimalPair, gauss_map, is_asymptotic, tangent_normals
+from .minimal import (Curvatures, MinimalPair, gauss_map, is_asymptotic, star_planes,
+                      tangent_normals)
 from .mobius import Isometry
-from .net import (CheckReport, EdgeLabels, Net3, _fmt_float, _norm, circularity_residuals,
-                  cross_ratio_residuals, edge_angles, json_list, json_rows, json_to_bundle,
-                  load_json, read_net, worst_report, write_net)
+from .net import (CheckReport, EdgeLabels, Net3, PlaneFit, _fmt_float, _norm,
+                  circularity_residuals, cross_ratio_residuals, edge_angles, json_list,
+                  json_rows, json_to_bundle, load_json, plane_fits, read_net, worst_report,
+                  write_net)
 from .reflection import (SymmetryOrbit, analyze_boundary_asymptotic,
                          analyze_boundary_isothermic, build_orbit,
                          reflect_isothermic, rotate_extend_asymptotic)
@@ -85,9 +87,26 @@ class _Nets:
         return self.iso.domain.quads
 
     @cached_property
+    def iso_planes(self) -> PlaneFit:
+        """The quad planes that circularity and the curvature pass share."""
+        return plane_fits(self.iso.quad_array())
+
+    @cached_property
+    def asym_stars(self) -> list:
+        """The star planes that asymptotic_stars and conjugate_normals share."""
+        return star_planes(self.asym)
+
+    @cached_property
+    def asym_normals(self) -> np.ndarray:
+        """The star-plane normals that conjugate_normals and the boundary
+        checks share."""
+        return tangent_normals(self.asym, stars=self.asym_stars)
+
+    @cached_property
     def curvature(self) -> Curvatures:
         """The mixed-area pass that minimality and steiner share."""
-        return Curvatures(self.iso.quad_array(), self.normals.quad_array(), self.tol)
+        return Curvatures(self.iso.quad_array(), self.normals.quad_array(), self.tol,
+                          self.iso_planes)
 
     def _undefined(self, undefined: np.ndarray) -> CheckReport | None:
         if undefined.any():
@@ -98,8 +117,8 @@ class _Nets:
     def circularity(self) -> CheckReport:
         pts = self.iso.quad_array()
         diagonal = np.maximum(_norm(np.ptp(pts, axis=1)), 1e-300)
-        return worst_report(circularity_residuals(pts) / diagonal, self.quads, self.tol,
-                            diagonal)
+        return worst_report(circularity_residuals(pts, self.iso_planes) / diagonal, self.quads,
+                            self.tol, diagonal)
 
     def isothermic(self) -> CheckReport:
         return worst_report(cross_ratio_residuals(self.iso, self.labels), self.quads, self.tol)
@@ -123,10 +142,10 @@ class _Nets:
                             self.tol)
 
     def asymptotic_stars(self) -> CheckReport:
-        return is_asymptotic(self.asym, self.tol)
+        return is_asymptotic(self.asym, self.tol, self.asym_stars)
 
     def conjugate_normals(self) -> CheckReport:
-        star, gauss = tangent_normals(self.asym), self.normals.points
+        star, gauss = self.asym_normals, self.normals.points
         return worst_report(np.minimum(_norm(star - gauss), _norm(star + gauss)),
                             self.asym.domain.vertices, self.tol)
 
@@ -137,7 +156,8 @@ class _Nets:
         for axis, index in (("row", dom.n0), ("row", dom.n1),
                             ("col", dom.m0), ("col", dom.m1)):
             iso = analyze_boundary_isothermic(self.iso, self.normals, index, axis, self.tol)
-            asym = analyze_boundary_asymptotic(self.asym, index, axis, self.tol)
+            asym = analyze_boundary_asymptotic(self.asym, index, axis, self.tol,
+                                               self.asym_normals)
             checks[f"boundary_{axis}_{index}"] = {
                 "ok": ((iso.kind == "planar_curvature_line")
                        == (asym.kind == "straight_asymptotic_line")),
@@ -216,9 +236,10 @@ def verify_net_file(path: str, tol: float, as_isothermic: bool = False,
 def _write_obj(path: str, vertices, faces) -> None:
     """Vertex positions and 0-based faces as OBJ (1-based indices)."""
     rows = faces.tolist() if isinstance(faces, np.ndarray) else faces
+    text = ("".join(["v %.17g %.17g %.17g\n" % tuple(p) for p in vertices.tolist()])
+            + "".join(["f " + " ".join([str(i + 1) for i in f]) + "\n" for f in rows]))
     with open(path, "w") as fh:
-        fh.write("".join(["v %.17g %.17g %.17g\n" % tuple(p) for p in vertices.tolist()]))
-        fh.write("".join(["f " + " ".join([str(i + 1) for i in f]) + "\n" for f in rows]))
+        fh.write(text)
 
 
 def export_net_obj(net: Net3, path: str) -> None:
@@ -252,6 +273,14 @@ def export_obj(path_in: str, path_out: str) -> None:
                 raise ValueError("orbit vertices must have 3 coordinates")
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"bad orbit record: {exc!r}") from exc
+        bad = ~np.isfinite(vertices).all(axis=1)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ParseError(f"bad orbit record: vertex {i} is {vertices[i].tolist()}")
+        for i, face in enumerate(faces):
+            if not all(0 <= v < len(vertices) for v in face):
+                raise ParseError(f"bad orbit record: face {i} {face} indexes past the "
+                                 f"{len(vertices)} vertices")
         _write_obj(path_out, vertices, faces)
     else:
         export_net_obj(json_to_bundle(doc).net, path_out)
@@ -288,8 +317,9 @@ def _write_orbit(net: Net3, normals: Net3, tol: float, max_word: int, path: str,
         raise NotReflectable("no reflectable boundary lines found")
     orbit = build_orbit(net, generators, max_word=max_word,
                         dedup_tol=max(tol, 1e-6), weld_tol=max(tol, 1e-9))
+    text = orbit_to_json(orbit) + "\n"
     with open(path, "w") as fh:
-        fh.write(orbit_to_json(orbit) + "\n")
+        fh.write(text)
     if obj_path:
         export_orbit_obj(orbit, obj_path)
     return orbit

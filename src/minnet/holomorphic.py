@@ -302,8 +302,9 @@ def mobius_apply(grid: HoloGrid, mapping) -> HoloGrid:
 def write_grid(path, grid: HoloGrid) -> None:
     points = np.stack([grid.values.real, grid.values.imag, np.zeros(len(grid.values))], axis=1)
     carrier = Net3(grid.domain, points, check_edges=False)
+    text = net_to_json(carrier, grid.labels, infinity=grid.infinity_vertices()) + "\n"
     with open(path, "w") as fh:
-        fh.write(net_to_json(carrier, grid.labels, infinity=grid.infinity_vertices()) + "\n")
+        fh.write(text)
 
 
 def read_grid(path) -> HoloGrid:

@@ -29,10 +29,10 @@ from .errors import (ClosureFailure, InconsistentBundle, NotCoplanar,
                      NotIsothermic, ZeroArea, ZeroDg)
 from .holomorphic import HoloGrid
 from .mobius import CNum, c_abs, c_div, c_mul, is_inf, stereographic_lift
-from .net import (MIN_EDGE, CheckReport, EdgeLabels, LatticeDomain, Net3, Vertex,
-                  _dot, _norm, _quad_scale, are_parallel_meshes,
-                  circularity_residuals, edge_loops, integrate_edges, is_isothermic,
-                  planarity_residual, planarity_residuals, point_scales, worst_report)
+from .net import (MIN_EDGE, CheckReport, EdgeLabels, LatticeDomain, Net3, PlaneFit, Vertex,
+                  _dot, _norm, _quad_scale, are_parallel_meshes, circularity_residuals,
+                  edge_loops, integrate_edges, is_isothermic, plane_fits, planarity_residual,
+                  planarity_residuals, point_scales, worst_report)
 
 CLOSURE_TOL = 1e-9
 
@@ -154,19 +154,28 @@ def _vertex_stars(net: Net3, vertices: np.ndarray) -> list[tuple[np.ndarray, np.
     return groups
 
 
-def is_asymptotic(net: Net3, tol: float = 1e-9) -> CheckReport:
+def star_planes(net: Net3, vertices=None) -> list[tuple[np.ndarray, PlaneFit]]:
+    """The plane_fits of the _vertex_stars groups of the given vertex numbers
+    (every vertex by default), as (positions in vertices, fits)."""
+    vertices = np.arange(len(net.points)) if vertices is None else np.asarray(vertices)
+    return [(rows, plane_fits(pts)) for rows, pts in _vertex_stars(net, vertices)]
+
+
+def is_asymptotic(net: Net3, tol: float = 1e-9, stars=None) -> CheckReport:
     """Star coplanarity at interior vertices plus per-quad non-degeneracy.
 
     The report is ok when every full 5-point star is coplanar; quads that
     are themselves planar are listed as degenerate in extra.  The residual
-    of a star is relative to its diameter.
+    of a star is relative to its diameter.  stars: star_planes(net), when
+    the caller has them.
     """
     verts = net.domain.vertices
     res, scale = np.zeros(len(verts)), np.ones(len(verts))
-    for rows, pts in _vertex_stars(net, np.arange(len(verts))):
+    for i, (rows, pts) in enumerate(_vertex_stars(net, np.arange(len(verts)))):
         if pts.shape[1] == 5:
+            fit = plane_fits(pts) if stars is None else stars[i][1]
             scale[rows] = np.maximum(point_scales(pts), 1e-300)
-            res[rows] = planarity_residuals(pts) / scale[rows]
+            res[rows] = planarity_residuals(pts, fit) / scale[rows]
     quads = net.quad_array()
     flat = planarity_residuals(quads) <= tol * np.maximum(point_scales(quads), 1e-300)
     degenerate = [net.domain.quads[i] for i in np.flatnonzero(flat)]
@@ -174,18 +183,18 @@ def is_asymptotic(net: Net3, tol: float = 1e-9) -> CheckReport:
         extra={"degenerate_quads": degenerate, "nondegenerate_ok": not degenerate})
 
 
-def tangent_normals(net: Net3, vertices=None) -> np.ndarray:
+def tangent_normals(net: Net3, vertices=None, stars=None) -> np.ndarray:
     """Unit normals of the per-vertex star planes of an asymptotic net.
 
     One row per given vertex number (every vertex, in `domain.vertices`
     order, by default).  Sign is arbitrary per vertex; callers align
-    against a reference.
+    against a reference.  stars: star_planes(net, vertices), when the
+    caller has them.
     """
     verts = np.arange(len(net.points)) if vertices is None else np.asarray(vertices)
     normals = np.zeros((len(verts), 3))
-    for rows, pts in _vertex_stars(net, verts):
-        vt = np.linalg.svd(pts - pts.mean(axis=1, keepdims=True), full_matrices=False)[2]
-        normals[rows] = vt[:, 2] if vt.shape[1] == 3 else np.cross(vt[:, 0], vt[:, 1])
+    for rows, fit in star_planes(net, verts) if stars is None else stars:
+        normals[rows] = fit.vt[:, 2]
     return normals
 
 
@@ -267,14 +276,16 @@ def mixed_areas(f: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 class Curvatures:
     """quad_curvatures of every quad of a net F with Gauss map N, in one
-    mixed-area pass over the (quads, 4, 3) corner stacks f and n.
+    mixed-area pass over the (quads, 4, 3) corner stacks f and n.  fit:
+    plane_fits(f), when the caller has it.
 
     undefined marks the quads where quad_curvatures raises (a non-planar
     quad or a vanishing area); H, K, area = |A(F)| and normal = A(F)/|A(F)|
     hold no meaningful value there.
     """
 
-    def __init__(self, f: np.ndarray, n: np.ndarray, tol: float = 1e-9):
+    def __init__(self, f: np.ndarray, n: np.ndarray, tol: float = 1e-9,
+                 fit: PlaneFit | None = None):
         self.f, self.n = f, n
         scale = np.maximum(point_scales(f), 1e-300)
         af = mixed_areas(f, f)
@@ -283,7 +294,7 @@ class Curvatures:
             self.normal = af / self.area[:, None]
             self.H = -_dot(mixed_areas(f, n), self.normal) / self.area
             self.K = _dot(mixed_areas(n, n), self.normal) / self.area
-        self.undefined = ((planarity_residuals(f) > tol * scale)
+        self.undefined = ((planarity_residuals(f, fit) > tol * scale)
                           | (self.area <= 1e-12 * scale * scale)
                           | (planarity_residuals(n) > tol * np.maximum(point_scales(n), 1e-300)))
 

@@ -367,6 +367,46 @@ def _quad_scale(pts) -> float:
     return float(point_scales(np.asarray(pts, dtype=float)[None])[0])
 
 
+class PlaneFit(NamedTuple):
+    """Least-squares planes of a (sets, k, 3) stack of point sets.
+
+    s holds the (sets, 3) singular values of the centred sets in descending
+    order, and vt the (sets, 3, 3) frames whose rows are the principal
+    directions, the plane normal last: for k >= 3 what the thin SVD of the
+    centred sets gives, up to the signs of the rows.
+    """
+
+    s: np.ndarray
+    vt: np.ndarray
+
+
+def plane_fits(pts: np.ndarray) -> PlaneFit:
+    """The planes of every set in a (sets, k, 3) stack, from one batched
+    eigh of the 3x3 scatter matrices.
+
+    Forming the scatter matrix squares the conditioning, so a planarity or
+    circularity residual differs from the SVD's by up to
+    48 eps s0^2 / (s1^2 - s2^2) max|c_i| (see README, "Plane fits").
+    """
+    centered = pts - pts.mean(axis=1, keepdims=True)
+    w, v = np.linalg.eigh(centered.transpose(0, 2, 1) @ centered)
+    return PlaneFit(np.sqrt(np.maximum(w[:, ::-1], 0.0)), v[..., ::-1].transpose(0, 2, 1))
+
+
+def _frame_coordinates(pts: np.ndarray, fit: PlaneFit) -> np.ndarray:
+    """(sets, k, 3) coordinates of the centred points along each frame's rows."""
+    return (pts - pts.mean(axis=1, keepdims=True)) @ fit.vt.transpose(0, 2, 1)
+
+
+def _collinear(coords: np.ndarray, fit: PlaneFit) -> np.ndarray:
+    """Sets whose points lie within 1e-12 s0 of their principal line.
+
+    The distances are measured directly, not read off s1: through the
+    scatter matrix, float64 resolves s1 only down to about 1e-8 s0.
+    """
+    return np.hypot(coords[..., 1], coords[..., 2]).max(axis=1) <= 1e-12 * fit.s[:, 0]
+
+
 def circularity_residual(pts) -> float:
     """Raw residual: max(coplanarity distance, circumradius spread)."""
     pts = np.asarray(pts, dtype=float)
@@ -390,13 +430,13 @@ def circularity_residual(pts) -> float:
     return max(coplanar, spread)
 
 
-def circularity_residuals(pts: np.ndarray) -> np.ndarray:
-    """circularity_residual of every quad in a (quads, 4, 3) stack."""
-    centered = pts - pts.mean(axis=1, keepdims=True)
-    _, s, vt = np.linalg.svd(centered, full_matrices=False)
-    coplanar = np.where(s[:, 0] > 0, np.abs(centered @ vt[:, 2, :, None])[..., 0].max(axis=1),
-                        0.0)
-    uv = centered @ vt[:, :2].transpose(0, 2, 1)
+def circularity_residuals(pts: np.ndarray, fit: PlaneFit | None = None) -> np.ndarray:
+    """circularity_residual of every quad in a (quads, 4, 3) stack; inf where
+    a quad's points lie on a line.  fit: plane_fits(pts), when the caller has it."""
+    fit = plane_fits(pts) if fit is None else fit
+    coords = _frame_coordinates(pts, fit)
+    coplanar = np.abs(coords[..., 2]).max(axis=1)
+    uv = coords[..., :2]
     a = 2.0 * (uv[:, 1:] - uv[:, :1])
     b = (uv[:, 1:] ** 2).sum(axis=2) - (uv[:, 0] ** 2).sum(axis=1)[:, None]
     g00, g01, g11 = ((a[..., i] * a[..., j]).sum(axis=1) for i, j in ((0, 0), (0, 1), (1, 1)))
@@ -406,7 +446,8 @@ def circularity_residuals(pts: np.ndarray) -> np.ndarray:
         center = np.stack([(g11 * r0 - g01 * r1) / det, (g00 * r1 - g01 * r0) / det], axis=1)
         radii = np.linalg.norm(uv - center[:, None], axis=2)
     spread = radii.max(axis=1) - radii.min(axis=1)
-    return np.where(det == 0.0, np.inf, np.maximum(coplanar, spread))
+    return np.where(_collinear(coords, fit) | (det == 0.0), np.inf,
+                    np.maximum(coplanar, spread))
 
 
 def is_circular(net: Net3, quad: Quad, tol: float = 1e-9) -> tuple[bool, float]:
@@ -484,12 +525,13 @@ def planarity_residual(pts) -> float:
     return float(planarity_residuals(pts[None])[0]) if len(pts) >= 3 else 0.0
 
 
-def planarity_residuals(pts: np.ndarray) -> np.ndarray:
-    """planarity_residual of every point set in a (sets, k, 3) stack, k >= 3."""
-    centered = pts - pts.mean(axis=1, keepdims=True)
-    _, s, vt = np.linalg.svd(centered, full_matrices=False)
-    res = np.abs(centered @ vt[:, 2, :, None])[..., 0].max(axis=1)
-    return np.where((s[:, 0] < 1e-14) | (s[:, 1] <= 1e-12 * s[:, 0]), 0.0, res)
+def planarity_residuals(pts: np.ndarray, fit: PlaneFit | None = None) -> np.ndarray:
+    """planarity_residual of every point set in a (sets, k, 3) stack, k >= 3.
+    fit: plane_fits(pts), when the caller has it."""
+    fit = plane_fits(pts) if fit is None else fit
+    coords = _frame_coordinates(pts, fit)
+    res = np.abs(coords[..., 2]).max(axis=1)
+    return np.where((fit.s[:, 0] < 1e-14) | _collinear(coords, fit), 0.0, res)
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +553,17 @@ def _fmt_float(x: float) -> str:
 
 
 def json_rows(values, fmt=_fmt_float) -> list[str]:
-    """Each row of a 2-d array as a JSON list, every number written once by fmt."""
+    """Each row of a 2-d array as a JSON list, every number written once by fmt.
+
+    With the default fmt, one finiteness check covers the whole array and
+    one %-format writes each row: the same text as _fmt_float per number.
+    """
+    if fmt is _fmt_float:
+        values = np.asarray(values, dtype=float)
+        if not np.isfinite(values).all():
+            raise ValueError("non-finite float in output")
+        row = "[" + ", ".join(["%.17g"] * values.shape[-1]) + "]"
+        return [row % r for r in map(tuple, values.tolist())]
     values = np.asarray(values)
     text = list(map(fmt, values.ravel().tolist()))
     k = max(values.shape[-1], 1)
@@ -545,9 +597,14 @@ def net_to_json(net: Net3, labels: EdgeLabels | None = None, normals: Net3 | Non
 
 def write_net(path, net: Net3, labels: EdgeLabels | None = None,
               normals: Net3 | None = None) -> None:
-    """Write a net (with optional labels and Gauss map) as .dnet.json."""
+    """Write a net (with optional labels and Gauss map) as .dnet.json.
+
+    The document is formatted before the file is opened, so a net that
+    cannot be written leaves no file behind.
+    """
+    text = net_to_json(net, labels, normals) + "\n"
     with open(path, "w") as fh:
-        fh.write(net_to_json(net, labels, normals) + "\n")
+        fh.write(text)
 
 
 def _parse_domain(doc: dict) -> LatticeDomain:
@@ -592,6 +649,10 @@ def json_to_bundle(doc: dict, check_edges: bool = True) -> NetBundle:
                 raise ParseError("alpha/beta length does not match domain ranges")
             # float() per entry: numpy would read null as NaN
             labels = EdgeLabels([float(a) for a in alpha], [float(b) for b in beta])
+            for name, values in (("alpha", labels.alpha), ("beta", labels.beta)):
+                if not np.isfinite(values).all():
+                    i = int(np.argmin(np.isfinite(values)))
+                    raise ParseError(f"non-finite label {name}[{i}] = {values[i]}")
         if "normals" in doc:
             normals = Net3(dom, np.array(doc["normals"], dtype=float), check_edges=False)
     except (TypeError, ValueError) as exc:

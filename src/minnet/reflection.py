@@ -112,11 +112,13 @@ def analyze_boundary_isothermic(net: Net3, normals: Net3, index: int,
 
 
 def analyze_boundary_asymptotic(net: Net3, index: int, axis: str = "row",
-                                tol: float = 1e-9) -> BoundaryAnalysis:
+                                tol: float = 1e-9,
+                                star_normals: np.ndarray | None = None) -> BoundaryAnalysis:
     """Straight-line test of an asymptotic lattice line.
 
     Cross-checks that the tangent-plane normals along the line lie in the
-    plane perpendicular to it (the great-circle condition).
+    plane perpendicular to it (the great-circle condition).  star_normals:
+    tangent_normals(net) of every vertex, when the caller has them.
     """
     verts = boundary_vertices(net.domain, index, axis)
     pts = net.points[verts]
@@ -124,7 +126,8 @@ def analyze_boundary_asymptotic(net: Net3, index: int, axis: str = "row",
     line, r_line = fit_line(pts)
     residuals = {"line": r_line}
 
-    r_perp = float(np.abs(tangent_normals(net, verts) @ line.direction).max())
+    normals = tangent_normals(net, verts) if star_normals is None else star_normals[verts]
+    r_perp = float(np.abs(normals @ line.direction).max())
     residuals["gauss_perpendicular"] = r_perp
 
     straight = r_line <= tol * scale

@@ -7,6 +7,12 @@ from minnet.bvp import BoundarySpec, solve_knoid
 from minnet.errors import DegenerateQuad
 from minnet.holomorphic import power_function
 from minnet.minimal import MinimalPair
+from minnet.net import PlaneFit
+
+# The constant of the written bound on plane fits through the scatter matrix
+# (README, "Plane fits"): residuals measured with net.plane_fits lie within
+# FIT_BOUND eps s0^2 / (s1^2 - s2^2) max|c_i| of those measured with the SVD.
+FIT_BOUND = 48.0
 
 
 @pytest.fixture(scope="session")
@@ -36,6 +42,23 @@ def trinoid_result():
 @pytest.fixture(scope="session")
 def trinoid_pair(trinoid_result):
     return MinimalPair.from_grid(trinoid_result.grid)
+
+
+def svd_plane_fits(pts: np.ndarray) -> PlaneFit:
+    """net.plane_fits by the thin SVD of the centred sets: the oracle, k >= 3."""
+    centered = pts - pts.mean(axis=1, keepdims=True)
+    _, s, vt = np.linalg.svd(centered, full_matrices=False)
+    return PlaneFit(s, vt)
+
+
+def fit_error_bound(pts: np.ndarray) -> np.ndarray:
+    """The written bound on |residual by plane_fits - residual by the SVD| of
+    every set in a (sets, k, 3) stack; inf where s1 = s2."""
+    s0, s1, s2 = svd_plane_fits(pts).s.T
+    reach = np.linalg.norm(pts - pts.mean(axis=1, keepdims=True), axis=2).max(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(s1 > s2, FIT_BOUND * np.finfo(float).eps * s0 * s0 / (s1 * s1 - s2 * s2)
+                        * reach, np.inf)
 
 
 def edge_label(labels, domain, a, b) -> float:

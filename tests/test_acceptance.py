@@ -1,7 +1,6 @@
 """Acceptance suite: one test per top-level criterion, each printing a
 pass/fail line with the measured figure against its pinned tolerance."""
 
-import cmath
 import math
 import time
 
@@ -9,7 +8,7 @@ import numpy as np
 import pytest
 
 from minnet.bvp import BoundarySpec, platonic_preset, solve_knoid, solve_platonic
-from minnet.holomorphic import power_function, validate_holomorphic
+from minnet.holomorphic import power_function
 from minnet.minimal import (MinimalPair, gauss_map, is_asymptotic, mixed_area,
                             quad_curvatures, tangent_normals,
                             weierstrass_isothermic)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from minnet import bvp
-from minnet.bvp import (BoundarySpec, PlatonicPreset, _collocation_seed, _cumexp,
+from minnet.bvp import (BoundarySpec, _collocation_seed, _cumexp,
                         _increasing_closed_inverse, _increasing_open_inverse,
                         _knoid_triangle,
                         _reencode_between, _spherical_triangle,

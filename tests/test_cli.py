@@ -265,6 +265,29 @@ class TestExport:
         assert n_verts == len(doc["vertices"])
 
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("vertex", float("nan"), "vertex 3 is [nan, 0.0, 0.0]"),
+        ("face", 10 ** 6, "face 2 [1000000,"),
+        ("face", -5, "face 2 [-5,"),       # OBJ would read f -4 as a relative index
+    ])
+    def test_export_rejects_bad_orbit_records(self, tmp_path, capsys, field, value, message):
+        base = str(tmp_path / "enn")
+        assert run(["generate", "enneper", "--k", "3", "--size", "3",
+                    "--orbit", "--out", base]) == 0
+        doc = json.loads(open(f"{base}.orbit.json").read())
+        if field == "vertex":
+            doc["vertices"][3] = [value, 0.0, 0.0]
+        else:
+            doc["faces"][2][0] = value
+        bad, dst = tmp_path / "bad.orbit.json", tmp_path / "bad.obj"
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["export", str(bad), str(dst)]) == 3
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "ParseError" and message in error["message"]
+        assert not dst.exists()
+
+
 class TestReflectAndConjugate:
     def test_reflect_roundtrip(self, tmp_path):
         base = str(tmp_path / "enn")

@@ -1,14 +1,11 @@
-import math
-
 import numpy as np
 import pytest
 
 from minnet.errors import (ClosureFailure, NotCoplanar, NotIsothermic, ZeroArea,
                            ZeroDg)
 from minnet.holomorphic import HoloGrid, power_function
-from minnet.minimal import (MinimalPair, christoffel,
-                            gauss_map, is_asymptotic, mixed_area, offset_net,
-                            propagate_normals, quad_curvatures,
+from minnet.minimal import (christoffel, gauss_map, is_asymptotic, mixed_area,
+                            offset_net, propagate_normals, quad_curvatures,
                             tangent_normals, weierstrass_asymptotic,
                             weierstrass_isothermic)
 from minnet.net import EdgeLabels, LatticeDomain, Net3, are_parallel_meshes, is_isothermic

@@ -5,12 +5,11 @@ import pytest
 
 from minnet.bvp import solve_platonic
 from minnet.errors import NotPlanarBoundary, NotReflectable, OrbitExplosion
-from minnet.holomorphic import power_function
 from minnet.minimal import (MinimalPair, is_asymptotic, quad_curvatures,
-                            tangent_normals, weierstrass_asymptotic)
+                            weierstrass_asymptotic)
 from minnet.mobius import (Isometry, PlaneR3, fit_plane_through_origin,
                            stereographic_project)
-from minnet.net import EdgeLabels, LatticeDomain, Net3, is_isothermic
+from minnet.net import LatticeDomain, Net3, is_isothermic
 from minnet.reflection import (analyze_boundary_asymptotic,
                                analyze_boundary_isothermic, build_orbit,
                                close_group, corner_angles, reflect_isothermic,

@@ -8,10 +8,11 @@ import pytest
 
 from minnet.cli import main, orbit_to_json
 from minnet.errors import ParseError
-from minnet.holomorphic import MobiusInversion, mobius_apply, power_function, write_grid
+from minnet.holomorphic import (HoloGrid, MobiusInversion, mobius_apply, power_function,
+                                write_grid)
 from minnet.minimal import MinimalPair
 from minnet.mobius import Isometry, PlaneR3
-from minnet.net import EdgeLabels, LatticeDomain, Net3, read_net, write_net
+from minnet.net import EdgeLabels, LatticeDomain, Net3, json_rows, read_net, write_net
 from minnet.reflection import _extend_rows, _mirror_labels, build_orbit
 
 from conftest import edge_label
@@ -124,7 +125,39 @@ def test_label_arrays_are_read_only(masked_net):
             values[0] = 0.0
 
 
-@pytest.mark.parametrize("entry", [None, "x"])
+def test_extreme_floats_equal_recursive_writer(tmp_path, masked_net):
+    net, labels, normals = masked_net
+    points = normals.points.copy()
+    points[:4] = [[-0.0, 5e-324, 1e300], [-1e300, -5e-324, 2.2250738585072014e-308],
+                  [0.1, -0.0, 1.0], [1e-300, 123456789.123456789, -1e300]]
+    extreme = Net3(net.domain, points, check_edges=False)
+    path = tmp_path / "net.dnet.json"
+    write_net(path, net, labels, extreme)
+    assert path.read_text() == dump(net_doc(net, labels, extreme)) + "\n"
+    assert json_rows(points[:4]) == [dump([float(c) for c in p]) for p in points[:4]]
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_float_is_not_written(value):
+    with pytest.raises(ValueError, match="non-finite"):
+        json_rows(np.array([[0.0, 1.0, 2.0], [3.0, value, 5.0]]))
+
+
+def test_unwritable_documents_leave_no_file(tmp_path, masked_net):
+    net, labels, _ = masked_net
+    bad = EdgeLabels(np.where(np.arange(len(labels.alpha)) == 1, np.nan, labels.alpha),
+                     labels.beta)
+    with pytest.raises(ValueError, match="non-finite"):
+        write_net(tmp_path / "net.dnet.json", net, bad)
+    grid = power_function(1.5, 4, 4)
+    grid = HoloGrid(grid.domain, grid.values, EdgeLabels(grid.labels.alpha,
+                                                         grid.labels.beta * np.inf))
+    with pytest.raises(ValueError, match="non-finite"):
+        write_grid(tmp_path / "grid.dnet.json", grid)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("entry", [None, "x", float("nan"), float("inf")])
 def test_non_numeric_label_is_parse_error(tmp_path, masked_net, entry):
     net, labels, _ = masked_net
     path = tmp_path / "net.dnet.json"
@@ -135,6 +168,17 @@ def test_non_numeric_label_is_parse_error(tmp_path, masked_net, entry):
     with pytest.raises(ParseError):
         read_net(path)
     assert main(["verify", str(path)]) == 3
+
+
+def test_reflect_of_a_non_finite_label_writes_nothing(tmp_path, enneper_pair):
+    pair = enneper_pair
+    path, out = tmp_path / "iso.dnet.json", tmp_path / "ext.dnet.json"
+    write_net(path, pair.isothermic, pair.grid.labels, pair.gauss)
+    doc = json.loads(path.read_text())
+    doc["alpha"][0] = float("nan")
+    path.write_text(json.dumps(doc))
+    assert main(["reflect", str(path), "--row", "0", "--out", str(out)]) == 3
+    assert not out.exists()
 
 
 def test_grid_file_with_infinity_equals_recursive_writer(tmp_path):
