@@ -23,8 +23,7 @@ from . import bvp
 from .errors import (BadParameter, DomainMismatch, MinnetError, NotReflectable,
                      ParseError)
 from .holomorphic import HoloGrid, power_function, read_grid, write_grid
-from .minimal import (Curvatures, MinimalPair, gauss_map, is_asymptotic, star_planes,
-                      tangent_normals)
+from .minimal import Curvatures, MinimalPair, StarPlanes, gauss_map, is_asymptotic
 from .mobius import Isometry
 from .net import (CheckReport, EdgeLabels, Net3, PlaneFit, _fmt_float, _norm,
                   circularity_residuals, cross_ratio_residuals, edge_angles, json_list,
@@ -92,21 +91,16 @@ class _Nets:
         return plane_fits(self.iso.quad_array())
 
     @cached_property
-    def asym_stars(self) -> list:
-        """The star planes that asymptotic_stars and conjugate_normals share."""
-        return star_planes(self.asym)
-
-    @cached_property
-    def asym_normals(self) -> np.ndarray:
-        """The star-plane normals that conjugate_normals and the boundary
-        checks share."""
-        return tangent_normals(self.asym, stars=self.asym_stars)
+    def asym_stars(self) -> StarPlanes:
+        """The star planes that asymptotic_stars, conjugate_normals and the
+        boundary checks share."""
+        return StarPlanes(self.asym)
 
     @cached_property
     def curvature(self) -> Curvatures:
         """The mixed-area pass that minimality and steiner share."""
-        return Curvatures(self.iso.quad_array(), self.normals.quad_array(), self.tol,
-                          self.iso_planes)
+        return Curvatures(self.iso.quad_array(), self.normals.quad_array(), self.iso_planes,
+                          self.tol)
 
     def _undefined(self, undefined: np.ndarray) -> CheckReport | None:
         if undefined.any():
@@ -145,7 +139,7 @@ class _Nets:
         return is_asymptotic(self.asym, self.tol, self.asym_stars)
 
     def conjugate_normals(self) -> CheckReport:
-        star, gauss = self.asym_normals, self.normals.points
+        star, gauss = self.asym_stars.normals, self.normals.points
         return worst_report(np.minimum(_norm(star - gauss), _norm(star + gauss)),
                             self.asym.domain.vertices, self.tol)
 
@@ -157,7 +151,7 @@ class _Nets:
                             ("col", dom.m0), ("col", dom.m1)):
             iso = analyze_boundary_isothermic(self.iso, self.normals, index, axis, self.tol)
             asym = analyze_boundary_asymptotic(self.asym, index, axis, self.tol,
-                                               self.asym_normals)
+                                               self.asym_stars.normals)
             checks[f"boundary_{axis}_{index}"] = {
                 "ok": ((iso.kind == "planar_curvature_line")
                        == (asym.kind == "straight_asymptotic_line")),
@@ -257,7 +251,7 @@ def orbit_to_json(orbit: SymmetryOrbit) -> str:
                 f'"translation": {json_list(map(_fmt_float, e.translation.tolist()))}}}'
                 for e in orbit.elements]
     return (f'{{"kind": "orbit", "vertices": {json_list(json_rows(orbit.vertices))}, '
-            f'"faces": {json_list(json_rows(orbit.faces, str))}, '
+            f'"faces": {json_list(json_rows(orbit.faces))}, '
             f'"elements": {json_list(elements)}, '
             f'"weld_residual": {_fmt_float(orbit.weld_residual)}}}')
 

@@ -154,48 +154,51 @@ def _vertex_stars(net: Net3, vertices: np.ndarray) -> list[tuple[np.ndarray, np.
     return groups
 
 
-def star_planes(net: Net3, vertices=None) -> list[tuple[np.ndarray, PlaneFit]]:
-    """The plane_fits of the _vertex_stars groups of the given vertex numbers
-    (every vertex by default), as (positions in vertices, fits)."""
-    vertices = np.arange(len(net.points)) if vertices is None else np.asarray(vertices)
-    return [(rows, plane_fits(pts)) for rows, pts in _vertex_stars(net, vertices)]
+class StarPlanes:
+    """The star plane of each given vertex number of a net (every vertex, in
+    `domain.vertices` order, by default), one plane_fits per star size.
+
+    normals holds the unit normals, sign arbitrary per vertex.  residual is
+    the planarity residual of each full 5-point star relative to its
+    diameter, scale that diameter; both are 0 and 1 at smaller stars.
+    """
+
+    def __init__(self, net: Net3, vertices=None):
+        verts = np.arange(len(net.points)) if vertices is None else np.asarray(vertices)
+        self.normals = np.zeros((len(verts), 3))
+        self.residual, self.scale = np.zeros(len(verts)), np.ones(len(verts))
+        for rows, pts in _vertex_stars(net, verts):
+            fit = plane_fits(pts)
+            self.normals[rows] = fit.vt[:, 2]
+            if pts.shape[1] == 5:
+                self.scale[rows] = np.maximum(point_scales(pts), 1e-300)
+                self.residual[rows] = planarity_residuals(pts, fit) / self.scale[rows]
 
 
-def is_asymptotic(net: Net3, tol: float = 1e-9, stars=None) -> CheckReport:
+def is_asymptotic(net: Net3, tol: float = 1e-9, stars: StarPlanes | None = None) -> CheckReport:
     """Star coplanarity at interior vertices plus per-quad non-degeneracy.
 
     The report is ok when every full 5-point star is coplanar; quads that
     are themselves planar are listed as degenerate in extra.  The residual
-    of a star is relative to its diameter.  stars: star_planes(net), when
+    of a star is relative to its diameter.  stars: StarPlanes(net), when
     the caller has them.
     """
-    verts = net.domain.vertices
-    res, scale = np.zeros(len(verts)), np.ones(len(verts))
-    for i, (rows, pts) in enumerate(_vertex_stars(net, np.arange(len(verts)))):
-        if pts.shape[1] == 5:
-            fit = plane_fits(pts) if stars is None else stars[i][1]
-            scale[rows] = np.maximum(point_scales(pts), 1e-300)
-            res[rows] = planarity_residuals(pts, fit) / scale[rows]
+    stars = StarPlanes(net) if stars is None else stars
     quads = net.quad_array()
     flat = planarity_residuals(quads) <= tol * np.maximum(point_scales(quads), 1e-300)
     degenerate = [net.domain.quads[i] for i in np.flatnonzero(flat)]
-    return worst_report(res, verts, tol, scale)._replace(
+    return worst_report(stars.residual, net.domain.vertices, tol, stars.scale)._replace(
         extra={"degenerate_quads": degenerate, "nondegenerate_ok": not degenerate})
 
 
-def tangent_normals(net: Net3, vertices=None, stars=None) -> np.ndarray:
+def tangent_normals(net: Net3, vertices=None) -> np.ndarray:
     """Unit normals of the per-vertex star planes of an asymptotic net.
 
     One row per given vertex number (every vertex, in `domain.vertices`
     order, by default).  Sign is arbitrary per vertex; callers align
-    against a reference.  stars: star_planes(net, vertices), when the
-    caller has them.
+    against a reference.
     """
-    verts = np.arange(len(net.points)) if vertices is None else np.asarray(vertices)
-    normals = np.zeros((len(verts), 3))
-    for rows, fit in star_planes(net, verts) if stars is None else stars:
-        normals[rows] = fit.vt[:, 2]
-    return normals
+    return StarPlanes(net, vertices).normals
 
 
 def propagate_normals(net: Net3, n0, root: Vertex | None = None,
@@ -276,16 +279,15 @@ def mixed_areas(f: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 class Curvatures:
     """quad_curvatures of every quad of a net F with Gauss map N, in one
-    mixed-area pass over the (quads, 4, 3) corner stacks f and n.  fit:
-    plane_fits(f), when the caller has it.
+    mixed-area pass over the (quads, 4, 3) corner stacks f and n, given
+    fit = plane_fits(f).
 
     undefined marks the quads where quad_curvatures raises (a non-planar
     quad or a vanishing area); H, K, area = |A(F)| and normal = A(F)/|A(F)|
     hold no meaningful value there.
     """
 
-    def __init__(self, f: np.ndarray, n: np.ndarray, tol: float = 1e-9,
-                 fit: PlaneFit | None = None):
+    def __init__(self, f: np.ndarray, n: np.ndarray, fit: PlaneFit, tol: float = 1e-9):
         self.f, self.n = f, n
         scale = np.maximum(point_scales(f), 1e-300)
         af = mixed_areas(f, f)

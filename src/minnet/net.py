@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from functools import cached_property
 from typing import NamedTuple
 
@@ -552,22 +553,15 @@ def _fmt_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def json_rows(values, fmt=_fmt_float) -> list[str]:
-    """Each row of a 2-d array as a JSON list, every number written once by fmt.
-
-    With the default fmt, one finiteness check covers the whole array and
-    one %-format writes each row: the same text as _fmt_float per number.
-    """
-    if fmt is _fmt_float:
-        values = np.asarray(values, dtype=float)
-        if not np.isfinite(values).all():
-            raise ValueError("non-finite float in output")
-        row = "[" + ", ".join(["%.17g"] * values.shape[-1]) + "]"
-        return [row % r for r in map(tuple, values.tolist())]
-    values = np.asarray(values)
-    text = list(map(fmt, values.ravel().tolist()))
-    k = max(values.shape[-1], 1)
-    return ["[" + ", ".join(text[i:i + k]) + "]" for i in range(0, len(text), k)]
+def json_rows(values) -> list[str]:
+    """Each row of a 2-d array as a JSON list: one finiteness check for the
+    array, then one %.17g format per row, the text of _fmt_float per number
+    (integers below 2**53 print as themselves)."""
+    values = np.asarray(values, dtype=float)
+    if not np.isfinite(values).all():
+        raise ValueError("non-finite float in output")
+    row = "[" + ", ".join(["%.17g"] * values.shape[-1]) + "]"
+    return [row % r for r in map(tuple, values.tolist())]
 
 
 def json_list(items) -> str:
@@ -581,7 +575,7 @@ def net_to_json(net: Net3, labels: EdgeLabels | None = None, normals: Net3 | Non
     records = [f'{{"m": {m}, "n": {n}, "p": {p}}}'
                for (m, n), p in zip(dom.vertices, json_rows(net.points))]
     doc = (f'{{"domain": {{"m0": {dom.m0}, "m1": {dom.m1}, "n0": {dom.n0}, "n1": {dom.n1}, '
-           f'"mask": {json_list(json_rows(sorted(dom.mask), str))}}}, '
+           f'"mask": {json_list(json_rows(sorted(dom.mask)))}}}, '
            f'"vertices": {json_list(records)}')
     if labels is not None:
         if (len(labels.alpha), len(labels.beta)) != (dom.m1 - dom.m0, dom.n1 - dom.n0):
@@ -591,7 +585,7 @@ def net_to_json(net: Net3, labels: EdgeLabels | None = None, normals: Net3 | Non
     if normals is not None:
         doc += f', "normals": {json_list(json_rows(normals.points))}'
     if infinity is not None:
-        doc += f', "infinity": {json_list(json_rows(sorted(infinity), str))}'
+        doc += f', "infinity": {json_list(json_rows(sorted(infinity)))}'
     return doc + "}"
 
 
@@ -665,11 +659,17 @@ def _parse_int(text: str):
     return -0.0 if text == "-0" else int(text)
 
 
+# Only a document that may hold a "-0" token pays for calling _parse_int per
+# integer; an exponent such as 1e-0 also matches, which costs only time.
+_NEGATIVE_ZERO = re.compile(r"-0(?![\w.])")
+
+
 def load_json(path):
     """The JSON document in a file; ParseError with context on failure."""
     try:
         with open(path) as fh:
-            return json.load(fh, parse_int=_parse_int)
+            text = fh.read()
+        return json.loads(text, parse_int=_parse_int if _NEGATIVE_ZERO.search(text) else None)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     except OSError as exc:

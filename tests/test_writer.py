@@ -12,7 +12,8 @@ from minnet.holomorphic import (HoloGrid, MobiusInversion, mobius_apply, power_f
                                 write_grid)
 from minnet.minimal import MinimalPair
 from minnet.mobius import Isometry, PlaneR3
-from minnet.net import EdgeLabels, LatticeDomain, Net3, json_rows, read_net, write_net
+from minnet.net import (EdgeLabels, LatticeDomain, Net3, json_rows, load_json, read_net,
+                        write_net)
 from minnet.reflection import _extend_rows, _mirror_labels, build_orbit
 
 from conftest import edge_label
@@ -137,6 +138,12 @@ def test_extreme_floats_equal_recursive_writer(tmp_path, masked_net):
     assert json_rows(points[:4]) == [dump([float(c) for c in p]) for p in points[:4]]
 
 
+def test_integer_rows_print_as_integers():
+    """Mask, infinity and face rows go through the float format too."""
+    assert json_rows([(-2, -1), (0, 2 ** 53)]) == ["[-2, -1]", "[0, 9007199254740992]"]
+    assert json_rows([]) == []
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_non_finite_float_is_not_written(value):
     with pytest.raises(ValueError, match="non-finite"):
@@ -200,6 +207,15 @@ def test_orbit_document_equals_recursive_writer():
     orbit = build_orbit(pair.isothermic, mirrors)
     assert len(orbit.elements) > 1
     assert orbit_to_json(orbit) == dump(orbit_doc(orbit))
+
+
+@pytest.mark.parametrize("text, value", [("-0", -0.0), ("[-0]", [-0.0]),
+                                         ('{"m":-0, "p": [1e-05, -0.5, 0]}',
+                                          {"m": -0.0, "p": [1e-05, -0.5, 0]})])
+def test_negative_zero_reads_as_negative_zero(tmp_path, text, value):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    assert dump(load_json(path)) == dump(value)
 
 
 def test_planar_enneper_files_round_trip(tmp_path, planar_enneper_pair):
