@@ -28,7 +28,8 @@ from .errors import (AtInfinity, ClosureFailure, DegenerateQuad, ParseError, Pol
 from .mobius import (GAP_EPS, CNum, INF, c_abs, c_div, c_join, c_mul, cross_ratio_complex,
                      is_inf, sphere_distinct)
 from .net import (CheckReport, EdgeLabels, LatticeDomain, Net3, Vertex, edge_loops,
-                  integrate_edges, json_to_bundle, load_json, net_to_json, worst_report)
+                  integrate_edges, json_int, json_to_bundle, load_json, net_to_json,
+                  worst_report)
 
 
 class HoloGrid:
@@ -314,7 +315,8 @@ def read_grid(path) -> HoloGrid:
         raise ParseError("grid file must carry alpha/beta labels")
     dom, points = bundle.net.domain, bundle.net.points
     try:
-        m, n = np.array(doc.get("infinity", []) or np.zeros((0, 2)), dtype=np.intp).T
+        m, n = np.array([[json_int(i) for i in tag] for tag in doc.get("infinity", [])]
+                        or np.zeros((0, 2)), dtype=np.intp).T
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad infinity record: {exc}") from exc
     inf, index = np.zeros(len(dom.vertices), dtype=bool), dom.indices(m, n)

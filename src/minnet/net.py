@@ -601,12 +601,23 @@ def write_net(path, net: Net3, labels: EdgeLabels | None = None,
         fh.write(text)
 
 
+def json_int(value) -> int:
+    """An index read from JSON: an integer, or a float of integral value
+    such as the -0.0 of a "-0" token.  ValueError for anything else, booleans
+    and fractions included, which int() would silently truncate."""
+    if type(value) is int:
+        return value
+    if type(value) is float and value.is_integer():
+        return int(value)
+    raise ValueError(f"{value!r} is not an integer")
+
+
 def _parse_domain(doc: dict) -> LatticeDomain:
     try:
         d = doc["domain"]
-        mask = frozenset((int(m), int(n)) for m, n in d.get("mask", []))
-        return LatticeDomain((int(d["m0"]), int(d["m1"])),
-                             (int(d["n0"]), int(d["n1"])), mask)
+        mask = frozenset((json_int(m), json_int(n)) for m, n in d.get("mask", []))
+        return LatticeDomain((json_int(d["m0"]), json_int(d["m1"])),
+                             (json_int(d["n0"]), json_int(d["n1"])), mask)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad domain record: {exc}") from exc
 
@@ -620,8 +631,8 @@ def json_to_bundle(doc: dict, check_edges: bool = True) -> NetBundle:
     dom = _parse_domain(doc)
     try:
         records = doc["vertices"]
-        m, n = np.array([(int(r["m"]), int(r["n"])) for r in records] or np.zeros((0, 2)),
-                        dtype=np.intp).T
+        m, n = np.array([(json_int(r["m"]), json_int(r["n"])) for r in records]
+                        or np.zeros((0, 2)), dtype=np.intp).T
         p = np.array([r["p"] for r in records] or np.zeros((0, 3)), dtype=float)
         if p.shape != (len(m), 3):
             raise ValueError("a position must have 3 coordinates")

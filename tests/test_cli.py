@@ -21,6 +21,19 @@ NET_3D = json.dumps({"domain": {"m0": 0, "m1": 1, "n0": 0, "n1": 1},
                                   for m in (0, 1) for n in (0, 1)]})
 
 
+def net_3d(domain=None, m1=1, infinity=None):
+    """NET_3D with other domain bounds, another m of its m = 1 records, or
+    labels that make it the grid of the square 0, 1, 1 + i, i, with the
+    given infinity tags."""
+    doc = json.loads(NET_3D)
+    doc["domain"].update(domain or {})
+    for record in doc["vertices"]:
+        record["m"] = m1 if record["m"] == 1 else 0
+    if infinity is not None:
+        doc.update(alpha=[1.0], beta=[-1.0], infinity=infinity)
+    return json.dumps(doc)
+
+
 def run(args, env=None):
     old = {}
     if env:
@@ -96,6 +109,14 @@ class TestGenerate:
           "--solver-tol", "-1"], None),
         (["verify", "--tol", "nan"], NET_3D),
         (["verify", "--tol", "-1"], NET_3D),
+        # fractional and boolean lattice indices, which int() would truncate;
+        # conjugate reads the seed as its grid
+        (["export"], net_3d(domain={"m1": 1.5})),
+        (["verify"], net_3d(domain={"mask": [[1.5, 1]]})),
+        (["verify"], net_3d(m1=1.9)),
+        (["verify"], net_3d(m1=True)),
+        (["conjugate"], net_3d(infinity=[[40.5, 0]])),    # past the domain: ignored
+        (["conjugate"], net_3d(infinity=[[True, False]])),
     ])
     def test_bad_input_is_typed_error(self, tmp_path, capsys, family, seed):
         path = tmp_path / "seed.json"
@@ -105,6 +126,8 @@ class TestGenerate:
             argv = ["export", str(path), str(tmp_path / "x.obj")]
         elif family[0] == "verify":
             argv = ["verify", str(path), *family[1:]]
+        elif family[0] == "conjugate":
+            argv = ["conjugate", str(path), "--out", str(tmp_path / "x.dnet.json")]
         else:
             argv = ["generate", *family, "--out", str(tmp_path / "x")]
             if family[0] == "knoid":
@@ -269,6 +292,9 @@ class TestExport:
         ("vertex", float("nan"), "vertex 3 is [nan, 0.0, 0.0]"),
         ("face", 10 ** 6, "face 2 [1000000,"),
         ("face", -5, "face 2 [-5,"),       # OBJ would read f -4 as a relative index
+        ("face", 0.5, "0.5 is not an integer"),     # int() would truncate these
+        ("face", 1.9, "1.9 is not an integer"),
+        ("face", True, "True is not an integer"),
     ])
     def test_export_rejects_bad_orbit_records(self, tmp_path, capsys, field, value, message):
         base = str(tmp_path / "enn")
@@ -420,10 +446,104 @@ class TestNoMaskedArrays:
 
 
 def test_import_generates_no_dataclasses(tmp_path):
-    # every command pays its imports; @dataclass builds methods through exec
-    done = run_python("import sys, minnet.cli\n"
+    # every command pays its imports; @dataclass builds methods through exec.
+    # Importing bvp and reflection runs every layer.
+    done = run_python("import sys, minnet.cli, minnet.bvp, minnet.reflection\n"
                       "assert 'dataclasses' not in sys.modules", tmp_path)
     assert done.returncode == 0, done.stderr
+
+
+# Commands in turn in one fresh interpreter, each followed by the layers that
+# have run so far.  A layer that has not run is still a lazy module; its type
+# tells it apart, where reading one of its attributes would run it.
+LAYERS_RUN = """
+import json, sys, types
+import minnet.cli
+
+def ran():
+    return sorted(name[len("minnet."):] for name, module in sys.modules.items()
+                  if name.startswith("minnet.") and type(module) is types.ModuleType)
+
+steps = [sorted(name for name in sys.modules if name.startswith("minnet.")), ran()]
+for argv in COMMANDS:
+    assert minnet.cli.main(argv) == 0, argv
+    steps.append(ran())
+with open("steps.json", "w") as fh:
+    json.dump(steps, fh)
+"""
+
+# The names minnet re-exported when it imported every layer eagerly.
+PUBLIC_API = {
+    "bvp": "BoundarySpec PlatonicPreset SolveResult platonic_preset solve_knoid solve_platonic",
+    "errors": "MinnetError",
+    "holomorphic": "INF HoloGrid MobiusInversion MobiusSimilarity mobius_apply power_function "
+                   "propagate_fourth read_grid validate_holomorphic write_grid",
+    "minimal": "MinimalPair QuadCurvature christoffel gauss_map is_asymptotic mixed_area "
+               "offset_net propagate_normals quad_curvatures tangent_normals "
+               "weierstrass_asymptotic weierstrass_isothermic",
+    "mobius": "CrossRatioValue Isometry LineR3 PlaneR3 Quaternion cross_ratio_complex "
+              "cross_ratio_quat fit_line fit_plane stereographic_lift stereographic_project",
+    "net": "EdgeLabels LatticeDomain Net3 NetBundle are_parallel_meshes is_circular "
+           "is_isothermic read_net write_net",
+    "reflection": "BoundaryAnalysis SymmetryOrbit analyze_boundary_asymptotic "
+                  "analyze_boundary_isothermic build_orbit close_group corner_angles "
+                  "reflect_isothermic rotate_extend_asymptotic",
+}
+
+
+class TestLazyLayers:
+    def test_commands_run_only_their_layers(self, tmp_path):
+        assert run(["generate", "enneper", "--k", "3", "--size", "5", "--orbit",
+                    "--out", str(tmp_path / "enn")]) == 0
+        commands = [
+            ["export", "enn.iso.dnet.json", "a.obj"],
+            ["export", "enn.orbit.json", "b.obj"],
+            ["conjugate", "enn.grid.dnet.json", "--out", "c.dnet.json"],
+            ["verify", "enn.iso.dnet.json", "--grid", "enn.grid.dnet.json",
+             "--conjugate", "enn.asym.dnet.json", "--report", "v.json"],
+            ["reflect", "enn.iso.dnet.json", "--row", "0", "--out", "r.dnet.json"],
+            ["orbit", "enn.iso.dnet.json", "--out", "o.json"],
+            ["generate", "enneper", "--k", "3", "--size", "5", "--out", "e", "--report",
+             "e.json"],
+            ["generate", "knoid", "--k", "3", "--nmax", "2", "--mmax", "6", "--out", "k",
+             "--report", "k.json"],
+        ]
+        done = run_python(f"COMMANDS = {commands!r}\n{LAYERS_RUN}", tmp_path)
+        assert done.returncode == 0, done.stderr
+        steps = json.loads((tmp_path / "steps.json").read_text())
+        net = ["cli", "errors", "mobius", "net"]
+        holo = sorted(net + ["holomorphic", "minimal"])
+        no_bvp = sorted(holo + ["reflection"])
+        assert steps == [
+            [f"minnet.{name}" for name in sorted(no_bvp + ["bvp"])],   # import minnet.cli
+            net,                                  # what import minnet.cli runs
+            net, net,                             # export of a net and of an orbit
+            holo,                                 # conjugate
+            no_bvp, no_bvp, no_bvp, no_bvp,       # verify, reflect, orbit, generate enneper
+            sorted(no_bvp + ["bvp"]),             # generate knoid
+        ]
+
+    def test_public_names_are_the_layers_objects(self):
+        for layer, names in PUBLIC_API.items():
+            module = sys.modules[f"minnet.{layer}"]
+            for name in names.split():
+                assert getattr(minnet, name) is getattr(module, name), name
+        with pytest.raises(AttributeError, match="no_such_name"):
+            minnet.no_such_name
+        with pytest.raises(ImportError):
+            from minnet import no_such_name  # noqa: F401
+
+    def test_cli_reads_power_function_from_its_layer(self):
+        import minnet.cli
+        assert minnet.cli.power_function is minnet.holomorphic.power_function
+        with pytest.raises(AttributeError, match="no_such_name"):
+            minnet.cli.no_such_name
+
+    def test_preset_choices_are_the_presets(self, capsys):
+        from minnet import bvp
+        assert run(["generate", "platonic", "--preset", "cubic"]) == 2
+        listed = ", ".join(repr(name) for name in sorted(bvp.PLATONIC_PRESETS))
+        assert f"(choose from {listed})" in capsys.readouterr().err
 
 
 # main freezes the heap it starts with, so that the collections at

@@ -132,11 +132,20 @@ def test_verify_fits_each_point_set_once(tmp_path, monkeypatch):
         if hasattr(module, "plane_fits"):
             monkeypatch.setattr(module, "plane_fits", counted)
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
-    assert main(["verify", f"{base}.iso.dnet.json", "--grid", f"{base}.grid.dnet.json",
-                 "--conjugate", f"{base}.asym.dnet.json"]) == 0
-    whole = sorted(shape for shape in shapes if shape[0] >= 23 * 23)
-    assert whole == [(23 * 23, 5, 3)] + [(24 * 24, 4, 3)] * 4
-    # the boundary stars (4 corners of 3 points, 92 of 4) are fitted once too,
-    # for conjugate_normals and the four boundary checks together
-    assert sorted(shapes) == [(4, 3, 3), (92, 4, 3)] + whole
+    stars, quads = (23 * 23, 5, 3), (24 * 24, 4, 3)
+    for net, companions, whole in (
+            ("iso", ("grid", "asym"), [stars] + [quads] * 4),
+            # a file without normals is the asymptotic net when it passes
+            # is_asymptotic; the battery reuses that test's star and quad fits
+            ("asym", ("grid", "iso"), [stars] + [quads] * 4),
+            ("asym", (), [stars, quads])):
+        shapes.clear()
+        argv = ["verify", f"{base}.{net}.dnet.json"]
+        for flag, companion in zip(("--grid", "--conjugate"), companions):
+            argv += [flag, f"{base}.{companion}.dnet.json"]
+        assert main(argv) == 0
+        assert sorted(shape for shape in shapes if shape[0] >= 23 * 23) == whole, argv
+        # the boundary stars (4 corners of 3 points, 92 of 4) are fitted once
+        # too, for conjugate_normals and the four boundary checks together
+        assert sorted(shapes) == [(4, 3, 3), (92, 4, 3)] + whole, argv
     assert all(shape[0] < 23 * 23 for shape in svd_shapes)
