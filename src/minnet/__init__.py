@@ -20,6 +20,7 @@ __version__ = "0.1.0"
 
 # layer -> the public names the package re-exports from it
 _API = {
+    "battery": (),
     "bvp": ("BoundarySpec", "PlatonicPreset", "SolveResult", "platonic_preset",
             "solve_knoid", "solve_platonic"),
     "holomorphic": ("INF", "HoloGrid", "MobiusInversion", "MobiusSimilarity",

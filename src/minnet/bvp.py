@@ -45,8 +45,8 @@ import numpy as np
 
 from .errors import InfeasibleSpec, NoConvergence
 from .holomorphic import HoloGrid, validate_holomorphic
-from .mobius import Frozen, c_abs
-from .net import EdgeLabels, LatticeDomain
+from .mobius import c_abs
+from .net import EdgeLabels, Frozen, LatticeDomain
 
 EXP_CLIP = 300.0
 

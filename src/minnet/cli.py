@@ -15,18 +15,13 @@ import json
 import math
 import os
 import sys
-from functools import cached_property
 
 import numpy as np
 
-from . import bvp, holomorphic, minimal, reflection
-from .errors import (BadParameter, DomainMismatch, MinnetError, NotReflectable,
-                     ParseError)
-from .mobius import Isometry
-from .net import (CheckReport, EdgeLabels, Net3, PlaneFit, _fmt_float, _norm,
-                  circularity_residuals, cross_ratio_residuals, edge_angles, json_int,
-                  json_list, json_rows, json_to_bundle, load_json, plane_fits, read_net,
-                  worst_report, write_net)
+from . import battery, bvp, holomorphic, minimal, mobius, reflection
+from .errors import BadParameter, MinnetError, NotReflectable, ParseError
+from .net import (Net3, _fmt_float, json_int, json_list, json_rows, json_to_bundle, load_json,
+                  read_net, write_net, write_text)
 
 
 def __getattr__(name: str):
@@ -67,151 +62,13 @@ def _read_threads() -> int:
 
 
 # ---------------------------------------------------------------------------
-# Verification battery
+# Verification
 # ---------------------------------------------------------------------------
-
-def steiner_offsets(count: int) -> np.ndarray:
-    """The Steiner check's offsets t_k = cos(2 pi phi k), phi the golden
-    ratio: spread over [-1, 1] like uniform draws, and fixed."""
-    return np.cos(np.pi * (1.0 + 5.0 ** 0.5) * np.arange(count))
-
-
-class _Nets:
-    """Inputs of one battery run, its checks, and the arrays they share."""
-
-    def __init__(self, tol: float, iso: Net3 | None = None, normals: Net3 | None = None,
-                 labels: EdgeLabels | None = None, asym: Net3 | None = None,
-                 grid: holomorphic.HoloGrid | None = None):
-        self.tol, self.iso, self.normals, self.labels = tol, iso, normals, labels
-        self.asym, self.grid = asym, grid
-
-    @cached_property
-    def quads(self) -> tuple:
-        return self.iso.domain.quads
-
-    @cached_property
-    def iso_planes(self) -> PlaneFit:
-        """The quad planes that circularity and the curvature pass share."""
-        return plane_fits(self.iso.quad_array())
-
-    @cached_property
-    def asym_stars(self) -> minimal.StarPlanes:
-        """The star planes that asymptotic_stars, conjugate_normals and the
-        boundary checks share."""
-        return minimal.StarPlanes(self.asym)
-
-    @cached_property
-    def curvature(self) -> minimal.Curvatures:
-        """The mixed-area pass that minimality and steiner share."""
-        return minimal.Curvatures(self.iso.quad_array(), self.normals.quad_array(),
-                                  self.iso_planes, self.tol)
-
-    def _undefined(self, undefined: np.ndarray) -> CheckReport | None:
-        if undefined.any():
-            return CheckReport(False, float("inf"), self.quads[int(np.argmax(undefined))],
-                               extra={"error": "non-planar quad or vanishing area"})
-        return None
-
-    def circularity(self) -> CheckReport:
-        pts = self.iso.quad_array()
-        diagonal = np.maximum(_norm(np.ptp(pts, axis=1)), 1e-300)
-        return worst_report(circularity_residuals(pts, self.iso_planes) / diagonal, self.quads,
-                            self.tol, diagonal)
-
-    def isothermic(self) -> CheckReport:
-        return worst_report(cross_ratio_residuals(self.iso, self.labels), self.quads, self.tol)
-
-    def minimality(self) -> CheckReport:
-        return (self._undefined(self.curvature.undefined)
-                or worst_report(np.abs(self.curvature.H), self.quads, self.tol))
-
-    def gauss_parallel(self) -> CheckReport:
-        return worst_report(edge_angles(self.iso, self.normals), self.iso.domain.edges(),
-                            max(self.tol, 1e-9))
-
-    def steiner(self) -> CheckReport:
-        defects, undefined = self.curvature.steiner_defects(steiner_offsets(len(self.quads)))
-        return self._undefined(undefined) or worst_report(defects, self.quads, self.tol,
-                                                          np.abs(self.curvature.area))
-
-    def gauss_matches_grid(self) -> CheckReport:
-        lift = minimal.gauss_map(self.grid).points
-        return worst_report(_norm(self.normals.points - lift), self.grid.domain.vertices,
-                            self.tol)
-
-    @cached_property
-    def asym_report(self) -> CheckReport:
-        """is_asymptotic of the asymptotic net, which the role test of a net
-        file without normals shares with asymptotic_stars."""
-        return minimal.is_asymptotic(self.asym, self.tol, self.asym_stars)
-
-    def asymptotic_stars(self) -> CheckReport:
-        return self.asym_report
-
-    def conjugate_normals(self) -> CheckReport:
-        star, gauss = self.asym_stars.normals, self.normals.points
-        return worst_report(np.minimum(_norm(star - gauss), _norm(star + gauss)),
-                            self.asym.domain.vertices, self.tol)
-
-    def boundaries(self) -> dict:
-        """Each boundary line is a planar curvature line of the isothermic net
-        exactly when it is a straight asymptotic line of the conjugate net."""
-        dom, checks = self.iso.domain, {}
-        for axis, index in (("row", dom.n0), ("row", dom.n1),
-                            ("col", dom.m0), ("col", dom.m1)):
-            iso = reflection.analyze_boundary_isothermic(self.iso, self.normals, index, axis,
-                                                         self.tol)
-            asym = reflection.analyze_boundary_asymptotic(self.asym, index, axis, self.tol,
-                                                          self.asym_stars.normals)
-            checks[f"boundary_{axis}_{index}"] = {
-                "ok": ((iso.kind == "planar_curvature_line")
-                       == (asym.kind == "straight_asymptotic_line")),
-                "max_residual": iso.residuals["congruence_plane"], "scale": iso.scale,
-                "worst": [axis, index], "isothermic_kind": iso.kind,
-                "asymptotic_kind": asym.kind}
-        return checks
-
-
-# The battery in report order: each check with the inputs it needs.
-CHECKS = (
-    (_Nets.circularity, {"iso"}),
-    (_Nets.isothermic, {"iso", "labels"}),
-    (_Nets.minimality, {"iso", "normals"}),
-    (_Nets.gauss_parallel, {"iso", "normals"}),
-    (_Nets.steiner, {"iso", "normals"}),
-    (_Nets.gauss_matches_grid, {"normals", "grid"}),
-    (_Nets.asymptotic_stars, {"asym"}),
-    (_Nets.conjugate_normals, {"asym", "normals"}),
-    (_Nets.boundaries, {"iso", "normals", "asym"}),
-)
-
-
-def _entry(report: CheckReport) -> dict:
-    entry = {"ok": bool(report.ok), "max_residual": float(report.max_residual),
-             "scale": float(report.scale),
-             "worst": list(report.worst) if report.worst is not None else None}
-    if "error" in report.extra:
-        entry["error"] = report.extra["error"]
-    return entry
-
-
-def _run_checks(nets: _Nets) -> dict:
-    present = {name for name in ("iso", "normals", "labels", "asym", "grid")
-               if getattr(nets, name) is not None}
-    if len({getattr(nets, name).domain for name in present - {"labels"}}) > 1:
-        raise DomainMismatch("the nets and the grid live on different domains")
-    checks: dict[str, dict] = {}
-    for check, needs in CHECKS:
-        if needs <= present:
-            found = check(nets)
-            checks.update(found if isinstance(found, dict) else {check.__name__: _entry(found)})
-    return {"ok": all(c["ok"] for c in checks.values()), "checks": checks}
-
 
 def verify_pair(pair: minimal.MinimalPair, tol: float = 1e-9) -> dict:
     """All invariants of a generated isothermic/asymptotic/gauss triple."""
-    return _run_checks(_Nets(tol, pair.isothermic, pair.gauss, pair.grid.labels,
-                             pair.asymptotic, pair.grid))
+    return battery._run_checks(battery._Nets(tol, pair.isothermic, pair.gauss,
+                                             pair.grid.labels, pair.asymptotic, pair.grid))
 
 
 def verify_net_file(path: str, tol: float, as_isothermic: bool = False,
@@ -225,14 +82,14 @@ def verify_net_file(path: str, tol: float, as_isothermic: bool = False,
     iso = read_net(path)
     asym = read_net(conjugate) if conjugate is not None else None
     grid = holomorphic.read_grid(grid_path) if grid_path is not None else None
-    nets = _Nets(tol, asym=iso.net, grid=grid)
+    nets = battery._Nets(tol, asym=iso.net, grid=grid)
     if iso.normals is None and not as_isothermic and nets.asymptotic_stars().ok:
         iso, asym = asym, iso          # nets keeps the star and quad fits of the test
     else:
-        nets = _Nets(tol, asym=asym.net if asym is not None else None, grid=grid)
+        nets = battery._Nets(tol, asym=asym.net if asym is not None else None, grid=grid)
     if iso is not None:
         nets.iso, nets.labels, nets.normals = iso.net, iso.labels, iso.normals
-    return _run_checks(nets)
+    return battery._run_checks(nets)
 
 
 # ---------------------------------------------------------------------------
@@ -244,8 +101,7 @@ def _write_obj(path: str, vertices, faces) -> None:
     rows = faces.tolist() if isinstance(faces, np.ndarray) else faces
     text = ("".join(["v %.17g %.17g %.17g\n" % tuple(p) for p in vertices.tolist()])
             + "".join(["f " + " ".join([str(i + 1) for i in f]) + "\n" for f in rows]))
-    with open(path, "w") as fh:
-        fh.write(text)
+    write_text(path, text)
 
 
 def export_net_obj(net: Net3, path: str) -> None:
@@ -284,6 +140,8 @@ def export_obj(path_in: str, path_out: str) -> None:
             i = int(np.argmax(bad))
             raise ParseError(f"bad orbit record: vertex {i} is {vertices[i].tolist()}")
         for i, face in enumerate(faces):
+            if len(face) != 4:
+                raise ParseError(f"bad orbit record: face {i} {face} is not a quad")
             if not all(0 <= v < len(vertices) for v in face):
                 raise ParseError(f"bad orbit record: face {i} {face} indexes past the "
                                  f"{len(vertices)} vertices")
@@ -296,7 +154,7 @@ def export_obj(path_in: str, path_out: str) -> None:
 # Generation pipelines
 # ---------------------------------------------------------------------------
 
-def _boundary_reflections(net: Net3, normals: Net3, tol: float) -> list[Isometry]:
+def _boundary_reflections(net: Net3, normals: Net3, tol: float) -> list[mobius.Isometry]:
     """Plane reflections of every reflectable boundary line of the piece."""
     dom = net.domain
     generators = []
@@ -304,7 +162,7 @@ def _boundary_reflections(net: Net3, normals: Net3, tol: float) -> list[Isometry
                         ("col", dom.m1)):
         analysis = reflection.analyze_boundary_isothermic(net, normals, index, axis, tol)
         if analysis.kind == "planar_curvature_line":
-            generators.append(Isometry.plane_reflection(analysis.plane))
+            generators.append(mobius.Isometry.plane_reflection(analysis.plane))
     return generators
 
 
@@ -323,9 +181,7 @@ def _write_orbit(net: Net3, normals: Net3, tol: float, max_word: int, path: str,
         raise NotReflectable("no reflectable boundary lines found")
     orbit = reflection.build_orbit(net, generators, max_word=max_word,
                                    dedup_tol=max(tol, 1e-6), weld_tol=max(tol, 1e-9))
-    text = orbit_to_json(orbit) + "\n"
-    with open(path, "w") as fh:
-        fh.write(text)
+    write_text(path, orbit_to_json(orbit) + "\n")
     if obj_path:
         export_orbit_obj(orbit, obj_path)
     return orbit
@@ -462,9 +318,7 @@ def cmd_verify(args) -> int:
 def _emit_report(report: dict, path: str | None) -> None:
     text = json.dumps(report, indent=2, default=_json_default)
     if path:
-        with open(path, "w") as fh:
-            fh.write(text)
-            fh.write("\n")
+        write_text(path, text + "\n")
     else:
         print(text)
     failures = [name for name, chk in report.get("checks", {}).items()

@@ -25,11 +25,11 @@ import numpy as np
 
 from .errors import (AtInfinity, ClosureFailure, DegenerateQuad, ParseError, PoleOnGrid,
                      UnsupportedGamma, ZeroDg)
-from .mobius import (GAP_EPS, CNum, INF, c_abs, c_div, c_join, c_mul, cross_ratio_complex,
-                     is_inf, sphere_distinct)
-from .net import (CheckReport, EdgeLabels, LatticeDomain, Net3, Vertex, edge_loops,
+from .mobius import (CNum, INF, c_abs, c_div, c_join, c_mul, cross_ratio_complex, is_inf,
+                     sphere_distinct)
+from .net import (GAP_EPS, CheckReport, EdgeLabels, LatticeDomain, Net3, Vertex, edge_loops,
                   integrate_edges, json_int, json_to_bundle, load_json, net_to_json,
-                  worst_report)
+                  worst_report, write_text)
 
 
 class HoloGrid:
@@ -303,9 +303,7 @@ def mobius_apply(grid: HoloGrid, mapping) -> HoloGrid:
 def write_grid(path, grid: HoloGrid) -> None:
     points = np.stack([grid.values.real, grid.values.imag, np.zeros(len(grid.values))], axis=1)
     carrier = Net3(grid.domain, points, check_edges=False)
-    text = net_to_json(carrier, grid.labels, infinity=grid.infinity_vertices()) + "\n"
-    with open(path, "w") as fh:
-        fh.write(text)
+    write_text(path, net_to_json(carrier, grid.labels, infinity=grid.infinity_vertices()) + "\n")
 
 
 def read_grid(path) -> HoloGrid:

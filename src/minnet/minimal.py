@@ -21,18 +21,20 @@ along the common quad normal n.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from .errors import (ClosureFailure, InconsistentBundle, NotCoplanar,
                      NotIsothermic, ZeroArea, ZeroDg)
-from .holomorphic import HoloGrid
 from .mobius import CNum, c_abs, c_div, c_mul, is_inf, stereographic_lift
 from .net import (MIN_EDGE, CheckReport, EdgeLabels, LatticeDomain, Net3, PlaneFit, Vertex,
                   _dot, _norm, _quad_scale, are_parallel_meshes, circularity_residuals,
                   edge_loops, integrate_edges, is_isothermic, plane_fits, planarity_residual,
                   planarity_residuals, point_scales, worst_report)
+
+if TYPE_CHECKING:
+    from .holomorphic import HoloGrid
 
 CLOSURE_TOL = 1e-9
 

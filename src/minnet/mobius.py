@@ -21,19 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateFit, DegenerateQuad
-
-GAP_EPS = 1e-12
-
-
-class Frozen:
-    """Base of value records whose fields __init__ sets through __dict__;
-    assigning or deleting an attribute afterwards raises AttributeError."""
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
+from .net import GAP_EPS, Frozen
 
 
 # ---------------------------------------------------------------------------

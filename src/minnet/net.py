@@ -20,13 +20,25 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateQuad, DomainMismatch, NotCircular, ParseError
-from .mobius import GAP_EPS, Frozen, Quaternion
+from . import mobius
+from .errors import BadParameter, DegenerateQuad, DomainMismatch, NotCircular, ParseError
 
 Vertex = tuple[int, int]
 Quad = tuple[int, int]
 
 MIN_EDGE = 1e-12
+GAP_EPS = 1e-12
+
+
+class Frozen:
+    """Base of value records whose fields __init__ sets through __dict__;
+    assigning or deleting an attribute afterwards raises AttributeError."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class LatticeDomain(Frozen):
@@ -474,7 +486,7 @@ def cross_ratio_residuals(net: Net3, labels: EdgeLabels) -> np.ndarray:
         q = dom.quads[int(np.argmax((sides <= GAP_EPS).any(axis=1)))]
         raise DegenerateQuad(f"quad {q} has coincident consecutive points")
     zero = np.zeros(len(pts))
-    x = [Quaternion(zero, *pts[:, i].T) for i in range(4)]
+    x = [mobius.Quaternion(zero, *pts[:, i].T) for i in range(4)]
     cr = (x[0] - x[1]) * (x[1] - x[2]).inverse() * (x[2] - x[3]) * (x[3] - x[0]).inverse()
     return np.abs(cr.w - labels.quad_ratios(dom))
 
@@ -589,6 +601,16 @@ def net_to_json(net: Net3, labels: EdgeLabels | None = None, normals: Net3 | Non
     return doc + "}"
 
 
+def write_text(path, text: str) -> None:
+    """Write a formatted document; BadParameter naming the path when the
+    file cannot be opened or written."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise BadParameter(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def write_net(path, net: Net3, labels: EdgeLabels | None = None,
               normals: Net3 | None = None) -> None:
     """Write a net (with optional labels and Gauss map) as .dnet.json.
@@ -596,9 +618,7 @@ def write_net(path, net: Net3, labels: EdgeLabels | None = None,
     The document is formatted before the file is opened, so a net that
     cannot be written leaves no file behind.
     """
-    text = net_to_json(net, labels, normals) + "\n"
-    with open(path, "w") as fh:
-        fh.write(text)
+    write_text(path, net_to_json(net, labels, normals) + "\n")
 
 
 def json_int(value) -> int:

@@ -17,11 +17,11 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import minimal
 from .errors import (DegenerateFit, InconsistentBundle, NotPlanarBoundary,
                      NotReflectable, OrbitExplosion)
 from .mobius import (Isometry, LineR3, PlaneR3, fit_line, fit_plane,
                      fit_plane_through_origin)
-from .minimal import propagate_normals, tangent_normals
 from .net import EdgeLabels, LatticeDomain, Net3, Vertex
 
 
@@ -126,7 +126,7 @@ def analyze_boundary_asymptotic(net: Net3, index: int, axis: str = "row",
     line, r_line = fit_line(pts)
     residuals = {"line": r_line}
 
-    normals = tangent_normals(net, verts) if star_normals is None else star_normals[verts]
+    normals = minimal.tangent_normals(net, verts) if star_normals is None else star_normals[verts]
     r_perp = float(np.abs(normals @ line.direction).max())
     residuals["gauss_perpendicular"] = r_perp
 
@@ -214,7 +214,7 @@ def reflect_isothermic(net: Net3, normals: Net3, index: int,
 
     # the reflected Gauss map must agree with the uniquely propagated one
     seed = net.domain.vertices[0]
-    propagated = propagate_normals(net_ext, normals[seed], root=seed, tol=max(tol, 1e-9))
+    propagated = minimal.propagate_normals(net_ext, normals[seed], root=seed, tol=max(tol, 1e-9))
     worst = float(np.max(np.linalg.norm(propagated.points - normals_ext.points, axis=1)))
     if worst > max(tol, 1e-9) * 10:
         raise InconsistentBundle(

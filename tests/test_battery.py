@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from minnet.cli import steiner_offsets, verify_pair
+from minnet.battery import steiner_offsets
+from minnet.cli import verify_pair
 from minnet.holomorphic import power_function
 from minnet.minimal import MinimalPair, mixed_area, quad_curvatures
 from minnet.mobius import cross_ratio_quat

@@ -34,6 +34,10 @@ def net_3d(domain=None, m1=1, infinity=None):
     return json.dumps(doc)
 
 
+# an output path in a directory that does not exist, under the test's tmp_path
+MISSING = "<missing>"
+
+
 def run(args, env=None):
     old = {}
     if env:
@@ -117,24 +121,44 @@ class TestGenerate:
         (["verify"], net_3d(m1=True)),
         (["conjugate"], net_3d(infinity=[[40.5, 0]])),    # past the domain: ignored
         (["conjugate"], net_3d(infinity=[[True, False]])),
+        # every output option, given a path in a directory that does not exist;
+        # "piece" reads the files of a generated Enneper piece
+        (["enneper", "--k", "3", "--size", "4", "--out", MISSING], None),
+        (["enneper", "--k", "3", "--size", "4", "--report", MISSING], None),
+        (["conjugate", "--out", MISSING], "piece"),
+        (["reflect", "--row", "0", "--out", MISSING], "piece"),
+        (["orbit", "--out", MISSING], "piece"),
+        (["orbit", "--obj", MISSING], "piece"),
+        (["export", MISSING], "piece"),
     ])
     def test_bad_input_is_typed_error(self, tmp_path, capsys, family, seed):
         path = tmp_path / "seed.json"
-        if seed is not None:
+        if seed == "piece":
+            assert run(["generate", "enneper", "--k", "3", "--size", "4", "--orbit",
+                        "--out", str(tmp_path / "enn")]) == 0
+            suffix = {"export": "orbit.json", "conjugate": "grid.dnet.json"}
+            path = tmp_path / f"enn.{suffix.get(family[0], 'iso.dnet.json')}"
+        elif seed is not None:
             path.write_text(seed)
+        missing = str(tmp_path / "no_such_dir" / "x")
+        family = [missing if arg == MISSING else arg for arg in family]
         if family[0] == "export":
-            argv = ["export", str(path), str(tmp_path / "x.obj")]
+            argv = ["export", str(path), *(family[1:] or [str(tmp_path / "x.obj")])]
         elif family[0] == "verify":
             argv = ["verify", str(path), *family[1:]]
-        elif family[0] == "conjugate":
-            argv = ["conjugate", str(path), "--out", str(tmp_path / "x.dnet.json")]
+        elif family[0] in ("conjugate", "reflect", "orbit"):
+            # a later --out overrides this one
+            argv = [family[0], str(path), "--out", str(tmp_path / "x.json"), *family[1:]]
         else:
-            argv = ["generate", *family, "--out", str(tmp_path / "x")]
+            argv = ["generate", family[0], "--out", str(tmp_path / "x"), *family[1:]]
             if family[0] == "knoid":
                 argv += ["--seed-file", str(path)]
         assert run(argv) == 3
         error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-        assert error["error"] in ("BadParameter", "ParseError")
+        if missing in argv:
+            assert error["error"] == "BadParameter" and missing in error["message"], error
+        else:
+            assert error["error"] in ("BadParameter", "ParseError")
 
     def test_zero_tol_is_valid(self, tmp_path):
         path = tmp_path / "flat.dnet.json"
@@ -295,6 +319,8 @@ class TestExport:
         ("face", 0.5, "0.5 is not an integer"),     # int() would truncate these
         ("face", 1.9, "1.9 is not an integer"),
         ("face", True, "True is not an integer"),
+        ("quad", [], "face 2 [] is not a quad"),      # OBJ would read "f " and "f 1 2"
+        ("quad", [0, 1], "face 2 [0, 1] is not a quad"),
     ])
     def test_export_rejects_bad_orbit_records(self, tmp_path, capsys, field, value, message):
         base = str(tmp_path / "enn")
@@ -303,6 +329,8 @@ class TestExport:
         doc = json.loads(open(f"{base}.orbit.json").read())
         if field == "vertex":
             doc["vertices"][3] = [value, 0.0, 0.0]
+        elif field == "quad":
+            doc["faces"][2] = value
         else:
             doc["faces"][2][0] = value
         bad, dst = tmp_path / "bad.orbit.json", tmp_path / "bad.obj"
@@ -493,34 +521,53 @@ PUBLIC_API = {
 
 class TestLazyLayers:
     def test_commands_run_only_their_layers(self, tmp_path):
+        """Each chain runs in one fresh interpreter, which lists the layers
+        that have run after each command.  Along a chain every command needs
+        the layers of the commands before it, so each list is what its own
+        command runs; conjugate, which needs no reflection, gets a chain of
+        its own."""
         assert run(["generate", "enneper", "--k", "3", "--size", "5", "--orbit",
                     "--out", str(tmp_path / "enn")]) == 0
-        commands = [
-            ["export", "enn.iso.dnet.json", "a.obj"],
-            ["export", "enn.orbit.json", "b.obj"],
-            ["conjugate", "enn.grid.dnet.json", "--out", "c.dnet.json"],
-            ["verify", "enn.iso.dnet.json", "--grid", "enn.grid.dnet.json",
-             "--conjugate", "enn.asym.dnet.json", "--report", "v.json"],
-            ["reflect", "enn.iso.dnet.json", "--row", "0", "--out", "r.dnet.json"],
-            ["orbit", "enn.iso.dnet.json", "--out", "o.json"],
-            ["generate", "enneper", "--k", "3", "--size", "5", "--out", "e", "--report",
-             "e.json"],
-            ["generate", "knoid", "--k", "3", "--nmax", "2", "--mmax", "6", "--out", "k",
-             "--report", "k.json"],
+        chains = [
+            [["export", "enn.iso.dnet.json", "a.obj"],
+             ["export", "enn.orbit.json", "b.obj"],
+             ["orbit", "enn.iso.dnet.json", "--out", "o.json"],
+             ["reflect", "enn.asym.dnet.json", "--row", "0", "--asymptotic", "--out",
+              "ra.dnet.json"],
+             ["reflect", "enn.iso.dnet.json", "--row", "0", "--out", "r.dnet.json"],
+             ["verify", "enn.iso.dnet.json", "--grid", "enn.grid.dnet.json",
+              "--conjugate", "enn.asym.dnet.json", "--report", "v.json"],
+             ["generate", "enneper", "--k", "3", "--size", "5", "--out", "e", "--report",
+              "e.json"],
+             ["generate", "knoid", "--k", "3", "--nmax", "2", "--mmax", "6", "--out", "k",
+              "--report", "k.json"]],
+            [["--help"],
+             ["conjugate", "enn.grid.dnet.json", "--out", "c.dnet.json"]],
         ]
-        done = run_python(f"COMMANDS = {commands!r}\n{LAYERS_RUN}", tmp_path)
-        assert done.returncode == 0, done.stderr
-        steps = json.loads((tmp_path / "steps.json").read_text())
-        net = ["cli", "errors", "mobius", "net"]
-        holo = sorted(net + ["holomorphic", "minimal"])
-        no_bvp = sorted(holo + ["reflection"])
-        assert steps == [
-            [f"minnet.{name}" for name in sorted(no_bvp + ["bvp"])],   # import minnet.cli
-            net,                                  # what import minnet.cli runs
-            net, net,                             # export of a net and of an orbit
-            holo,                                 # conjugate
-            no_bvp, no_bvp, no_bvp, no_bvp,       # verify, reflect, orbit, generate enneper
-            sorted(no_bvp + ["bvp"]),             # generate knoid
+        steps = []
+        for commands in chains:
+            done = run_python(f"COMMANDS = {commands!r}\n{LAYERS_RUN}", tmp_path)
+            assert done.returncode == 0, done.stderr
+            steps.append(json.loads((tmp_path / "steps.json").read_text()))
+        every = ["battery", "bvp", "cli", "errors", "holomorphic", "minimal", "mobius", "net",
+                 "reflection"]
+        net = ["cli", "errors", "net"]
+        orbit = sorted(net + ["mobius", "reflection"])
+        reflect = sorted(orbit + ["minimal"])
+        battery = sorted(reflect + ["battery", "holomorphic"])
+        assert steps[0] == [
+            [f"minnet.{name}" for name in every],     # import minnet.cli
+            net,                                      # what import minnet.cli runs
+            net, net,                                 # export of a net and of an orbit
+            orbit,                                    # orbit
+            reflect, reflect,                         # reflect --asymptotic, reflect
+            battery, battery,                         # verify, generate enneper
+            every,                                    # generate knoid
+        ]
+        assert steps[1] == [
+            [f"minnet.{name}" for name in every], net,
+            net,                                                   # --help
+            sorted(net + ["holomorphic", "minimal", "mobius"]),    # conjugate
         ]
 
     def test_public_names_are_the_layers_objects(self):

@@ -4,7 +4,7 @@ oracle in conftest and the written bound, and the battery's fit count."""
 import numpy as np
 import pytest
 
-import minnet.cli
+import minnet.battery
 import minnet.minimal
 import minnet.net
 from minnet.cli import main
@@ -128,7 +128,7 @@ def test_verify_fits_each_point_set_once(tmp_path, monkeypatch):
         return svd(a, *args, **kwargs)
 
     svd = np.linalg.svd
-    for module in (minnet.net, minnet.minimal, minnet.cli):
+    for module in (minnet.net, minnet.minimal, minnet.battery):
         if hasattr(module, "plane_fits"):
             monkeypatch.setattr(module, "plane_fits", counted)
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
