@@ -5,6 +5,10 @@ Exit codes: 0 success, 1 verification failure, 2 usage error,
 own workers; minnet runs in one thread.  It does not govern the threads
 that numpy's BLAS library starts: OPENBLAS_NUM_THREADS or OMP_NUM_THREADS
 set those.
+
+numpy and the array layers load only when a command computes with arrays:
+importing this module, --help, usage errors and export of an orbit file
+(read and written through the numpy-free jsonio) never load them.
 """
 
 from __future__ import annotations
@@ -16,12 +20,9 @@ import math
 import os
 import sys
 
-import numpy as np
-
-from . import battery, bvp, holomorphic, minimal, mobius, reflection
+from . import battery, bvp, holomorphic, minimal, mobius, net, reflection
 from .errors import BadParameter, MinnetError, NotReflectable, ParseError
-from .net import (Net3, _fmt_float, json_int, json_list, json_rows, json_to_bundle, load_json,
-                  read_net, write_net, write_text)
+from .jsonio import _fmt_float, json_float, json_int, json_list, load_json, write_text
 
 
 def __getattr__(name: str):
@@ -79,8 +80,8 @@ def verify_net_file(path: str, tol: float, as_isothermic: bool = False,
     as_isothermic is set or when it is not asymptotic; otherwise it is the
     asymptotic net.  The conjugate file takes the other role.
     """
-    iso = read_net(path)
-    asym = read_net(conjugate) if conjugate is not None else None
+    iso = net.read_net(path)
+    asym = net.read_net(conjugate) if conjugate is not None else None
     grid = holomorphic.read_grid(grid_path) if grid_path is not None else None
     nets = battery._Nets(tol, asym=iso.net, grid=grid)
     if iso.normals is None and not as_isothermic and nets.asymptotic_stars().ok:
@@ -96,49 +97,48 @@ def verify_net_file(path: str, tol: float, as_isothermic: bool = False,
 # OBJ export
 # ---------------------------------------------------------------------------
 
-def _write_obj(path: str, vertices, faces) -> None:
-    """Vertex positions and 0-based faces as OBJ (1-based indices)."""
-    rows = faces.tolist() if isinstance(faces, np.ndarray) else faces
-    text = ("".join(["v %.17g %.17g %.17g\n" % tuple(p) for p in vertices.tolist()])
-            + "".join(["f " + " ".join([str(i + 1) for i in f]) + "\n" for f in rows]))
+def _write_obj(path: str, vertices: list, faces: list) -> None:
+    """Vertex positions and 0-based faces, as lists, as OBJ (1-based indices)."""
+    text = ("".join(["v %.17g %.17g %.17g\n" % tuple(p) for p in vertices])
+            + "".join(["f " + " ".join([str(i + 1) for i in f]) + "\n" for f in faces]))
     write_text(path, text)
 
 
-def export_net_obj(net: Net3, path: str) -> None:
+def export_net_obj(net: net.Net3, path: str) -> None:
     """Quad OBJ with deterministic m-major vertex order."""
-    _write_obj(path, net.points, net.domain.quad_index)
+    _write_obj(path, net.points.tolist(), net.domain.quad_index.tolist())
 
 
 def export_orbit_obj(orbit: reflection.SymmetryOrbit, path: str) -> None:
-    _write_obj(path, orbit.vertices, orbit.faces)
+    _write_obj(path, orbit.vertices.tolist(), orbit.faces)
 
 
 def orbit_to_json(orbit: reflection.SymmetryOrbit) -> str:
     """The .orbit.json document of an orbit, with 17-significant-digit floats."""
-    elements = [f'{{"matrix": {json_list(json_rows(e.matrix))}, '
+    elements = [f'{{"matrix": {json_list(net.json_rows(e.matrix))}, '
                 f'"translation": {json_list(map(_fmt_float, e.translation.tolist()))}}}'
                 for e in orbit.elements]
-    return (f'{{"kind": "orbit", "vertices": {json_list(json_rows(orbit.vertices))}, '
-            f'"faces": {json_list(json_rows(orbit.faces))}, '
+    return (f'{{"kind": "orbit", "vertices": {json_list(net.json_rows(orbit.vertices))}, '
+            f'"faces": {json_list(net.json_rows(orbit.faces))}, '
             f'"elements": {json_list(elements)}, '
             f'"weld_residual": {_fmt_float(orbit.weld_residual)}}}')
 
 
 def export_obj(path_in: str, path_out: str) -> None:
-    """OBJ export of a net file or an orbit JSON file."""
+    """OBJ export of a net file or an orbit JSON file.  An orbit file is
+    read, checked and written as lists, without numpy."""
     doc = load_json(path_in)
     if isinstance(doc, dict) and doc.get("kind") == "orbit":
         try:
-            vertices = np.array(doc["vertices"], dtype=float)
+            vertices = [[json_float(x) for x in v] for v in doc["vertices"]]
             faces = [[json_int(i) for i in face] for face in doc["faces"]]
-            if vertices.ndim != 2 or vertices.shape[1] != 3:
+            if not vertices or any(len(v) != 3 for v in vertices):
                 raise ValueError("orbit vertices must have 3 coordinates")
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"bad orbit record: {exc!r}") from exc
-        bad = ~np.isfinite(vertices).all(axis=1)
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise ParseError(f"bad orbit record: vertex {i} is {vertices[i].tolist()}")
+        for i, v in enumerate(vertices):
+            if not all(map(math.isfinite, v)):
+                raise ParseError(f"bad orbit record: vertex {i} is {v}")
         for i, face in enumerate(faces):
             if len(face) != 4:
                 raise ParseError(f"bad orbit record: face {i} {face} is not a quad")
@@ -147,14 +147,14 @@ def export_obj(path_in: str, path_out: str) -> None:
                                  f"{len(vertices)} vertices")
         _write_obj(path_out, vertices, faces)
     else:
-        export_net_obj(json_to_bundle(doc).net, path_out)
+        export_net_obj(net.json_to_bundle(doc).net, path_out)
 
 
 # ---------------------------------------------------------------------------
 # Generation pipelines
 # ---------------------------------------------------------------------------
 
-def _boundary_reflections(net: Net3, normals: Net3, tol: float) -> list[mobius.Isometry]:
+def _boundary_reflections(net: net.Net3, normals: net.Net3, tol: float) -> list[mobius.Isometry]:
     """Plane reflections of every reflectable boundary line of the piece."""
     dom = net.domain
     generators = []
@@ -166,7 +166,7 @@ def _boundary_reflections(net: Net3, normals: Net3, tol: float) -> list[mobius.I
     return generators
 
 
-def _write_orbit(net: Net3, normals: Net3, tol: float, max_word: int, path: str,
+def _write_orbit(net: net.Net3, normals: net.Net3, tol: float, max_word: int, path: str,
                  obj_path: str | None) -> reflection.SymmetryOrbit:
     """Close the group of the piece's boundary reflections; write the orbit.
 
@@ -205,13 +205,13 @@ def _family_pair(config: PipelineConfig) -> tuple[minimal.MinimalPair, dict]:
     elif family == "knoid":
         spec = bvp.BoundarySpec(config.params["k"], config.params["nmax"],
                                 config.params["mmax"])
-        seed = None
-        if config.params.get("seed_file"):
+        seed, path = None, config.params.get("seed_file")
+        if path:
+            doc = load_json(path)
             try:
-                with open(config.params["seed_file"]) as fh:
-                    seed = np.array(json.load(fh)["params"], dtype=float)
-            except (OSError, ValueError, KeyError, TypeError) as exc:
-                raise ParseError(f"seed file {config.params['seed_file']}: {exc!r}") from exc
+                seed = [json_float(v) for v in doc["params"]]
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                raise ParseError(f"seed file {path}: {exc!r}") from exc
         result = bvp.solve_knoid(spec, tol=config.params.get("solver_tol", 1e-10),
                                  max_iter=config.params.get("max_iter", 500),
                                  seed_params=seed, strict=True)
@@ -241,9 +241,9 @@ def _solver_info(result: bvp.SolveResult) -> dict:
 def _write_pair(base: str, pair: minimal.MinimalPair) -> list[str]:
     paths = []
     for suffix, writer in (
-        ("iso", lambda p: write_net(p, pair.isothermic, pair.grid.labels, pair.gauss)),
-        ("asym", lambda p: write_net(p, pair.asymptotic, pair.grid.labels)),
-        ("gauss", lambda p: write_net(p, pair.gauss)),
+        ("iso", lambda p: net.write_net(p, pair.isothermic, pair.grid.labels, pair.gauss)),
+        ("asym", lambda p: net.write_net(p, pair.asymptotic, pair.grid.labels)),
+        ("gauss", lambda p: net.write_net(p, pair.gauss)),
         ("grid", lambda p: holomorphic.write_grid(p, pair.grid)),
     ):
         path = f"{base}.{suffix}.dnet.json"
@@ -252,9 +252,19 @@ def _write_pair(base: str, pair: minimal.MinimalPair) -> list[str]:
     return paths
 
 
+def _check_output_dirs(*paths: str | None) -> None:
+    """BadParameter naming the first path whose directory does not exist,
+    so that a command fails before it computes rather than after."""
+    for path in filter(None, paths):
+        directory = os.path.dirname(path)
+        if directory and not os.path.isdir(directory):
+            raise BadParameter(f"cannot write {path}: {directory} is not a directory")
+
+
 def cmd_generate(config: PipelineConfig) -> int:
-    pair, info = _family_pair(config)
     base = config.out or config.family
+    _check_output_dirs(base, config.report)
+    pair, info = _family_pair(config)
     files = _write_pair(base, pair)
 
     report = verify_pair(pair, config.tol)
@@ -277,31 +287,30 @@ def cmd_generate(config: PipelineConfig) -> int:
 
 def cmd_conjugate(args) -> int:
     grid = holomorphic.read_grid(args.grid)
-    net = minimal.weierstrass_asymptotic(grid)
-    write_net(args.out, net, grid.labels)
+    net.write_net(args.out, minimal.weierstrass_asymptotic(grid), grid.labels)
     return EXIT_OK
 
 
 def cmd_reflect(args) -> int:
-    bundle = read_net(args.net)
+    bundle = net.read_net(args.net)
     if bundle.labels is None:
         raise ParseError("reflection requires edge labels in the net file")
     axis, index = ("row", args.row) if args.row is not None else ("col", args.col)
     if args.asymptotic:
         net_ext, labels_ext = reflection.rotate_extend_asymptotic(bundle.net, index, axis,
                                                                   args.tol, bundle.labels)
-        write_net(args.out, net_ext, labels_ext)
+        net.write_net(args.out, net_ext, labels_ext)
     else:
         if bundle.normals is None:
             raise ParseError("isothermic reflection requires normals in the net file")
         net_ext, normals_ext, labels_ext = reflection.reflect_isothermic(
             bundle.net, bundle.normals, index, axis, args.tol, bundle.labels)
-        write_net(args.out, net_ext, labels_ext, normals_ext)
+        net.write_net(args.out, net_ext, labels_ext, normals_ext)
     return EXIT_OK
 
 
 def cmd_orbit(args) -> int:
-    bundle = read_net(args.net)
+    bundle = net.read_net(args.net)
     if bundle.normals is None:
         raise ParseError("orbit construction requires normals in the net file")
     _write_orbit(bundle.net, bundle.normals, args.tol, args.max_word, args.out, args.obj)
@@ -309,6 +318,7 @@ def cmd_orbit(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _check_output_dirs(args.report)
     report = verify_net_file(args.net, args.tol, as_isothermic=args.as_isothermic,
                              conjugate=args.conjugate, grid_path=args.grid)
     _emit_report(report, args.report)
@@ -330,6 +340,7 @@ def _emit_report(report: dict, path: str | None) -> None:
 
 
 def _json_default(obj):
+    import numpy as np     # a report holds numpy values only when numpy is loaded
     if isinstance(obj, np.bool_):
         return bool(obj)
     if isinstance(obj, (np.floating, np.integer)):
@@ -416,15 +427,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one minnet command; returns its exit code.
 
-    On entry, every object alive moves to the collector's permanent
-    generation (gc.freeze).  An in-process caller freezes its own heap
-    with it: reference counting still frees those objects, but a
-    reference cycle that is already unreachable at the call stays in
-    memory until the process exits.
+    On entry, and again when the command is done, every object alive
+    moves to the collector's permanent generation (gc.freeze).  An
+    in-process caller freezes its own heap with it: reference counting
+    still frees those objects, but a reference cycle that is already
+    unreachable at a freeze stays in memory until the process exits.
     """
-    # The ~22,000 objects that importing numpy and minnet creates live until
-    # exit.  Frozen, neither the collections during the command nor the final
-    # ones at interpreter exit walk them again (about 30 ms per process).
+    # The ~12,000 objects of the interpreter and minnet.cli, and the ~10,000
+    # that numpy and the command's layers add while it runs, live until exit.
+    # Frozen, no later collection walks them: the first freeze covers the
+    # command's own collections, the second (below) the final ones at
+    # interpreter exit, about 8 ms per process.
     gc.freeze()
     parser = build_parser()
     try:
@@ -464,6 +477,8 @@ def main(argv=None) -> int:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
         return EXIT_NUMERIC
+    finally:
+        gc.freeze()
 
 
 if __name__ == "__main__":

@@ -25,11 +25,11 @@ import numpy as np
 
 from .errors import (AtInfinity, ClosureFailure, DegenerateQuad, ParseError, PoleOnGrid,
                      UnsupportedGamma, ZeroDg)
+from .jsonio import json_int, load_json, write_text
 from .mobius import (CNum, INF, c_abs, c_div, c_join, c_mul, cross_ratio_complex, is_inf,
                      sphere_distinct)
 from .net import (GAP_EPS, CheckReport, EdgeLabels, LatticeDomain, Net3, Vertex, edge_loops,
-                  integrate_edges, json_int, json_to_bundle, load_json, net_to_json,
-                  worst_report, write_text)
+                  integrate_edges, json_to_bundle, net_to_json, worst_report)
 
 
 class HoloGrid:

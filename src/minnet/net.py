@@ -12,16 +12,14 @@ makes the opposite-edge relation structural.
 
 from __future__ import annotations
 
-import json
-import math
-import re
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
 from . import mobius
-from .errors import BadParameter, DegenerateQuad, DomainMismatch, NotCircular, ParseError
+from .errors import DegenerateQuad, DomainMismatch, NotCircular, ParseError
+from .jsonio import _fmt_float, json_float, json_int, json_list, load_json, write_text
 
 Vertex = tuple[int, int]
 Quad = tuple[int, int]
@@ -559,12 +557,6 @@ class NetBundle(NamedTuple):
     normals: Net3 | None = None
 
 
-def _fmt_float(x: float) -> str:
-    if not math.isfinite(x):
-        raise ValueError("non-finite float in output")
-    return format(float(x), ".17g")
-
-
 def json_rows(values) -> list[str]:
     """Each row of a 2-d array as a JSON list: one finiteness check for the
     array, then one %.17g format per row, the text of _fmt_float per number
@@ -574,10 +566,6 @@ def json_rows(values) -> list[str]:
         raise ValueError("non-finite float in output")
     row = "[" + ", ".join(["%.17g"] * values.shape[-1]) + "]"
     return [row % r for r in map(tuple, values.tolist())]
-
-
-def json_list(items) -> str:
-    return "[" + ", ".join(items) + "]"
 
 
 def net_to_json(net: Net3, labels: EdgeLabels | None = None, normals: Net3 | None = None,
@@ -601,16 +589,6 @@ def net_to_json(net: Net3, labels: EdgeLabels | None = None, normals: Net3 | Non
     return doc + "}"
 
 
-def write_text(path, text: str) -> None:
-    """Write a formatted document; BadParameter naming the path when the
-    file cannot be opened or written."""
-    try:
-        with open(path, "w") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise BadParameter(f"cannot write {path}: {exc.strerror or exc}") from exc
-
-
 def write_net(path, net: Net3, labels: EdgeLabels | None = None,
               normals: Net3 | None = None) -> None:
     """Write a net (with optional labels and Gauss map) as .dnet.json.
@@ -619,17 +597,6 @@ def write_net(path, net: Net3, labels: EdgeLabels | None = None,
     cannot be written leaves no file behind.
     """
     write_text(path, net_to_json(net, labels, normals) + "\n")
-
-
-def json_int(value) -> int:
-    """An index read from JSON: an integer, or a float of integral value
-    such as the -0.0 of a "-0" token.  ValueError for anything else, booleans
-    and fractions included, which int() would silently truncate."""
-    if type(value) is int:
-        return value
-    if type(value) is float and value.is_integer():
-        return int(value)
-    raise ValueError(f"{value!r} is not an integer")
 
 
 def _parse_domain(doc: dict) -> LatticeDomain:
@@ -653,7 +620,8 @@ def json_to_bundle(doc: dict, check_edges: bool = True) -> NetBundle:
         records = doc["vertices"]
         m, n = np.array([(json_int(r["m"]), json_int(r["n"])) for r in records]
                         or np.zeros((0, 2)), dtype=np.intp).T
-        p = np.array([r["p"] for r in records] or np.zeros((0, 3)), dtype=float)
+        p = np.array([[json_float(x) for x in r["p"]] for r in records] or np.zeros((0, 3)),
+                     dtype=float)
         if p.shape != (len(m), 3):
             raise ValueError("a position must have 3 coordinates")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -672,39 +640,17 @@ def json_to_bundle(doc: dict, check_edges: bool = True) -> NetBundle:
             alpha, beta = doc.get("alpha", []), doc.get("beta", [])
             if len(alpha) != dom.m1 - dom.m0 or len(beta) != dom.n1 - dom.n0:
                 raise ParseError("alpha/beta length does not match domain ranges")
-            # float() per entry: numpy would read null as NaN
-            labels = EdgeLabels([float(a) for a in alpha], [float(b) for b in beta])
+            labels = EdgeLabels([json_float(a) for a in alpha], [json_float(b) for b in beta])
             for name, values in (("alpha", labels.alpha), ("beta", labels.beta)):
                 if not np.isfinite(values).all():
                     i = int(np.argmin(np.isfinite(values)))
                     raise ParseError(f"non-finite label {name}[{i}] = {values[i]}")
         if "normals" in doc:
-            normals = Net3(dom, np.array(doc["normals"], dtype=float), check_edges=False)
-    except (TypeError, ValueError) as exc:
+            normals = Net3(dom, np.array([[json_float(x) for x in row] for row in doc["normals"]],
+                                        dtype=float), check_edges=False)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(str(exc)) from exc
     return NetBundle(net, labels, normals)
-
-
-def _parse_int(text: str):
-    """A JSON integer; "-0" is the -0.0 that _fmt_float writes."""
-    return -0.0 if text == "-0" else int(text)
-
-
-# Only a document that may hold a "-0" token pays for calling _parse_int per
-# integer; an exponent such as 1e-0 also matches, which costs only time.
-_NEGATIVE_ZERO = re.compile(r"-0(?![\w.])")
-
-
-def load_json(path):
-    """The JSON document in a file; ParseError with context on failure."""
-    try:
-        with open(path) as fh:
-            text = fh.read()
-        return json.loads(text, parse_int=_parse_int if _NEGATIVE_ZERO.search(text) else None)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
 def read_net(path) -> NetBundle:

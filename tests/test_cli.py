@@ -21,16 +21,20 @@ NET_3D = json.dumps({"domain": {"m0": 0, "m1": 1, "n0": 0, "n1": 1},
                                   for m in (0, 1) for n in (0, 1)]})
 
 
-def net_3d(domain=None, m1=1, infinity=None):
-    """NET_3D with other domain bounds, another m of its m = 1 records, or
+def net_3d(domain=None, m1=1, infinity=None, p0=None, **fields):
+    """NET_3D with other domain bounds, another m of its m = 1 records,
     labels that make it the grid of the square 0, 1, 1 + i, i, with the
-    given infinity tags."""
+    given infinity tags, another position p0 of its first record, or
+    other top-level fields."""
     doc = json.loads(NET_3D)
     doc["domain"].update(domain or {})
     for record in doc["vertices"]:
         record["m"] = m1 if record["m"] == 1 else 0
     if infinity is not None:
         doc.update(alpha=[1.0], beta=[-1.0], infinity=infinity)
+    if p0 is not None:
+        doc["vertices"][0]["p"] = p0
+    doc.update(fields)
     return json.dumps(doc)
 
 
@@ -130,6 +134,14 @@ class TestGenerate:
         (["orbit", "--out", MISSING], "piece"),
         (["orbit", "--obj", MISSING], "piece"),
         (["export", MISSING], "piece"),
+        # booleans and strings where a number belongs, which float() and numpy
+        # would read as numbers
+        (["verify"], net_3d(p0=[0, 0, True])),
+        (["export"], net_3d(p0=[0, 0, "1.5"])),
+        (["conjugate"], net_3d(infinity=[], alpha=[True])),
+        (["verify"], net_3d(normals=[[0, 0, 1]] * 3 + [[0, 0, "1"]])),
+        (["knoid", "--k", "3"], json.dumps({"params": [True] + [0] * 61})),
+        (["knoid", "--k", "3"], json.dumps({"params": ["1.5"] + [0] * 61})),
     ])
     def test_bad_input_is_typed_error(self, tmp_path, capsys, family, seed):
         path = tmp_path / "seed.json"
@@ -159,6 +171,23 @@ class TestGenerate:
             assert error["error"] == "BadParameter" and missing in error["message"], error
         else:
             assert error["error"] in ("BadParameter", "ParseError")
+
+    @pytest.mark.parametrize("argv", [
+        ["generate", "enneper", "--k", "3", "--size", "4", "--orbit", "--out", MISSING],
+        ["generate", "enneper", "--k", "3", "--size", "4", "--orbit", "--out", "<out>",
+         "--report", MISSING],
+        ["verify", "<absent>", "--report", MISSING],
+    ])
+    def test_missing_output_directory_fails_before_any_work(self, tmp_path, capsys, argv):
+        """No file is written and no input is read: the absent net of verify
+        would be a ParseError."""
+        missing = str(tmp_path / "no_such_dir" / "x")
+        paths = {MISSING: missing, "<out>": str(tmp_path / "e"),
+                 "<absent>": str(tmp_path / "absent.dnet.json")}
+        assert run([paths.get(arg, arg) for arg in argv]) == 3
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert error["error"] == "BadParameter" and missing in error["message"], error
+        assert list(tmp_path.iterdir()) == []
 
     def test_zero_tol_is_valid(self, tmp_path):
         path = tmp_path / "flat.dnet.json"
@@ -321,6 +350,8 @@ class TestExport:
         ("face", True, "True is not an integer"),
         ("quad", [], "face 2 [] is not a quad"),      # OBJ would read "f " and "f 1 2"
         ("quad", [0, 1], "face 2 [0, 1] is not a quad"),
+        ("vertex", True, "True is not a number"),     # numpy would read these
+        ("vertex", "1.5", "'1.5' is not a number"),
     ])
     def test_export_rejects_bad_orbit_records(self, tmp_path, capsys, field, value, message):
         base = str(tmp_path / "enn")
@@ -481,9 +512,10 @@ def test_import_generates_no_dataclasses(tmp_path):
     assert done.returncode == 0, done.stderr
 
 
-# Commands in turn in one fresh interpreter, each followed by the layers that
-# have run so far.  A layer that has not run is still a lazy module; its type
-# tells it apart, where reading one of its attributes would run it.
+# Commands in turn in one fresh interpreter, each followed by its exit code,
+# the layers that have run so far and whether numpy is loaded.  A layer that
+# has not run is still a lazy module; its type tells it apart, where reading
+# one of its attributes would run it.
 LAYERS_RUN = """
 import json, sys, types
 import minnet.cli
@@ -492,10 +524,10 @@ def ran():
     return sorted(name[len("minnet."):] for name, module in sys.modules.items()
                   if name.startswith("minnet.") and type(module) is types.ModuleType)
 
-steps = [sorted(name for name in sys.modules if name.startswith("minnet.")), ran()]
+steps = [sorted(name for name in sys.modules if name.startswith("minnet.")),
+         [0, ran(), "numpy" in sys.modules]]
 for argv in COMMANDS:
-    assert minnet.cli.main(argv) == 0, argv
-    steps.append(ran())
+    steps.append([minnet.cli.main(argv), ran(), "numpy" in sys.modules])
 with open("steps.json", "w") as fh:
     json.dump(steps, fh)
 """
@@ -525,12 +557,14 @@ class TestLazyLayers:
         that have run after each command.  Along a chain every command needs
         the layers of the commands before it, so each list is what its own
         command runs; conjugate, which needs no reflection, gets a chain of
-        its own."""
+        its own.  numpy stays unloaded until a command computes with arrays:
+        import, --help, a usage error and export of an orbit file only read
+        and write text."""
         assert run(["generate", "enneper", "--k", "3", "--size", "5", "--orbit",
                     "--out", str(tmp_path / "enn")]) == 0
         chains = [
-            [["export", "enn.iso.dnet.json", "a.obj"],
-             ["export", "enn.orbit.json", "b.obj"],
+            [["export", "enn.orbit.json", "b.obj"],
+             ["export", "enn.iso.dnet.json", "a.obj"],
              ["orbit", "enn.iso.dnet.json", "--out", "o.json"],
              ["reflect", "enn.asym.dnet.json", "--row", "0", "--asymptotic", "--out",
               "ra.dnet.json"],
@@ -542,6 +576,7 @@ class TestLazyLayers:
              ["generate", "knoid", "--k", "3", "--nmax", "2", "--mmax", "6", "--out", "k",
               "--report", "k.json"]],
             [["--help"],
+             ["generate", "enneper"],                   # usage error: --k is required
              ["conjugate", "enn.grid.dnet.json", "--out", "c.dnet.json"]],
         ]
         steps = []
@@ -549,25 +584,28 @@ class TestLazyLayers:
             done = run_python(f"COMMANDS = {commands!r}\n{LAYERS_RUN}", tmp_path)
             assert done.returncode == 0, done.stderr
             steps.append(json.loads((tmp_path / "steps.json").read_text()))
-        every = ["battery", "bvp", "cli", "errors", "holomorphic", "minimal", "mobius", "net",
-                 "reflection"]
-        net = ["cli", "errors", "net"]
+        every = ["battery", "bvp", "cli", "errors", "holomorphic", "jsonio", "minimal",
+                 "mobius", "net", "reflection"]
+        front = ["cli", "errors", "jsonio"]
+        net = sorted(front + ["net"])
         orbit = sorted(net + ["mobius", "reflection"])
         reflect = sorted(orbit + ["minimal"])
         battery = sorted(reflect + ["battery", "holomorphic"])
         assert steps[0] == [
             [f"minnet.{name}" for name in every],     # import minnet.cli
-            net,                                      # what import minnet.cli runs
-            net, net,                                 # export of a net and of an orbit
-            orbit,                                    # orbit
-            reflect, reflect,                         # reflect --asymptotic, reflect
-            battery, battery,                         # verify, generate enneper
-            every,                                    # generate knoid
+            [0, front, False],                        # what import minnet.cli runs
+            [0, front, False],                        # export of an orbit
+            [0, net, True],                           # export of a net
+            [0, orbit, True],                         # orbit
+            [0, reflect, True], [0, reflect, True],   # reflect --asymptotic, reflect
+            [0, battery, True], [0, battery, True],   # verify, generate enneper
+            [0, every, True],                         # generate knoid
         ]
         assert steps[1] == [
-            [f"minnet.{name}" for name in every], net,
-            net,                                                   # --help
-            sorted(net + ["holomorphic", "minimal", "mobius"]),    # conjugate
+            [f"minnet.{name}" for name in every], [0, front, False],
+            [0, front, False],                                     # --help
+            [2, front, False],                                     # usage error
+            [0, sorted(net + ["holomorphic", "minimal", "mobius"]), True],  # conjugate
         ]
 
     def test_public_names_are_the_layers_objects(self):
