@@ -43,7 +43,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InfeasibleSpec, NoConvergence
+from .errors import InfeasibleSpec, NoConvergence, ZeroDg
 from .holomorphic import HoloGrid, validate_holomorphic
 from .mobius import c_abs
 from .net import EdgeLabels, Frozen, LatticeDomain
@@ -543,7 +543,10 @@ def solve_knoid(spec: BoundarySpec, tol: float = 1e-10, max_iter: int = 500,
 def _finish_solve(system: _TriangleCollocation, x, iterations, ok,
                   tol, strict, trace) -> SolveResult:
     domain = LatticeDomain((0, system.m_max), (0, system.n_max))
-    grid = HoloGrid(domain, system.vertices(x).ravel(), EdgeLabels.constant(domain))
+    try:
+        grid = HoloGrid(domain, system.vertices(x).ravel(), EdgeLabels.constant(domain))
+    except ValueError as exc:       # a degenerate seed can collapse an edge
+        raise ZeroDg(f"solved grid has {exc}") from exc
     metrics = {
         "cross_ratio": validate_holomorphic(grid).max_residual,
         "boundary": _bullet_deviation(grid, system.tri),

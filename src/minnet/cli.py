@@ -127,6 +127,7 @@ def orbit_to_json(orbit: reflection.SymmetryOrbit) -> str:
 def export_obj(path_in: str, path_out: str) -> None:
     """OBJ export of a net file or an orbit JSON file.  An orbit file is
     read, checked and written as lists, without numpy."""
+    _check_output_dirs(path_out)
     doc = load_json(path_in)
     if isinstance(doc, dict) and doc.get("kind") == "orbit":
         try:
@@ -286,12 +287,14 @@ def cmd_generate(config: PipelineConfig) -> int:
 
 
 def cmd_conjugate(args) -> int:
+    _check_output_dirs(args.out)
     grid = holomorphic.read_grid(args.grid)
     net.write_net(args.out, minimal.weierstrass_asymptotic(grid), grid.labels)
     return EXIT_OK
 
 
 def cmd_reflect(args) -> int:
+    _check_output_dirs(args.out)
     bundle = net.read_net(args.net)
     if bundle.labels is None:
         raise ParseError("reflection requires edge labels in the net file")
@@ -310,6 +313,7 @@ def cmd_reflect(args) -> int:
 
 
 def cmd_orbit(args) -> int:
+    _check_output_dirs(args.out, args.obj)
     bundle = net.read_net(args.net)
     if bundle.normals is None:
         raise ParseError("orbit construction requires normals in the net file")
@@ -427,24 +431,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one minnet command; returns its exit code.
 
-    On entry, and again when the command is done, every object alive
-    moves to the collector's permanent generation (gc.freeze).  An
-    in-process caller freezes its own heap with it: reference counting
-    still frees those objects, but a reference cycle that is already
-    unreachable at a freeze stays in memory until the process exits.
+    The cyclic collector is off while the command runs, and main leaves
+    it as it found it: on if it was on.  The objects made by importing
+    numpy and minnet live until the process exits, so a collection during
+    a command walks them and frees almost nothing.
     """
-    # The ~12,000 objects of the interpreter and minnet.cli, and the ~10,000
-    # that numpy and the command's layers add while it runs, live until exit.
-    # Frozen, no later collection walks them: the first freeze covers the
-    # command's own collections, the second (below) the final ones at
-    # interpreter exit, about 8 ms per process.
-    gc.freeze()
-    parser = build_parser()
+    collecting = gc.isenabled()
+    gc.disable()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    try:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
         # inf passes every check and NaN or a negative bound fails every one
         for name in ("tol", "solver_tol"):
             value = getattr(args, name, 0.0)
@@ -478,8 +476,33 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return EXIT_NUMERIC
     finally:
-        gc.freeze()
+        if collecting:
+            gc.enable()
+
+
+def run() -> None:
+    """Entry point of the minnet script and of python -m minnet.cli.
+
+    Runs main with the cyclic collector off, flushes stdout and stderr
+    and ends the process with os._exit, which skips the interpreter's
+    teardown: its final collections and the release of every module and
+    object.  Every output file is closed by then (jsonio.write_text).
+    When a flush fails, the interpreter's own exit reports it and sets the
+    status.  An exception that escapes main ends the process with its
+    traceback, as usual.
+    """
+    # Off before main, so main leaves it off: re-enabled, the collector's
+    # next young collection would walk every object the command made.
+    gc.disable()
+    code = main()
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:      # None when the descriptor was closed at start
+                stream.flush()
+    except (OSError, ValueError):
+        sys.exit(code)
+    os._exit(code)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

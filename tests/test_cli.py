@@ -40,6 +40,8 @@ def net_3d(domain=None, m1=1, infinity=None, p0=None, **fields):
 
 # an output path in a directory that does not exist, under the test's tmp_path
 MISSING = "<missing>"
+# a seed of the default knoid grid that solves to a grid with a collapsed edge
+ZERO_SEED = json.dumps({"params": [0] * 62})
 
 
 def run(args, env=None):
@@ -142,6 +144,7 @@ class TestGenerate:
         (["verify"], net_3d(normals=[[0, 0, 1]] * 3 + [[0, 0, "1"]])),
         (["knoid", "--k", "3"], json.dumps({"params": [True] + [0] * 61})),
         (["knoid", "--k", "3"], json.dumps({"params": ["1.5"] + [0] * 61})),
+        (["knoid", "--k", "3"], ZERO_SEED),
     ])
     def test_bad_input_is_typed_error(self, tmp_path, capsys, family, seed):
         path = tmp_path / "seed.json"
@@ -169,6 +172,8 @@ class TestGenerate:
         error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         if missing in argv:
             assert error["error"] == "BadParameter" and missing in error["message"], error
+        elif seed == ZERO_SEED:
+            assert error["error"] == "ZeroDg" and "edge (0, 3)-(1, 3)" in error["message"]
         else:
             assert error["error"] in ("BadParameter", "ParseError")
 
@@ -177,17 +182,24 @@ class TestGenerate:
         ["generate", "enneper", "--k", "3", "--size", "4", "--orbit", "--out", "<out>",
          "--report", MISSING],
         ["verify", "<absent>", "--report", MISSING],
+        ["orbit", "<piece>", "--out", "<out>", "--obj", MISSING],
     ])
     def test_missing_output_directory_fails_before_any_work(self, tmp_path, capsys, argv):
         """No file is written and no input is read: the absent net of verify
-        would be a ParseError."""
+        would be a ParseError.  orbit reads a generated piece."""
         missing = str(tmp_path / "no_such_dir" / "x")
         paths = {MISSING: missing, "<out>": str(tmp_path / "e"),
-                 "<absent>": str(tmp_path / "absent.dnet.json")}
+                 "<absent>": str(tmp_path / "absent.dnet.json"),
+                 "<piece>": str(tmp_path / "enn.iso.dnet.json")}
+        if "<piece>" in argv:
+            assert run(["generate", "enneper", "--k", "3", "--size", "4",
+                        "--out", str(tmp_path / "enn")]) == 0
+            capsys.readouterr()
+        inputs = sorted(tmp_path.iterdir())
         assert run([paths.get(arg, arg) for arg in argv]) == 3
         error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert error["error"] == "BadParameter" and missing in error["message"], error
-        assert list(tmp_path.iterdir()) == []
+        assert sorted(tmp_path.iterdir()) == inputs
 
     def test_zero_tol_is_valid(self, tmp_path):
         path = tmp_path / "flat.dnet.json"
@@ -469,12 +481,16 @@ for argv in (
 """
 
 
+def fresh_env():
+    """The environment of a fresh interpreter that imports this minnet."""
+    path = os.path.dirname(os.path.dirname(minnet.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [path, os.environ.get("PYTHONPATH")])))
+
+
 def run_python(code, cwd):
     """Run code in a fresh interpreter that imports this minnet."""
-    path = os.path.dirname(os.path.dirname(minnet.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [path, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
+    return subprocess.run([sys.executable, "-c", code], cwd=cwd, env=fresh_env(),
                           capture_output=True, text=True)
 
 
@@ -559,7 +575,7 @@ class TestLazyLayers:
         command runs; conjugate, which needs no reflection, gets a chain of
         its own.  numpy stays unloaded until a command computes with arrays:
         import, --help, a usage error and export of an orbit file only read
-        and write text."""
+        and write text, and export checks its output directory first."""
         assert run(["generate", "enneper", "--k", "3", "--size", "5", "--orbit",
                     "--out", str(tmp_path / "enn")]) == 0
         chains = [
@@ -577,6 +593,7 @@ class TestLazyLayers:
               "--report", "k.json"]],
             [["--help"],
              ["generate", "enneper"],                   # usage error: --k is required
+             ["export", "enn.iso.dnet.json", "no_such_dir/a.obj"],
              ["conjugate", "enn.grid.dnet.json", "--out", "c.dnet.json"]],
         ]
         steps = []
@@ -605,6 +622,7 @@ class TestLazyLayers:
             [f"minnet.{name}" for name in every], [0, front, False],
             [0, front, False],                                     # --help
             [2, front, False],                                     # usage error
+            [3, front, False],                     # export of a net to a missing directory
             [0, sorted(net + ["holomorphic", "minimal", "mobius"]), True],  # conjugate
         ]
 
@@ -631,17 +649,49 @@ class TestLazyLayers:
         assert f"(choose from {listed})" in capsys.readouterr().err
 
 
-# main freezes the heap it starts with, so that the collections at
-# interpreter exit do not walk every object that importing numpy and minnet made
-FROZEN_HEAP = """
+# The collector is off while main runs, and main leaves it as it found it.
+# The count is read before anything allocates: the first allocation after
+# main re-enables the collector may start a collection.
+NO_COLLECTIONS = """
 import gc
 from minnet.cli import main
+starts = []
+gc.callbacks.append(lambda phase, info: phase == "start" and starts.append(info))
 assert main(["generate", "enneper", "--k", "3", "--size", "6", "--out", "e"]) == 0
-frozen, tracked = gc.get_freeze_count(), len(gc.get_objects())
-assert frozen > 0 and tracked < frozen, (tracked, frozen)
+collections, enabled = len(starts), gc.isenabled()
+assert collections == 0 and enabled, (collections, enabled)
+gc.disable()
+assert main(["generate", "enneper", "--k", "3", "--size", "6", "--out", "f"]) == 0
+assert not gc.isenabled()
 """
 
 
-def test_main_freezes_the_import_time_heap(tmp_path):
-    done = run_python(FROZEN_HEAP, tmp_path)
+def test_main_runs_no_collections_and_restores_the_collector(tmp_path):
+    done = run_python(NO_COLLECTIONS, tmp_path)
     assert done.returncode == 0, done.stderr
+
+
+def test_module_run_flushes_and_keeps_exit_codes(tmp_path):
+    """python -m minnet.cli ends in os._exit after flushing: a report on a
+    block-buffered stdout (a file) is complete, and every exit code comes
+    through."""
+    assert run(["generate", "enneper", "--k", "3", "--size", "6",
+                "--out", str(tmp_path / "e")]) == 0
+    env = fresh_env()
+    env.pop("PYTHONUNBUFFERED", None)       # which would hide a missing flush
+    for argv, code in ((["verify", "e.iso.dnet.json"], 0),
+                       (["verify", "e.iso.dnet.json", "--tol", "1e-300"], 1),
+                       (["verify"], 2),
+                       (["verify", "absent.dnet.json"], 3)):
+        with open(tmp_path / "out.json", "w") as out:
+            done = subprocess.run([sys.executable, "-m", "minnet.cli", *argv], cwd=tmp_path,
+                                  env=env, stdout=out, stderr=subprocess.PIPE,
+                                  text=True)
+        assert done.returncode == code, (argv, done.stderr)
+        stdout = (tmp_path / "out.json").read_text()
+        if code < 2:
+            assert json.loads(stdout)["ok"] is (code == 0), argv
+        else:
+            assert stdout == "", argv
+        if code == 3:
+            assert json.loads(done.stderr)["error"] == "ParseError"
