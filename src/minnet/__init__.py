@@ -23,12 +23,11 @@ _API = {
     "battery": (),
     "bvp": ("BoundarySpec", "PlatonicPreset", "SolveResult", "platonic_preset",
             "solve_knoid", "solve_platonic"),
-    "holomorphic": ("INF", "HoloGrid", "MobiusInversion", "MobiusSimilarity",
-                    "mobius_apply", "power_function", "propagate_fourth", "read_grid",
+    "holomorphic": ("INF", "HoloGrid", "power_function", "propagate_fourth", "read_grid",
                     "validate_holomorphic", "write_grid"),
     "minimal": ("MinimalPair", "QuadCurvature", "christoffel", "gauss_map", "is_asymptotic",
-                "mixed_area", "offset_net", "propagate_normals", "quad_curvatures",
-                "tangent_normals", "weierstrass_asymptotic", "weierstrass_isothermic"),
+                "mixed_area", "propagate_normals", "quad_curvatures", "tangent_normals",
+                "weierstrass_asymptotic", "weierstrass_isothermic"),
     "mobius": ("CrossRatioValue", "Isometry", "LineR3", "PlaneR3", "Quaternion",
                "cross_ratio_complex", "cross_ratio_quat", "fit_line", "fit_plane",
                "stereographic_lift", "stereographic_project"),

@@ -1,7 +1,8 @@
 """Command-line frontend: generation pipelines, verification and export.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error,
-3 numeric/input failure.  MINNET_THREADS (an integer >= 1) caps minnet's
+3 numeric/input failure, 141 (128 + SIGPIPE) output pipe closed by its
+reader, as by `| head`.  MINNET_THREADS (an integer >= 1) caps minnet's
 own workers; minnet runs in one thread.  It does not govern the threads
 that numpy's BLAS library starts: OPENBLAS_NUM_THREADS or OMP_NUM_THREADS
 set those.
@@ -37,21 +38,11 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
+EXIT_PIPE = 141
 
 
-class PipelineConfig:
-    """Parsed invocation: family parameters, tolerances and output paths."""
-
-    def __init__(self, command: str, family: str | None = None, params: dict | None = None,
-                 tol: float = 1e-9, out: str | None = None, report: str | None = None,
-                 orbit: bool = False, max_word: int = 16, threads: int = 1):
-        self.command, self.family = command, family
-        self.params = {} if params is None else params
-        self.tol, self.out, self.report = tol, out, report
-        self.orbit, self.max_word, self.threads = orbit, max_word, threads
-
-
-def _read_threads() -> int:
+def _read_threads() -> None:
+    """MinnetError unless MINNET_THREADS, when set, is an integer >= 1."""
     raw = os.environ.get("MINNET_THREADS", "1")
     try:
         value = int(raw)
@@ -59,7 +50,6 @@ def _read_threads() -> int:
         raise MinnetError(f"MINNET_THREADS must be an integer, got {raw!r}")
     if value < 1:
         raise MinnetError("MINNET_THREADS must be at least 1")
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -188,46 +178,38 @@ def _write_orbit(net: net.Net3, normals: net.Net3, tol: float, max_word: int, pa
     return orbit
 
 
-def _family_pair(config: PipelineConfig) -> tuple[minimal.MinimalPair, dict]:
-    family = config.family
+def _family_pair(family: str, args) -> tuple[minimal.MinimalPair, dict]:
     info: dict = {"family": family}
     if family in ("enneper", "planar_enneper"):
         if family == "planar_enneper":
             gamma = 3.0
-        elif config.params["k"] < 1:
+        elif args.k < 1:
             raise BadParameter("enneper requires k >= 1")
         else:
-            gamma = 2.0 * config.params["k"] / (config.params["k"] + 1.0)
+            gamma = 2.0 * args.k / (args.k + 1.0)
         try:
-            grid = holomorphic.power_function(gamma, config.params["size"], config.params["size"])
+            grid = holomorphic.power_function(gamma, args.size, args.size)
         except ValueError as exc:
-            raise BadParameter(f"--size {config.params['size']}: {exc}") from exc
+            raise BadParameter(f"--size {args.size}: {exc}") from exc
         info["gamma"] = gamma
     elif family == "knoid":
-        spec = bvp.BoundarySpec(config.params["k"], config.params["nmax"],
-                                config.params["mmax"])
-        seed, path = None, config.params.get("seed_file")
-        if path:
-            doc = load_json(path)
+        spec = bvp.BoundarySpec(args.k, args.nmax, args.mmax)
+        seed = None
+        if args.seed_file:
+            doc = load_json(args.seed_file)
             try:
                 seed = [json_float(v) for v in doc["params"]]
             except (KeyError, TypeError, ValueError, OverflowError) as exc:
-                raise ParseError(f"seed file {path}: {exc!r}") from exc
-        result = bvp.solve_knoid(spec, tol=config.params.get("solver_tol", 1e-10),
-                                 max_iter=config.params.get("max_iter", 500),
+                raise ParseError(f"seed file {args.seed_file}: {exc!r}") from exc
+        result = bvp.solve_knoid(spec, tol=args.solver_tol, max_iter=args.max_iter,
                                  seed_params=seed, strict=True)
         grid = result.grid
         info["solver"] = _solver_info(result)
-    elif family == "platonic":
-        result = bvp.solve_platonic(config.params["preset"],
-                                    config.params["resolution"],
-                                    tol=config.params.get("solver_tol", 1e-10),
-                                    max_iter=config.params.get("max_iter", 500),
-                                    strict=True)
+    else:
+        result = bvp.solve_platonic(args.preset, args.resolution, tol=args.solver_tol,
+                                    max_iter=args.max_iter, strict=True)
         grid = result.grid
         info["solver"] = _solver_info(result)
-    else:
-        raise MinnetError(f"unknown family {family!r}")
     return minimal.MinimalPair.from_grid(grid), info
 
 
@@ -262,19 +244,20 @@ def _check_output_dirs(*paths: str | None) -> None:
             raise BadParameter(f"cannot write {path}: {directory} is not a directory")
 
 
-def cmd_generate(config: PipelineConfig) -> int:
-    base = config.out or config.family
-    _check_output_dirs(base, config.report)
-    pair, info = _family_pair(config)
+def cmd_generate(args) -> int:
+    family = args.family.replace("-", "_")
+    base = args.out or family
+    _check_output_dirs(base, args.report)
+    pair, info = _family_pair(family, args)
     files = _write_pair(base, pair)
 
-    report = verify_pair(pair, config.tol)
+    report = verify_pair(pair, args.tol)
     report["info"] = info
     report["files"] = files
 
-    if config.orbit:
+    if args.orbit:
         orbit_path, obj_path = f"{base}.orbit.json", f"{base}.orbit.obj"
-        orbit = _write_orbit(pair.isothermic, pair.gauss, config.tol, config.max_word,
+        orbit = _write_orbit(pair.isothermic, pair.gauss, args.tol, args.max_word,
                              orbit_path, obj_path)
         files.extend([orbit_path, obj_path])
         report["orbit"] = {"elements": len(orbit.elements),
@@ -282,7 +265,7 @@ def cmd_generate(config: PipelineConfig) -> int:
                            "weld_residual": float(orbit.weld_residual),
                            "closure_residual": float(orbit.closure_residual())}
 
-    _emit_report(report, config.report)
+    _emit_report(report, args.report)
     return EXIT_OK if report["ok"] else EXIT_VERIFY
 
 
@@ -449,16 +432,9 @@ def main(argv=None) -> int:
             if not 0.0 <= value < math.inf:
                 raise BadParameter(f"--{name.replace('_', '-')} must be finite and "
                                    f"non-negative, got {value}")
-        threads = _read_threads()
+        _read_threads()
         if args.command == "generate":
-            params = {k: v for k, v in vars(args).items() if k not in (
-                "command", "family", "tol", "out", "report", "orbit", "max_word")}
-            config = PipelineConfig(
-                command="generate",
-                family=args.family.replace("-", "_"),
-                params=params, tol=args.tol, out=args.out, report=args.report,
-                orbit=args.orbit, max_word=args.max_word, threads=threads)
-            return cmd_generate(config)
+            return cmd_generate(args)
         if args.command == "conjugate":
             return cmd_conjugate(args)
         if args.command == "reflect":
@@ -487,19 +463,27 @@ def run() -> None:
     and ends the process with os._exit, which skips the interpreter's
     teardown: its final collections and the release of every module and
     object.  Every output file is closed by then (jsonio.write_text).
-    When a flush fails, the interpreter's own exit reports it and sets the
-    status.  An exception that escapes main ends the process with its
-    traceback, as usual.
+    When the reader of stdout or stderr has closed its pipe, the process
+    ends quietly with EXIT_PIPE; os._exit flushes nothing, so nothing is
+    written to the closed pipe again.  When another flush fails, the
+    interpreter's own exit reports it and sets the status.  Any other
+    exception that escapes main ends the process with its traceback, as
+    usual.
     """
     # Off before main, so main leaves it off: re-enabled, the collector's
     # next young collection would walk every object the command made.
     gc.disable()
-    code = main()
+    code = None
     try:
+        code = main()
         for stream in (sys.stdout, sys.stderr):
             if stream is not None:      # None when the descriptor was closed at start
                 stream.flush()
+    except BrokenPipeError:
+        os._exit(EXIT_PIPE)
     except (OSError, ValueError):
+        if code is None:                # raised by main
+            raise
         sys.exit(code)
     os._exit(code)
 

@@ -41,10 +41,6 @@ class AtInfinity(MinnetError):
     """A propagated value landed at the point at infinity."""
 
 
-class PoleOnGrid(MinnetError):
-    """A Möbius image has coincident neighbors or an unusable pole."""
-
-
 class ZeroDg(MinnetError):
     """Holomorphic data has a vanishing edge difference."""
 

@@ -19,12 +19,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (AtInfinity, ClosureFailure, DegenerateQuad, ParseError, PoleOnGrid,
-                     UnsupportedGamma, ZeroDg)
+from .errors import (AtInfinity, ClosureFailure, DegenerateQuad, ParseError, UnsupportedGamma,
+                     ZeroDg)
 from .jsonio import json_int, load_json, write_text
 from .mobius import (CNum, INF, c_abs, c_div, c_join, c_mul, cross_ratio_complex, is_inf,
                      sphere_distinct)
@@ -255,48 +254,6 @@ def power_function(gamma: float, m_extent: int, n_extent: int) -> HoloGrid:
 
 
 # ---------------------------------------------------------------------------
-# Möbius maps on grids
-# ---------------------------------------------------------------------------
-
-class MobiusSimilarity(NamedTuple):
-    """z ↦ a*z + b with a nonzero."""
-
-    a: complex
-    b: complex = 0j
-
-    def __call__(self, z: CNum) -> CNum:
-        if is_inf(z):
-            return INF
-        return self.a * z + self.b
-
-
-class MobiusInversion:
-    """z ↦ 1/z; swaps 0 and ∞."""
-
-    def __call__(self, z: CNum) -> CNum:
-        if is_inf(z):
-            return 0j
-        if z == 0:
-            return INF
-        return 1.0 / z
-
-
-def mobius_apply(grid: HoloGrid, mapping) -> HoloGrid:
-    """Apply a similarity or inversion; labels and cross ratios are unchanged.
-
-    Raises PoleOnGrid when the image has coincident neighboring values
-    (e.g. two neighbors both sent to infinity).
-    """
-    if isinstance(mapping, MobiusSimilarity) and mapping.a == 0:
-        raise ValueError("similarity must be invertible")
-    image = {v: mapping(grid[v]) for v in grid.domain.vertices}
-    try:
-        return HoloGrid.from_dict(grid.domain, image, grid.labels)
-    except ValueError as exc:
-        raise PoleOnGrid(f"image has {exc}") from exc
-
-
-# ---------------------------------------------------------------------------
 # Serialization (values as planar points plus an infinity tag list)
 # ---------------------------------------------------------------------------
 
@@ -319,4 +276,7 @@ def read_grid(path) -> HoloGrid:
         raise ParseError(f"bad infinity record: {exc}") from exc
     inf, index = np.zeros(len(dom.vertices), dtype=bool), dom.indices(m, n)
     inf[index[index >= 0]] = True
-    return HoloGrid(dom, c_join(points[:, 0], points[:, 1]), bundle.labels, inf)
+    try:
+        return HoloGrid(dom, c_join(points[:, 0], points[:, 1]), bundle.labels, inf)
+    except ValueError as exc:
+        raise ParseError(f"bad grid values: {exc}") from exc

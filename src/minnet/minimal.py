@@ -28,10 +28,9 @@ import numpy as np
 from .errors import (ClosureFailure, InconsistentBundle, NotCoplanar,
                      NotIsothermic, ZeroArea, ZeroDg)
 from .mobius import CNum, c_abs, c_div, c_mul, is_inf, stereographic_lift
-from .net import (MIN_EDGE, CheckReport, EdgeLabels, LatticeDomain, Net3, PlaneFit, Vertex,
-                  _dot, _norm, _quad_scale, are_parallel_meshes, circularity_residuals,
-                  edge_loops, integrate_edges, is_isothermic, plane_fits, planarity_residual,
-                  planarity_residuals, point_scales, worst_report)
+from .net import (CheckReport, EdgeLabels, LatticeDomain, Net3, PlaneFit, Vertex, _dot, _norm,
+                  _quad_scale, edge_loops, integrate_edges, is_isothermic, plane_fits,
+                  planarity_residual, planarity_residuals, point_scales, worst_report)
 
 if TYPE_CHECKING:
     from .holomorphic import HoloGrid
@@ -315,23 +314,6 @@ class Curvatures:
                        / np.abs(self.area))
         bent = planarity_residuals(offset) > 1e-6 * np.maximum(point_scales(offset), 1e-300)
         return defects, self.undefined | bent
-
-
-def offset_net(net: Net3, normals: Net3, t: float, tol: float = 1e-9) -> Net3:
-    """Parallel offset F + t*N; validated circular and edge-parallel to F."""
-    out = Net3(net.domain, net.points + t * normals.points)
-    if t != 0.0:
-        pts = out.quad_array()
-        res = circularity_residuals(pts)
-        bad = res > max(tol, 1e-8) * np.maximum(point_scales(pts), MIN_EDGE)
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise NotCoplanar(f"offset quad {out.domain.quads[i]} not circular "
-                              f"(residual {res[i]:.3e})")
-        ok, worst = are_parallel_meshes(net, out, max(tol, 1e-8))
-        if not ok:
-            raise NotCoplanar(f"offset not edge-parallel (angle {worst:.3e})")
-    return out
 
 
 # ---------------------------------------------------------------------------

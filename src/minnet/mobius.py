@@ -281,43 +281,35 @@ class LineR3(Frozen):
 
 
 class Isometry(Frozen):
-    """Rigid motion p ↦ matrix @ p + translation.
+    """Rigid motion p ↦ matrix @ p + translation, with an orthogonal matrix."""
 
-    kind is one of 'plane_reflection', 'line_rotation_180', 'identity' or
-    'composition'; the matrix is orthogonal in all cases.
-    """
-
-    def __init__(self, kind: str, matrix: np.ndarray, translation: np.ndarray,
-                 source: object = None):
-        self.__dict__.update(kind=kind, matrix=matrix, translation=translation, source=source)
+    def __init__(self, matrix: np.ndarray, translation: np.ndarray):
+        self.__dict__.update(matrix=matrix, translation=translation)
 
     @staticmethod
     def identity() -> "Isometry":
-        return Isometry("identity", np.eye(3), np.zeros(3))
+        return Isometry(np.eye(3), np.zeros(3))
 
     @staticmethod
     def plane_reflection(plane: PlaneR3) -> "Isometry":
         n = plane.normal
         mat = np.eye(3) - 2.0 * np.outer(n, n)
-        return Isometry("plane_reflection", mat, 2.0 * plane.offset * n, source=plane)
+        return Isometry(mat, 2.0 * plane.offset * n)
 
     @staticmethod
     def line_rotation_180(line: LineR3) -> "Isometry":
         d = line.direction
         mat = 2.0 * np.outer(d, d) - np.eye(3)
-        return Isometry("line_rotation_180", mat,
-                        line.base - mat @ line.base, source=line)
+        return Isometry(mat, line.base - mat @ line.base)
 
     def compose(self, other: "Isometry") -> "Isometry":
         """self ∘ other (apply other first)."""
-        return Isometry("composition",
-                        self.matrix @ other.matrix,
+        return Isometry(self.matrix @ other.matrix,
                         self.matrix @ other.translation + self.translation)
 
     def inverse(self) -> "Isometry":
         mt = self.matrix.T
-        return Isometry("composition" if self.kind == "composition" else self.kind,
-                        mt, -(mt @ self.translation), source=self.source)
+        return Isometry(mt, -(mt @ self.translation))
 
     def apply(self, p) -> np.ndarray:
         return self.matrix @ np.asarray(p, dtype=float) + self.translation

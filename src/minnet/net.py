@@ -602,6 +602,8 @@ def write_net(path, net: Net3, labels: EdgeLabels | None = None,
 def _parse_domain(doc: dict) -> LatticeDomain:
     try:
         d = doc["domain"]
+        if not isinstance(d, dict):
+            raise TypeError(f"domain must be an object, got {type(d).__name__}")
         mask = frozenset((json_int(m), json_int(n)) for m, n in d.get("mask", []))
         return LatticeDomain((json_int(d["m0"]), json_int(d["m1"])),
                              (json_int(d["n0"]), json_int(d["n1"])), mask)

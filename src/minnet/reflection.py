@@ -76,11 +76,6 @@ def analyze_boundary_isothermic(net: Net3, normals: Net3, index: int,
     except DegenerateFit:
         plane_fit, r_joint = None, float("inf")
     residuals["congruence_plane"] = r_joint
-    try:
-        _, r_row = fit_plane(f_pts) if len(f_pts) >= 3 else (None, 0.0)
-    except DegenerateFit:
-        r_row = 0.0  # collinear row is trivially planar
-    residuals["row_plane"] = r_row
 
     # independent Gauss-image circle tests (unit vectors: absolute tolerance)
     try:
@@ -185,6 +180,29 @@ def _mirror_labels(labels: EdgeLabels, domain: LatticeDomain, index: int) -> Edg
         [beta, beta[::-1]] if index == domain.n1 else [beta[::-1], beta]))
 
 
+def _extend(net: Net3, normals: Net3 | None, labels: EdgeLabels | None, index: int,
+            axis: str, iso: Isometry) -> tuple[Net3, Net3 | None, EdgeLabels | None]:
+    """The net, and its normals and labels when given, extended across the
+    boundary line at index: the new rows are the iso images of their mirror
+    rows, and the labels are mirrored.  A column is a row of the transpose."""
+    if axis == "col":
+        extended = _extend(net.transpose(), _transposed(normals), _transposed(labels), index,
+                           "row", iso)
+        return tuple(_transposed(x) for x in extended)
+    new_domain, old, mirror = _extend_rows(net.domain, index)
+    net_ext = Net3(new_domain, _mirrored(net.points, old, mirror, iso))
+    if normals is not None:
+        normals = Net3(new_domain, _mirrored(normals.points, old, mirror, iso, True),
+                       check_edges=False)
+    if labels is not None:
+        labels = _mirror_labels(labels, net.domain, index)
+    return net_ext, normals, labels
+
+
+def _transposed(x):
+    return x.transpose() if x is not None else None
+
+
 def reflect_isothermic(net: Net3, normals: Net3, index: int,
                        axis: str = "row", tol: float = 1e-9,
                        labels: EdgeLabels | None = None
@@ -202,15 +220,8 @@ def reflect_isothermic(net: Net3, normals: Net3, index: int,
         raise NotReflectable(
             f"{axis} {index}: congruence-plane residual "
             f"{analysis.residuals['congruence_plane']:.3e}")
-    iso = Isometry.plane_reflection(analysis.plane)
-    if axis == "col":
-        net, normals = net.transpose(), normals.transpose()
-        labels = labels.transpose() if labels is not None else None
-
-    new_domain, old, mirror = _extend_rows(net.domain, index)
-    net_ext = Net3(new_domain, _mirrored(net.points, old, mirror, iso))
-    normals_ext = Net3(new_domain, _mirrored(normals.points, old, mirror, iso, True),
-                       check_edges=False)
+    net_ext, normals_ext, labels_ext = _extend(net, normals, labels, index, axis,
+                                               Isometry.plane_reflection(analysis.plane))
 
     # the reflected Gauss map must agree with the uniquely propagated one
     seed = net.domain.vertices[0]
@@ -219,12 +230,6 @@ def reflect_isothermic(net: Net3, normals: Net3, index: int,
     if worst > max(tol, 1e-9) * 10:
         raise InconsistentBundle(
             f"mirrored normals deviate from propagation by {worst:.3e}")
-
-    labels_ext = (_mirror_labels(labels, net.domain, index)
-                  if labels is not None else None)
-    if axis == "col":
-        return (net_ext.transpose(), normals_ext.transpose(),
-                labels_ext.transpose() if labels_ext is not None else None)
     return net_ext, normals_ext, labels_ext
 
 
@@ -242,17 +247,8 @@ def rotate_extend_asymptotic(net: Net3, index: int, axis: str = "row",
     if analysis.kind != "straight_asymptotic_line":
         raise NotReflectable(
             f"{axis} {index}: line residual {analysis.residuals['line']:.3e}")
-    iso = Isometry.line_rotation_180(analysis.line)
-    if axis == "col":
-        net = net.transpose()
-        labels = labels.transpose() if labels is not None else None
-
-    new_domain, old, mirror = _extend_rows(net.domain, index)
-    net_ext = Net3(new_domain, _mirrored(net.points, old, mirror, iso))
-    labels_ext = (_mirror_labels(labels, net.domain, index)
-                  if labels is not None else None)
-    if axis == "col":
-        return net_ext.transpose(), labels_ext.transpose() if labels_ext is not None else None
+    net_ext, _, labels_ext = _extend(net, None, labels, index, axis,
+                                     Isometry.line_rotation_180(analysis.line))
     return net_ext, labels_ext
 
 
@@ -349,12 +345,10 @@ class SymmetryOrbit:
     weld_residual is the max weld distance relative to the mesh scale.
     """
 
-    def __init__(self, fundamental: Net3, generators: list[Isometry],
-                 elements: list[Isometry], vertices: np.ndarray,
+    def __init__(self, elements: list[Isometry], vertices: np.ndarray,
                  faces: list[tuple[int, int, int, int]], weld_residual: float,
                  weld_tol: float):
-        self.fundamental, self.generators, self.elements = fundamental, generators, elements
-        self.vertices, self.faces = vertices, faces
+        self.elements, self.vertices, self.faces = elements, vertices, faces
         self.weld_residual, self.weld_tol = weld_residual, weld_tol
 
     def scale(self) -> float:
@@ -455,7 +449,7 @@ def close_group(generators: list[Isometry], max_word: int = 16,
             table = _distance_table(block, np.concatenate([known, block], axis=1))
             later, earlier = np.nonzero(np.tril(~(table > dedup_tol), k - 1))  # NaN: no merge
             new = _first_representatives(k + block.shape[1], k + later, earlier)[k:]
-            elements.extend(Isometry("composition", cand_m[i], cand_t[i])
+            elements.extend(Isometry(cand_m[i], cand_t[i])
                             for i in start + np.flatnonzero(new))
             if len(elements) > max_elements:
                 raise OrbitExplosion(
@@ -490,6 +484,6 @@ def build_orbit(piece: Net3, generators: list[Isometry], max_word: int = 16,
     faces = number.reshape(len(elements), -1)[:, piece.domain.quad_index]
     faces = np.where(flip[:, None, None], faces[..., [0, 3, 2, 1]], faces).reshape(-1, 4)
     first = np.sort(np.unique(np.sort(faces, axis=1), axis=0, return_index=True)[1])
-    return SymmetryOrbit(piece, list(generators), elements, moved[rep],
+    return SymmetryOrbit(elements, moved[rep],
                          [tuple(f) for f in faces[first].tolist()],
                          float(dist[nearest].max(initial=0.0)) / scale, weld_tol)

@@ -191,7 +191,7 @@ def test_criterion_7_knoid_and_platonic(knoid_results):
         offs = np.array([row.plane.offset, col.plane.offset])
         point, *_ = np.linalg.lstsq(mats, offs, rcond=None)
         rot_mat = rotation_matrix(axis, 2.0 * math.pi / k)
-        rotation = Isometry("composition", rot_mat, point - rot_mat @ point)
+        rotation = Isometry(rot_mat, point - rot_mat @ point)
         invariance = orbit.invariance_residual(rotation)
         elapsed = time.perf_counter() - t0
         good = (result.converged and result.iterations <= 500

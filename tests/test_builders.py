@@ -12,11 +12,10 @@ import math
 import numpy as np
 import pytest
 
-from minnet.holomorphic import (HoloGrid, MobiusInversion, _axis_radii, mobius_apply,
-                                power_function, propagate_fourth)
+from minnet.holomorphic import HoloGrid, _axis_radii, power_function, propagate_fourth
 from minnet.minimal import (_wei_increment, christoffel, gauss_map, propagate_normals,
                             weierstrass_asymptotic, weierstrass_isothermic)
-from minnet.mobius import is_inf, stereographic_lift
+from minnet.mobius import INF, is_inf, stereographic_lift
 from minnet.net import EdgeLabels, LatticeDomain
 
 from conftest import edge_label, neighbors
@@ -128,7 +127,9 @@ POWER_CASES.append(pytest.param(3.0, 8, id="planar8"))
 @pytest.fixture(scope="module")
 def inverted_grid():
     """z^(3/2) under z -> 1/z: the origin goes to INF."""
-    return mobius_apply(power_function(1.5, 6, 6), MobiusInversion())
+    grid = power_function(1.5, 6, 6)
+    return HoloGrid.from_dict(grid.domain, {v: INF if grid[v] == 0 else 1.0 / grid[v]
+                                            for v in grid.domain.vertices}, grid.labels)
 
 
 @pytest.mark.parametrize("gamma,size", POWER_CASES)

@@ -145,6 +145,11 @@ class TestGenerate:
         (["knoid", "--k", "3"], json.dumps({"params": [True] + [0] * 61})),
         (["knoid", "--k", "3"], json.dumps({"params": ["1.5"] + [0] * 61})),
         (["knoid", "--k", "3"], ZERO_SEED),
+        # a grid whose vertex (0, 0) sits on its neighbour (0, 1)
+        (["conjugate"], net_3d(infinity=[], p0=[0, 1, 0])),
+        # a domain that is not an object
+        (["verify"], json.dumps({**json.loads(NET_3D), "domain": 3})),
+        (["reflect", "--row", "0"], json.dumps({**json.loads(NET_3D), "domain": [0, 1, 0, 1]})),
     ])
     def test_bad_input_is_typed_error(self, tmp_path, capsys, family, seed):
         path = tmp_path / "seed.json"
@@ -548,14 +553,14 @@ with open("steps.json", "w") as fh:
     json.dump(steps, fh)
 """
 
-# The names minnet re-exported when it imported every layer eagerly.
+# The names minnet re-exports, each from its layer.
 PUBLIC_API = {
     "bvp": "BoundarySpec PlatonicPreset SolveResult platonic_preset solve_knoid solve_platonic",
     "errors": "MinnetError",
-    "holomorphic": "INF HoloGrid MobiusInversion MobiusSimilarity mobius_apply power_function "
-                   "propagate_fourth read_grid validate_holomorphic write_grid",
+    "holomorphic": "INF HoloGrid power_function propagate_fourth read_grid validate_holomorphic "
+                   "write_grid",
     "minimal": "MinimalPair QuadCurvature christoffel gauss_map is_asymptotic mixed_area "
-               "offset_net propagate_normals quad_curvatures tangent_normals "
+               "propagate_normals quad_curvatures tangent_normals "
                "weierstrass_asymptotic weierstrass_isothermic",
     "mobius": "CrossRatioValue Isometry LineR3 PlaneR3 Quaternion cross_ratio_complex "
               "cross_ratio_quat fit_line fit_plane stereographic_lift stereographic_project",
@@ -695,3 +700,21 @@ def test_module_run_flushes_and_keeps_exit_codes(tmp_path):
             assert stdout == "", argv
         if code == 3:
             assert json.loads(done.stderr)["error"] == "ParseError"
+
+
+def test_module_run_ends_quietly_on_a_closed_pipe(tmp_path):
+    """A report to a pipe whose reader has gone, as after `| head -c 1`,
+    ends in exit 141 (128 + SIGPIPE), not the verification-failure 1, and
+    without a traceback."""
+    assert run(["generate", "enneper", "--k", "3", "--size", "6",
+                "--out", str(tmp_path / "e")]) == 0
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run([sys.executable, "-m", "minnet.cli", "verify", "e.iso.dnet.json"],
+                              cwd=tmp_path, env=fresh_env(), stdout=write,
+                              stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write)
+    assert done.returncode == 141, done.stderr
+    assert "Traceback" not in done.stderr

@@ -5,10 +5,10 @@ from minnet.errors import (ClosureFailure, NotCoplanar, NotIsothermic, ZeroArea,
                            ZeroDg)
 from minnet.holomorphic import HoloGrid, power_function
 from minnet.minimal import (christoffel, gauss_map, is_asymptotic, mixed_area,
-                            offset_net, propagate_normals, quad_curvatures,
-                            tangent_normals, weierstrass_asymptotic,
-                            weierstrass_isothermic)
-from minnet.net import EdgeLabels, LatticeDomain, Net3, are_parallel_meshes, is_isothermic
+                            propagate_normals, quad_curvatures, tangent_normals,
+                            weierstrass_asymptotic, weierstrass_isothermic)
+from minnet.net import (EdgeLabels, LatticeDomain, Net3, are_parallel_meshes,
+                        circularity_residuals, is_isothermic, point_scales)
 
 from conftest import best_similarity, edge_label
 
@@ -71,10 +71,10 @@ class TestMinimality:
         assert report.ok
 
     def test_similarity_of_data_scales_net(self):
-        from minnet.holomorphic import MobiusSimilarity, mobius_apply
         grid = power_function(1.5, 5, 5)
         f = weierstrass_isothermic(grid)
-        moved = mobius_apply(grid, MobiusSimilarity(1.0, 0.4 - 0.2j))
+        moved = HoloGrid.from_dict(grid.domain, {v: grid[v] + (0.4 - 0.2j)
+                                                 for v in grid.domain.vertices}, grid.labels)
         f2 = weierstrass_isothermic(moved)
         n2 = gauss_map(moved)
         worst = max(abs(quad_curvatures(f2.quad_points(q), n2.quad_points(q)).H)
@@ -207,14 +207,11 @@ class TestQuadCurvatures:
 
 
 class TestOffsetAndSteiner:
-    def test_offset_zero_is_identity(self, enneper_pair):
-        f, n = enneper_pair.isothermic, enneper_pair.gauss
-        off = offset_net(f, n, 0.0)
-        assert all(np.array_equal(off[v], f[v]) for v in f.domain.vertices)
-
     def test_offset_stays_circular_and_parallel(self, enneper_pair):
         f, n = enneper_pair.isothermic, enneper_pair.gauss
-        off = offset_net(f, n, 0.37)
+        off = Net3(f.domain, f.points + 0.37 * n.points)
+        pts = off.quad_array()
+        assert (circularity_residuals(pts) <= 1e-8 * point_scales(pts)).all()
         ok, worst = are_parallel_meshes(f, off, 1e-8)
         assert ok, worst
 

@@ -194,6 +194,42 @@ class TestRotateExtendAsymptotic:
             rotate_extend_asymptotic(net, 3, "col")
 
 
+@pytest.fixture(scope="module")
+def tetrahedral_pair():
+    return MinimalPair.from_grid(solve_platonic("tetrahedral", 2).grid)
+
+
+def mirror_gap(net_ext, iso, index):
+    """Max distance of a vertex on the rows past index from the iso image
+    of its mirror vertex."""
+    return max(np.linalg.norm(net_ext[(m, k)] - iso.apply(net_ext[(m, 2 * index - k)]))
+               for (m, k) in net_ext.domain.vertices if k > index)
+
+
+class TestExtendAcrossLastRow:
+    """Both extensions across the last row n1, where the new rows go above
+    the piece."""
+
+    def test_reflect_isothermic(self, tetrahedral_pair):
+        f, n = tetrahedral_pair.isothermic, tetrahedral_pair.gauss
+        top = f.domain.n1
+        iso = Isometry.plane_reflection(analyze_boundary_isothermic(f, n, top, "row").plane)
+        f_ext, n_ext, lab_ext = reflect_isothermic(f, n, top, labels=tetrahedral_pair.grid.labels)
+        assert f_ext.domain.n_range == (f.domain.n0, 2 * top - f.domain.n0)
+        assert mirror_gap(f_ext, iso, top) <= 1e-12 * f_ext.scale()
+        assert is_isothermic(f_ext, lab_ext, 1e-9).ok
+
+    def test_rotate_extend_asymptotic(self, tetrahedral_pair):
+        ft, top = tetrahedral_pair.asymptotic, tetrahedral_pair.asymptotic.domain.n1
+        iso = Isometry.line_rotation_180(analyze_boundary_asymptotic(ft, top, "row").line)
+        ft_ext, lab_ext = rotate_extend_asymptotic(ft, top, labels=tetrahedral_pair.grid.labels)
+        assert ft_ext.domain.n_range == (ft.domain.n0, 2 * top - ft.domain.n0)
+        assert mirror_gap(ft_ext, iso, top) <= 1e-12 * ft_ext.scale()
+        assert is_asymptotic(ft_ext, 1e-9).ok
+        assert lab_ext.beta.tolist() == [*tetrahedral_pair.grid.labels.beta,
+                                         *tetrahedral_pair.grid.labels.beta[::-1]]
+
+
 class TestConjugateDuality:
     def test_equivalence_on_all_boundaries(self, enneper_pairs,
                                            planar_enneper_pair):

@@ -8,10 +8,9 @@ import pytest
 
 from minnet.cli import main, orbit_to_json
 from minnet.errors import ParseError
-from minnet.holomorphic import (HoloGrid, MobiusInversion, mobius_apply, power_function,
-                                write_grid)
+from minnet.holomorphic import HoloGrid, power_function, write_grid
 from minnet.minimal import MinimalPair
-from minnet.mobius import Isometry, PlaneR3
+from minnet.mobius import INF, Isometry, PlaneR3
 from minnet.net import (EdgeLabels, LatticeDomain, Net3, json_rows, load_json, read_net,
                         write_net)
 from minnet.reflection import _extend_rows, _mirror_labels, build_orbit
@@ -189,7 +188,9 @@ def test_reflect_of_a_non_finite_label_writes_nothing(tmp_path, enneper_pair):
 
 
 def test_grid_file_with_infinity_equals_recursive_writer(tmp_path):
-    grid = mobius_apply(power_function(1.5, 6, 6), MobiusInversion())
+    grid = power_function(1.5, 6, 6)
+    grid = HoloGrid.from_dict(grid.domain, {v: INF if grid[v] == 0 else 1.0 / grid[v]
+                                            for v in grid.domain.vertices}, grid.labels)
     assert grid.inf.any()
     path = tmp_path / "grid.dnet.json"
     write_grid(path, grid)
