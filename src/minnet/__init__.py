@@ -23,6 +23,7 @@ _API = {
     "battery": (),
     "bvp": ("BoundarySpec", "PlatonicPreset", "SolveResult", "platonic_preset",
             "solve_knoid", "solve_platonic"),
+    "dnet": (),
     "holomorphic": ("INF", "HoloGrid", "power_function", "propagate_fourth", "read_grid",
                     "validate_holomorphic", "write_grid"),
     "minimal": ("MinimalPair", "QuadCurvature", "christoffel", "gauss_map", "is_asymptotic",

@@ -8,8 +8,9 @@ that numpy's BLAS library starts: OPENBLAS_NUM_THREADS or OMP_NUM_THREADS
 set those.
 
 numpy and the array layers load only when a command computes with arrays:
-importing this module, --help, usage errors and export of an orbit file
-(read and written through the numpy-free jsonio) never load them.
+importing this module, --help, usage errors and export never load them.
+export reads an orbit file through the numpy-free jsonio, and a net file
+through the numpy-free dnet, the reader behind every command's net files.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import math
 import os
 import sys
 
-from . import battery, bvp, holomorphic, minimal, mobius, net, reflection
+from . import battery, bvp, dnet, holomorphic, minimal, mobius, net, reflection
 from .errors import BadParameter, MinnetError, NotReflectable, ParseError
 from .jsonio import _fmt_float, json_float, json_int, json_list, load_json, write_text
 
@@ -94,9 +95,9 @@ def _write_obj(path: str, vertices: list, faces: list) -> None:
     write_text(path, text)
 
 
-def export_net_obj(net: net.Net3, path: str) -> None:
-    """Quad OBJ with deterministic m-major vertex order."""
-    _write_obj(path, net.points.tolist(), net.domain.quad_index.tolist())
+def export_net_obj(doc: dnet.NetDoc, path: str) -> None:
+    """Quad OBJ of a read net file, with deterministic m-major vertex order."""
+    _write_obj(path, doc.points, doc.quads())
 
 
 def export_orbit_obj(orbit: reflection.SymmetryOrbit, path: str) -> None:
@@ -115,8 +116,8 @@ def orbit_to_json(orbit: reflection.SymmetryOrbit) -> str:
 
 
 def export_obj(path_in: str, path_out: str) -> None:
-    """OBJ export of a net file or an orbit JSON file.  An orbit file is
-    read, checked and written as lists, without numpy."""
+    """OBJ export of a net file or an orbit JSON file, read, checked and
+    written as lists, without numpy."""
     _check_output_dirs(path_out)
     doc = load_json(path_in)
     if isinstance(doc, dict) and doc.get("kind") == "orbit":
@@ -138,7 +139,7 @@ def export_obj(path_in: str, path_out: str) -> None:
                                  f"{len(vertices)} vertices")
         _write_obj(path_out, vertices, faces)
     else:
-        export_net_obj(net.json_to_bundle(doc).net, path_out)
+        export_net_obj(dnet.read_doc(doc), path_out)
 
 
 # ---------------------------------------------------------------------------

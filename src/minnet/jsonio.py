@@ -1,8 +1,9 @@
 """JSON text in and out: reading documents, typed numbers, writing files.
 
-numpy-free, so that a command that only reads and writes text (`export`
-of an orbit file) never imports numpy.  Every reader and writer of net,
-grid, orbit, seed and report files goes through these functions.
+numpy-free, so that a command that only reads and writes text (`export`)
+never imports numpy.  Every reader and writer of net, grid, orbit, seed and
+report files goes through these functions; `dnet` reads net and grid
+documents with them.
 """
 
 from __future__ import annotations
@@ -12,6 +13,11 @@ import math
 import re
 
 from .errors import BadParameter, ParseError
+
+# A lattice edge of a surface net must be longer than this.  It lives here,
+# in the layer every command loads, because both the numpy-free reader
+# (dnet) and the array layer (net) test it.
+MIN_EDGE = 1e-12
 
 
 def _fmt_float(x: float) -> str:

@@ -89,7 +89,9 @@ def analyze_boundary_isothermic(net: Net3, normals: Net3, index: int,
         r_small = float("inf")
     residuals["gauss_circle"] = r_small
 
-    planar = r_joint <= tol * scale
+    # false when either side is not finite: inf <= inf holds, so an overflowed
+    # scale would pass a line whose plane fit failed
+    planar = r_joint <= tol * scale < math.inf
     great = r_great <= tol
     residuals["tests_agree"] = planar == great
 

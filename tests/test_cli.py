@@ -10,7 +10,7 @@ import minnet
 from minnet.cli import main
 from minnet.holomorphic import power_function
 from minnet.minimal import MinimalPair, _vertex_stars
-from minnet.net import LatticeDomain, Net3, write_net
+from minnet.net import LatticeDomain, Net3, read_net, write_net
 
 # a 2x2 net file whose positions have 2 coordinates
 NET_2D = json.dumps({"domain": {"m0": 0, "m1": 1, "n0": 0, "n1": 1},
@@ -60,6 +60,68 @@ def run(args, env=None):
                 os.environ[k] = v
 
 
+# (command, file) pairs that every command must reject with a typed error and
+# exit 3: the file is None (no input), "piece" (a generated Enneper piece)
+# or the text of the file the command reads
+BAD_INPUT = [
+    (["enneper", "--k", "3", "--size", "1"], None),
+    (["knoid", "--k", "3"], None),          # --seed-file names a missing file
+    (["knoid", "--k", "3"], "{broken"),
+    (["knoid", "--k", "3"], '{"iterations": 3}'),
+    # export and verify: seed is the file they read
+    (["export"], '{"kind": "orbit", "faces": [[0, 1, 2, 3]]}'),
+    (["export"], '{"kind": "orbit", "vertices": [[0, 0, 0]]}'),
+    (["export"], '{"kind": "orbit", "vertices": [[0, "x", 0]], "faces": []}'),
+    (["export"], NET_2D),
+    (["verify"], NET_2D),
+    # tolerances under which every check passes, or every check fails
+    (["enneper", "--k", "3", "--size", "6", "--tol", "inf"], None),
+    (["platonic", "--preset", "tetrahedral", "--resolution", "2",
+      "--solver-tol", "nan"], None),
+    (["platonic", "--preset", "tetrahedral", "--resolution", "2",
+      "--solver-tol", "-1"], None),
+    (["verify", "--tol", "nan"], NET_3D),
+    (["verify", "--tol", "-1"], NET_3D),
+    # fractional and boolean lattice indices, which int() would truncate;
+    # conjugate reads the seed as its grid
+    (["export"], net_3d(domain={"m1": 1.5})),
+    (["verify"], net_3d(domain={"mask": [[1.5, 1]]})),
+    (["verify"], net_3d(m1=1.9)),
+    (["verify"], net_3d(m1=True)),
+    (["conjugate"], net_3d(infinity=[[40.5, 0]])),    # past the domain: ignored
+    (["conjugate"], net_3d(infinity=[[True, False]])),
+    # every output option, given a path in a directory that does not exist;
+    # "piece" reads the files of a generated Enneper piece
+    (["enneper", "--k", "3", "--size", "4", "--out", MISSING], None),
+    (["enneper", "--k", "3", "--size", "4", "--report", MISSING], None),
+    (["conjugate", "--out", MISSING], "piece"),
+    (["reflect", "--row", "0", "--out", MISSING], "piece"),
+    (["orbit", "--out", MISSING], "piece"),
+    (["orbit", "--obj", MISSING], "piece"),
+    (["export", MISSING], "piece"),
+    # booleans and strings where a number belongs, which float() and numpy
+    # would read as numbers
+    (["verify"], net_3d(p0=[0, 0, True])),
+    (["export"], net_3d(p0=[0, 0, "1.5"])),
+    (["conjugate"], net_3d(infinity=[], alpha=[True])),
+    (["verify"], net_3d(normals=[[0, 0, 1]] * 3 + [[0, 0, "1"]])),
+    (["knoid", "--k", "3"], json.dumps({"params": [True] + [0] * 61})),
+    (["knoid", "--k", "3"], json.dumps({"params": ["1.5"] + [0] * 61})),
+    (["knoid", "--k", "3"], ZERO_SEED),
+    # a grid whose vertex (0, 0) sits on its neighbour (0, 1)
+    (["conjugate"], net_3d(infinity=[], p0=[0, 1, 0])),
+    # a domain that is not an object
+    (["verify"], json.dumps({**json.loads(NET_3D), "domain": 3})),
+    (["reflect", "--row", "0"], json.dumps({**json.loads(NET_3D), "domain": [0, 1, 0, 1]})),
+]
+
+# the net files among them, which every reader of a net file must reject alike
+BAD_NET_FILES = list(dict.fromkeys(
+    seed for family, seed in BAD_INPUT
+    if family in (["export"], ["verify"], ["reflect", "--row", "0"])
+    and '"kind": "orbit"' not in seed))
+
+
 class TestGenerate:
     def test_enneper_with_orbit(self, tmp_path):
         base = str(tmp_path / "enn")
@@ -100,57 +162,7 @@ class TestGenerate:
             b2 = open(f"{out2}.{suffix}.dnet.json", "rb").read()
             assert b1 == b2
 
-    @pytest.mark.parametrize("family, seed", [
-        (["enneper", "--k", "3", "--size", "1"], None),
-        (["knoid", "--k", "3"], None),          # --seed-file names a missing file
-        (["knoid", "--k", "3"], "{broken"),
-        (["knoid", "--k", "3"], '{"iterations": 3}'),
-        # export and verify: seed is the file they read
-        (["export"], '{"kind": "orbit", "faces": [[0, 1, 2, 3]]}'),
-        (["export"], '{"kind": "orbit", "vertices": [[0, 0, 0]]}'),
-        (["export"], '{"kind": "orbit", "vertices": [[0, "x", 0]], "faces": []}'),
-        (["export"], NET_2D),
-        (["verify"], NET_2D),
-        # tolerances under which every check passes, or every check fails
-        (["enneper", "--k", "3", "--size", "6", "--tol", "inf"], None),
-        (["platonic", "--preset", "tetrahedral", "--resolution", "2",
-          "--solver-tol", "nan"], None),
-        (["platonic", "--preset", "tetrahedral", "--resolution", "2",
-          "--solver-tol", "-1"], None),
-        (["verify", "--tol", "nan"], NET_3D),
-        (["verify", "--tol", "-1"], NET_3D),
-        # fractional and boolean lattice indices, which int() would truncate;
-        # conjugate reads the seed as its grid
-        (["export"], net_3d(domain={"m1": 1.5})),
-        (["verify"], net_3d(domain={"mask": [[1.5, 1]]})),
-        (["verify"], net_3d(m1=1.9)),
-        (["verify"], net_3d(m1=True)),
-        (["conjugate"], net_3d(infinity=[[40.5, 0]])),    # past the domain: ignored
-        (["conjugate"], net_3d(infinity=[[True, False]])),
-        # every output option, given a path in a directory that does not exist;
-        # "piece" reads the files of a generated Enneper piece
-        (["enneper", "--k", "3", "--size", "4", "--out", MISSING], None),
-        (["enneper", "--k", "3", "--size", "4", "--report", MISSING], None),
-        (["conjugate", "--out", MISSING], "piece"),
-        (["reflect", "--row", "0", "--out", MISSING], "piece"),
-        (["orbit", "--out", MISSING], "piece"),
-        (["orbit", "--obj", MISSING], "piece"),
-        (["export", MISSING], "piece"),
-        # booleans and strings where a number belongs, which float() and numpy
-        # would read as numbers
-        (["verify"], net_3d(p0=[0, 0, True])),
-        (["export"], net_3d(p0=[0, 0, "1.5"])),
-        (["conjugate"], net_3d(infinity=[], alpha=[True])),
-        (["verify"], net_3d(normals=[[0, 0, 1]] * 3 + [[0, 0, "1"]])),
-        (["knoid", "--k", "3"], json.dumps({"params": [True] + [0] * 61})),
-        (["knoid", "--k", "3"], json.dumps({"params": ["1.5"] + [0] * 61})),
-        (["knoid", "--k", "3"], ZERO_SEED),
-        # a grid whose vertex (0, 0) sits on its neighbour (0, 1)
-        (["conjugate"], net_3d(infinity=[], p0=[0, 1, 0])),
-        # a domain that is not an object
-        (["verify"], json.dumps({**json.loads(NET_3D), "domain": 3})),
-        (["reflect", "--row", "0"], json.dumps({**json.loads(NET_3D), "domain": [0, 1, 0, 1]})),
-    ])
+    @pytest.mark.parametrize("family, seed", BAD_INPUT)
     def test_bad_input_is_typed_error(self, tmp_path, capsys, family, seed):
         path = tmp_path / "seed.json"
         if seed == "piece":
@@ -181,6 +193,35 @@ class TestGenerate:
             assert error["error"] == "ZeroDg" and "edge (0, 3)-(1, 3)" in error["message"]
         else:
             assert error["error"] in ("BadParameter", "ParseError")
+
+    # Each a traceback before the magnitude bound: eigh of an overflowed scatter
+    # matrix ("Eigenvalues did not converge"), a boundary plane of None, and a
+    # conjugate net that overflows to a non-finite position.
+    @pytest.mark.parametrize("command, suffix, field, value", [
+        (["verify"], "iso", ("normals", 3, 2), 1e308),
+        (["orbit", "--out", "<out>"], "iso", ("vertices", 3, "p", 0), 1e305),
+        (["conjugate", "--out", "<out>"], "grid", ("alpha", 2), 1e308),
+    ])
+    def test_value_past_the_magnitude_bound_is_parse_error(self, tmp_path, capsys, command,
+                                                            suffix, field, value):
+        base = tmp_path / "enn"
+        assert run(["generate", "enneper", "--k", "3", "--size", "6", "--out", str(base),
+                    "--report", str(tmp_path / "report.json")]) == 0
+        doc = json.loads((tmp_path / f"enn.{suffix}.dnet.json").read_text())
+        *keys, last = field
+        target = doc
+        for key in keys:
+            target = target[key]
+        target[last] = value
+        bad, out = tmp_path / "bad.dnet.json", tmp_path / "out.json"
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run([command[0], str(bad)] + [str(out) if arg == "<out>" else arg
+                                             for arg in command[1:]]) == 3
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "ParseError", error
+        assert "exceeds the magnitude bound 1e+50" in error["message"], error
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
         ["generate", "enneper", "--k", "3", "--size", "4", "--orbit", "--out", MISSING],
@@ -390,6 +431,55 @@ class TestExport:
         assert not dst.exists()
 
 
+    @pytest.mark.parametrize("seed", BAD_NET_FILES + [
+        # a masked domain whose column m = 1 cuts it in two
+        json.dumps({"domain": {"m0": 0, "m1": 2, "n0": 0, "n1": 1, "mask": [[1, 0], [1, 1]]},
+                    "vertices": [{"m": m, "n": n, "p": [m, n, 0]} for m in (0, 2)
+                                 for n in (0, 1)]}),
+        net_3d(p0=[1, 0, 0]),                                 # on its neighbour (1, 0)
+        # a box of 2e12 points that 4 records cannot fill: its first missing
+        # vertex is named without building the box
+        net_3d(domain={"m1": 10 ** 6, "n1": 2 * 10 ** 6}),
+        # a record past the domain whose index numpy's integers cannot hold
+        json.dumps({**json.loads(NET_3D), "vertices": json.loads(NET_3D)["vertices"]
+                    + [{"m": 2 ** 70, "n": 0, "p": [0, 0, 0]}]}),
+        net_3d(p0=[1e305, 0, 0]),                             # past the magnitude bound
+        net_3d(normals=[[0, 0, 1]] * 3 + [[0, 0, 1e308]]),
+        net_3d(alpha=[1e308], beta=[-1.0]),
+    ])
+    def test_export_rejects_what_verify_rejects(self, tmp_path, capsys, seed):
+        """Both read the file through dnet.read_doc: the same exit code and
+        the same message, and export writes nothing."""
+        path, dst = tmp_path / "bad.dnet.json", tmp_path / "bad.obj"
+        path.write_text(seed)
+        errors = []
+        for argv in (["export", str(path), str(dst)], ["verify", str(path)]):
+            capsys.readouterr()
+            assert run(argv) == 3
+            errors.append(json.loads(capsys.readouterr().err))
+        assert errors[0] == errors[1] and errors[0]["error"] == "ParseError", errors
+        assert not dst.exists()
+
+    @pytest.mark.parametrize("family, suffix", [
+        (["enneper", "--k", "3", "--size", "5"], "iso"),
+        (["enneper", "--k", "3", "--size", "5"], "grid"),
+        (["planar-enneper", "--size", "5"], "iso"),        # the origin (0, 0) is masked
+    ])
+    def test_net_obj_equals_array_oracle(self, tmp_path, family, suffix):
+        """The OBJ lists the positions of Net3.points and the faces of
+        domain.quad_index, 1-based, each number with 17 significant digits."""
+        base = tmp_path / "piece"
+        assert run(["generate", *family, "--out", str(base),
+                    "--report", str(tmp_path / "report.json")]) == 0
+        src, dst = tmp_path / f"piece.{suffix}.dnet.json", tmp_path / "piece.obj"
+        assert run(["export", str(src), str(dst)]) == 0
+        net = read_net(src).net
+        oracle = ([f"v {x:.17g} {y:.17g} {z:.17g}" for x, y, z in net.points.tolist()]
+                  + ["f " + " ".join(str(i + 1) for i in quad)
+                     for quad in net.domain.quad_index.tolist()])
+        assert dst.read_text().splitlines() == oracle
+
+
 class TestReflectAndConjugate:
     def test_reflect_roundtrip(self, tmp_path):
         base = str(tmp_path / "enn")
@@ -442,7 +532,6 @@ class TestReflectAndConjugate:
                     "--out", base]) == 0
         out = str(tmp_path / "conj.dnet.json")
         assert run(["conjugate", f"{base}.grid.dnet.json", "--out", out]) == 0
-        from minnet.net import read_net
         conj = read_net(out).net
         asym = read_net(f"{base}.asym.dnet.json").net
         worst = max(np.linalg.norm(conj[v] - asym[v])
@@ -580,7 +669,8 @@ class TestLazyLayers:
         command runs; conjugate, which needs no reflection, gets a chain of
         its own.  numpy stays unloaded until a command computes with arrays:
         import, --help, a usage error and export of an orbit file only read
-        and write text, and export checks its output directory first."""
+        and write text, export of a net file reads it through the numpy-free
+        dnet, and export checks its output directory first."""
         assert run(["generate", "enneper", "--k", "3", "--size", "5", "--orbit",
                     "--out", str(tmp_path / "enn")]) == 0
         chains = [
@@ -606,10 +696,11 @@ class TestLazyLayers:
             done = run_python(f"COMMANDS = {commands!r}\n{LAYERS_RUN}", tmp_path)
             assert done.returncode == 0, done.stderr
             steps.append(json.loads((tmp_path / "steps.json").read_text()))
-        every = ["battery", "bvp", "cli", "errors", "holomorphic", "jsonio", "minimal",
+        every = ["battery", "bvp", "cli", "dnet", "errors", "holomorphic", "jsonio", "minimal",
                  "mobius", "net", "reflection"]
         front = ["cli", "errors", "jsonio"]
-        net = sorted(front + ["net"])
+        reader = sorted(front + ["dnet"])
+        net = sorted(reader + ["net"])
         orbit = sorted(net + ["mobius", "reflection"])
         reflect = sorted(orbit + ["minimal"])
         battery = sorted(reflect + ["battery", "holomorphic"])
@@ -617,7 +708,7 @@ class TestLazyLayers:
             [f"minnet.{name}" for name in every],     # import minnet.cli
             [0, front, False],                        # what import minnet.cli runs
             [0, front, False],                        # export of an orbit
-            [0, net, True],                           # export of a net
+            [0, reader, False],                       # export of a net
             [0, orbit, True],                         # orbit
             [0, reflect, True], [0, reflect, True],   # reflect --asymptotic, reflect
             [0, battery, True], [0, battery, True],   # verify, generate enneper

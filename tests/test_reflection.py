@@ -66,6 +66,18 @@ class TestAnalyzeIsothermic:
         assert a.kind == "none"
         assert a.gauss_circle == "small_circle"
 
+    def test_overflowed_scale_is_not_planar(self):
+        """A row from -1e308 to 1e308 has an infinite extent, and with zero
+        normals its points and F + N lie on one line, so the plane fit fails
+        with an infinite residual: inf <= tol * inf must not make it planar."""
+        dom = LatticeDomain((0, 1), (0, 1))
+        nrm = Net3(dom, np.zeros((4, 3)), check_edges=False)
+        with np.errstate(over="ignore"):
+            net = Net3(dom, [[-1e308, 0, 0], [-1e308, 1, 0], [1e308, 0, 0], [1e308, 1, 0]])
+            a = analyze_boundary_isothermic(net, nrm, 0, "row")
+        assert a.scale == math.inf and a.residuals["congruence_plane"] == math.inf
+        assert a.kind == "none" and a.plane is None
+
 
 class TestAnalyzeAsymptotic:
     def test_conjugate_enneper_boundary(self, enneper_pair):
