@@ -59,16 +59,13 @@ class BoundarySpec(Frozen):
     """k-noid boundary data: symmetry order k and grid truncation."""
 
     def __init__(self, k: int, n_max: int, m_max: int):
-        self.__dict__.update(k=k, n_max=n_max, m_max=m_max)
-        self.__post_init__()
-
-    def __post_init__(self):
-        if self.k < 3:
+        if k < 3:
             raise InfeasibleSpec("k must be at least 3")
-        if self.n_max < 1:
+        if n_max < 1:
             raise InfeasibleSpec("n_max must be at least 1")
-        if self.m_max < self.n_max:
+        if m_max < n_max:
             raise InfeasibleSpec("m_max must be at least n_max")
+        self.__dict__.update(k=k, n_max=n_max, m_max=m_max)
 
     @property
     def ray_angle(self) -> float:

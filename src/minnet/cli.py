@@ -193,7 +193,8 @@ def _family_pair(family: str, args) -> tuple[minimal.MinimalPair, dict]:
         except ValueError as exc:
             raise BadParameter(f"--size {args.size}: {exc}") from exc
         info["gamma"] = gamma
-    elif family == "knoid":
+        return minimal.MinimalPair.from_grid(grid), info
+    if family == "knoid":
         spec = bvp.BoundarySpec(args.k, args.nmax, args.mmax)
         seed = None
         if args.seed_file:
@@ -202,16 +203,16 @@ def _family_pair(family: str, args) -> tuple[minimal.MinimalPair, dict]:
                 seed = [json_float(v) for v in doc["params"]]
             except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise ParseError(f"seed file {args.seed_file}: {exc!r}") from exc
+            for i, value in enumerate(seed):
+                if not math.isfinite(value):
+                    raise ParseError(f"seed file {args.seed_file}: params[{i}] is {value}")
         result = bvp.solve_knoid(spec, tol=args.solver_tol, max_iter=args.max_iter,
                                  seed_params=seed, strict=True)
-        grid = result.grid
-        info["solver"] = _solver_info(result)
     else:
         result = bvp.solve_platonic(args.preset, args.resolution, tol=args.solver_tol,
                                     max_iter=args.max_iter, strict=True)
-        grid = result.grid
-        info["solver"] = _solver_info(result)
-    return minimal.MinimalPair.from_grid(grid), info
+    info["solver"] = _solver_info(result)
+    return minimal.MinimalPair.from_grid(result.grid), info
 
 
 def _solver_info(result: bvp.SolveResult) -> dict:
@@ -223,16 +224,12 @@ def _solver_info(result: bvp.SolveResult) -> dict:
 
 
 def _write_pair(base: str, pair: minimal.MinimalPair) -> list[str]:
-    paths = []
-    for suffix, writer in (
-        ("iso", lambda p: net.write_net(p, pair.isothermic, pair.grid.labels, pair.gauss)),
-        ("asym", lambda p: net.write_net(p, pair.asymptotic, pair.grid.labels)),
-        ("gauss", lambda p: net.write_net(p, pair.gauss)),
-        ("grid", lambda p: holomorphic.write_grid(p, pair.grid)),
-    ):
-        path = f"{base}.{suffix}.dnet.json"
-        writer(path)
-        paths.append(path)
+    iso, asym, gauss, grid = paths = [f"{base}.{suffix}.dnet.json"
+                                      for suffix in ("iso", "asym", "gauss", "grid")]
+    net.write_net(iso, pair.isothermic, pair.grid.labels, pair.gauss)
+    net.write_net(asym, pair.asymptotic, pair.grid.labels)
+    net.write_net(gauss, pair.gauss)
+    holomorphic.write_grid(grid, pair.grid)
     return paths
 
 
@@ -314,7 +311,7 @@ def cmd_verify(args) -> int:
 
 
 def _emit_report(report: dict, path: str | None) -> None:
-    text = json.dumps(report, indent=2, default=_json_default)
+    text = json.dumps(report, indent=2)
     if path:
         write_text(path, text + "\n")
     else:
@@ -325,17 +322,6 @@ def _emit_report(report: dict, path: str | None) -> None:
         print("FAILED checks: " + ", ".join(failures), file=sys.stderr)
     else:
         print("all checks passed", file=sys.stderr)
-
-
-def _json_default(obj):
-    import numpy as np     # a report holds numpy values only when numpy is loaded
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, (np.floating, np.integer)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not serializable: {type(obj)}")
 
 
 # ---------------------------------------------------------------------------

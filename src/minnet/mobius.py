@@ -257,27 +257,18 @@ class PlaneR3(Frozen):
     """Plane {x in R^3 : normal·x = offset} with unit normal."""
 
     def __init__(self, normal: np.ndarray, offset: float):
-        self.__dict__.update(normal=normal, offset=offset)
-        self.__post_init__()
-
-    def __post_init__(self):
-        n = np.asarray(self.normal, dtype=float)
+        n = np.asarray(normal, dtype=float)
         scale = np.linalg.norm(n)
         if scale < 1e-14:
             raise ValueError("plane normal must be nonzero")
-        self.__dict__.update(normal=n / scale, offset=float(self.offset) / scale)
+        self.__dict__.update(normal=n / scale, offset=float(offset) / scale)
 
 
 class LineR3(Frozen):
     """Line base + R·direction with unit direction."""
 
     def __init__(self, base: np.ndarray, direction: np.ndarray):
-        self.__dict__.update(base=base, direction=direction)
-        self.__post_init__()
-
-    def __post_init__(self):
-        self.__dict__.update(base=np.asarray(self.base, dtype=float),
-                             direction=_unit(self.direction))
+        self.__dict__.update(base=np.asarray(base, dtype=float), direction=_unit(direction))
 
 
 class Isometry(Frozen):
@@ -329,50 +320,47 @@ class Isometry(Frozen):
 # Least-squares fits
 # ---------------------------------------------------------------------------
 
+def _centred_svd(points, least: int, centre: bool):
+    """The centroid of at least `least` points (0.0 unless centre), the
+    points less it, and the singular values and right singular vectors of
+    those.  DegenerateFit on fewer points, or on a centred set that is not
+    finite, as when the centroid overflows: LAPACK may not return on one."""
+    pts = np.asarray(points, dtype=float)
+    if pts.shape[0] < least:
+        raise DegenerateFit(f"need at least {least} points")
+    centroid = pts.mean(axis=0) if centre else 0.0
+    centered = pts - centroid
+    if not np.isfinite(centered).all():
+        raise DegenerateFit("centred points are not finite")
+    _, s, vt = np.linalg.svd(centered, full_matrices=False)
+    return centroid, centered, s, vt
+
+
 def fit_plane(points) -> tuple[PlaneR3, float]:
     """Least-squares plane through >= 3 points; returns (plane, max distance).
 
     Raises DegenerateFit when the points are collinear or coincident.
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.shape[0] < 3:
-        raise DegenerateFit("need at least 3 points")
-    centroid = pts.mean(axis=0)
-    centered = pts - centroid
-    _, s, vt = np.linalg.svd(centered, full_matrices=False)
-    scale = s[0]
-    if scale < 1e-14 or s[1] <= 1e-12 * scale:
+    centroid, centered, s, vt = _centred_svd(points, 3, True)
+    if s[0] < 1e-14 or s[1] <= 1e-12 * s[0]:
         raise DegenerateFit("points are collinear or coincident")
-    normal = vt[2]
-    plane = PlaneR3(normal, float(np.dot(normal, centroid)))
-    residual = float(np.abs(centered @ normal).max())
-    return plane, residual
+    return PlaneR3(vt[2], float(np.dot(vt[2], centroid))), float(np.abs(centered @ vt[2]).max())
 
 
 def fit_plane_through_origin(points) -> tuple[PlaneR3, float]:
     """Best plane containing the origin; used for great-circle tests."""
-    pts = np.asarray(points, dtype=float)
-    if pts.shape[0] < 2:
-        raise DegenerateFit("need at least 2 points")
-    _, s, vt = np.linalg.svd(pts, full_matrices=False)
+    _, pts, s, vt = _centred_svd(points, 2, False)
     if s[0] < 1e-14 or (pts.shape[0] > 2 and s[1] <= 1e-12 * s[0]):
         # all points on one ray through the origin: plane not unique
         raise DegenerateFit("points do not span a plane through the origin")
     normal = vt[-1] if vt.shape[0] == 3 else np.cross(vt[0], vt[1])
-    residual = float(np.abs(pts @ normal).max())
-    return PlaneR3(normal, 0.0), residual
+    return PlaneR3(normal, 0.0), float(np.abs(pts @ normal).max())
 
 
 def fit_line(points) -> tuple[LineR3, float]:
     """Least-squares line through points; returns (line, max distance)."""
-    pts = np.asarray(points, dtype=float)
-    if pts.shape[0] < 2:
-        raise DegenerateFit("need at least 2 points")
-    centroid = pts.mean(axis=0)
-    centered = pts - centroid
-    _, s, vt = np.linalg.svd(centered, full_matrices=False)
+    centroid, centered, s, vt = _centred_svd(points, 2, True)
     if s[0] < 1e-14:
         raise DegenerateFit("points coincide")
-    line = LineR3(centroid, vt[0])
     proj = centered - np.outer(centered @ vt[0], vt[0])
-    return line, float(np.linalg.norm(proj, axis=1).max())
+    return LineR3(centroid, vt[0]), float(np.linalg.norm(proj, axis=1).max())

@@ -24,13 +24,14 @@ from typing import NamedTuple
 import numpy as np
 
 from . import dnet, mobius
-from .errors import DegenerateQuad, DomainMismatch, NotCircular
+from .errors import ClosureFailure, DegenerateQuad, DomainMismatch, NotCircular
 from .jsonio import MIN_EDGE, _fmt_float, json_list, load_json, write_text
 
 Vertex = tuple[int, int]
 Quad = tuple[int, int]
 
 GAP_EPS = 1e-12
+CLOSURE_TOL = 1e-9
 
 
 class Frozen:
@@ -54,20 +55,16 @@ class LatticeDomain(Frozen):
 
     def __init__(self, m_range: tuple[int, int], n_range: tuple[int, int],
                  mask: frozenset[Vertex] = frozenset()):
+        mask = frozenset(tuple(v) for v in mask)
         self.__dict__.update(m_range=m_range, n_range=n_range, mask=mask)
-        self.__post_init__()
-
-    def __post_init__(self):
-        self.__dict__["mask"] = frozenset(tuple(v) for v in self.mask)
-        if self.m_range[0] > self.m_range[1] or self.n_range[0] > self.n_range[1]:
+        if m_range[0] > m_range[1] or n_range[0] > n_range[1]:
             raise ValueError("empty lattice range")
-        for v in self.mask:
-            if not (self.m_range[0] <= v[0] <= self.m_range[1]
-                    and self.n_range[0] <= v[1] <= self.n_range[1]):
+        for v in mask:
+            if not (m_range[0] <= v[0] <= m_range[1] and n_range[0] <= v[1] <= n_range[1]):
                 raise ValueError(f"mask entry {v} outside range")
         # a full box is connected; a masked one when its spanning tree reaches every vertex
         count = len(self.coords)
-        if not count or (self.mask and sum(len(t[0]) for t in self.spanning_tree()) < count - 1):
+        if not count or (mask and sum(len(t[0]) for t in self.spanning_tree()) < count - 1):
             raise ValueError("domain is not edge-connected")
 
     def _key(self) -> tuple:
@@ -238,11 +235,7 @@ class EdgeLabels(Frozen):
     """
 
     def __init__(self, alpha, beta):
-        self.__dict__.update(alpha=alpha, beta=beta)
-        self.__post_init__()
-
-    def __post_init__(self):
-        alpha, beta = np.array(self.alpha, dtype=float), np.array(self.beta, dtype=float)
+        alpha, beta = np.array(alpha, dtype=float), np.array(beta, dtype=float)
         alpha.flags.writeable = beta.flags.writeable = False
         self.__dict__.update(alpha=alpha, beta=beta)
 
@@ -274,20 +267,17 @@ class Net3:
     """
 
     def __init__(self, domain: LatticeDomain, points: np.ndarray, check_edges: bool = True):
-        self.domain, self.points, self.check_edges = domain, points, check_edges
-        self.__post_init__()
-
-    def __post_init__(self):
-        self.points = np.asarray(self.points, dtype=float)
-        verts = self.domain.vertices
-        if self.points.shape != (len(verts), 3):
-            raise ValueError(f"expected {len(verts)} points in R^3, got shape {self.points.shape}")
-        bad = ~np.isfinite(self.points).all(axis=1)
+        self.domain, self.check_edges = domain, check_edges
+        self.points = points = np.asarray(points, dtype=float)
+        verts = domain.vertices
+        if points.shape != (len(verts), 3):
+            raise ValueError(f"expected {len(verts)} points in R^3, got shape {points.shape}")
+        bad = ~np.isfinite(points).all(axis=1)
         if bad.any():
             raise ValueError(f"non-finite position at vertex {verts[int(np.argmax(bad))]}")
-        if self.check_edges:
-            a, b = self.domain.edge_index.T
-            bad = _norm(self.points[a] - self.points[b]) <= MIN_EDGE
+        if check_edges:
+            a, b = domain.edge_index.T
+            bad = _norm(points[a] - points[b]) <= MIN_EDGE
             if bad.any():
                 i = int(np.argmax(bad))
                 raise ValueError(f"degenerate edge {verts[a[i]]}-{verts[b[i]]}")
@@ -311,23 +301,31 @@ class Net3:
         return Net3(dom, self.points[self.domain.indices(m, n)], self.check_edges)
 
 
-def integrate_edges(domain: LatticeDomain, increments: np.ndarray,
+def integrate_edges(domain: LatticeDomain, increments: np.ndarray, what: str,
                     root: Vertex | None = None) -> np.ndarray:
     """Values at `domain.vertices` from per-edge increments (in `edges()`
     order, each from the lower to the upper vertex), summed along the
-    domain's breadth-first spanning tree; root gets 0."""
+    domain's breadth-first spanning tree; root gets 0.
+
+    First every quad's loop ij + jk - lk - il must close to CLOSURE_TOL of
+    the quad's largest increment, or ClosureFailure names what was being
+    integrated and the first open quad; a NaN loop is open.  Complex
+    increments are measured as vectors of the plane.
+    """
+    vectors = increments.view(float).reshape(len(increments), -1)
+    ij, jk, lk, il = (vectors[e] for e in domain.quad_edges.T)
+    scale = np.max([_norm(x) for x in (ij, jk, lk, il)], axis=0)
+    res = _norm(ij + jk - lk - il) / np.maximum(scale, 1e-300)
+    open_ = ~(res <= CLOSURE_TOL)
+    if open_.any():
+        i = int(np.argmax(open_))
+        raise ClosureFailure(f"{what}: quad {domain.quads[i]} loop residual {res[i]:.3e}")
     out = np.zeros((len(domain.vertices),) + increments.shape[1:], dtype=increments.dtype)
     for child, parent, edge, backward in domain.spanning_tree(root):
         step = increments[edge]
         backward = backward.reshape((-1,) + (1,) * (step.ndim - 1))
         out[child] = out[parent] + np.where(backward, -step, step)
     return out
-
-
-def edge_loops(domain: LatticeDomain, increments: np.ndarray) -> np.ndarray:
-    """Sum ij + jk - lk - il of per-edge increments around every quad."""
-    ij, jk, lk, il = (increments[e] for e in domain.quad_edges.T)
-    return ij + jk - lk - il
 
 
 class CheckReport(NamedTuple):

@@ -1,8 +1,12 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import minnet
 from minnet.bvp import BoundarySpec, solve_knoid
 from minnet.errors import DegenerateQuad
 from minnet.holomorphic import power_function
@@ -42,6 +46,20 @@ def trinoid_result():
 @pytest.fixture(scope="session")
 def trinoid_pair(trinoid_result):
     return MinimalPair.from_grid(trinoid_result.grid)
+
+
+# four points whose centroid overflows: LAPACK's SVD of the non-finite
+# centred set did not return
+OVERFLOWING = [(0, 0, 0), (1.5e308, 1.5e308, 0), (0, 0, 1), (1.5e308, 1.5e308, 1)]
+
+
+def run_bounded(code: str) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter that imports this minnet; raises
+    subprocess.TimeoutExpired, and kills it, after 30 s."""
+    path = os.pathsep.join(filter(None, [os.path.dirname(os.path.dirname(minnet.__file__)),
+                                         os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=30)
 
 
 def svd_plane_fits(pts: np.ndarray) -> PlaneFit:

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 import minnet
-from minnet.cli import main
-from minnet.holomorphic import power_function
+from minnet.cli import main, verify_pair
+from minnet.holomorphic import power_function, read_grid
 from minnet.minimal import MinimalPair, _vertex_stars
 from minnet.net import LatticeDomain, Net3, read_net, write_net
 
@@ -42,6 +42,8 @@ def net_3d(domain=None, m1=1, infinity=None, p0=None, **fields):
 MISSING = "<missing>"
 # a seed of the default knoid grid that solves to a grid with a collapsed edge
 ZERO_SEED = json.dumps({"params": [0] * 62})
+# "piece" with the normal of its first vertex (0, 0) set to 0
+ZERO_NORMAL = "piece, zero first normal"
 
 
 def run(args, env=None):
@@ -113,13 +115,18 @@ BAD_INPUT = [
     # a domain that is not an object
     (["verify"], json.dumps({**json.loads(NET_3D), "domain": 3})),
     (["reflect", "--row", "0"], json.dumps({**json.loads(NET_3D), "domain": [0, 1, 0, 1]})),
+    # the seed normal of the normal propagation that checks the mirrored normals
+    (["reflect", "--row", "0"], ZERO_NORMAL),
+    # the NaN and Infinity tokens that json.loads reads
+    (["knoid", "--k", "3"], json.dumps({"params": [float("nan")] + [0] * 61})),
+    (["knoid", "--k", "3"], json.dumps({"params": [0] * 61 + [float("-inf")]})),
 ]
 
 # the net files among them, which every reader of a net file must reject alike
 BAD_NET_FILES = list(dict.fromkeys(
     seed for family, seed in BAD_INPUT
     if family in (["export"], ["verify"], ["reflect", "--row", "0"])
-    and '"kind": "orbit"' not in seed))
+    and '"kind": "orbit"' not in seed and seed != ZERO_NORMAL))
 
 
 class TestGenerate:
@@ -165,11 +172,15 @@ class TestGenerate:
     @pytest.mark.parametrize("family, seed", BAD_INPUT)
     def test_bad_input_is_typed_error(self, tmp_path, capsys, family, seed):
         path = tmp_path / "seed.json"
-        if seed == "piece":
+        if seed in ("piece", ZERO_NORMAL):
             assert run(["generate", "enneper", "--k", "3", "--size", "4", "--orbit",
                         "--out", str(tmp_path / "enn")]) == 0
             suffix = {"export": "orbit.json", "conjugate": "grid.dnet.json"}
             path = tmp_path / f"enn.{suffix.get(family[0], 'iso.dnet.json')}"
+            if seed == ZERO_NORMAL:
+                doc = json.loads(path.read_text())
+                doc["normals"][0] = [0, 0, 0]
+                path.write_text(json.dumps(doc))
         elif seed is not None:
             path.write_text(seed)
         missing = str(tmp_path / "no_such_dir" / "x")
@@ -191,6 +202,9 @@ class TestGenerate:
             assert error["error"] == "BadParameter" and missing in error["message"], error
         elif seed == ZERO_SEED:
             assert error["error"] == "ZeroDg" and "edge (0, 3)-(1, 3)" in error["message"]
+        elif seed == ZERO_NORMAL:
+            assert error["error"] == "InconsistentBundle" and "vertex (0, 0)" in error["message"]
+            assert not (tmp_path / "x.json").exists()
         else:
             assert error["error"] in ("BadParameter", "ParseError")
 
@@ -355,6 +369,31 @@ class TestVerify:
         bad = tmp_path / "bad.json"
         bad.write_text("{broken")
         assert run(["verify", str(bad)]) == 3
+
+    @pytest.mark.parametrize("family", [
+        ["enneper", "--k", "3", "--size", "4", "--orbit"],
+        ["planar-enneper", "--size", "4"],
+        ["knoid", "--k", "3", "--nmax", "2", "--mmax", "6"],
+        ["platonic", "--preset", "tetrahedral", "--resolution", "2", "--orbit"],
+    ])
+    def test_reports_are_plain_json(self, tmp_path, capsys, family):
+        """Reports hold only Python values, so json.dumps writes them with
+        no default: those of generate (solver and orbit entries included),
+        of verify_pair at a failing tolerance, and of verify with companions,
+        alone and at a failing tolerance."""
+        base = str(tmp_path / "x")
+        iso, asym, grid = (f"{base}.{s}.dnet.json" for s in ("iso", "asym", "grid"))
+        assert run(["generate", *family, "--out", base]) == 0
+        reports = [json.loads(capsys.readouterr().out)]
+        assert ("orbit" in reports[0]) == ("--orbit" in family)
+        reports.append(verify_pair(MinimalPair.from_grid(read_grid(grid)), 1e-300))
+        for argv, code in (([iso, "--grid", grid, "--conjugate", asym], 0), ([asym], 0),
+                           ([iso, "--conjugate", asym, "--tol", "1e-300"], 1)):
+            assert run(["verify", *argv]) == code
+            reports.append(json.loads(capsys.readouterr().out))
+        for report in reports:
+            json.dumps(report)          # TypeError on a numpy value
+        assert not reports[1]["ok"] and not reports[-1]["ok"]
 
 
 class TestExport:

@@ -9,8 +9,8 @@ from minnet.mobius import (INF, Isometry, LineR3, PlaneR3,
                            fit_line, fit_plane, fit_plane_through_origin,
                            stereographic_lift, stereographic_project)
 
-from conftest import (random_circle_points, random_similarity, rotation_matrix,
-                      sphere_inversion)
+from conftest import (OVERFLOWING, random_circle_points, random_similarity, rotation_matrix,
+                      run_bounded, sphere_inversion)
 
 
 def quat_close(a, b, tol=1e-12):
@@ -246,4 +246,14 @@ class TestFits:
         assert abs(abs(line.direction @ np.array([1, 1, 0]) / math.sqrt(2)) - 1) < 1e-12
         with pytest.raises(DegenerateFit):
             fit_line([(1, 1, 1), (1, 1, 1)])
+
+    @pytest.mark.parametrize("fit", ["fit_plane", "fit_line"])
+    def test_overflowing_centroid_raises(self, fit):
+        """In a subprocess, since LAPACK's SVD of the non-finite centred
+        points did not return."""
+        done = run_bounded(f"from minnet.errors import DegenerateFit\n"
+                           f"from minnet.mobius import {fit}\n"
+                           f"try:\n    {fit}({OVERFLOWING})\n"
+                           f"except DegenerateFit as exc:\n    print(exc)\n")
+        assert done.stdout == "centred points are not finite\n", done.stderr
 

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from minnet.errors import DomainMismatch, NotCircular, ParseError
-from minnet.net import (EdgeLabels, LatticeDomain, Net3, are_parallel_meshes,
+from minnet.errors import ClosureFailure, DomainMismatch, NotCircular, ParseError
+from minnet.net import (EdgeLabels, LatticeDomain, Net3, are_parallel_meshes, integrate_edges,
                         is_circular, is_isothermic, read_net, write_net)
 
 from conftest import random_similarity
@@ -65,6 +65,31 @@ class TestNet3:
         dom = LatticeDomain((0, 1), (0, 0))
         net = Net3(dom, [[0, 0, 1], [0, 0, 1]], check_edges=False)
         assert np.allclose(net[(0, 0)], net[(1, 0)])
+
+
+class TestIntegrateEdges:
+    """The one integrator: closure of every quad first, then the tree sum."""
+
+    @pytest.mark.parametrize("complex_values", [False, True])
+    def test_exact_differences_integrate_back(self, complex_values):
+        dom = LatticeDomain((0, 3), (0, 2), frozenset({(1, 1)}))
+        m, n = dom.coords.T.astype(float)
+        values = (np.exp(0.3 * m) + 1j * n * n if complex_values
+                  else np.stack([m, n, m * n], axis=1))
+        a, b = dom.edge_index.T
+        got = integrate_edges(dom, values[b] - values[a], "test", root=(2, 1))
+        assert np.allclose(got, values - values[dom.vertex_index[2, 1]], atol=1e-14)
+
+    @pytest.mark.parametrize("bad", [1e-6, np.nan])
+    def test_open_loop_names_the_first_open_quad(self, bad):
+        """A loop open by 1e-6 of its largest increment, or by NaN, fails."""
+        dom = LatticeDomain((0, 2), (0, 1))
+        m, n = dom.coords.T.astype(float)
+        a, b = dom.edge_index.T
+        inc = (m + 1j * n)[b] - (m + 1j * n)[a]
+        inc[dom.quad_edges[1, 1]] += bad
+        with pytest.raises(ClosureFailure, match=r"planar dual: quad \(1, 0\) loop residual"):
+            integrate_edges(dom, inc, "planar dual")
 
 
 class TestIsCircular:

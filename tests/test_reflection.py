@@ -15,6 +15,8 @@ from minnet.reflection import (analyze_boundary_asymptotic,
                                close_group, corner_angles, reflect_isothermic,
                                rotate_extend_asymptotic)
 
+from conftest import run_bounded
+
 
 def sphere_band(radius=2.0, rows=2, cols=6, dphi=0.25, dtheta=0.2):
     """Lat-long band on a sphere below the equator; top row is the equator."""
@@ -77,6 +79,19 @@ class TestAnalyzeIsothermic:
             a = analyze_boundary_isothermic(net, nrm, 0, "row")
         assert a.scale == math.inf and a.residuals["congruence_plane"] == math.inf
         assert a.kind == "none" and a.plane is None
+
+    def test_overflowing_centroid_is_not_planar(self):
+        """Row 0 and its F + N are the points OVERFLOWING, whose centroid
+        overflows: the plane fit used to hang in LAPACK's SVD, so this runs
+        in a subprocess."""
+        done = run_bounded(
+            "from minnet.net import LatticeDomain, Net3\n"
+            "from minnet.reflection import analyze_boundary_isothermic\n"
+            "dom = LatticeDomain((0, 1), (0, 1))\n"
+            "net = Net3(dom, [[0, 0, 0], [0, 0, 1], [1.5e308, 1.5e308, 0], [1.5e308, 1.5e308, 1]])\n"
+            "nrm = Net3(dom, [[0, 0, 1]] * 4, check_edges=False)\n"
+            "print(analyze_boundary_isothermic(net, nrm, 0, 'row').kind)\n")
+        assert done.stdout == "none\n", done.stderr
 
 
 class TestAnalyzeAsymptotic:
