@@ -81,7 +81,7 @@ class SolveResult:
 
     params is the collocation vector of the solve, accepted back as
     seed_params.  trace holds one entry per LM iteration: the cost, the
-    damping lambda of the last trial step, max|cr+1| and whether the step
+    damping lambda the solve goes on with, max|cr+1| and whether the step
     was accepted.
     """
 
@@ -97,21 +97,13 @@ class SolveResult:
 # Monotone encodings (total: every real vector decodes to a valid sequence)
 # ---------------------------------------------------------------------------
 
-def _increasing_open_inverse(r: np.ndarray, upper: float) -> np.ndarray:
-    """The u with _cumexp(u, upper)[0] == r, for r strictly increasing in (0, upper)."""
-    r = np.minimum(np.asarray(r, dtype=float), upper * (1.0 - 1e-12))
-    s_last = r[-1] / (upper - r[-1])
-    s = r / upper * (s_last + 1.0)
-    return np.log(np.maximum(np.diff(np.concatenate(([0.0], s))), 1e-300))
-
-
-def _increasing_closed_inverse(r: np.ndarray, upper: float) -> np.ndarray:
-    """The same inverse for interior points of (0, upper), r possibly empty."""
+def _increasing_inverse(r: np.ndarray, upper: float) -> np.ndarray:
+    """The u with _cumexp(u, upper)[0] == r, for r strictly increasing in
+    (0, upper), possibly empty."""
     if len(r) == 0:
         return np.empty(0)
     r = np.minimum(np.asarray(r, dtype=float), upper * (1.0 - 1e-12))
-    total = 1.0 / (1.0 - r[-1] / upper)
-    s = r / upper * total
+    s = r / upper * (1.0 / (1.0 - r[-1] / upper))
     return np.log(np.maximum(np.diff(np.concatenate(([0.0], s))), 1e-300))
 
 
@@ -142,21 +134,22 @@ def _jacobian(fun, x: np.ndarray, r0: np.ndarray) -> np.ndarray:
 
 
 def levenberg_marquardt(fun, x0: np.ndarray, converged, max_iter: int = 500,
-                        lam0: float = 1e-3, lam_down: float = 0.5,
-                        lam_up: float = 4.0, lam_cap: float = 1e14,
-                        jac=None, on_iteration=None):
-    """Damped Gauss-Newton with multiplicative damping schedule.
+                        lam0: float = 1e-3, lam_cap: float = 1e14,
+                        jac=None, on_iteration=None, settled=None):
+    """Damped Gauss-Newton with Nielsen's gain-ratio damping (Madsen, Nielsen
+    & Tingleff, Methods for Non-Linear Least Squares Problems, 2004, §3.2).
 
-    jac(x) gives the Jacobian of fun at x; without it a central difference
-    is taken (_jacobian).  Both collocation solves pass jac; the fallback
-    stays for callers with no closed form, such as the benchmark's toy
-    problem, whose finite-difference probes perfbench/tracing.py counts.
-    A trial step is accepted when it lowers the cost |fun|^2.
-    on_iteration(x, cost, lam, accepted), when given, is called after every
-    iteration with the iterate, its cost and the damping of the last trial.
-    converged and on_iteration only receive iterates that fun has already
-    evaluated, and jac(x) follows converged(x) at the same x, so a caller
-    that memoizes its evaluations need not compute any of them again.
+    A trial step d is accepted when it lowers |fun|^2.  With rho its actual
+    over its predicted cost drop, |r|^2 - |r + J d|^2, an accepted step
+    scales lambda by max(1/3, 1 - (2 rho - 1)^3) and a rejected one by nu,
+    which starts at 2 and doubles.  An iteration whose lambda passes lam_cap
+    ends the solve; so does a rejected first trial where settled(x) holds,
+    and that iteration is not counted.  jac(x) gives the Jacobian, else a
+    central difference is taken (_jacobian, for the benchmark's toy problem).
+    on_iteration(x, cost, lam, accepted) follows every iteration; lam is the
+    damping the next one starts from.  converged and on_iteration only see
+    iterates fun has evaluated, and jac(x) follows converged(x) at the same
+    x, so a memoizing caller computes nothing twice.
     Returns (x, iterations, success).
     """
     x = np.asarray(x0, dtype=float).copy()
@@ -170,7 +163,7 @@ def levenberg_marquardt(fun, x0: np.ndarray, converged, max_iter: int = 500,
         j = jac(x) if jac is not None else _jacobian(fun, x, r)
         a = j.T @ j
         g = j.T @ r
-        stepped, tried = False, lam
+        stepped, tried, nu = False, lam, 2.0
         while lam <= lam_cap:
             tried = lam
             m = a.copy()
@@ -178,19 +171,25 @@ def levenberg_marquardt(fun, x0: np.ndarray, converged, max_iter: int = 500,
             try:
                 delta = np.linalg.solve(m, -g)
             except np.linalg.LinAlgError:
-                lam *= lam_up
+                lam, nu = lam * nu, 2.0 * nu
                 continue
             r_new = fun(x + delta)
             c_new = float(r_new @ r_new)
             if c_new < cost:
+                model = r + j @ delta
+                predicted = cost - float(model @ model)
+                # clipped at 1, which scales by 1/3 as any larger ratio does
+                rho = min((cost - c_new) / predicted, 1.0) if predicted > 0.0 else 1.0
                 x = x + delta
                 r, cost = r_new, c_new
-                lam = max(lam * lam_down, 1e-14)
+                lam = max(lam * max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3), 1e-14)
                 stepped = True
                 break
-            lam *= lam_up
+            if settled is not None and nu == 2.0 and settled(x):    # the first trial
+                return x, it - 1, True
+            lam, nu = lam * nu, 2.0 * nu
         if on_iteration is not None:
-            on_iteration(x, cost, tried, stepped)
+            on_iteration(x, cost, lam if stepped else tried, stepped)
         if not stepped:
             return x, it, converged(x)
     return x, max_iter, converged(x)
@@ -444,9 +443,9 @@ class _TriangleCollocation:
         values interior[m - 1, n - 1]."""
         z = np.asarray(interior, dtype=complex).T.ravel()
         return np.concatenate([
-            _increasing_open_inverse(bottom, self.tri.puncture),
-            _increasing_closed_inverse(left, abs(self.tri.corner)),
-            _increasing_open_inverse(arc, 1.0),
+            _increasing_inverse(bottom, self.tri.puncture),
+            _increasing_inverse(left, abs(self.tri.corner)),
+            _increasing_inverse(arc, 1.0),
             np.stack([z.real, z.imag], axis=1).ravel()])
 
     def cr_max(self, x: np.ndarray) -> float:
@@ -455,31 +454,43 @@ class _TriangleCollocation:
     def containment_max(self, x: np.ndarray) -> float:
         return float(np.max(self._evaluate(x).penalty))
 
-    def solve(self, x0: np.ndarray, tol: float, max_iter: int, trace: list):
-        """Two stages: regularized to pin the free left-column directions,
-        then with the regularization released for the final polish.  One
-        entry per LM iteration is appended to trace."""
-        left_ref, iterations = self._evaluate(x0).left, 0
+    def solve(self, x0: np.ndarray, tol: float, max_iter: int, trace: list,
+              to_floor: bool = True):
+        """Two LM stages: regularized to pin the free left-column directions,
+        then released, from the first stage's last damping.  With to_floor,
+        once cr_max <= tol the second stage steps on while each step at least
+        halves cr_max, so it ends at the rounding floor; an iterate that meets
+        tol on entry takes no step.  One trace entry per LM iteration."""
+        left_ref, iterations, lam = self._evaluate(x0).left, 0, 1e-3
         x = x0
 
         def log(xx, cost, lam, accepted):
             trace.append({"cost": cost, "lambda": lam,
                           "cr_max": self.cr_max(xx), "accepted": accepted})
 
-        for reg, target in ((1e-3, max(1e-7, tol * 10.0)), (1e-9, tol)):
-            def fun(xx, reg=reg):
-                return self.residual(xx, reg, left_ref)
-
-            def jac(xx, reg=reg):
-                return self.jacobian(xx, reg)
-
-            def done(xx, target=target):
+        for reg, target, floor in ((1e-3, max(1e-7, tol * 10.0), False),
+                                   (1e-9, tol, to_floor)):
+            def met(xx, target=target):
                 return (self.cr_max(xx) <= target
                         and self.containment_max(xx) <= max(target, 1e-9))
 
-            x, it, ok = levenberg_marquardt(fun, x, done, max_iter - iterations,
-                                            jac=jac, on_iteration=log)
-            iterations += it
+            seen: list[float] = []      # cr_max of each iterate asked about
+
+            def halted(xx, met=met, seen=seen):
+                # the same iterate asked again (the final test) is no halving
+                cr = self.cr_max(xx)
+                halved = bool(seen) and cr <= 0.5 * seen[-1]
+                seen.append(cr)
+                return met(xx) and not halved
+
+            x, it, _ = levenberg_marquardt(
+                lambda xx, reg=reg: self.residual(xx, reg, left_ref), x,
+                halted if floor else met, max_iter - iterations, lam0=lam,
+                jac=lambda xx, reg=reg: self.jacobian(xx, reg), on_iteration=log,
+                settled=met if floor else None)
+            iterations, ok = iterations + it, met(x)
+            if it:                      # each counted iteration logged an entry
+                lam = trace[-1]["lambda"]
             if iterations >= max_iter:
                 break
         return x, iterations, ok
@@ -592,6 +603,13 @@ PLATONIC_PRESETS = {
 }
 
 
+# Seeding solves (the catenoid start and every continuation step but the
+# last) stop at this cr_max.  LM iterations of the tetrahedral, octahedral
+# and icosahedral presets at resolutions 2/3/5, with them at 1e-7: 24/27/29,
+# 32/38/40, 35/43/46; at 1e-3: 20/23/22, 25/28/31, 29/30/35.
+CONTINUATION_TOL = 1e-3
+
+
 def platonic_preset(name: str) -> PlatonicPreset:
     if name not in PLATONIC_PRESETS:
         raise InfeasibleSpec(f"unknown preset {name!r}; "
@@ -641,7 +659,8 @@ def solve_platonic(preset: str | PlatonicPreset, resolution: int,
     system = _TriangleCollocation(_spherical_triangle(*start), m_max, n_max)
     x = _collocation_seed(system, 1.0)
     trace: list[dict] = []
-    x, it, ok = system.solve(x, max(tol, 1e-7), min(max_iter, 100), trace)
+    loose = max(tol, CONTINUATION_TOL)
+    x, it, ok = system.solve(x, loose, min(max_iter, 100), trace, to_floor=False)
     iterations = it
 
     steps = max(2, int(math.ceil(
@@ -652,8 +671,9 @@ def solve_platonic(preset: str | PlatonicPreset, resolution: int,
         system_new = _TriangleCollocation(_spherical_triangle(*angles), m_max, n_max)
         x = _reencode_between(system, system_new, x)
         system = system_new
-        stage_tol = tol if s == steps else max(tol, 1e-7)
-        x, it, ok = system.solve(x, stage_tol, max(1, max_iter - iterations), trace)
+        last = s == steps
+        x, it, ok = system.solve(x, tol if last else loose, max(1, max_iter - iterations),
+                                 trace, to_floor=last)
         iterations += it
         if iterations >= max_iter:
             break

@@ -24,7 +24,8 @@ import sys
 
 from . import battery, bvp, dnet, holomorphic, minimal, mobius, net, reflection
 from .errors import BadParameter, MinnetError, NotReflectable, ParseError
-from .jsonio import _fmt_float, json_float, json_int, json_list, load_json, write_text
+from .jsonio import (MAX_MAGNITUDE, _fmt_float, json_float, json_int, json_list, load_json,
+                     write_text)
 
 
 def __getattr__(name: str):
@@ -100,17 +101,21 @@ def export_net_obj(doc: dnet.NetDoc, path: str) -> None:
     _write_obj(path, doc.points, doc.quads())
 
 
-def export_orbit_obj(orbit: reflection.SymmetryOrbit, path: str) -> None:
-    _write_obj(path, orbit.vertices.tolist(), orbit.faces)
+def export_orbit_obj(orbit: reflection.SymmetryOrbit, path: str, rows: list[str]) -> None:
+    """OBJ of an orbit, reusing the numbers of its vertices' JSON rows (net.json_rows)."""
+    write_text(path, "".join(["v %s\n" % r[1:-1].replace(",", "") for r in rows])
+               + "".join(["f %d %d %d %d\n" % (a + 1, b + 1, c + 1, d + 1)
+                          for a, b, c, d in orbit.faces]))
 
 
-def orbit_to_json(orbit: reflection.SymmetryOrbit) -> str:
-    """The .orbit.json document of an orbit, with 17-significant-digit floats."""
+def orbit_to_json(orbit: reflection.SymmetryOrbit, rows: list[str]) -> str:
+    """The .orbit.json document of an orbit, with 17-significant-digit floats,
+    given the JSON rows of its vertices (net.json_rows)."""
     elements = [f'{{"matrix": {json_list(net.json_rows(e.matrix))}, '
                 f'"translation": {json_list(map(_fmt_float, e.translation.tolist()))}}}'
                 for e in orbit.elements]
-    return (f'{{"kind": "orbit", "vertices": {json_list(net.json_rows(orbit.vertices))}, '
-            f'"faces": {json_list(net.json_rows(orbit.faces))}, '
+    return (f'{{"kind": "orbit", "vertices": {json_list(rows)}, '
+            f'"faces": {json_list(["[%d, %d, %d, %d]" % f for f in orbit.faces])}, '
             f'"elements": {json_list(elements)}, '
             f'"weld_residual": {_fmt_float(orbit.weld_residual)}}}')
 
@@ -158,7 +163,7 @@ def _boundary_reflections(net: net.Net3, normals: net.Net3, tol: float) -> list[
     return generators
 
 
-def _write_orbit(net: net.Net3, normals: net.Net3, tol: float, max_word: int, path: str,
+def _write_orbit(piece: net.Net3, normals: net.Net3, tol: float, max_word: int, path: str,
                  obj_path: str | None) -> reflection.SymmetryOrbit:
     """Close the group of the piece's boundary reflections; write the orbit.
 
@@ -168,14 +173,15 @@ def _write_orbit(net: net.Net3, normals: net.Net3, tol: float, max_word: int, pa
     exceed 1e-9.  Vertices weld at max(tol, 1e-9) of the piece's size:
     welding at 1e-6 merges distinct vertices of large pieces.
     """
-    generators = _boundary_reflections(net, normals, max(tol, 1e-7))
+    generators = _boundary_reflections(piece, normals, max(tol, 1e-7))
     if not generators:
         raise NotReflectable("no reflectable boundary lines found")
-    orbit = reflection.build_orbit(net, generators, max_word=max_word,
+    orbit = reflection.build_orbit(piece, generators, max_word=max_word,
                                    dedup_tol=max(tol, 1e-6), weld_tol=max(tol, 1e-9))
-    write_text(path, orbit_to_json(orbit) + "\n")
+    rows = net.json_rows(orbit.vertices)        # each coordinate formatted once
+    write_text(path, orbit_to_json(orbit, rows) + "\n")
     if obj_path:
-        export_orbit_obj(orbit, obj_path)
+        export_orbit_obj(orbit, obj_path, rows)
     return orbit
 
 
@@ -206,6 +212,9 @@ def _family_pair(family: str, args) -> tuple[minimal.MinimalPair, dict]:
             for i, value in enumerate(seed):
                 if not math.isfinite(value):
                     raise ParseError(f"seed file {args.seed_file}: params[{i}] is {value}")
+                if abs(value) > MAX_MAGNITUDE:
+                    raise ParseError(f"seed file {args.seed_file}: params[{i}] = {value} "
+                                     f"exceeds the magnitude bound {MAX_MAGNITUDE:g}")
         result = bvp.solve_knoid(spec, tol=args.solver_tol, max_iter=args.max_iter,
                                  seed_params=seed, strict=True)
     else:

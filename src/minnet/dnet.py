@@ -27,11 +27,8 @@ import math
 from itertools import chain
 
 from .errors import ParseError
-from .jsonio import MIN_EDGE, json_float, json_int
+from .jsonio import MAX_MAGNITUDE, MIN_EDGE, json_float, json_int
 
-# The largest absolute value of a coordinate, normal component or label that
-# a file may hold (see the module docstring).
-MAX_MAGNITUDE = 1e50
 # Lattice indices, of the domain and of every vertex record, stay in the range
 # of numpy's 64-bit index integers.
 MAX_INDEX = 2 ** 63

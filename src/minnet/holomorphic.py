@@ -34,7 +34,9 @@ class HoloGrid:
     """Discrete holomorphic function candidate with its edge labels.
 
     values holds g at `domain.vertices`, in order, as a complex array;
-    where the boolean array inf is set, g is ∞ (and values holds 0).
+    where the boolean array inf is set, g is ∞ (and values holds 0).  Both
+    arrays are read-only, so the coincident-value check made at
+    construction holds for the grid's life.
     """
 
     def __init__(self, domain: LatticeDomain, values: np.ndarray, labels: EdgeLabels,
@@ -44,8 +46,9 @@ class HoloGrid:
 
     def __post_init__(self):
         count = len(self.domain.vertices)
-        self.inf = np.zeros(count, bool) if self.inf is None else np.asarray(self.inf, bool)
+        self.inf = np.zeros(count, bool) if self.inf is None else np.array(self.inf, bool)
         self.values = np.where(self.inf, 0j, np.asarray(self.values, dtype=complex))
+        self.inf.flags.writeable = self.values.flags.writeable = False
         if self.values.shape != (count,):
             raise ValueError(f"expected {count} values, got shape {self.values.shape}")
         a, b = self.domain.edge_index.T

@@ -18,6 +18,10 @@ from .errors import BadParameter, ParseError
 # in the layer every command loads, because both the numpy-free reader
 # (dnet) and the array layer (net) test it.
 MIN_EDGE = 1e-12
+# The largest absolute value of a coordinate, normal component or label in a
+# net or grid file (the dnet module docstring derives it), and of a seed
+# parameter.  It lives here because generate reads seed files without dnet.
+MAX_MAGNITUDE = 1e50
 
 
 def _fmt_float(x: float) -> str:

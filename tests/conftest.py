@@ -62,6 +62,26 @@ def run_bounded(code: str) -> subprocess.CompletedProcess:
                           capture_output=True, text=True, timeout=30)
 
 
+def orbit_files(orbit) -> tuple[str, str]:
+    """The .orbit.json and .orbit.obj texts of an orbit, formatted one row and
+    one number at a time: 17 significant digits per float, faces 1-based in
+    the OBJ."""
+    def row(values) -> str:
+        return "[" + ", ".join(format(float(x), ".17g") for x in values) + "]"
+
+    elements = ", ".join('{"matrix": [%s], "translation": %s}'
+                         % (", ".join(map(row, e.matrix)), row(e.translation))
+                         for e in orbit.elements)
+    doc = ('{"kind": "orbit", "vertices": [%s], "faces": [%s], "elements": [%s], '
+           '"weld_residual": %s}\n' % (", ".join(map(row, orbit.vertices)),
+                                       ", ".join(map(row, orbit.faces)), elements,
+                                       format(orbit.weld_residual, ".17g")))
+    obj = "".join("v " + " ".join(format(float(x), ".17g") for x in v) + "\n"
+                  for v in orbit.vertices)
+    obj += "".join("f " + " ".join(str(i + 1) for i in f) + "\n" for f in orbit.faces)
+    return doc, obj
+
+
 def svd_plane_fits(pts: np.ndarray) -> PlaneFit:
     """net.plane_fits by the thin SVD of the centred sets: the oracle, k >= 3."""
     centered = pts - pts.mean(axis=1, keepdims=True)

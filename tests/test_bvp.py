@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 
 import numpy as np
@@ -6,13 +7,14 @@ import pytest
 
 from minnet import bvp
 from minnet.bvp import (BoundarySpec, _collocation_seed, _cumexp,
-                        _increasing_closed_inverse, _increasing_open_inverse,
-                        _knoid_triangle,
+                        _increasing_inverse, _knoid_triangle, levenberg_marquardt,
                         _reencode_between, _spherical_triangle,
                         _TriangleCollocation, platonic_preset, solve_knoid,
                         solve_platonic)
 from minnet.errors import InfeasibleSpec, NoConvergence
 from minnet.holomorphic import validate_holomorphic
+
+from conftest import run_bounded
 
 
 class TestBoundarySpec:
@@ -69,11 +71,10 @@ class TestEncodings:
         col = np.array([0.3, 0.7])
         thetas = np.array([1.8, 1.2, 0.7, 0.4, 0.2, 0.1])
         frac = 1.0 - thetas / spec.ray_angle
-        for seq, upper in ((row, 1.0), (frac, 1.0), (0.5 * row, 0.5)):
-            assert np.allclose(_cumexp(_increasing_open_inverse(seq, upper), upper)[0],
+        for seq, upper in ((row, 1.0), (frac, 1.0), (0.5 * row, 0.5), (col, 1.0)):
+            assert np.allclose(_cumexp(_increasing_inverse(seq, upper), upper)[0],
                                seq, atol=1e-12)
-        assert np.allclose(_cumexp(_increasing_closed_inverse(col, 1.0), 1.0)[0],
-                           col, atol=1e-12)
+        assert _increasing_inverse(np.empty(0), 1.0).shape == (0,)
         interior = np.arange(12).reshape(6, 2) * (0.01 + 0.02j) + 0.1
         v = system.vertices(system.encode(row, col, frac, interior))
         assert np.allclose(v[1:, 0], row, atol=1e-12)
@@ -316,17 +317,36 @@ class TestEvaluationMemo:
         assert cached.grid.values.tobytes() == reference.grid.values.tobytes()
 
 
+# LM iterations of solve_knoid with one OpenBLAS thread
+KNOID_ITERATIONS = {(3, 3, 10): 8, (4, 3, 10): 8, (5, 3, 10): 9, (3, 8, 24): 9}
+
+
+@pytest.fixture(scope="module")
+def one_thread_solves():
+    """(iterations, converged, residuals) of each KNOID_ITERATIONS case, solved
+    in a fresh process with one OpenBLAS thread.  The final stage ends at the
+    rounding floor, whose last bits follow the BLAS's summation order: with
+    2 to 4 threads (3, 8, 24) takes 8 iterations, not 9."""
+    done = run_bounded(
+        "import json, os\n"
+        "os.environ['OPENBLAS_NUM_THREADS'] = '1'\n"
+        "from minnet.bvp import BoundarySpec, solve_knoid\n"
+        f"results = [solve_knoid(BoundarySpec(*c)) for c in {list(KNOID_ITERATIONS)}]\n"
+        "print(json.dumps([[r.iterations, r.converged, r.residuals] for r in results]))")
+    assert done.returncode == 0, done.stderr
+    return dict(zip(KNOID_ITERATIONS, json.loads(done.stdout)))
+
+
 class TestSolveKnoid:
-    @pytest.mark.parametrize("k, n_max, m_max, iterations", [
-        (3, 3, 10, 9), (4, 3, 10, 10), (5, 3, 10, 11), (3, 8, 24, 12),
-    ], ids=["3", "4", "5", "3-8-24"])
-    def test_converges(self, k, n_max, m_max, iterations):
-        result = solve_knoid(BoundarySpec(k, n_max, m_max))
-        assert result.converged
-        assert result.iterations == iterations
-        assert result.residuals["cross_ratio"] <= 1e-8
-        assert result.residuals["boundary"] <= 1e-6
-        assert result.residuals["containment"] <= 1e-6
+    @pytest.mark.parametrize("k, n_max, m_max", list(KNOID_ITERATIONS),
+                             ids=["3", "4", "5", "3-8-24"])
+    def test_converges(self, k, n_max, m_max, one_thread_solves):
+        iterations, converged, residuals = one_thread_solves[k, n_max, m_max]
+        assert converged
+        assert iterations == KNOID_ITERATIONS[k, n_max, m_max]
+        assert residuals["cross_ratio"] <= 1e-8
+        assert residuals["boundary"] <= 1e-6
+        assert residuals["containment"] <= 1e-6
 
     def test_grid_revalidates(self, trinoid_result):
         report = validate_holomorphic(trinoid_result.grid, 1e-8)
@@ -367,6 +387,61 @@ class TestSolveKnoid:
         for length in (3, 13):
             with pytest.raises(InfeasibleSpec):
                 solve_knoid(BoundarySpec(3, 2, 6), seed_params=np.zeros(length))
+
+
+class TestStopRule:
+    """The final stage ends at the rounding floor: once cr_max <= tol it keeps
+    stepping while each accepted step at least halves cr_max, and stops at the
+    first that does not, or at a rejected first trial.  The cases were checked
+    with 1 to 4 OpenBLAS threads."""
+
+    def test_stops_at_the_first_step_that_does_not_halve(self, trinoid_result):
+        trace = trinoid_result.trace
+        assert all(e["accepted"] for e in trace)
+        below = [e["cr_max"] for e in trace if e["cr_max"] <= 1e-10]
+        assert len(below) >= 2 and below[-1] == trace[-1]["cr_max"]
+        assert all(b <= 0.5 * a for a, b in zip(below, below[1:-1]))
+        assert trace[-1]["cr_max"] > 0.5 * trace[-2]["cr_max"]
+
+    def test_stops_at_a_rejected_first_trial(self):
+        # at the floor of this small grid the step after the last one here is
+        # rejected, which ends the solve without escalating the damping
+        result = solve_knoid(BoundarySpec(3, 2, 6))
+        assert result.iterations == len(result.trace) == 7
+        assert all(e["accepted"] for e in result.trace)
+        assert result.trace[-1]["cr_max"] <= 0.5 * result.trace[-2]["cr_max"]
+        assert result.trace[-1]["cr_max"] <= 1e-10
+
+    def test_cut_while_halving_counts_as_converged(self):
+        # the sixth iterate meets tol and halved cr_max, so the rule would step on
+        result = solve_knoid(BoundarySpec(3, 3, 10), max_iter=6, strict=True)
+        assert result.iterations == 6 and result.converged
+        assert result.trace[-1]["cr_max"] <= 0.5 * result.trace[-2]["cr_max"]
+
+    def test_solved_seed_takes_no_step(self, trinoid_result):
+        again = solve_knoid(BoundarySpec(3, 3, 10), seed_params=trinoid_result.params)
+        assert (again.iterations, again.trace) == (0, [])
+        assert again.params.tobytes() == trinoid_result.params.tobytes()
+
+    def test_settled_ends_at_a_rejected_first_trial(self):
+        """A cost that no step can lower: settled ends the solve after one
+        trial; without it the damping climbs to lam_cap."""
+        calls = []
+
+        def fun(x):
+            calls.append(x)
+            return np.array([x[0] - 1.0, 1e-3])
+
+        def jac(_x):
+            return np.array([[1.0], [0.0]])
+
+        x0 = np.ones(1)
+        assert levenberg_marquardt(fun, x0, lambda x: False, jac=jac,
+                                   settled=lambda x: True)[1:] == (0, True)
+        assert len(calls) == 2                 # the start and one trial
+        calls.clear()
+        assert levenberg_marquardt(fun, x0, lambda x: False, jac=jac)[1:] == (1, False)
+        assert len(calls) > 10
 
 
 class TestSolvePlatonic:

@@ -120,6 +120,8 @@ BAD_INPUT = [
     # the NaN and Infinity tokens that json.loads reads
     (["knoid", "--k", "3"], json.dumps({"params": [float("nan")] + [0] * 61})),
     (["knoid", "--k", "3"], json.dumps({"params": [0] * 61 + [float("-inf")]})),
+    # finite seed parameters past the magnitude bound, which overflowed the solve
+    (["knoid", "--k", "3"], json.dumps({"params": [1e300] * 62})),
 ]
 
 # the net files among them, which every reader of a net file must reject alike
@@ -201,7 +203,7 @@ class TestGenerate:
         if missing in argv:
             assert error["error"] == "BadParameter" and missing in error["message"], error
         elif seed == ZERO_SEED:
-            assert error["error"] == "ZeroDg" and "edge (0, 3)-(1, 3)" in error["message"]
+            assert error["error"] == "ZeroDg" and "edge (0, 0)-(1, 0)" in error["message"]
         elif seed == ZERO_NORMAL:
             assert error["error"] == "InconsistentBundle" and "vertex (0, 0)" in error["message"]
             assert not (tmp_path / "x.json").exists()
@@ -278,6 +280,15 @@ class TestGenerate:
         solver = json.loads(open(report).read())["info"]["solver"]
         assert solver["iterations"] == 0
         assert solver["trace"] == []
+
+    @pytest.mark.parametrize("k", [6, 8])
+    def test_knoid_passes_the_battery_at_default_settings(self, k, tmp_path):
+        """Solved only until cr_max <= --solver-tol, these nets failed
+        isothermic at --tol; solved to the rounding floor they pass."""
+        report = str(tmp_path / "report.json")
+        assert run(["generate", "knoid", "--k", str(k), "--nmax", "12", "--mmax", "36",
+                    "--out", str(tmp_path / "k"), "--report", report]) == 0
+        assert json.loads(open(report).read())["ok"]
 
     def test_solver_trace_in_report_only(self, tmp_path):
         base = str(tmp_path / "k")

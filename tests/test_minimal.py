@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from minnet.errors import (ClosureFailure, NotCoplanar, NotIsothermic, ZeroArea,
-                           ZeroDg)
+from minnet.errors import ClosureFailure, NotCoplanar, NotIsothermic, ZeroArea
 from minnet.holomorphic import HoloGrid, power_function
 from minnet.minimal import (christoffel, gauss_map, is_asymptotic, mixed_area,
                             propagate_normals, quad_curvatures, tangent_normals,
@@ -46,13 +45,20 @@ class TestWeierstrassEdges:
             assert np.allclose(f[b] - f[a], label * vec, atol=1e-12)
 
     def test_zero_dg_raises(self):
+        """A grid's arrays are read-only, so no edge collapses after the
+        coincident-value check; a collapsed edge is refused at construction."""
         dom = LatticeDomain((0, 2), (0, 2))
         values = {v: complex(v[0], v[1]) for v in dom.vertices}
         grid = HoloGrid.from_dict(dom, values, EdgeLabels.constant(dom))
         index = dom.vertex_index
-        grid.values[index[2, 2]] = grid.values[index[1, 2]]  # collapse one edge
-        with pytest.raises((ZeroDg, ClosureFailure)):
-            weierstrass_isothermic(grid)
+        with pytest.raises(ValueError, match="read-only"):
+            grid.values[index[2, 2]] = grid.values[index[1, 2]]  # collapse one edge
+        with pytest.raises(ValueError, match="read-only"):
+            grid.inf[index[2, 2]] = True
+        with pytest.raises(ValueError, match=r"coincident neighboring values on edge "
+                                             r"\(1, 2\)-\(2, 2\)"):
+            HoloGrid.from_dict(dom, {**values, (2, 2): values[(1, 2)]},
+                               EdgeLabels.constant(dom))
 
 
 class TestMinimality:

@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 
 from minnet.bvp import solve_platonic
-from minnet.cli import _boundary_reflections
+from minnet.cli import _boundary_reflections, _write_orbit
 from minnet.errors import OrbitExplosion
 from minnet.minimal import MinimalPair
 from minnet.mobius import Isometry, PlaneR3
 from minnet.net import LatticeDomain, Net3
 from minnet.reflection import build_orbit, close_group
 
-from conftest import VertexGrid, scalar_build_orbit, scalar_close_group
+from conftest import VertexGrid, orbit_files, scalar_build_orbit, scalar_close_group
 
 
 @pytest.fixture(scope="module")
@@ -115,12 +115,11 @@ def test_weld_chain_joins_representatives_only():
     assert orbit.weld_residual == pytest.approx(0.8 * weld_tol)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP item 3: mirror-normal snapping")
 def test_icosahedral_orbit_has_no_cracks(platonic_pairs):
-    """At resolution 3 three pairs of orbit vertices sit 1.02e-9 to 1.21e-9
-    times the piece's size apart, just outside the 1e-9 weld radius: the
-    fitted mirror planes miss the exact angles, so the copies do not meet."""
+    """Every pair of distinct orbit vertices at resolution 3 is more than
+    1e-6 times the piece's size apart.  A piece solved only to cr_max 1e-10
+    left three pairs 1.02e-9 to 1.21e-9 apart, just outside the 1e-9 weld
+    radius; solved to the rounding floor, the copies meet."""
     pair = platonic_pairs["icosahedral"]
     piece = pair.isothermic
     orbit = build_orbit(piece, _boundary_reflections(piece, pair.gauss, 1e-7),
@@ -130,3 +129,15 @@ def test_icosahedral_orbit_has_no_cracks(platonic_pairs):
         dist = np.linalg.norm(v[start:start + 256, None] - v[None], axis=2)
         dist[np.arange(len(dist)), start + np.arange(len(dist))] = np.inf
         assert dist.min() > 1e-6 * piece.scale()
+
+
+@pytest.mark.parametrize("name", ["tetrahedral", "octahedral"])
+def test_orbit_files_equal_row_by_row_formatting(name, platonic_pairs, tmp_path):
+    """The orbit writer formats each vertex coordinate once for both files;
+    their bytes are those of formatting each row and number on its own."""
+    pair = platonic_pairs[name]
+    path, obj_path = tmp_path / "o.orbit.json", tmp_path / "o.orbit.obj"
+    orbit = _write_orbit(pair.isothermic, pair.gauss, 1e-9, 16, str(path), str(obj_path))
+    doc, obj = orbit_files(orbit)
+    assert path.read_text() == doc
+    assert obj_path.read_text() == obj
