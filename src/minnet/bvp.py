@@ -49,6 +49,10 @@ from .mobius import c_abs
 from .net import EdgeLabels, Frozen, LatticeDomain
 
 EXP_CLIP = 300.0
+LAM_CAP = 1e14
+# Most vertices of a BVP grid: admits (48, 144), 7,105 vertices (README,
+# "Command line").
+MAX_VERTICES = 10_000
 
 
 # ---------------------------------------------------------------------------
@@ -65,6 +69,9 @@ class BoundarySpec(Frozen):
             raise InfeasibleSpec("n_max must be at least 1")
         if m_max < n_max:
             raise InfeasibleSpec("m_max must be at least n_max")
+        if (n_max + 1) * (m_max + 1) > MAX_VERTICES:
+            raise InfeasibleSpec(f"a ({n_max}, {m_max}) grid has more than "
+                                 f"{MAX_VERTICES} vertices")
         self.__dict__.update(k=k, n_max=n_max, m_max=m_max)
 
     @property
@@ -86,11 +93,9 @@ class SolveResult:
     """
 
     def __init__(self, grid: HoloGrid, residuals: dict[str, float], iterations: int,
-                 converged: bool, params: np.ndarray | None = None,
-                 trace: list[dict] | None = None):
+                 params: np.ndarray, trace: list[dict]):
         self.grid, self.residuals, self.iterations = grid, residuals, iterations
-        self.converged, self.params = converged, params
-        self.trace = [] if trace is None else trace
+        self.params, self.trace = params, trace
 
 
 # ---------------------------------------------------------------------------
@@ -134,15 +139,14 @@ def _jacobian(fun, x: np.ndarray, r0: np.ndarray) -> np.ndarray:
 
 
 def levenberg_marquardt(fun, x0: np.ndarray, converged, max_iter: int = 500,
-                        lam0: float = 1e-3, lam_cap: float = 1e14,
-                        jac=None, on_iteration=None, settled=None):
+                        lam0: float = 1e-3, jac=None, on_iteration=None, settled=None):
     """Damped Gauss-Newton with Nielsen's gain-ratio damping (Madsen, Nielsen
     & Tingleff, Methods for Non-Linear Least Squares Problems, 2004, §3.2).
 
     A trial step d is accepted when it lowers |fun|^2.  With rho its actual
     over its predicted cost drop, |r|^2 - |r + J d|^2, an accepted step
     scales lambda by max(1/3, 1 - (2 rho - 1)^3) and a rejected one by nu,
-    which starts at 2 and doubles.  An iteration whose lambda passes lam_cap
+    which starts at 2 and doubles.  An iteration whose lambda passes LAM_CAP
     ends the solve; so does a rejected first trial where settled(x) holds,
     and that iteration is not counted.  jac(x) gives the Jacobian, else a
     central difference is taken (_jacobian, for the benchmark's toy problem).
@@ -164,7 +168,7 @@ def levenberg_marquardt(fun, x0: np.ndarray, converged, max_iter: int = 500,
         a = j.T @ j
         g = j.T @ r
         stepped, tried, nu = False, lam, 2.0
-        while lam <= lam_cap:
+        while lam <= LAM_CAP:
             tried = lam
             m = a.copy()
             m[diagonal] += lam * (np.diag(a) + 1e-12)
@@ -526,14 +530,13 @@ def _collocation_seed(system: _TriangleCollocation, power: float) -> np.ndarray:
 
 
 def solve_knoid(spec: BoundarySpec, tol: float = 1e-10, max_iter: int = 500,
-                seed_params: np.ndarray | None = None,
-                strict: bool = False) -> SolveResult:
+                seed_params: np.ndarray | None = None) -> SolveResult:
     """Solve the k-noid boundary-value problem by damped least squares.
 
     The result grid satisfies the straight-side and arc conditions exactly
     by construction; the reported cross-ratio residual is the max |cr+1|
-    over quads.  With strict=True a NoConvergence carrying the best
-    iterate is raised when the tolerance is not met.
+    over quads.  A NoConvergence carrying the result is raised when the
+    tolerance is not met.
     """
     system = _TriangleCollocation(_knoid_triangle(spec), spec.m_max, spec.n_max)
     if seed_params is None:
@@ -545,11 +548,11 @@ def solve_knoid(spec: BoundarySpec, tol: float = 1e-10, max_iter: int = 500,
                 f"seed has {len(x0)} parameters, expected {system.n_params}")
     trace: list[dict] = []
     x, iterations, ok = system.solve(x0, tol, max_iter, trace)
-    return _finish_solve(system, x, iterations, ok, tol, strict, trace)
+    return _finish_solve(system, x, iterations, ok, tol, trace)
 
 
 def _finish_solve(system: _TriangleCollocation, x, iterations, ok,
-                  tol, strict, trace) -> SolveResult:
+                  tol, trace) -> SolveResult:
     domain = LatticeDomain((0, system.m_max), (0, system.n_max))
     try:
         grid = HoloGrid(domain, system.vertices(x).ravel(), EdgeLabels.constant(domain))
@@ -560,10 +563,8 @@ def _finish_solve(system: _TriangleCollocation, x, iterations, ok,
         "boundary": _bullet_deviation(grid, system.tri),
         "containment": system.containment_max(x),
     }
-    converged = bool(ok) and metrics["cross_ratio"] <= max(tol, 1e-9)
-    result = SolveResult(grid, metrics, iterations, converged, params=x,
-                         trace=trace)
-    if strict and not converged:
+    result = SolveResult(grid, metrics, iterations, x, trace)
+    if not (ok and metrics["cross_ratio"] <= max(tol, 1e-9)):
         raise NoConvergence(f"residuals {metrics} after {iterations} iterations",
                             result)
     return result
@@ -638,20 +639,23 @@ def _reencode_between(system_old: _TriangleCollocation,
     return system_new.encode(bottom, left, arc, v[1:, 1:n_max])
 
 
-def solve_platonic(preset: str | PlatonicPreset, resolution: int,
-                   tol: float = 1e-10, max_iter: int = 500,
-                   strict: bool = False) -> SolveResult:
+def solve_platonic(preset: str, resolution: int,
+                   tol: float = 1e-10, max_iter: int = 500) -> SolveResult:
     """Solve the Platonic-symmetry boundary problem at the given resolution.
 
     resolution is the number of rows n_max (the grid is
     (2*resolution+2) x resolution); at least 2 so interior vertices exist.
     Continuation starts from the (pi/2, pi/2, pi/2) catenoid triangle and
-    deforms the corner angles to the preset in a few stages.
+    deforms the corner angles to the preset in a few stages.  A
+    NoConvergence carrying the result is raised when the tolerance is not
+    met.
     """
-    if isinstance(preset, str):
-        preset = platonic_preset(preset)
+    preset = platonic_preset(preset)
     if resolution < 2:
         raise InfeasibleSpec("resolution must give at least one interior vertex")
+    if (resolution + 1) * (2 * resolution + 3) > MAX_VERTICES:
+        raise InfeasibleSpec(f"resolution {resolution} gives more than "
+                             f"{MAX_VERTICES} vertices")
     n_max = resolution
     m_max = 2 * resolution + 2
 
@@ -677,5 +681,5 @@ def solve_platonic(preset: str | PlatonicPreset, resolution: int,
         iterations += it
         if iterations >= max_iter:
             break
-    return _finish_solve(system, x, iterations, ok, tol, strict, trace)
+    return _finish_solve(system, x, iterations, ok, tol, trace)
 

@@ -89,23 +89,26 @@ def verify_net_file(path: str, tol: float, as_isothermic: bool = False,
 # OBJ export
 # ---------------------------------------------------------------------------
 
-def _write_obj(path: str, vertices: list, faces: list) -> None:
-    """Vertex positions and 0-based faces, as lists, as OBJ (1-based indices)."""
-    text = ("".join(["v %.17g %.17g %.17g\n" % tuple(p) for p in vertices])
-            + "".join(["f " + " ".join([str(i + 1) for i in f]) + "\n" for f in faces]))
-    write_text(path, text)
+def _write_obj(path: str, vertex_lines: list[str], faces) -> None:
+    """OBJ of the vertices' "v x y z" lines and 0-based quads (1-based indices)."""
+    write_text(path, "".join(vertex_lines)
+               + "".join(["f %d %d %d %d\n" % (a + 1, b + 1, c + 1, d + 1)
+                          for a, b, c, d in faces]))
+
+
+def _vertex_lines(points: list) -> list[str]:
+    """The OBJ line of each [x, y, z] point, with 17 significant digits."""
+    return ["v %.17g %.17g %.17g\n" % tuple(p) for p in points]
 
 
 def export_net_obj(doc: dnet.NetDoc, path: str) -> None:
     """Quad OBJ of a read net file, with deterministic m-major vertex order."""
-    _write_obj(path, doc.points, doc.quads())
+    _write_obj(path, _vertex_lines(doc.points), doc.quads())
 
 
 def export_orbit_obj(orbit: reflection.SymmetryOrbit, path: str, rows: list[str]) -> None:
     """OBJ of an orbit, reusing the numbers of its vertices' JSON rows (net.json_rows)."""
-    write_text(path, "".join(["v %s\n" % r[1:-1].replace(",", "") for r in rows])
-               + "".join(["f %d %d %d %d\n" % (a + 1, b + 1, c + 1, d + 1)
-                          for a, b, c, d in orbit.faces]))
+    _write_obj(path, ["v %s\n" % r[1:-1].replace(",", "") for r in rows], orbit.faces)
 
 
 def orbit_to_json(orbit: reflection.SymmetryOrbit, rows: list[str]) -> str:
@@ -142,7 +145,7 @@ def export_obj(path_in: str, path_out: str) -> None:
             if not all(0 <= v < len(vertices) for v in face):
                 raise ParseError(f"bad orbit record: face {i} {face} indexes past the "
                                  f"{len(vertices)} vertices")
-        _write_obj(path_out, vertices, faces)
+        _write_obj(path_out, _vertex_lines(vertices), faces)
     else:
         export_net_obj(dnet.read_doc(doc), path_out)
 
@@ -216,10 +219,10 @@ def _family_pair(family: str, args) -> tuple[minimal.MinimalPair, dict]:
                     raise ParseError(f"seed file {args.seed_file}: params[{i}] = {value} "
                                      f"exceeds the magnitude bound {MAX_MAGNITUDE:g}")
         result = bvp.solve_knoid(spec, tol=args.solver_tol, max_iter=args.max_iter,
-                                 seed_params=seed, strict=True)
+                                 seed_params=seed)
     else:
         result = bvp.solve_platonic(args.preset, args.resolution, tol=args.solver_tol,
-                                    max_iter=args.max_iter, strict=True)
+                                    max_iter=args.max_iter)
     info["solver"] = _solver_info(result)
     return minimal.MinimalPair.from_grid(result.grid), info
 

@@ -37,10 +37,6 @@ class UnsupportedGamma(MinnetError):
     """Power-function exponent outside (0,2) ∪ (2,4)."""
 
 
-class AtInfinity(MinnetError):
-    """A propagated value landed at the point at infinity."""
-
-
 class ZeroDg(MinnetError):
     """Holomorphic data has a vanishing edge difference."""
 
@@ -74,9 +70,10 @@ class OrbitExplosion(MinnetError):
 
 
 class NoConvergence(MinnetError):
-    """Solver stopped before reaching the requested tolerance."""
+    """Solver stopped before reaching the requested tolerance; result is
+    the solve's result at its last iterate."""
 
-    def __init__(self, message, result=None):
+    def __init__(self, message, result):
         super().__init__(message)
         self.result = result
 

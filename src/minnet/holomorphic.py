@@ -22,12 +22,16 @@ import math
 
 import numpy as np
 
-from .errors import AtInfinity, DegenerateQuad, ParseError, UnsupportedGamma, ZeroDg
+from .errors import DegenerateQuad, ParseError, UnsupportedGamma, ZeroDg
 from .jsonio import json_int, load_json, write_text
 from .mobius import (CNum, INF, c_abs, c_div, c_join, c_mul, cross_ratio_complex, is_inf,
                      sphere_distinct)
 from .net import (GAP_EPS, CheckReport, EdgeLabels, LatticeDomain, Net3, Vertex, integrate_edges,
                   json_to_bundle, net_to_json, worst_report)
+
+# Largest extent of a power_function grid: about 1.6 GB for a side-1000
+# generate (README, "Command line").
+MAX_EXTENT = 1000
 
 
 class HoloGrid:
@@ -110,13 +114,11 @@ def validate_holomorphic(grid: HoloGrid, tol: float = 1e-9) -> CheckReport:
     return worst_report(res, dom.quads, tol)
 
 
-def propagate_fourth(g1: CNum, g2: CNum, g4: CNum, q: float,
-                     allow_infinity: bool = True) -> CNum:
+def propagate_fourth(g1: CNum, g2: CNum, g4: CNum, q: float) -> CNum:
     """Solve cr(g1, g2, g3, g4) = q for g3.
 
     For finite inputs g3 = (q*B*g2 + A*g4) / (A + q*B) with A = g1-g2,
-    B = g4-g1.  A vanishing denominator puts g3 at infinity: returned as
-    INF, or raised as AtInfinity when allow_infinity is false.
+    B = g4-g1.  A vanishing denominator puts g3 at infinity: INF.
     """
     if q == 0:
         raise DegenerateQuad("cross ratio target must be nonzero")
@@ -126,28 +128,19 @@ def propagate_fourth(g1: CNum, g2: CNum, g4: CNum, q: float,
 
     if is_inf(g1):
         # cr -> -(g2-g3)^-1 (g3-g4) = q
-        if q == 1.0:
-            result = INF
-        else:
-            result = (g4 - q * g2) / (1.0 - q)
-    elif is_inf(g2):
+        return INF if q == 1.0 else (g4 - q * g2) / (1.0 - q)
+    if is_inf(g2):
         # cr -> -(g3-g4)(g4-g1)^-1 = q
-        result = g4 - q * (g4 - g1)
-    elif is_inf(g4):
+        return g4 - q * (g4 - g1)
+    if is_inf(g4):
         # cr -> -(g1-g2)(g2-g3)^-1 = q
-        result = g2 + (g1 - g2) / q
-    else:
-        a = g1 - g2
-        b = g4 - g1
-        den = a + q * b
-        if abs(den) <= 1e-15 * max(abs(a), abs(q * b), 1e-300):
-            result = INF
-        else:
-            result = (q * b * g2 + a * g4) / den
-
-    if is_inf(result) and not allow_infinity:
-        raise AtInfinity("propagated vertex at infinity")
-    return result
+        return g2 + (g1 - g2) / q
+    a = g1 - g2
+    b = g4 - g1
+    den = a + q * b
+    if abs(den) <= 1e-15 * max(abs(a), abs(q * b), 1e-300):
+        return INF
+    return (q * b * g2 + a * g4) / den
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +234,8 @@ def power_function(gamma: float, m_extent: int, n_extent: int) -> HoloGrid:
     """
     if m_extent < 2 or n_extent < 2:
         raise ValueError("grid extents must be at least 2")
+    if m_extent > MAX_EXTENT or n_extent > MAX_EXTENT:
+        raise ValueError(f"grid extents must be at most {MAX_EXTENT}")
     if gamma <= 0.0 or gamma == 2.0 or gamma >= 4.0:
         raise UnsupportedGamma(f"gamma={gamma} outside (0,2) ∪ (2,4)")
     if gamma < 2.0:

@@ -47,13 +47,13 @@ def is_inf(v) -> bool:
     return isinstance(v, _Infinity)
 
 
-def sphere_distinct(a: CNum, b: CNum, eps: float = GAP_EPS) -> bool:
+def sphere_distinct(a: CNum, b: CNum) -> bool:
     """Whether two Riemann-sphere values are separated (chordal sense)."""
     if is_inf(a) and is_inf(b):
         return False
     if is_inf(a) or is_inf(b):
         return True
-    return abs(a - b) > eps
+    return abs(a - b) > GAP_EPS
 
 
 # numpy's complex *, / and abs differ from Python's in the last bit for many

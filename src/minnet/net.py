@@ -220,10 +220,6 @@ class LatticeDomain(Frozen):
             self._trees[root] = tree
         return self._trees[root]
 
-    def transpose(self) -> "LatticeDomain":
-        return LatticeDomain(self.n_range, self.m_range,
-                             frozenset((n, m) for m, n in self.mask))
-
 
 class EdgeLabels(Frozen):
     """Cross-ratio factorizing functions as two read-only arrays, indexed
@@ -255,9 +251,6 @@ class EdgeLabels(Frozen):
         m, n = domain.coords[domain.quad_index[:, 0]].T
         return self.alpha[m - domain.m0] / self.beta[n - domain.n0]
 
-    def transpose(self) -> "EdgeLabels":
-        return EdgeLabels(self.beta, self.alpha)
-
 
 class Net3:
     """Discrete net: (vertices, 3) positions in R^3 in `domain.vertices` order.
@@ -267,7 +260,7 @@ class Net3:
     """
 
     def __init__(self, domain: LatticeDomain, points: np.ndarray, check_edges: bool = True):
-        self.domain, self.check_edges = domain, check_edges
+        self.domain = domain
         self.points = points = np.asarray(points, dtype=float)
         verts = domain.vertices
         if points.shape != (len(verts), 3):
@@ -294,11 +287,6 @@ class Net3:
 
     def scale(self) -> float:
         return float(np.linalg.norm(self.points.max(axis=0) - self.points.min(axis=0)))
-
-    def transpose(self) -> "Net3":
-        dom = self.domain.transpose()
-        n, m = dom.coords.T
-        return Net3(dom, self.points[self.domain.indices(m, n)], self.check_edges)
 
 
 def integrate_edges(domain: LatticeDomain, increments: np.ndarray, what: str,

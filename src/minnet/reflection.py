@@ -150,18 +150,23 @@ def _check_boundary_line(domain: LatticeDomain, index: int, axis: str) -> None:
         raise NotReflectable(f"nothing to reflect: the domain is a single {axis}")
 
 
-def _extend_rows(domain: LatticeDomain, index: int) -> tuple[LatticeDomain, np.ndarray, ...]:
-    """The domain mirrored across its first or last row index, and for each
-    of its vertices the number of the same vertex in domain (-1 for the new
-    ones) and of the mirrored one."""
-    new_range = ((domain.n0, 2 * index - domain.n0) if index == domain.n1
-                 else (2 * index - domain.n1, domain.n1))
+def _mirror_domain(domain: LatticeDomain, index: int,
+                   axis: str) -> tuple[LatticeDomain, np.ndarray, np.ndarray]:
+    """The domain mirrored across its first or last row n = index or column
+    m = index, and for each of its vertices the number of the same vertex in
+    domain (-1 for the new ones) and of the mirrored one."""
+    k = 1 if axis == "row" else 0           # the mirrored coordinate: n or m
+    ranges = [domain.m_range, domain.n_range]
+    low, high = ranges[k]
+    ranges[k] = (low, 2 * index - low) if index == high else (2 * index - high, high)
     mask = set(domain.mask)
-    for (m, n) in domain.mask:
-        mask.add((m, 2 * index - n))
-    extended = LatticeDomain(domain.m_range, new_range, frozenset(mask))
-    m, n = extended.coords.T
-    return extended, domain.indices(m, n), domain.indices(m, 2 * index - n)
+    for v in domain.mask:
+        mask.add(v[:k] + (2 * index - v[k],) + v[k + 1:])
+    extended = LatticeDomain(*ranges, frozenset(mask))
+    coords = extended.coords.T
+    image = coords.copy()
+    image[k] = 2 * index - image[k]
+    return extended, domain.indices(*coords), domain.indices(*image)
 
 
 def _mirrored(pts: np.ndarray, old: np.ndarray, mirror: np.ndarray, iso: Isometry,
@@ -174,35 +179,33 @@ def _mirrored(pts: np.ndarray, old: np.ndarray, mirror: np.ndarray, iso: Isometr
                     images if direction else images + iso.translation)
 
 
-def _mirror_labels(labels: EdgeLabels, domain: LatticeDomain, index: int) -> EdgeLabels:
-    """The labels of domain mirrored across its first or last row index:
-    alpha kept, and beta(n) = beta(2 index - 1 - n) on the new rows."""
-    beta = labels.beta
-    return EdgeLabels(labels.alpha, np.concatenate(
-        [beta, beta[::-1]] if index == domain.n1 else [beta[::-1], beta]))
+def _mirror_labels(labels: EdgeLabels, domain: LatticeDomain, index: int,
+                   axis: str) -> EdgeLabels:
+    """The labels of domain mirrored across its first or last row n = index:
+    alpha kept, and beta(n) = beta(2 index - 1 - n) on the new rows; across a
+    column m = index, beta kept and alpha mirrored likewise."""
+    def mirror(values: np.ndarray, high: int) -> np.ndarray:
+        return np.concatenate([values, values[::-1]] if index == high
+                              else [values[::-1], values])
+
+    if axis == "row":
+        return EdgeLabels(labels.alpha, mirror(labels.beta, domain.n1))
+    return EdgeLabels(mirror(labels.alpha, domain.m1), labels.beta)
 
 
 def _extend(net: Net3, normals: Net3 | None, labels: EdgeLabels | None, index: int,
             axis: str, iso: Isometry) -> tuple[Net3, Net3 | None, EdgeLabels | None]:
     """The net, and its normals and labels when given, extended across the
-    boundary line at index: the new rows are the iso images of their mirror
-    rows, and the labels are mirrored.  A column is a row of the transpose."""
-    if axis == "col":
-        extended = _extend(net.transpose(), _transposed(normals), _transposed(labels), index,
-                           "row", iso)
-        return tuple(_transposed(x) for x in extended)
-    new_domain, old, mirror = _extend_rows(net.domain, index)
+    boundary row or column at index: the new vertices are the iso images of
+    their mirror vertices, and the labels are mirrored."""
+    new_domain, old, mirror = _mirror_domain(net.domain, index, axis)
     net_ext = Net3(new_domain, _mirrored(net.points, old, mirror, iso))
     if normals is not None:
         normals = Net3(new_domain, _mirrored(normals.points, old, mirror, iso, True),
                        check_edges=False)
     if labels is not None:
-        labels = _mirror_labels(labels, net.domain, index)
+        labels = _mirror_labels(labels, net.domain, index, axis)
     return net_ext, normals, labels
-
-
-def _transposed(x):
-    return x.transpose() if x is not None else None
 
 
 def reflect_isothermic(net: Net3, normals: Net3, index: int,

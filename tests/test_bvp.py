@@ -272,7 +272,7 @@ class TestEvaluationMemo:
             return lm(seen(fun), x0, seen(converged), *args, jac=seen(jac), **kwargs)
 
         monkeypatch.setattr(bvp, "levenberg_marquardt", recording_lm)
-        assert self.SOLVES[case]().converged
+        self.SOLVES[case]()                 # returns: a miss raises NoConvergence
         assert len(builds) == len(set(builds))
         assert {x for _, x in builds} == reached
 
@@ -323,7 +323,7 @@ KNOID_ITERATIONS = {(3, 3, 10): 8, (4, 3, 10): 8, (5, 3, 10): 9, (3, 8, 24): 9}
 
 @pytest.fixture(scope="module")
 def one_thread_solves():
-    """(iterations, converged, residuals) of each KNOID_ITERATIONS case, solved
+    """(iterations, residuals) of each KNOID_ITERATIONS case, solved
     in a fresh process with one OpenBLAS thread.  The final stage ends at the
     rounding floor, whose last bits follow the BLAS's summation order: with
     2 to 4 threads (3, 8, 24) takes 8 iterations, not 9."""
@@ -332,7 +332,7 @@ def one_thread_solves():
         "os.environ['OPENBLAS_NUM_THREADS'] = '1'\n"
         "from minnet.bvp import BoundarySpec, solve_knoid\n"
         f"results = [solve_knoid(BoundarySpec(*c)) for c in {list(KNOID_ITERATIONS)}]\n"
-        "print(json.dumps([[r.iterations, r.converged, r.residuals] for r in results]))")
+        "print(json.dumps([[r.iterations, r.residuals] for r in results]))")
     assert done.returncode == 0, done.stderr
     return dict(zip(KNOID_ITERATIONS, json.loads(done.stdout)))
 
@@ -341,8 +341,7 @@ class TestSolveKnoid:
     @pytest.mark.parametrize("k, n_max, m_max", list(KNOID_ITERATIONS),
                              ids=["3", "4", "5", "3-8-24"])
     def test_converges(self, k, n_max, m_max, one_thread_solves):
-        iterations, converged, residuals = one_thread_solves[k, n_max, m_max]
-        assert converged
+        iterations, residuals = one_thread_solves[k, n_max, m_max]
         assert iterations == KNOID_ITERATIONS[k, n_max, m_max]
         assert residuals["cross_ratio"] <= 1e-8
         assert residuals["boundary"] <= 1e-6
@@ -379,7 +378,7 @@ class TestSolveKnoid:
     def test_strict_raises_when_starved(self):
         spec = BoundarySpec(3, 3, 10)
         with pytest.raises(NoConvergence) as err:
-            solve_knoid(spec, tol=1e-14, max_iter=1, strict=True)
+            solve_knoid(spec, tol=1e-14, max_iter=1)
         assert err.value.result is not None
 
     def test_seed_length_check(self):
@@ -414,8 +413,8 @@ class TestStopRule:
 
     def test_cut_while_halving_counts_as_converged(self):
         # the sixth iterate meets tol and halved cr_max, so the rule would step on
-        result = solve_knoid(BoundarySpec(3, 3, 10), max_iter=6, strict=True)
-        assert result.iterations == 6 and result.converged
+        result = solve_knoid(BoundarySpec(3, 3, 10), max_iter=6)    # a miss raises
+        assert result.iterations == 6
         assert result.trace[-1]["cr_max"] <= 0.5 * result.trace[-2]["cr_max"]
 
     def test_solved_seed_takes_no_step(self, trinoid_result):
@@ -425,7 +424,7 @@ class TestStopRule:
 
     def test_settled_ends_at_a_rejected_first_trial(self):
         """A cost that no step can lower: settled ends the solve after one
-        trial; without it the damping climbs to lam_cap."""
+        trial; without it the damping climbs to LAM_CAP."""
         calls = []
 
         def fun(x):
@@ -460,8 +459,7 @@ class TestSolvePlatonic:
 
     @pytest.mark.parametrize("name", ["tetrahedral", "octahedral", "icosahedral"])
     def test_converges(self, name):
-        result = solve_platonic(name, 3)
-        assert result.converged
+        result = solve_platonic(name, 3)    # a miss raises NoConvergence
         assert result.residuals["cross_ratio"] <= 1e-8
         assert result.residuals["boundary"] <= 1e-9
         assert result.iterations <= 500

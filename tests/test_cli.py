@@ -122,6 +122,13 @@ BAD_INPUT = [
     (["knoid", "--k", "3"], json.dumps({"params": [0] * 61 + [float("-inf")]})),
     # finite seed parameters past the magnitude bound, which overflowed the solve
     (["knoid", "--k", "3"], json.dumps({"params": [1e300] * 62})),
+    # lattices past the size bounds, which numpy refused with a traceback; the
+    # knoid seed file is empty, so that the size is what fails
+    (["enneper", "--k", "3", "--size", "1000000000"], None),
+    (["planar-enneper", "--size", "1000000000"], None),
+    (["knoid", "--k", "3", "--nmax", "1000000000", "--mmax", "1000000000"],
+     '{"params": []}'),
+    (["platonic", "--preset", "tetrahedral", "--resolution", "1000000000"], None),
 ]
 
 # the net files among them, which every reader of a net file must reject alike
@@ -207,6 +214,10 @@ class TestGenerate:
         elif seed == ZERO_NORMAL:
             assert error["error"] == "InconsistentBundle" and "vertex (0, 0)" in error["message"]
             assert not (tmp_path / "x.json").exists()
+        elif "1000000000" in family:
+            expected = "BadParameter" if "enneper" in family[0] else "InfeasibleSpec"
+            assert error["error"] == expected, error
+            assert not list(tmp_path.glob("x*"))
         else:
             assert error["error"] in ("BadParameter", "ParseError")
 

@@ -59,7 +59,7 @@ DOMAINS = {
     "full": LatticeDomain((0, 4), (0, 3)),
     "hole": LatticeDomain((0, 4), (0, 4), frozenset({(2, 2)})),
     "notched": NOTCHED,
-    "transposed": NOTCHED.transpose(),
+    "transposed": LatticeDomain((0, 3), (0, 5), frozenset({(3, 5), (3, 4), (2, 5), (0, 0)})),
     "negative": LatticeDomain((-3, 2), (-2, 1), frozenset({(-3, -2), (0, 0), (2, 1)})),
     "one_row": LatticeDomain((-2, 3), (5, 5)),
 }

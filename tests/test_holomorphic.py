@@ -71,9 +71,6 @@ class TestPropagateFourth:
 
     def test_at_infinity(self):
         assert is_inf(propagate_fourth(0j, 1 + 0j, -1 + 0j, -1.0))
-        from minnet.errors import AtInfinity
-        with pytest.raises(AtInfinity):
-            propagate_fourth(0j, 1 + 0j, -1 + 0j, -1.0, allow_infinity=False)
 
     def test_round_trip_property(self):
         rng = np.random.default_rng(21)

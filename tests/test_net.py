@@ -30,12 +30,6 @@ class TestLatticeDomain:
         with pytest.raises(ValueError):
             LatticeDomain((0, 2), (0, 2), frozenset({(5, 5)}))
 
-    def test_transpose(self):
-        dom = LatticeDomain((0, 3), (0, 1), frozenset({(2, 0)}))
-        t = dom.transpose()
-        assert t.m_range == (0, 1) and t.n_range == (0, 3)
-        assert (0, 2) in t.mask
-
 
 class TestEdgeLabels:
     def test_quad_relation_is_structural(self):

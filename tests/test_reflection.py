@@ -9,7 +9,7 @@ from minnet.minimal import (MinimalPair, is_asymptotic, quad_curvatures,
                             weierstrass_asymptotic)
 from minnet.mobius import (Isometry, PlaneR3, fit_plane_through_origin,
                            stereographic_project)
-from minnet.net import LatticeDomain, Net3, is_isothermic
+from minnet.net import EdgeLabels, LatticeDomain, Net3, is_isothermic
 from minnet.reflection import (analyze_boundary_asymptotic,
                                analyze_boundary_isothermic, build_orbit,
                                close_group, corner_angles, reflect_isothermic,
@@ -255,6 +255,47 @@ class TestExtendAcrossLastRow:
         assert is_asymptotic(ft_ext, 1e-9).ok
         assert lab_ext.beta.tolist() == [*tetrahedral_pair.grid.labels.beta,
                                          *tetrahedral_pair.grid.labels.beta[::-1]]
+
+
+def transposed(net: Net3) -> Net3:
+    """The net on the transposed domain, (m, n) -> (n, m)."""
+    dom = net.domain
+    flipped = LatticeDomain(dom.n_range, dom.m_range, frozenset((n, m) for m, n in dom.mask))
+    n, m = flipped.coords.T
+    return Net3(flipped, net.points[dom.indices(m, n)], check_edges=False)
+
+
+@pytest.mark.parametrize("piece, kind, axis, line", [
+    ("enneper_pair", "iso", "row", "n0"), ("enneper_pair", "iso", "col", "m0"),
+    ("enneper_pair", "asym", "row", "n0"), ("enneper_pair", "asym", "col", "m0"),
+    ("planar_enneper_pair", "iso", "col", "m0"), ("planar_enneper_pair", "asym", "col", "m0"),
+    ("tetrahedral_pair", "iso", "row", "n1"), ("tetrahedral_pair", "asym", "row", "n1")])
+def test_extension_equals_extension_of_the_transpose(request, piece, kind, axis, line):
+    """Extending across a row (column) gives, bit for bit, the points, normals
+    and labels of extending the transposed net across the column (row) and
+    transposing back."""
+    pair = request.getfixturevalue(piece)
+    other = "col" if axis == "row" else "row"
+    labels = pair.grid.labels
+    flipped = EdgeLabels(labels.beta, labels.alpha)
+    if kind == "iso":
+        f, n = pair.isothermic, pair.gauss
+        index = getattr(f.domain, line)
+        direct = reflect_isothermic(f, n, index, axis, labels=labels)
+        f_t, n_t, lab_t = reflect_isothermic(transposed(f), transposed(n), index, other,
+                                             labels=flipped)
+        nets = [(direct[0], transposed(f_t)), (direct[1], transposed(n_t))]
+    else:
+        f = pair.asymptotic
+        index = getattr(f.domain, line)
+        direct = rotate_extend_asymptotic(f, index, axis, labels=labels)
+        f_t, lab_t = rotate_extend_asymptotic(transposed(f), index, other, labels=flipped)
+        nets = [(direct[0], transposed(f_t))]
+    for a, b in nets:
+        assert a.domain == b.domain
+        assert np.array_equal(a.points, b.points)
+    assert np.array_equal(direct[-1].alpha, lab_t.beta)
+    assert np.array_equal(direct[-1].beta, lab_t.alpha)
 
 
 class TestConjugateDuality:

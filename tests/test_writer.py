@@ -13,7 +13,7 @@ from minnet.minimal import MinimalPair
 from minnet.mobius import INF, Isometry, PlaneR3
 from minnet.net import (EdgeLabels, LatticeDomain, Net3, json_rows, load_json, read_net,
                         write_net)
-from minnet.reflection import _extend_rows, _mirror_labels, build_orbit
+from minnet.reflection import _mirror_domain, _mirror_labels, build_orbit
 
 from conftest import edge_label
 
@@ -99,28 +99,38 @@ def test_labels_equal_per_edge_lookup(masked_net):
         for m, n in dom.quads]
 
 
-@pytest.mark.parametrize("row", ["n0", "n1"])
+@pytest.mark.parametrize("row", ["n0", "n1", "m0", "m1"])
 def test_mirrored_labels_repeat_beta_across_the_row(masked_net, row):
+    """beta is mirrored across the row n0 or n1 and alpha kept; across the
+    column m0 or m1 alpha is mirrored and beta kept."""
     net, labels, _ = masked_net
     dom = net.domain
-    index = getattr(dom, row)
-    extended = _extend_rows(dom, index)[0]
-    mirrored = _mirror_labels(labels, dom, index)
+    index, axis = getattr(dom, row), "row" if row[0] == "n" else "col"
+    extended = _mirror_domain(dom, index, axis)[0]
+    mirrored = _mirror_labels(labels, dom, index, axis)
+    alpha = {m: edge_label(labels, dom, (m, 0), (m + 1, 0)) for m in range(dom.m0, dom.m1)}
     beta = {n: edge_label(labels, dom, (0, n), (0, n + 1)) for n in range(dom.n0, dom.n1)}
-    assert mirrored.alpha.tolist() == labels.alpha.tolist()
-    assert mirrored.beta.tolist() == [beta[n] if n in beta else beta[2 * index - 1 - n]
-                                      for n in range(extended.n0, extended.n1)]
+
+    def repeated(values: dict, low: int, high: int) -> list:
+        return [values[i] if i in values else values[2 * index - 1 - i] for i in range(low, high)]
+
+    if axis == "row":
+        assert mirrored.alpha.tolist() == labels.alpha.tolist()
+        assert mirrored.beta.tolist() == repeated(beta, extended.n0, extended.n1)
+    else:
+        assert mirrored.beta.tolist() == labels.beta.tolist()
+        assert mirrored.alpha.tolist() == repeated(alpha, extended.m0, extended.m1)
 
 
 def test_labels_of_another_domain_are_not_written(tmp_path, masked_net):
     net, labels, _ = masked_net
     with pytest.raises(ValueError, match="domain's ranges"):
-        write_net(tmp_path / "net.dnet.json", net, labels.transpose())
+        write_net(tmp_path / "net.dnet.json", net, EdgeLabels(labels.beta, labels.alpha))
 
 
 def test_label_arrays_are_read_only(masked_net):
     _, labels, _ = masked_net
-    for values in (labels.alpha, labels.beta, labels.transpose().alpha):
+    for values in (labels.alpha, labels.beta, EdgeLabels(labels.beta, labels.alpha).alpha):
         with pytest.raises(ValueError):
             values[0] = 0.0
 
