@@ -173,8 +173,10 @@ def _write_orbit(piece: net.Net3, normals: net.Net3, tol: float, max_word: int, 
     A boundary line counts as planar at max(tol, 1e-7) of its size.  Group
     elements merge at max(tol, 1e-6): distinct elements of a finite group
     differ by O(1), while products of reflections carry roundoff that can
-    exceed 1e-9.  Vertices weld at max(tol, 1e-9) of the piece's size:
-    welding at 1e-6 merges distinct vertices of large pieces.
+    exceed 1e-9.  A generator fixes a piece vertex, and the copies it
+    relates share that vertex, when it moves it at most max(tol, 1e-9) of
+    the piece's size: 1e-6 would count vertices near a mirror of a large
+    piece as on it.
     """
     generators = _boundary_reflections(piece, normals, max(tol, 1e-7))
     if not generators:

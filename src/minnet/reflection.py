@@ -22,7 +22,7 @@ from .errors import (DegenerateFit, InconsistentBundle, NotPlanarBoundary,
                      NotReflectable, OrbitExplosion)
 from .mobius import (Isometry, LineR3, PlaneR3, fit_line, fit_plane,
                      fit_plane_through_origin)
-from .net import EdgeLabels, LatticeDomain, Net3, Vertex
+from .net import EdgeLabels, LatticeDomain, Net3, Vertex, _norm
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +347,10 @@ def corner_angles(net: Net3, normals: Net3, corner: Vertex,
 class SymmetryOrbit:
     """Closed isometry group applied to a fundamental piece, welded.
 
-    weld_residual is the max weld distance relative to the mesh scale.
+    weld_residual is the max weld distance relative to the piece's size, and
+    weld_tol the radius, in that size, within which a generator fixes a vertex.
+    A weld spans a coset, each generator step at most weld_tol, so weld_residual
+    can exceed weld_tol at a vertex near two mirrors.
     """
 
     def __init__(self, elements: list[Isometry], vertices: np.ndarray,
@@ -360,24 +363,19 @@ class SymmetryOrbit:
         return float(np.linalg.norm(self.vertices.max(axis=0) - self.vertices.min(axis=0)))
 
     def closure_residual(self) -> float:
-        """Max Isometry.distance from any product of two elements to its nearest
-        element.  The products a∘b of a block of left factors a at a time, as
-        12-component vectors p, find their nearest element e in one matmul (the
-        largest p·e - |e|²/2); in a closed group each product is within roundoff
-        of one element and O(1) from the others, so that is the nearest in the
-        max norm too.  Blocks keep the (products, elements) table near 2**14."""
-        mats = np.stack([e.matrix for e in self.elements])
-        shifts = np.stack([e.translation for e in self.elements])
-        table = _components(mats, shifts)
-        half_norms, worst = 0.5 * np.einsum("ij,ij->j", table, table), 0.0
+        """Max Isometry.distance from any product a∘b of two elements to its
+        nearest element (_nearest), a block of left factors a at a time; in a
+        closed group each product is within roundoff of one element and O(1)
+        from the others, so that is the nearest in the max norm too.  Blocks
+        keep the (products, elements) table near 2**14."""
+        mats, shifts = _stacked(self.elements)
+        table, worst = _components(mats, shifts), 0.0
+        nearest = _nearest(table)
         step = max(1, (1 << 14) // len(mats) ** 2)
         for start in range(0, len(mats), step):
-            left = mats[start:start + step, None]                        # (a, 1, 3, 3)
-            prod_m = left @ mats                                          # (a, b, 3, 3)
-            prod_t = (left @ shifts[..., None])[..., 0] + shifts[start:start + step, None]
-            prods = _components(prod_m.reshape(-1, 3, 3), prod_t.reshape(-1, 3))
-            nearest = np.argmax(prods.T @ table - half_norms, axis=1)
-            worst = max(worst, float(np.abs(prods - table[:, nearest]).max()))
+            prods = _products(mats[start:start + step], shifts[start:start + step],
+                              mats, shifts)
+            worst = max(worst, float(np.abs(prods - table[:, nearest(prods)]).max()))
         return worst
 
     def invariance_residual(self, iso: Isometry) -> float:
@@ -392,6 +390,34 @@ class SymmetryOrbit:
 def _components(mats: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     """Isometries as a (12, k) array: 9 matrix entries, then 3 translation entries."""
     return np.concatenate([mats.reshape(-1, 9), shifts], axis=1).T
+
+
+def _stacked(isometries: list[Isometry]) -> tuple[np.ndarray, np.ndarray]:
+    """The (k, 3, 3) matrices and (k, 3) translations."""
+    return (np.reshape([e.matrix for e in isometries], (-1, 3, 3)),
+            np.reshape([e.translation for e in isometries], (-1, 3)))
+
+
+def _products(left_m, left_t, right_m, right_t) -> np.ndarray:
+    """_components of every a∘b, a-major, for stacked a and b (_stacked)."""
+    prod_m = left_m[:, None] @ right_m
+    prod_t = (left_m[:, None] @ right_t[..., None])[..., 0] + left_t[:, None]
+    return _components(prod_m.reshape(-1, 3, 3), prod_t.reshape(-1, 3))
+
+
+def _nearest(table: np.ndarray):
+    """The map from queries to the column of table nearest each of their columns,
+    both as _components: the largest q·e - |e|²/2, one matmul per block of queries.
+    Blocks keep the (queries, table) array near 2**14 entries."""
+    half_norms = 0.5 * np.einsum("ij,ij->j", table, table)
+    step = max(1, (1 << 14) // table.shape[1])
+
+    def nearest(queries: np.ndarray) -> np.ndarray:
+        found = np.empty(queries.shape[1], dtype=np.intp)
+        for i in range(0, len(found), step):
+            found[i:i + step] = np.argmax(queries[:, i:i + step].T @ table - half_norms, axis=1)
+        return found
+    return nearest
 
 
 def _distance_table(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -447,8 +473,7 @@ def close_group(generators: list[Isometry], max_word: int = 16,
     found before it exceeds dedup_tol.  Raises OrbitExplosion when new elements keep
     appearing past max_word or the count exceeds max_elements (likely infinite).
     """
-    gen_m = np.reshape([g.matrix for g in generators], (-1, 3, 3))
-    gen_t = np.reshape([g.translation for g in generators], (-1, 3))
+    gen_m, gen_t = _stacked(generators)
     elements, frontier = [Isometry.identity()], [Isometry.identity()]
     known = _components(np.eye(3)[None], np.zeros((1, 3)))
     for word in range(1, max_word + 1):
@@ -477,26 +502,42 @@ def close_group(generators: list[Isometry], max_word: int = 16,
 def build_orbit(piece: Net3, generators: list[Isometry], max_word: int = 16,
                 max_elements: int = 10000, dedup_tol: float = 1e-9,
                 weld_tol: float = 1e-9) -> SymmetryOrbit:
-    """Apply the closed group to the piece and weld coincident vertices.
+    """Apply the closed group to the piece and weld the copies.
 
     Copies are emitted in group-element discovery order; faces of copies
     with negative determinant are reversed to keep orientations usable.
-    Each moved point, in that order, welds to its nearest earlier
-    representative within weld_tol times the piece's size, or becomes one."""
+    Generator s fixes vertex v when |s(v) - v| <= weld_tol times the piece's
+    size, and copies g and g∘s share it: copy g's vertex v is that of the
+    first copy in g<F>, F the generators fixing v.  So a piece's own vertices
+    never weld, and copies of v welded across g<F> can lie more than weld_tol
+    apart (SymmetryOrbit)."""
     elements = close_group(generators, max_word, max_elements, dedup_tol)
     scale = max(piece.scale(), 1e-300)
-    moved = np.concatenate([e.apply_many(piece.points) for e in elements])
-    i, j, dist = _near_pairs(moved, moved, weld_tol * scale)
-    rep = _first_representatives(len(moved), i[j < i], j[j < i])
-    nearest = np.lexsort((j, dist, ~((j < i) & rep[j]), i))
-    nearest = nearest[np.unique(i[nearest], return_index=True)[1]]
-    nearest = nearest[~rep[i[nearest]]]
-    number = np.cumsum(rep) - 1
-    number[i[nearest]] = number[j[nearest]]
+    mats, shifts = _stacked(elements)
+    gen_m, gen_t = _stacked(generators)
+    times = _nearest(_components(mats, shifts))(_products(mats, shifts, gen_m, gen_t))
+    times = times.reshape(len(elements), len(generators)).T
+    images = (gen_m[:, None] @ piece.points[..., None])[..., 0] + gen_t[:, None]
+    fixes = np.linalg.norm(images - piece.points, axis=2) <= weld_tol * scale
+
+    def coset_firsts(fixed: tuple[bool, ...]) -> np.ndarray:
+        label, before = np.arange(len(elements)), None
+        while not np.array_equal(label, before):
+            before = label
+            for k in np.flatnonzero(fixed):
+                label = np.minimum(label, label[times[k]])
+        return label
+
+    keys = [tuple(col) for col in fixes.T.tolist()]
+    firsts = {key: coset_firsts(key) for key in set(keys)}
+    first = np.stack([firsts[key] for key in keys], axis=1)
+    moved = np.stack([e.apply_many(piece.points) for e in elements])
+    rep = first == np.arange(len(elements))[:, None]
+    vertex = np.arange(len(piece.points))
+    number = (np.cumsum(rep) - 1).reshape(rep.shape)[first, vertex]
     flip = np.array([e.det() < 0 for e in elements])
-    faces = number.reshape(len(elements), -1)[:, piece.domain.quad_index]
+    faces = number[:, piece.domain.quad_index]
     faces = np.where(flip[:, None, None], faces[..., [0, 3, 2, 1]], faces).reshape(-1, 4)
-    first = np.sort(np.unique(np.sort(faces, axis=1), axis=0, return_index=True)[1])
-    return SymmetryOrbit(elements, moved[rep],
-                         [tuple(f) for f in faces[first].tolist()],
-                         float(dist[nearest].max(initial=0.0)) / scale, weld_tol)
+    return SymmetryOrbit(elements, moved[rep], [tuple(f) for f in faces.tolist()],
+                         float(_norm(moved - moved[first, vertex]).max(initial=0.0)) / scale,
+                         weld_tol)

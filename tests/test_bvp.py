@@ -443,6 +443,27 @@ class TestStopRule:
         assert len(calls) > 10
 
 
+# LM iterations of solve_platonic(name, resolution), the same with one and two
+# OpenBLAS threads.  The continuation's LM steps follow every bit of the
+# collocation kernels, so an edit that moves one can move these counts.
+PLATONIC_ITERATIONS = {("tetrahedral", 2): 20, ("tetrahedral", 3): 23,
+                       ("octahedral", 2): 25, ("octahedral", 3): 28,
+                       ("icosahedral", 2): 29, ("icosahedral", 3): 30}
+
+
+@pytest.fixture(scope="module")
+def one_thread_platonic():
+    """The iterations of each PLATONIC_ITERATIONS case, solved in a fresh
+    process with one OpenBLAS thread."""
+    done = run_bounded(
+        "import json, os\n"
+        "os.environ['OPENBLAS_NUM_THREADS'] = '1'\n"
+        "from minnet.bvp import solve_platonic\n"
+        f"print(json.dumps([solve_platonic(*c).iterations for c in {list(PLATONIC_ITERATIONS)}]))")
+    assert done.returncode == 0, done.stderr
+    return dict(zip(PLATONIC_ITERATIONS, json.loads(done.stdout)))
+
+
 class TestSolvePlatonic:
     def test_presets(self):
         tet = platonic_preset("tetrahedral")
@@ -463,6 +484,10 @@ class TestSolvePlatonic:
         assert result.residuals["cross_ratio"] <= 1e-8
         assert result.residuals["boundary"] <= 1e-9
         assert result.iterations <= 500
+
+    @pytest.mark.parametrize("name, resolution", list(PLATONIC_ITERATIONS))
+    def test_iteration_count(self, name, resolution, one_thread_platonic):
+        assert one_thread_platonic[name, resolution] == PLATONIC_ITERATIONS[name, resolution]
 
     def test_resolution_too_small(self):
         with pytest.raises(InfeasibleSpec):

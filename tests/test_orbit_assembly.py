@@ -11,7 +11,7 @@ from minnet.errors import OrbitExplosion
 from minnet.minimal import MinimalPair
 from minnet.mobius import Isometry, PlaneR3
 from minnet.net import LatticeDomain, Net3
-from minnet.reflection import build_orbit, close_group
+from minnet.reflection import SymmetryOrbit, build_orbit, close_group
 
 from conftest import VertexGrid, orbit_files, scalar_build_orbit, scalar_close_group
 
@@ -83,36 +83,74 @@ def _piece(points):
                 check_edges=False)
 
 
-def _weld_both(piece, weld_tol):
-    orbit = build_orbit(piece, [], weld_tol=weld_tol)
-    _, vertices, faces, weld_residual = scalar_build_orbit(piece, [], weld_tol=weld_tol)
+# the mirror y = 0 through the first row n = 0 of _piece: vertices 0 and 2
+MIRROR = Isometry.plane_reflection(PlaneR3((0, 1, 0), 0.0))
+
+
+def test_copies_share_the_mirror_line():
+    piece = _piece([[0, 0, 0], [0, 1, 0.3], [1, 0, 0], [1, 1, 0]])
+    orbit = build_orbit(piece, [MIRROR])
+    # the mirror copy adds its vertices 1 and 3 as 4 and 5, and its face is reversed
+    assert orbit.vertices.tolist() == [[0, 0, 0], [0, 1, 0.3], [1, 0, 0], [1, 1, 0],
+                                       [0, -1, 0.3], [1, -1, 0]]
+    assert orbit.faces == [(0, 2, 3, 1), (0, 4, 5, 2)]
+    assert orbit.weld_residual == 0.0
+
+
+def test_vertex_near_the_mirror_counts_as_fixed():
+    # vertex 2 lies 0.4 r off the mirror, r = weld_tol times the piece's size,
+    # so its image is 0.8 r away: within r, and welded to it
+    weld_tol = 0.01
+    r = weld_tol * math.sqrt(2.09)         # the piece spans (0,0,0)-(1,1,0.3)
+    piece = _piece([[0, 0, 0], [0, 1, 0.3], [1, 0.4 * r, 0], [1, 1, 0]])
+    orbit = build_orbit(piece, [MIRROR], weld_tol=weld_tol)
+    assert len(orbit.vertices) == 6
+    assert orbit.faces == [(0, 2, 3, 1), (0, 4, 5, 2)]
+    assert orbit.weld_residual == pytest.approx(0.8 * weld_tol)
+
+
+def test_near_vertices_off_the_mirrors_stay_apart():
+    # vertices 1 and 3 lie 0.5 r apart, but no mirror fixes either
+    weld_tol = 0.01
+    r = weld_tol * math.sqrt(2.0)          # the piece spans (0,0,0)-(1,1,0)
+    piece = _piece([[0, 0, 0], [0.5, 1, 0], [1, 0, 0], [0.5 + 0.5 * r, 1, 0]])
+    for generators, count in (([], 4), ([MIRROR], 6)):
+        orbit = build_orbit(piece, generators, weld_tol=weld_tol)
+        assert len(orbit.vertices) == count
+        assert orbit.weld_residual == 0.0
+
+
+def test_dihedral_orbit_in_blocks_equals_scalar_oracle():
+    # two mirrors through the z axis at angle pi/64: 128 elements, so the
+    # 256 products g∘s take two blocks of the nearest-element lookup
+    angle = math.pi / 64
+    generators = [MIRROR, Isometry.plane_reflection(
+        PlaneR3((-math.sin(angle), math.cos(angle), 0), 0.0))]
+    # vertices 0 and 1 lie on the axis, 2 on the mirror y = 0, 3 inside the wedge
+    piece = _piece([[0, 0, 0], [0, 0, 1], [1, 0, 0],
+                    [math.cos(angle / 2), math.sin(angle / 2), 1]])
+    orbit = build_orbit(piece, generators, max_word=130, dedup_tol=1e-6)
+    _, vertices, faces, weld_residual = scalar_build_orbit(
+        piece, generators, max_word=130, dedup_tol=1e-6)
+    assert len(orbit.elements) == 128
+    assert len(orbit.vertices) == 2 + 64 + 128
     assert np.array_equal(orbit.vertices, vertices)
     assert orbit.faces == faces
     assert orbit.weld_residual == weld_residual
-    return orbit
 
 
-def test_weld_across_cell_boundary():
-    # b and c lie 0.6 r apart on either side of x = 2 r, a cell boundary
-    # for cells of side r and of side 2 r counted from the origin
-    weld_tol = 0.01
-    r = weld_tol * math.sqrt(3.0)          # the piece spans (0,0,0)-(1,1,1)
-    piece = _piece([[0, 0, 0], [1.7 * r, 0.5, 0.5], [2.3 * r, 0.5, 0.5], [1, 1, 1]])
-    orbit = _weld_both(piece, weld_tol)
-    assert len(orbit.vertices) == 3
-    assert orbit.weld_residual == pytest.approx(0.6 * weld_tol)
-
-
-def test_weld_chain_joins_representatives_only():
-    # b is within r of a and c within r of b, but c is 1.6 r from a: b
-    # welds to a, and c, with no representative within r, stays
-    weld_tol = 0.01
-    r = weld_tol * math.sqrt(0.99)         # the piece spans (0.3,0.5,0.5)-(1,1,1)
-    a = np.array([0.3, 0.5, 0.5])
-    piece = _piece([a, a + [0.8 * r, 0, 0], a + [1.6 * r, 0, 0], [1, 1, 1]])
-    orbit = _weld_both(piece, weld_tol)
-    assert len(orbit.vertices) == 3
-    assert orbit.weld_residual == pytest.approx(0.8 * weld_tol)
+def test_invariance_across_cell_boundary():
+    # the mirror x = 2 r sends a, at x = 1.7 r, to 2.3 r: 0.6 r from a across
+    # x = 2 r, a cell boundary for cells of side r and of side 2 r from the origin
+    r = 0.01
+    vertices = np.array([[0, 0, 0], [4 * r, 0, 0], [1.7 * r, 0.5, 0.5], [2 * r, 1, 1]])
+    scale = float(np.linalg.norm(vertices.max(axis=0) - vertices.min(axis=0)))
+    orbit = SymmetryOrbit([Isometry.identity()], vertices, [], 0.0, r / scale)
+    mirror = Isometry.plane_reflection(PlaneR3((1, 0, 0), 2 * r))
+    grid = VertexGrid(vertices, r)
+    want = max(float(np.linalg.norm(vertices[grid.nearest(p)] - p))
+               for p in mirror.apply_many(vertices))
+    assert orbit.invariance_residual(mirror) == want == pytest.approx(0.6 * r)
 
 
 def test_icosahedral_orbit_has_no_cracks(platonic_pairs):
