@@ -23,15 +23,16 @@ _API = {
     "battery": (),
     "bvp": ("BoundarySpec", "PlatonicPreset", "SolveResult", "platonic_preset",
             "solve_knoid", "solve_platonic"),
+    "commands": (),
     "dnet": (),
     "holomorphic": ("INF", "HoloGrid", "power_function", "propagate_fourth", "read_grid",
                     "validate_holomorphic", "write_grid"),
-    "minimal": ("MinimalPair", "QuadCurvature", "christoffel", "gauss_map", "is_asymptotic",
-                "mixed_area", "propagate_normals", "quad_curvatures", "tangent_normals",
+    "minimal": ("MinimalPair", "QuadCurvature", "gauss_map", "is_asymptotic", "mixed_area",
+                "propagate_normals", "quad_curvatures", "tangent_normals",
                 "weierstrass_asymptotic", "weierstrass_isothermic"),
     "mobius": ("CrossRatioValue", "Isometry", "LineR3", "PlaneR3", "Quaternion",
                "cross_ratio_complex", "cross_ratio_quat", "fit_line", "fit_plane",
-               "stereographic_lift", "stereographic_project"),
+               "stereographic_lift"),
     "net": ("EdgeLabels", "LatticeDomain", "Net3", "NetBundle", "are_parallel_meshes",
             "is_circular", "is_isothermic", "read_net", "write_net"),
     "reflection": ("BoundaryAnalysis", "SymmetryOrbit", "analyze_boundary_asymptotic",

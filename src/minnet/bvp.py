@@ -43,7 +43,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InfeasibleSpec, NoConvergence, ZeroDg
+from .errors import BadParameter, InfeasibleSpec, NoConvergence, ZeroDg
 from .holomorphic import HoloGrid, validate_holomorphic
 from .mobius import c_abs
 from .net import EdgeLabels, Frozen, LatticeDomain
@@ -538,6 +538,8 @@ def solve_knoid(spec: BoundarySpec, tol: float = 1e-10, max_iter: int = 500,
     over quads.  A NoConvergence carrying the result is raised when the
     tolerance is not met.
     """
+    if max_iter < 0:
+        raise BadParameter(f"max_iter must be at least 0, got {max_iter}")
     system = _TriangleCollocation(_knoid_triangle(spec), spec.m_max, spec.n_max)
     if seed_params is None:
         x0 = _collocation_seed(system, (2.0 * spec.k - 2.0) / spec.k)
@@ -651,6 +653,8 @@ def solve_platonic(preset: str, resolution: int,
     met.
     """
     preset = platonic_preset(preset)
+    if max_iter < 0:
+        raise BadParameter(f"max_iter must be at least 0, got {max_iter}")
     if resolution < 2:
         raise InfeasibleSpec("resolution must give at least one interior vertex")
     if (resolution + 1) * (2 * resolution + 3) > MAX_VERTICES:
@@ -676,7 +680,7 @@ def solve_platonic(preset: str, resolution: int,
         x = _reencode_between(system, system_new, x)
         system = system_new
         last = s == steps
-        x, it, ok = system.solve(x, tol if last else loose, max(1, max_iter - iterations),
+        x, it, ok = system.solve(x, tol if last else loose, max_iter - iterations,
                                  trace, to_floor=last)
         iterations += it
         if iterations >= max_iter:

@@ -1,4 +1,5 @@
-"""Command-line frontend: generation pipelines, verification and export.
+"""Command-line front end: argv parsing, dispatch, exit codes, verification
+of generated and read nets, and export.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error,
 3 numeric/input failure, 141 (128 + SIGPIPE) output pipe closed by its
@@ -7,10 +8,11 @@ own workers; minnet runs in one thread.  It does not govern the threads
 that numpy's BLAS library starts: OPENBLAS_NUM_THREADS or OMP_NUM_THREADS
 set those.
 
-numpy and the array layers load only when a command computes with arrays:
-importing this module, --help, usage errors and export never load them.
-export reads an orbit file through the numpy-free jsonio, and a net file
-through the numpy-free dnet, the reader behind every command's net files.
+The commands that compute with arrays live in the `commands` layer.  It
+and numpy load only when such a command runs: importing this module,
+--help, usage errors and export never load them.  export reads an orbit
+file through the numpy-free jsonio, and a net file through the numpy-free
+dnet, the reader behind every command's net files.
 """
 
 from __future__ import annotations
@@ -22,10 +24,9 @@ import math
 import os
 import sys
 
-from . import battery, bvp, dnet, holomorphic, minimal, mobius, net, reflection
-from .errors import BadParameter, MinnetError, NotReflectable, ParseError
-from .jsonio import (MAX_MAGNITUDE, _fmt_float, json_float, json_int, json_list, load_json,
-                     write_text)
+from . import battery, commands, dnet, holomorphic, minimal, net, reflection
+from .errors import BadParameter, MinnetError, ParseError
+from .jsonio import json_float, json_int, load_json, write_text
 
 
 def __getattr__(name: str):
@@ -111,16 +112,13 @@ def export_orbit_obj(orbit: reflection.SymmetryOrbit, path: str, rows: list[str]
     _write_obj(path, ["v %s\n" % r[1:-1].replace(",", "") for r in rows], orbit.faces)
 
 
-def orbit_to_json(orbit: reflection.SymmetryOrbit, rows: list[str]) -> str:
-    """The .orbit.json document of an orbit, with 17-significant-digit floats,
-    given the JSON rows of its vertices (net.json_rows)."""
-    elements = [f'{{"matrix": {json_list(net.json_rows(e.matrix))}, '
-                f'"translation": {json_list(map(_fmt_float, e.translation.tolist()))}}}'
-                for e in orbit.elements]
-    return (f'{{"kind": "orbit", "vertices": {json_list(rows)}, '
-            f'"faces": {json_list(["[%d, %d, %d, %d]" % f for f in orbit.faces])}, '
-            f'"elements": {json_list(elements)}, '
-            f'"weld_residual": {_fmt_float(orbit.weld_residual)}}}')
+def _check_output_dirs(*paths: str | None) -> None:
+    """BadParameter naming the first path whose directory does not exist,
+    so that a command fails before it computes rather than after."""
+    for path in filter(None, paths):
+        directory = os.path.dirname(path)
+        if directory and not os.path.isdir(directory):
+            raise BadParameter(f"cannot write {path}: {directory} is not a directory")
 
 
 def export_obj(path_in: str, path_out: str) -> None:
@@ -151,264 +149,81 @@ def export_obj(path_in: str, path_out: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Generation pipelines
-# ---------------------------------------------------------------------------
-
-def _boundary_reflections(net: net.Net3, normals: net.Net3, tol: float) -> list[mobius.Isometry]:
-    """Plane reflections of every reflectable boundary line of the piece."""
-    dom = net.domain
-    generators = []
-    for axis, index in (("row", dom.n0), ("col", dom.m0), ("row", dom.n1),
-                        ("col", dom.m1)):
-        analysis = reflection.analyze_boundary_isothermic(net, normals, index, axis, tol)
-        if analysis.kind == "planar_curvature_line":
-            generators.append(mobius.Isometry.plane_reflection(analysis.plane))
-    return generators
-
-
-def _write_orbit(piece: net.Net3, normals: net.Net3, tol: float, max_word: int, path: str,
-                 obj_path: str | None) -> reflection.SymmetryOrbit:
-    """Close the group of the piece's boundary reflections; write the orbit.
-
-    A boundary line counts as planar at max(tol, 1e-7) of its size.  Group
-    elements merge at max(tol, 1e-6): distinct elements of a finite group
-    differ by O(1), while products of reflections carry roundoff that can
-    exceed 1e-9.  A generator fixes a piece vertex, and the copies it
-    relates share that vertex, when it moves it at most max(tol, 1e-9) of
-    the piece's size: 1e-6 would count vertices near a mirror of a large
-    piece as on it.
-    """
-    generators = _boundary_reflections(piece, normals, max(tol, 1e-7))
-    if not generators:
-        raise NotReflectable("no reflectable boundary lines found")
-    orbit = reflection.build_orbit(piece, generators, max_word=max_word,
-                                   dedup_tol=max(tol, 1e-6), weld_tol=max(tol, 1e-9))
-    rows = net.json_rows(orbit.vertices)        # each coordinate formatted once
-    write_text(path, orbit_to_json(orbit, rows) + "\n")
-    if obj_path:
-        export_orbit_obj(orbit, obj_path, rows)
-    return orbit
-
-
-def _family_pair(family: str, args) -> tuple[minimal.MinimalPair, dict]:
-    info: dict = {"family": family}
-    if family in ("enneper", "planar_enneper"):
-        if family == "planar_enneper":
-            gamma = 3.0
-        elif args.k < 1:
-            raise BadParameter("enneper requires k >= 1")
-        else:
-            gamma = 2.0 * args.k / (args.k + 1.0)
-        try:
-            grid = holomorphic.power_function(gamma, args.size, args.size)
-        except ValueError as exc:
-            raise BadParameter(f"--size {args.size}: {exc}") from exc
-        info["gamma"] = gamma
-        return minimal.MinimalPair.from_grid(grid), info
-    if family == "knoid":
-        spec = bvp.BoundarySpec(args.k, args.nmax, args.mmax)
-        seed = None
-        if args.seed_file:
-            doc = load_json(args.seed_file)
-            try:
-                seed = [json_float(v) for v in doc["params"]]
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:
-                raise ParseError(f"seed file {args.seed_file}: {exc!r}") from exc
-            for i, value in enumerate(seed):
-                if not math.isfinite(value):
-                    raise ParseError(f"seed file {args.seed_file}: params[{i}] is {value}")
-                if abs(value) > MAX_MAGNITUDE:
-                    raise ParseError(f"seed file {args.seed_file}: params[{i}] = {value} "
-                                     f"exceeds the magnitude bound {MAX_MAGNITUDE:g}")
-        result = bvp.solve_knoid(spec, tol=args.solver_tol, max_iter=args.max_iter,
-                                 seed_params=seed)
-    else:
-        result = bvp.solve_platonic(args.preset, args.resolution, tol=args.solver_tol,
-                                    max_iter=args.max_iter)
-    info["solver"] = _solver_info(result)
-    return minimal.MinimalPair.from_grid(result.grid), info
-
-
-def _solver_info(result: bvp.SolveResult) -> dict:
-    """Report entry of a solve; the trace goes to the report only, never
-    into a .dnet.json file."""
-    return {"iterations": result.iterations,
-            "residuals": {k: float(v) for k, v in result.residuals.items()},
-            "trace": result.trace}
-
-
-def _write_pair(base: str, pair: minimal.MinimalPair) -> list[str]:
-    iso, asym, gauss, grid = paths = [f"{base}.{suffix}.dnet.json"
-                                      for suffix in ("iso", "asym", "gauss", "grid")]
-    net.write_net(iso, pair.isothermic, pair.grid.labels, pair.gauss)
-    net.write_net(asym, pair.asymptotic, pair.grid.labels)
-    net.write_net(gauss, pair.gauss)
-    holomorphic.write_grid(grid, pair.grid)
-    return paths
-
-
-def _check_output_dirs(*paths: str | None) -> None:
-    """BadParameter naming the first path whose directory does not exist,
-    so that a command fails before it computes rather than after."""
-    for path in filter(None, paths):
-        directory = os.path.dirname(path)
-        if directory and not os.path.isdir(directory):
-            raise BadParameter(f"cannot write {path}: {directory} is not a directory")
-
-
-def cmd_generate(args) -> int:
-    family = args.family.replace("-", "_")
-    base = args.out or family
-    _check_output_dirs(base, args.report)
-    pair, info = _family_pair(family, args)
-    files = _write_pair(base, pair)
-
-    report = verify_pair(pair, args.tol)
-    report["info"] = info
-    report["files"] = files
-
-    if args.orbit:
-        orbit_path, obj_path = f"{base}.orbit.json", f"{base}.orbit.obj"
-        orbit = _write_orbit(pair.isothermic, pair.gauss, args.tol, args.max_word,
-                             orbit_path, obj_path)
-        files.extend([orbit_path, obj_path])
-        report["orbit"] = {"elements": len(orbit.elements),
-                           "vertices": int(len(orbit.vertices)),
-                           "weld_residual": float(orbit.weld_residual),
-                           "closure_residual": float(orbit.closure_residual())}
-
-    _emit_report(report, args.report)
-    return EXIT_OK if report["ok"] else EXIT_VERIFY
-
-
-def cmd_conjugate(args) -> int:
-    _check_output_dirs(args.out)
-    grid = holomorphic.read_grid(args.grid)
-    net.write_net(args.out, minimal.weierstrass_asymptotic(grid), grid.labels)
-    return EXIT_OK
-
-
-def cmd_reflect(args) -> int:
-    _check_output_dirs(args.out)
-    bundle = net.read_net(args.net)
-    if bundle.labels is None:
-        raise ParseError("reflection requires edge labels in the net file")
-    axis, index = ("row", args.row) if args.row is not None else ("col", args.col)
-    if args.asymptotic:
-        net_ext, labels_ext = reflection.rotate_extend_asymptotic(bundle.net, index, axis,
-                                                                  args.tol, bundle.labels)
-        net.write_net(args.out, net_ext, labels_ext)
-    else:
-        if bundle.normals is None:
-            raise ParseError("isothermic reflection requires normals in the net file")
-        net_ext, normals_ext, labels_ext = reflection.reflect_isothermic(
-            bundle.net, bundle.normals, index, axis, args.tol, bundle.labels)
-        net.write_net(args.out, net_ext, labels_ext, normals_ext)
-    return EXIT_OK
-
-
-def cmd_orbit(args) -> int:
-    _check_output_dirs(args.out, args.obj)
-    bundle = net.read_net(args.net)
-    if bundle.normals is None:
-        raise ParseError("orbit construction requires normals in the net file")
-    _write_orbit(bundle.net, bundle.normals, args.tol, args.max_word, args.out, args.obj)
-    return EXIT_OK
-
-
-def cmd_verify(args) -> int:
-    _check_output_dirs(args.report)
-    report = verify_net_file(args.net, args.tol, as_isothermic=args.as_isothermic,
-                             conjugate=args.conjugate, grid_path=args.grid)
-    _emit_report(report, args.report)
-    return EXIT_OK if report["ok"] else EXIT_VERIFY
-
-
-def _emit_report(report: dict, path: str | None) -> None:
-    text = json.dumps(report, indent=2)
-    if path:
-        write_text(path, text + "\n")
-    else:
-        print(text)
-    failures = [name for name, chk in report.get("checks", {}).items()
-                if not chk.get("ok", True)]
-    if failures:
-        print("FAILED checks: " + ", ".join(failures), file=sys.stderr)
-    else:
-        print("all checks passed", file=sys.stderr)
-
-
-# ---------------------------------------------------------------------------
 # Argument parsing
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
+# Each command's help and options, and each generate family's options, in
+# the order --help lists them.  An option is (flags, argparse keywords);
+# "--a|--b" is a required choice of one of the two.  The families have no help.
+_K = {"type": int, "required": True}
+_TOL = {"type": float, "default": 1e-9}
+_FLAG = {"action": "store_true"}
+_REQUIRED = {"required": True}
+_MAX_WORD = {"type": int, "default": 16}
+_SIZE = {"type": int, "default": 8}
+_SOLVE = (("--solver-tol", {"type": float, "default": 1e-10}),
+          ("--max-iter", {"type": int, "default": 500}))
+_GENERATE = (("--tol", _TOL), ("--out", {}), ("--report", {}), ("--orbit", _FLAG),
+             ("--max-word", _MAX_WORD))
+_COMMANDS = {
+    "generate": ("build a fundamental piece (and orbit)", ()),
+    "conjugate": ("asymptotic net from a grid file", (("grid", {}), ("--out", _REQUIRED))),
+    "reflect": ("extend a net across a boundary line",
+                (("net", {}), ("--row|--col", {"type": int}),
+                 ("--asymptotic", {**_FLAG, "help": "use the 180-degree line rotation extension"}),
+                 ("--tol", _TOL), ("--out", _REQUIRED))),
+    "orbit": ("symmetry orbit of a net file",
+              (("net", {}), ("--out", _REQUIRED), ("--obj", {}), ("--tol", _TOL),
+               ("--max-word", _MAX_WORD))),
+    "verify": ("run all applicable invariant checks",
+               (("net", {}), ("--tol", _TOL), ("--as-isothermic", _FLAG), ("--conjugate", {}),
+                ("--grid", {}), ("--report", {}))),
+    "export": ("export a net or orbit file to OBJ", (("path_in", {}), ("path_out", {}))),
+}
+_FAMILIES = {
+    "enneper": (("--k", _K), ("--size", _SIZE), *_GENERATE),
+    "planar-enneper": (("--size", _SIZE), *_GENERATE),
+    "knoid": (("--k", _K), ("--nmax", {"type": int, "default": 3}),
+              ("--mmax", {"type": int, "default": 10}), *_SOLVE, ("--seed-file", {}),
+              *_GENERATE),
+    # literal, so that parsing does not load bvp; a test pins them to its presets
+    "platonic": (("--preset", {"choices": ("icosahedral", "octahedral", "tetrahedral"),
+                               **_REQUIRED}),
+                 ("--resolution", {"type": int, "default": 3}), *_SOLVE, *_GENERATE),
+}
+
+
+def _add_options(parser: argparse.ArgumentParser, options) -> None:
+    for flags, keywords in options:
+        if "|" in flags:
+            group = parser.add_mutually_exclusive_group(required=True)
+            for flag in flags.split("|"):
+                group.add_argument(flag, **keywords)
+        else:
+            parser.add_argument(flags, **keywords)
+
+
+def build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The minnet parser for argv: every command and generate family, and
+    the options of only the one that argv names, the only subparser that
+    argparse runs.  It is named by argv's first token that is not an
+    option, and for generate by the next one too: the top-level and
+    generate parsers have no option but -h, so no option value comes
+    before it."""
+    path = [token for token in argv if not token.startswith("-")][:2]
     parser = argparse.ArgumentParser(
         prog="minnet",
         description="Discrete minimal nets: generation, reflection, verification")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    gen = sub.add_parser("generate", help="build a fundamental piece (and orbit)")
-    gen_sub = gen.add_subparsers(dest="family", required=True)
-
-    p_enn = gen_sub.add_parser("enneper")
-    p_enn.add_argument("--k", type=int, required=True)
-    p_enn.add_argument("--size", type=int, default=8)
-    p_plan = gen_sub.add_parser("planar-enneper")
-    p_plan.add_argument("--size", type=int, default=8)
-    p_kno = gen_sub.add_parser("knoid")
-    p_kno.add_argument("--k", type=int, required=True)
-    p_kno.add_argument("--nmax", type=int, default=3)
-    p_kno.add_argument("--mmax", type=int, default=10)
-    p_kno.add_argument("--solver-tol", type=float, default=1e-10)
-    p_kno.add_argument("--max-iter", type=int, default=500)
-    p_kno.add_argument("--seed-file", type=str, default=None)
-    p_pla = gen_sub.add_parser("platonic")
-    # literal, so that parsing does not load bvp; a test pins them to its presets
-    p_pla.add_argument("--preset", choices=("icosahedral", "octahedral", "tetrahedral"),
-                       required=True)
-    p_pla.add_argument("--resolution", type=int, default=3)
-    p_pla.add_argument("--solver-tol", type=float, default=1e-10)
-    p_pla.add_argument("--max-iter", type=int, default=500)
-    for p in (p_enn, p_plan, p_kno, p_pla):
-        p.add_argument("--tol", type=float, default=1e-9)
-        p.add_argument("--out", type=str, default=None)
-        p.add_argument("--report", type=str, default=None)
-        p.add_argument("--orbit", action="store_true")
-        p.add_argument("--max-word", type=int, default=16)
-
-    con = sub.add_parser("conjugate", help="asymptotic net from a grid file")
-    con.add_argument("grid")
-    con.add_argument("--out", required=True)
-
-    ref = sub.add_parser("reflect", help="extend a net across a boundary line")
-    ref.add_argument("net")
-    line = ref.add_mutually_exclusive_group(required=True)
-    line.add_argument("--row", type=int)
-    line.add_argument("--col", type=int)
-    ref.add_argument("--asymptotic", action="store_true",
-                     help="use the 180-degree line rotation extension")
-    ref.add_argument("--tol", type=float, default=1e-9)
-    ref.add_argument("--out", required=True)
-
-    orb = sub.add_parser("orbit", help="symmetry orbit of a net file")
-    orb.add_argument("net")
-    orb.add_argument("--out", required=True)
-    orb.add_argument("--obj", default=None)
-    orb.add_argument("--tol", type=float, default=1e-9)
-    orb.add_argument("--max-word", type=int, default=16)
-
-    ver = sub.add_parser("verify", help="run all applicable invariant checks")
-    ver.add_argument("net")
-    ver.add_argument("--tol", type=float, default=1e-9)
-    ver.add_argument("--as-isothermic", action="store_true")
-    ver.add_argument("--conjugate", default=None)
-    ver.add_argument("--grid", default=None)
-    ver.add_argument("--report", default=None)
-
-    exp = sub.add_parser("export", help="export a net or orbit file to OBJ")
-    exp.add_argument("path_in")
-    exp.add_argument("path_out")
+    for command, (text, options) in _COMMANDS.items():
+        command_parser = sub.add_parser(command, help=text)
+        if path[:1] == [command]:
+            _add_options(command_parser, options)
+    families = sub.choices["generate"].add_subparsers(dest="family", required=True)
+    for family, options in _FAMILIES.items():
+        family_parser = families.add_parser(family)
+        if path == ["generate", family]:
+            _add_options(family_parser, options)
     return parser
 
 
@@ -420,11 +235,12 @@ def main(argv=None) -> int:
     numpy and minnet live until the process exits, so a collection during
     a command walks them and frees almost nothing.
     """
+    argv = sys.argv[1:] if argv is None else argv
     collecting = gc.isenabled()
     gc.disable()
     try:
         try:
-            args = build_parser().parse_args(argv)
+            args = build_parser(argv).parse_args(argv)
         except SystemExit as exc:
             return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
         # inf passes every check and NaN or a negative bound fails every one
@@ -434,20 +250,10 @@ def main(argv=None) -> int:
                 raise BadParameter(f"--{name.replace('_', '-')} must be finite and "
                                    f"non-negative, got {value}")
         _read_threads()
-        if args.command == "generate":
-            return cmd_generate(args)
-        if args.command == "conjugate":
-            return cmd_conjugate(args)
-        if args.command == "reflect":
-            return cmd_reflect(args)
-        if args.command == "orbit":
-            return cmd_orbit(args)
-        if args.command == "verify":
-            return cmd_verify(args)
         if args.command == "export":
             export_obj(args.path_in, args.path_out)
             return EXIT_OK
-        return EXIT_USAGE
+        return getattr(commands, f"cmd_{args.command}")(args)
     except MinnetError as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
@@ -490,4 +296,7 @@ def run() -> None:
 
 
 if __name__ == "__main__":
+    # python -m minnet.cli runs this file as __main__; registered as
+    # minnet.cli too, it is not compiled and run again when commands imports it
+    sys.modules["minnet.cli"] = sys.modules[__name__]
     run()

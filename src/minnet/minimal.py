@@ -1,4 +1,4 @@
-"""Weierstrass builders, Christoffel transform, Gauss maps and curvatures.
+"""Weierstrass builders, Gauss maps and curvatures.
 
 Both builders assign a closed system of edge increments from holomorphic
 data g and labels (alpha, beta):
@@ -25,11 +25,10 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .errors import InconsistentBundle, NotCoplanar, NotIsothermic, ZeroArea, ZeroDg
+from .errors import InconsistentBundle, NotCoplanar, ZeroArea, ZeroDg
 from .mobius import CNum, c_abs, c_div, c_mul, is_inf, stereographic_lift
-from .net import (CheckReport, EdgeLabels, Net3, PlaneFit, Vertex, _dot, _norm, _quad_scale,
-                  integrate_edges, is_isothermic, plane_fits, planarity_residual,
-                  planarity_residuals, point_scales, worst_report)
+from .net import (CheckReport, Net3, PlaneFit, Vertex, _dot, _norm, _quad_scale, integrate_edges,
+                  plane_fits, planarity_residual, planarity_residuals, point_scales, worst_report)
 
 if TYPE_CHECKING:
     from .holomorphic import HoloGrid
@@ -99,22 +98,6 @@ def gauss_map(grid: HoloGrid) -> Net3:
     for i in np.flatnonzero(grid.inf | (size > 1e150)):
         lift[i] = stereographic_lift(grid[grid.domain.vertices[i]])
     return Net3(grid.domain, lift, check_edges=False)
-
-
-def christoffel(net: Net3, labels: EdgeLabels, tol: float = 1e-9) -> Net3:
-    """Christoffel transform: integrate d(F*) = a * dF / |dF|^2.
-
-    Requires the input to be isothermic to tol with the given labels; loops
-    that do not close abort with integrate_edges' ClosureFailure.
-    """
-    report = is_isothermic(net, labels, tol)
-    if not report.ok:
-        raise NotIsothermic(
-            f"worst quad {report.worst} residual {report.max_residual:.3e}")
-    a, b = net.domain.edge_index.T
-    d = net.points[b] - net.points[a]
-    increments = labels.on_edges(net.domain)[:, None] * d / _dot(d, d)[:, None]
-    return Net3(net.domain, integrate_edges(net.domain, increments, "christoffel"))
 
 
 # ---------------------------------------------------------------------------

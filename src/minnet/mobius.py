@@ -232,15 +232,6 @@ def stereographic_lift(g: CNum) -> np.ndarray:
     return np.array([2.0 * g.real / d, 2.0 * g.imag / d, (n - 1.0) / d])
 
 
-def stereographic_project(v) -> CNum:
-    """Inverse of stereographic_lift; the north pole maps to INF."""
-    v = np.asarray(v, dtype=float)
-    d = 1.0 - v[2]
-    if abs(d) < 1e-15:
-        return INF
-    return complex(v[0] / d, v[1] / d)
-
-
 # ---------------------------------------------------------------------------
 # Planes, lines, isometries
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import argparse
 import math
 import os
 import subprocess
@@ -8,10 +9,11 @@ import pytest
 
 import minnet
 from minnet.bvp import BoundarySpec, solve_knoid
-from minnet.errors import DegenerateQuad
+from minnet.errors import DegenerateQuad, NotIsothermic
 from minnet.holomorphic import power_function
 from minnet.minimal import MinimalPair
-from minnet.net import PlaneFit
+from minnet.mobius import INF
+from minnet.net import Net3, PlaneFit, _dot, integrate_edges, is_isothermic
 
 # The constant of the written bound on plane fits through the scatter matrix
 # (README, "Plane fits"): residuals measured with net.plane_fits lie within
@@ -147,6 +149,31 @@ def best_similarity(source: np.ndarray, target: np.ndarray) -> tuple[float, np.n
     return s, t, res
 
 
+def christoffel(net, labels, tol: float = 1e-9):
+    """Christoffel transform: integrate d(F*) = a * dF / |dF|^2.
+
+    Requires the input to be isothermic to tol with the given labels; loops
+    that do not close abort with integrate_edges' ClosureFailure.
+    """
+    report = is_isothermic(net, labels, tol)
+    if not report.ok:
+        raise NotIsothermic(
+            f"worst quad {report.worst} residual {report.max_residual:.3e}")
+    a, b = net.domain.edge_index.T
+    d = net.points[b] - net.points[a]
+    increments = labels.on_edges(net.domain)[:, None] * d / _dot(d, d)[:, None]
+    return Net3(net.domain, integrate_edges(net.domain, increments, "christoffel"))
+
+
+def stereographic_project(v):
+    """Inverse of mobius.stereographic_lift; the north pole maps to INF."""
+    v = np.asarray(v, dtype=float)
+    d = 1.0 - v[2]
+    if abs(d) < 1e-15:
+        return INF
+    return complex(v[0] / d, v[1] / d)
+
+
 def random_similarity(rng):
     """Random rotation + translation + positive scale as (fn, scale)."""
     axis = rng.normal(size=3)
@@ -263,3 +290,76 @@ def scalar_build_orbit(piece, generators, max_word=16, max_elements=10000,
                 face_set.add(key)
                 faces.append(face)
     return elements, np.array(grid.points), faces, weld_residual / scale
+
+
+def full_parser() -> argparse.ArgumentParser:
+    """The minnet parser with every option of every command and family, each
+    added on its own: the oracle of cli.build_parser, which adds only the
+    options of the command that its argv names."""
+    parser = argparse.ArgumentParser(
+        prog="minnet",
+        description="Discrete minimal nets: generation, reflection, verification")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    gen = sub.add_parser("generate", help="build a fundamental piece (and orbit)")
+    gen_sub = gen.add_subparsers(dest="family", required=True)
+
+    p_enn = gen_sub.add_parser("enneper")
+    p_enn.add_argument("--k", type=int, required=True)
+    p_enn.add_argument("--size", type=int, default=8)
+    p_plan = gen_sub.add_parser("planar-enneper")
+    p_plan.add_argument("--size", type=int, default=8)
+    p_kno = gen_sub.add_parser("knoid")
+    p_kno.add_argument("--k", type=int, required=True)
+    p_kno.add_argument("--nmax", type=int, default=3)
+    p_kno.add_argument("--mmax", type=int, default=10)
+    p_kno.add_argument("--solver-tol", type=float, default=1e-10)
+    p_kno.add_argument("--max-iter", type=int, default=500)
+    p_kno.add_argument("--seed-file", type=str, default=None)
+    p_pla = gen_sub.add_parser("platonic")
+    # literal, so that parsing does not load bvp; a test pins them to its presets
+    p_pla.add_argument("--preset", choices=("icosahedral", "octahedral", "tetrahedral"),
+                       required=True)
+    p_pla.add_argument("--resolution", type=int, default=3)
+    p_pla.add_argument("--solver-tol", type=float, default=1e-10)
+    p_pla.add_argument("--max-iter", type=int, default=500)
+    for p in (p_enn, p_plan, p_kno, p_pla):
+        p.add_argument("--tol", type=float, default=1e-9)
+        p.add_argument("--out", type=str, default=None)
+        p.add_argument("--report", type=str, default=None)
+        p.add_argument("--orbit", action="store_true")
+        p.add_argument("--max-word", type=int, default=16)
+
+    con = sub.add_parser("conjugate", help="asymptotic net from a grid file")
+    con.add_argument("grid")
+    con.add_argument("--out", required=True)
+
+    ref = sub.add_parser("reflect", help="extend a net across a boundary line")
+    ref.add_argument("net")
+    line = ref.add_mutually_exclusive_group(required=True)
+    line.add_argument("--row", type=int)
+    line.add_argument("--col", type=int)
+    ref.add_argument("--asymptotic", action="store_true",
+                     help="use the 180-degree line rotation extension")
+    ref.add_argument("--tol", type=float, default=1e-9)
+    ref.add_argument("--out", required=True)
+
+    orb = sub.add_parser("orbit", help="symmetry orbit of a net file")
+    orb.add_argument("net")
+    orb.add_argument("--out", required=True)
+    orb.add_argument("--obj", default=None)
+    orb.add_argument("--tol", type=float, default=1e-9)
+    orb.add_argument("--max-word", type=int, default=16)
+
+    ver = sub.add_parser("verify", help="run all applicable invariant checks")
+    ver.add_argument("net")
+    ver.add_argument("--tol", type=float, default=1e-9)
+    ver.add_argument("--as-isothermic", action="store_true")
+    ver.add_argument("--conjugate", default=None)
+    ver.add_argument("--grid", default=None)
+    ver.add_argument("--report", default=None)
+
+    exp = sub.add_parser("export", help="export a net or orbit file to OBJ")
+    exp.add_argument("path_in")
+    exp.add_argument("path_out")
+    return parser

@@ -13,12 +13,12 @@ import numpy as np
 import pytest
 
 from minnet.holomorphic import HoloGrid, _axis_radii, power_function, propagate_fourth
-from minnet.minimal import (_wei_increment, christoffel, gauss_map, propagate_normals,
+from minnet.minimal import (_wei_increment, gauss_map, propagate_normals,
                             weierstrass_asymptotic, weierstrass_isothermic)
 from minnet.mobius import INF, is_inf, stereographic_lift
 from minnet.net import EdgeLabels, LatticeDomain
 
-from conftest import edge_label, neighbors
+from conftest import christoffel, edge_label, neighbors
 
 
 def sweep_interior(domain, values):

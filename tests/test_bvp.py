@@ -11,7 +11,7 @@ from minnet.bvp import (BoundarySpec, _collocation_seed, _cumexp,
                         _reencode_between, _spherical_triangle,
                         _TriangleCollocation, platonic_preset, solve_knoid,
                         solve_platonic)
-from minnet.errors import InfeasibleSpec, NoConvergence
+from minnet.errors import BadParameter, InfeasibleSpec, NoConvergence
 from minnet.holomorphic import validate_holomorphic
 
 from conftest import run_bounded
@@ -381,6 +381,10 @@ class TestSolveKnoid:
             solve_knoid(spec, tol=1e-14, max_iter=1)
         assert err.value.result is not None
 
+    def test_negative_cap_is_bad_parameter(self):
+        with pytest.raises(BadParameter, match="max_iter must be at least 0, got -1"):
+            solve_knoid(BoundarySpec(3, 2, 6), max_iter=-1)
+
     def test_seed_length_check(self):
         # 3 parameters, and the 2 m_max + n_max - 1 = 13 of a boundary-only vector
         for length in (3, 13):
@@ -492,6 +496,19 @@ class TestSolvePlatonic:
     def test_resolution_too_small(self):
         with pytest.raises(InfeasibleSpec):
             solve_platonic("tetrahedral", 1)
+
+    def test_negative_cap_is_bad_parameter(self):
+        with pytest.raises(BadParameter, match="max_iter must be at least 0, got -1"):
+            solve_platonic("tetrahedral", 2, max_iter=-1)
+
+    @pytest.mark.parametrize("max_iter", [0, 2])
+    def test_iterations_stay_within_the_cap(self, max_iter):
+        # caps that the catenoid start (4 iterations here) uses up: the first
+        # continuation step used to take one more iteration all the same
+        with pytest.raises(NoConvergence) as err:
+            solve_platonic("tetrahedral", 2, max_iter=max_iter)
+        result = err.value.result
+        assert result.iterations == len(result.trace) == max_iter
 
     def test_wedge_and_circle_membership(self):
         result = solve_platonic("tetrahedral", 2)

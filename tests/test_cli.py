@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -7,10 +8,12 @@ import numpy as np
 import pytest
 
 import minnet
-from minnet.cli import main, verify_pair
+from minnet.cli import build_parser, main, verify_pair
 from minnet.holomorphic import power_function, read_grid
 from minnet.minimal import MinimalPair, _vertex_stars
 from minnet.net import LatticeDomain, Net3, read_net, write_net
+
+from conftest import full_parser
 
 # a 2x2 net file whose positions have 2 coordinates
 NET_2D = json.dumps({"domain": {"m0": 0, "m1": 1, "n0": 0, "n1": 1},
@@ -129,6 +132,10 @@ BAD_INPUT = [
     (["knoid", "--k", "3", "--nmax", "1000000000", "--mmax", "1000000000"],
      '{"params": []}'),
     (["platonic", "--preset", "tetrahedral", "--resolution", "1000000000"], None),
+    # a negative iteration cap, which ended in an IndexError traceback; the
+    # knoid seed has the length of the default grid's, so that the cap is what fails
+    (["knoid", "--k", "3", "--max-iter", "-1"], json.dumps({"params": [0.5] * 62})),
+    (["platonic", "--preset", "tetrahedral", "--resolution", "2", "--max-iter", "-1"], None),
 ]
 
 # the net files among them, which every reader of a net file must reject alike
@@ -159,6 +166,14 @@ class TestGenerate:
         assert run(["generate", "platonic", "--preset", "icosahedral", "--resolution", "3",
                     "--orbit", "--out", base, "--report", str(report)]) == 0
         assert json.loads(report.read_text())["orbit"]["elements"] == 120
+
+    def test_orbit_that_does_not_close_leaves_no_file(self, tmp_path, capsys):
+        """The orbit is built before the first file is written, so a group
+        that does not close within --max-word ends in exit 3 and no file."""
+        assert run(["generate", "enneper", "--k", "3", "--size", "5", "--orbit",
+                    "--max-word", "2", "--out", str(tmp_path / "x")]) == 3
+        assert json.loads(capsys.readouterr().err)["error"] == "OrbitExplosion"
+        assert not list(tmp_path.iterdir())
 
     def test_usage_error(self, capsys):
         assert run(["generate"]) == 2
@@ -709,11 +724,11 @@ PUBLIC_API = {
     "errors": "MinnetError",
     "holomorphic": "INF HoloGrid power_function propagate_fourth read_grid validate_holomorphic "
                    "write_grid",
-    "minimal": "MinimalPair QuadCurvature christoffel gauss_map is_asymptotic mixed_area "
+    "minimal": "MinimalPair QuadCurvature gauss_map is_asymptotic mixed_area "
                "propagate_normals quad_curvatures tangent_normals "
                "weierstrass_asymptotic weierstrass_isothermic",
     "mobius": "CrossRatioValue Isometry LineR3 PlaneR3 Quaternion cross_ratio_complex "
-              "cross_ratio_quat fit_line fit_plane stereographic_lift stereographic_project",
+              "cross_ratio_quat fit_line fit_plane stereographic_lift",
     "net": "EdgeLabels LatticeDomain Net3 NetBundle are_parallel_meshes is_circular "
            "is_isothermic read_net write_net",
     "reflection": "BoundaryAnalysis SymmetryOrbit analyze_boundary_asymptotic "
@@ -757,12 +772,12 @@ class TestLazyLayers:
             done = run_python(f"COMMANDS = {commands!r}\n{LAYERS_RUN}", tmp_path)
             assert done.returncode == 0, done.stderr
             steps.append(json.loads((tmp_path / "steps.json").read_text()))
-        every = ["battery", "bvp", "cli", "dnet", "errors", "holomorphic", "jsonio", "minimal",
-                 "mobius", "net", "reflection"]
+        every = ["battery", "bvp", "cli", "commands", "dnet", "errors", "holomorphic", "jsonio",
+                 "minimal", "mobius", "net", "reflection"]
         front = ["cli", "errors", "jsonio"]
         reader = sorted(front + ["dnet"])
         net = sorted(reader + ["net"])
-        orbit = sorted(net + ["mobius", "reflection"])
+        orbit = sorted(net + ["commands", "mobius", "reflection"])
         reflect = sorted(orbit + ["minimal"])
         battery = sorted(reflect + ["battery", "holomorphic"])
         assert steps[0] == [
@@ -780,7 +795,8 @@ class TestLazyLayers:
             [0, front, False],                                     # --help
             [2, front, False],                                     # usage error
             [3, front, False],                     # export of a net to a missing directory
-            [0, sorted(net + ["holomorphic", "minimal", "mobius"]), True],  # conjugate
+            # conjugate
+            [0, sorted(net + ["commands", "holomorphic", "minimal", "mobius"]), True],
         ]
 
     def test_public_names_are_the_layers_objects(self):
@@ -804,6 +820,58 @@ class TestLazyLayers:
         assert run(["generate", "platonic", "--preset", "cubic"]) == 2
         listed = ", ".join(repr(name) for name in sorted(bvp.PLATONIC_PRESETS))
         assert f"(choose from {listed})" in capsys.readouterr().err
+
+
+COMMANDS = ("generate", "conjugate", "reflect", "orbit", "verify", "export")
+FAMILIES = ("enneper", "planar-enneper", "knoid", "platonic")
+
+
+def parser_options(parser) -> dict:
+    """{command or generate family: the dests of its options} of a parser."""
+    found = {}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, child in action.choices.items():
+                found[name] = [a.dest for a in child._actions
+                               if not isinstance(a, (argparse._HelpAction,
+                                                     argparse._SubParsersAction))]
+                found.update(parser_options(child))
+    return found
+
+
+class TestParser:
+    @pytest.mark.parametrize("argv", [["export", "a", "b"],
+                                      ["reflect", "n", "--row", "0", "--out", "o"],
+                                      ["generate", "knoid", "--k", "3"]], ids=" ".join)
+    def test_only_the_named_command_has_options(self, argv):
+        full = parser_options(full_parser())
+        assert parser_options(build_parser(argv)) == {
+            name: options if name in argv[:2] else [] for name, options in full.items()}
+
+    # --help of the top level, of each command and of each family; the usage
+    # error of each command and family without its required arguments
+    # (planar-enneper has none); and commands that parse
+    @pytest.mark.parametrize("argv", [
+        ["--help"], *([command, "--help"] for command in COMMANDS),
+        *(["generate", family, "--help"] for family in FAMILIES),
+        *([command] for command in COMMANDS), *(["generate", family] for family in FAMILIES),
+        ["reflect", "n", "--row", "0", "--col", "0", "--out", "o"],
+        ["generate", "platonic", "--preset", "octahedral", "--orbit", "--max-word", "11"],
+        ["generate", "knoid", "--k", "3", "--nmax", "5", "--mmax", "15", "--seed-file", "s"],
+        ["verify", "n", "--as-isothermic", "--grid", "g", "--conjugate", "c", "--report", "r"],
+        ["orbit", "n", "--out", "o", "--obj", "b", "--tol", "0"],
+        ["conjugate", "g", "--out", "o"], ["export", "a", "b"], ["export", "a", "b", "--tol", "1"],
+        ["bogus"], ["generate", "bogus"],
+    ], ids=" ".join)
+    def test_parses_as_the_full_parser(self, argv, capsys):
+        def parse(parser):
+            try:
+                parsed = (None, vars(parser.parse_args(argv)))
+            except SystemExit as exc:
+                parsed = (exc.code, None)
+            return parsed, capsys.readouterr()
+
+        assert parse(build_parser(argv)) == parse(full_parser())
 
 
 # The collector is off while main runs, and main leaves it as it found it.
@@ -852,6 +920,18 @@ def test_module_run_flushes_and_keeps_exit_codes(tmp_path):
             assert stdout == "", argv
         if code == 3:
             assert json.loads(done.stderr)["error"] == "ParseError"
+
+
+def test_module_run_runs_cli_once(tmp_path):
+    """python -m minnet.cli runs cli.py as __main__; the commands layer's
+    import of minnet.cli finds that module instead of running cli.py again."""
+    assert run(["generate", "enneper", "--k", "3", "--size", "5",
+                "--out", str(tmp_path / "e")]) == 0
+    done = subprocess.run([sys.executable, "-X", "importtime", "-m", "minnet.cli", "verify",
+                           "e.iso.dnet.json"], cwd=tmp_path, env=fresh_env(),
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert not [line for line in done.stderr.splitlines() if line.endswith("| minnet.cli")]
 
 
 def test_module_run_ends_quietly_on_a_closed_pipe(tmp_path):

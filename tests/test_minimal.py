@@ -3,13 +3,13 @@ import pytest
 
 from minnet.errors import ClosureFailure, NotCoplanar, NotIsothermic, ZeroArea
 from minnet.holomorphic import HoloGrid, power_function
-from minnet.minimal import (christoffel, gauss_map, is_asymptotic, mixed_area,
+from minnet.minimal import (gauss_map, is_asymptotic, mixed_area,
                             propagate_normals, quad_curvatures, tangent_normals,
                             weierstrass_asymptotic, weierstrass_isothermic)
 from minnet.net import (EdgeLabels, LatticeDomain, Net3, are_parallel_meshes,
                         circularity_residuals, is_isothermic, point_scales)
 
-from conftest import best_similarity, edge_label
+from conftest import best_similarity, christoffel, edge_label
 
 SQUARE = [np.array(p, float) for p in [(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)]]
 

@@ -7,10 +7,10 @@ from minnet.errors import DegenerateFit, DegenerateQuad
 from minnet.mobius import (INF, Isometry, LineR3, PlaneR3,
                            Quaternion, cross_ratio_complex, cross_ratio_quat,
                            fit_line, fit_plane, fit_plane_through_origin,
-                           stereographic_lift, stereographic_project)
+                           stereographic_lift)
 
 from conftest import (OVERFLOWING, random_circle_points, random_similarity, rotation_matrix,
-                      run_bounded, sphere_inversion)
+                      run_bounded, sphere_inversion, stereographic_project)
 
 
 def quat_close(a, b, tol=1e-12):

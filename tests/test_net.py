@@ -5,7 +5,7 @@ from minnet.errors import ClosureFailure, DomainMismatch, NotCircular, ParseErro
 from minnet.net import (EdgeLabels, LatticeDomain, Net3, are_parallel_meshes, integrate_edges,
                         is_circular, is_isothermic, read_net, write_net)
 
-from conftest import random_similarity
+from conftest import christoffel, random_similarity
 
 
 def flat_net(m=3, n=3, mask=()):
@@ -162,7 +162,6 @@ class TestParallelMeshes:
             are_parallel_meshes(flat_net(3, 3), flat_net(2, 2))
 
     def test_christoffel_dual_is_parallel(self, enneper_pair):
-        from minnet.minimal import christoffel
         dual = christoffel(enneper_pair.isothermic, enneper_pair.grid.labels)
         ok, worst = are_parallel_meshes(enneper_pair.isothermic, dual, 1e-9)
         assert ok, worst

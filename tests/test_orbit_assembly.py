@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from minnet.bvp import solve_platonic
-from minnet.cli import _boundary_reflections, _write_orbit
+from minnet.commands import _boundary_reflections, _orbit, _write_orbit
 from minnet.errors import OrbitExplosion
 from minnet.minimal import MinimalPair
 from minnet.mobius import Isometry, PlaneR3
@@ -175,7 +175,8 @@ def test_orbit_files_equal_row_by_row_formatting(name, platonic_pairs, tmp_path)
     their bytes are those of formatting each row and number on its own."""
     pair = platonic_pairs[name]
     path, obj_path = tmp_path / "o.orbit.json", tmp_path / "o.orbit.obj"
-    orbit = _write_orbit(pair.isothermic, pair.gauss, 1e-9, 16, str(path), str(obj_path))
+    orbit = _orbit(pair.isothermic, pair.gauss, 1e-9, 16)
+    _write_orbit(orbit, str(path), str(obj_path))
     doc, obj = orbit_files(orbit)
     assert path.read_text() == doc
     assert obj_path.read_text() == obj

@@ -7,15 +7,14 @@ from minnet.bvp import solve_platonic
 from minnet.errors import NotPlanarBoundary, NotReflectable, OrbitExplosion
 from minnet.minimal import (MinimalPair, is_asymptotic, quad_curvatures,
                             weierstrass_asymptotic)
-from minnet.mobius import (Isometry, PlaneR3, fit_plane_through_origin,
-                           stereographic_project)
+from minnet.mobius import Isometry, PlaneR3, fit_plane_through_origin
 from minnet.net import EdgeLabels, LatticeDomain, Net3, is_isothermic
 from minnet.reflection import (analyze_boundary_asymptotic,
                                analyze_boundary_isothermic, build_orbit,
                                close_group, corner_angles, reflect_isothermic,
                                rotate_extend_asymptotic)
 
-from conftest import run_bounded
+from conftest import run_bounded, stereographic_project
 
 
 def sphere_band(radius=2.0, rows=2, cols=6, dphi=0.25, dtheta=0.2):

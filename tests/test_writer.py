@@ -6,7 +6,8 @@ import json
 import numpy as np
 import pytest
 
-from minnet.cli import main, orbit_to_json
+from minnet.cli import main
+from minnet.commands import orbit_to_json
 from minnet.errors import ParseError
 from minnet.holomorphic import HoloGrid, power_function, write_grid
 from minnet.minimal import MinimalPair
