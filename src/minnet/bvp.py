@@ -553,8 +553,9 @@ def solve_knoid(spec: BoundarySpec, tol: float = 1e-10, max_iter: int = 500,
     return _finish_solve(system, x, iterations, ok, tol, trace)
 
 
-def _finish_solve(system: _TriangleCollocation, x, iterations, ok,
-                  tol, trace) -> SolveResult:
+def _solve_result(system: _TriangleCollocation, x, iterations, trace,
+                  tri: _Triangle) -> SolveResult:
+    """The grid of x and its residuals, the boundary measured against tri."""
     domain = LatticeDomain((0, system.m_max), (0, system.n_max))
     try:
         grid = HoloGrid(domain, system.vertices(x).ravel(), EdgeLabels.constant(domain))
@@ -562,12 +563,17 @@ def _finish_solve(system: _TriangleCollocation, x, iterations, ok,
         raise ZeroDg(f"solved grid has {exc}") from exc
     metrics = {
         "cross_ratio": validate_holomorphic(grid).max_residual,
-        "boundary": _bullet_deviation(grid, system.tri),
+        "boundary": _bullet_deviation(grid, tri),
         "containment": system.containment_max(x),
     }
-    result = SolveResult(grid, metrics, iterations, x, trace)
-    if not (ok and metrics["cross_ratio"] <= max(tol, 1e-9)):
-        raise NoConvergence(f"residuals {metrics} after {iterations} iterations",
+    return SolveResult(grid, metrics, iterations, x, trace)
+
+
+def _finish_solve(system: _TriangleCollocation, x, iterations, ok,
+                  tol, trace) -> SolveResult:
+    result = _solve_result(system, x, iterations, trace, system.tri)
+    if not (ok and result.residuals["cross_ratio"] <= max(tol, 1e-9)):
+        raise NoConvergence(f"residuals {result.residuals} after {iterations} iterations",
                             result)
     return result
 
@@ -683,7 +689,11 @@ def solve_platonic(preset: str, resolution: int,
         x, it, ok = system.solve(x, tol if last else loose, max_iter - iterations,
                                  trace, to_floor=last)
         iterations += it
-        if iterations >= max_iter:
-            break
+        if iterations >= max_iter and not last:
+            # the grid solves an intermediate triangle: measure it against the preset's
+            result = _solve_result(system, x, iterations, trace,
+                                   _spherical_triangle(*preset.angles))
+            raise NoConvergence(f"continuation stopped at step {s} of {steps}: residuals "
+                                f"{result.residuals} after {iterations} iterations", result)
     return _finish_solve(system, x, iterations, ok, tol, trace)
 

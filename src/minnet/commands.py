@@ -10,7 +10,7 @@ import json
 import math
 import sys
 
-from . import bvp, holomorphic, minimal, mobius, net, reflection
+from . import bvp, holomorphic, minimal, net, reflection
 from .cli import (EXIT_OK, EXIT_VERIFY, _check_output_dirs, export_orbit_obj, verify_net_file,
                   verify_pair)
 from .errors import BadParameter, NotReflectable, ParseError
@@ -29,16 +29,18 @@ def orbit_to_json(orbit: reflection.SymmetryOrbit, rows: list[str]) -> str:
             f'"weld_residual": {_fmt_float(orbit.weld_residual)}}}')
 
 
-def _boundary_reflections(net: net.Net3, normals: net.Net3, tol: float) -> list[mobius.Isometry]:
-    """Plane reflections of every reflectable boundary line of the piece."""
+def _boundary_reflections(net: net.Net3, normals: net.Net3,
+                          tol: float) -> list[reflection.BoundaryAnalysis]:
+    """The analyses of every planar boundary curvature line of the piece: the
+    mirrors of its orbit, each with its plane and its lattice line."""
     dom = net.domain
-    generators = []
+    mirrors = []
     for axis, index in (("row", dom.n0), ("col", dom.m0), ("row", dom.n1),
                         ("col", dom.m1)):
         analysis = reflection.analyze_boundary_isothermic(net, normals, index, axis, tol)
         if analysis.kind == "planar_curvature_line":
-            generators.append(mobius.Isometry.plane_reflection(analysis.plane))
-    return generators
+            mirrors.append(analysis)
+    return mirrors
 
 
 def _orbit(piece: net.Net3, normals: net.Net3, tol: float,
@@ -48,16 +50,13 @@ def _orbit(piece: net.Net3, normals: net.Net3, tol: float,
     A boundary line counts as planar at max(tol, 1e-7) of its size.  Group
     elements merge at max(tol, 1e-6): distinct elements of a finite group
     differ by O(1), while products of reflections carry roundoff that can
-    exceed 1e-9.  A generator fixes a piece vertex, and the copies it
-    relates share that vertex, when it moves it at most max(tol, 1e-9) of
-    the piece's size: 1e-6 would count vertices near a mirror of a large
-    piece as on it.
+    exceed 1e-9.
     """
-    generators = _boundary_reflections(piece, normals, max(tol, 1e-7))
-    if not generators:
+    mirrors = _boundary_reflections(piece, normals, max(tol, 1e-7))
+    if not mirrors:
         raise NotReflectable("no reflectable boundary lines found")
-    return reflection.build_orbit(piece, generators, max_word=max_word,
-                                  dedup_tol=max(tol, 1e-6), weld_tol=max(tol, 1e-9))
+    return reflection.build_orbit(piece, mirrors, max_word=max_word,
+                                  dedup_tol=max(tol, 1e-6))
 
 
 def _write_orbit(orbit: reflection.SymmetryOrbit, path: str, obj_path: str | None) -> None:

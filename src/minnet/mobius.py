@@ -289,10 +289,6 @@ class Isometry(Frozen):
         return Isometry(self.matrix @ other.matrix,
                         self.matrix @ other.translation + self.translation)
 
-    def inverse(self) -> "Isometry":
-        mt = self.matrix.T
-        return Isometry(mt, -(mt @ self.translation))
-
     def apply(self, p) -> np.ndarray:
         return self.matrix @ np.asarray(p, dtype=float) + self.translation
 

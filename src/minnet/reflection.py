@@ -6,8 +6,9 @@ image of the row lies in a great circle.  The conjugate asymptotic net is
 extendable across a boundary row exactly when that row is a straight
 line; there the extension is the 180-degree rotation about it.
 
-Orbits close the group generated by boundary isometries breadth-first and
-weld the transformed copies into a single quad mesh.
+Orbits close the group generated by boundary reflections breadth-first and
+weld the transformed copies into a single quad mesh along the boundary
+lines the mirrors fix.
 """
 
 from __future__ import annotations
@@ -347,17 +348,15 @@ def corner_angles(net: Net3, normals: Net3, corner: Vertex,
 class SymmetryOrbit:
     """Closed isometry group applied to a fundamental piece, welded.
 
-    weld_residual is the max weld distance relative to the piece's size, and
-    weld_tol the radius, in that size, within which a generator fixes a vertex.
-    A weld spans a coset, each generator step at most weld_tol, so weld_residual
-    can exceed weld_tol at a vertex near two mirrors.
+    weld_residual is the largest distance between two copies of one welded
+    vertex, relative to the piece's size: a crack check, roundoff when each
+    mirror fixes its boundary line.
     """
 
     def __init__(self, elements: list[Isometry], vertices: np.ndarray,
-                 faces: list[tuple[int, int, int, int]], weld_residual: float,
-                 weld_tol: float):
+                 faces: list[tuple[int, int, int, int]], weld_residual: float):
         self.elements, self.vertices, self.faces = elements, vertices, faces
-        self.weld_residual, self.weld_tol = weld_residual, weld_tol
+        self.weld_residual = weld_residual
 
     def scale(self) -> float:
         return float(np.linalg.norm(self.vertices.max(axis=0) - self.vertices.min(axis=0)))
@@ -377,14 +376,6 @@ class SymmetryOrbit:
                               mats, shifts)
             worst = max(worst, float(np.abs(prods - table[:, nearest(prods)]).max()))
         return worst
-
-    def invariance_residual(self, iso: Isometry) -> float:
-        """Max distance from transformed welded vertices to the vertex set."""
-        moved = iso.apply_many(self.vertices)
-        i, _, dist = _near_pairs(moved, self.vertices, max(self.weld_tol * self.scale(), 1e-12))
-        nearest = np.full(len(moved), np.inf)
-        np.minimum.at(nearest, i, dist)
-        return float(nearest.max(initial=0.0))
 
 
 def _components(mats: np.ndarray, shifts: np.ndarray) -> np.ndarray:
@@ -440,30 +431,6 @@ def _first_representatives(n: int, later: np.ndarray, earlier: np.ndarray) -> np
     return rep
 
 
-def _near_pairs(queries: np.ndarray, points: np.ndarray, radius: float):
-    """All (i, j, |points[j] - queries[i]|) within radius, as three arrays.  Cells of
-    side 2 * radius, or more where 21 bits per axis do not cover the spread, put such
-    pairs in the 27 neighbouring cells, found in the sorted cell keys.  Distances take
-    the BLAS dot product that np.linalg.norm takes of one vector, so their bits match."""
-    both = np.concatenate([queries, points])
-    low = both.min(axis=0)
-    cell = max(2.0 * radius, float((both.max(axis=0) - low).max()) / (1 << 20), 1e-300)
-    keys = [k[:, 0] << 42 | k[:, 1] << 21 | k[:, 2]
-            for k in (np.floor((p - low) / cell).astype(np.int64) + 1 for p in (queries, points))]
-    by_key, order = np.argsort(keys[0], kind="stable"), np.argsort(keys[1], kind="stable")
-    targets, sorted_keys = keys[0][by_key], keys[1][order]
-    pairs = []
-    for offset in (np.indices((3, 3, 3)).reshape(3, -1).T - 1) @ [1 << 42, 1 << 21, 1]:
-        start = np.searchsorted(sorted_keys, targets + offset)
-        n = np.searchsorted(sorted_keys, targets + offset, "right") - start
-        pairs.append((by_key[np.repeat(np.arange(len(n)), n)],
-                      order[np.arange(n.sum()) + np.repeat(start - np.cumsum(n) + n, n)]))
-    i, j = np.concatenate(pairs, axis=1)
-    diff = points[j] - queries[i]
-    dist = np.sqrt(np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0])
-    return i[dist <= radius], j[dist <= radius], dist[dist <= radius]
-
-
 def close_group(generators: list[Isometry], max_word: int = 16,
                 max_elements: int = 10000, dedup_tol: float = 1e-9) -> list[Isometry]:
     """Breadth-first closure of the generated group.
@@ -499,26 +466,28 @@ def close_group(generators: list[Isometry], max_word: int = 16,
     raise OrbitExplosion(f"group did not close within word length {max_word}")
 
 
-def build_orbit(piece: Net3, generators: list[Isometry], max_word: int = 16,
-                max_elements: int = 10000, dedup_tol: float = 1e-9,
-                weld_tol: float = 1e-9) -> SymmetryOrbit:
-    """Apply the closed group to the piece and weld the copies.
+def build_orbit(piece: Net3, mirrors: list[BoundaryAnalysis], max_word: int = 16,
+                max_elements: int = 10000, dedup_tol: float = 1e-9) -> SymmetryOrbit:
+    """Apply the group of the mirrors' plane reflections to the piece and weld
+    the copies.
 
+    mirrors are planar boundary analyses (analyze_boundary_isothermic), in
+    generator order.  By the reflection principle the reflection s in a
+    mirror's plane fixes the vertices of its lattice line, and copies g and
+    g∘s share them: copy g's vertex v is that of the first copy in g<F>, F
+    the generators whose lines hold v.  So a piece's own vertices never weld.
     Copies are emitted in group-element discovery order; faces of copies
-    with negative determinant are reversed to keep orientations usable.
-    Generator s fixes vertex v when |s(v) - v| <= weld_tol times the piece's
-    size, and copies g and g∘s share it: copy g's vertex v is that of the
-    first copy in g<F>, F the generators fixing v.  So a piece's own vertices
-    never weld, and copies of v welded across g<F> can lie more than weld_tol
-    apart (SymmetryOrbit)."""
+    with negative determinant are reversed to keep orientations usable."""
+    generators = [Isometry.plane_reflection(m.plane) for m in mirrors]
     elements = close_group(generators, max_word, max_elements, dedup_tol)
     scale = max(piece.scale(), 1e-300)
     mats, shifts = _stacked(elements)
     gen_m, gen_t = _stacked(generators)
     times = _nearest(_components(mats, shifts))(_products(mats, shifts, gen_m, gen_t))
     times = times.reshape(len(elements), len(generators)).T
-    images = (gen_m[:, None] @ piece.points[..., None])[..., 0] + gen_t[:, None]
-    fixes = np.linalg.norm(images - piece.points, axis=2) <= weld_tol * scale
+    fixes = np.zeros((len(mirrors), len(piece.points)), dtype=bool)
+    for k, m in enumerate(mirrors):
+        fixes[k, boundary_vertices(piece.domain, m.index, m.axis)] = True
 
     def coset_firsts(fixed: tuple[bool, ...]) -> np.ndarray:
         label, before = np.arange(len(elements)), None
@@ -539,5 +508,4 @@ def build_orbit(piece: Net3, generators: list[Isometry], max_word: int = 16,
     faces = number[:, piece.domain.quad_index]
     faces = np.where(flip[:, None, None], faces[..., [0, 3, 2, 1]], faces).reshape(-1, 4)
     return SymmetryOrbit(elements, moved[rep], [tuple(f) for f in faces.tolist()],
-                         float(_norm(moved - moved[first, vertex]).max(initial=0.0)) / scale,
-                         weld_tol)
+                         float(_norm(moved - moved[first, vertex]).max(initial=0.0)) / scale)

@@ -292,6 +292,97 @@ def scalar_build_orbit(piece, generators, max_word=16, max_elements=10000,
     return elements, np.array(grid.points), faces, weld_residual / scale
 
 
+def scalar_mirror_orbit(piece, mirrors, max_word=16, max_elements=10000, dedup_tol=1e-9):
+    """(elements, vertices, faces, weld_residual) of the orbit welded one pair at a
+    time: copies g and g∘s share the vertices on the lattice line of the mirror
+    whose reflection is s (g∘s the element nearest it), and a welded vertex is
+    its first copy's point."""
+    from minnet.mobius import Isometry
+    from minnet.reflection import boundary_vertices
+    generators = [Isometry.plane_reflection(m.plane) for m in mirrors]
+    elements = scalar_close_group(generators, max_word, max_elements, dedup_tol)
+    n = len(piece.points)
+    root = list(range(len(elements) * n))          # copy g's vertex v is item g n + v
+
+    def find(i):
+        while root[i] != i:
+            i = root[i]
+        return i
+
+    for g, element in enumerate(elements):
+        for gen, mirror in zip(generators, mirrors):
+            product = element.compose(gen)
+            h = min(range(len(elements)), key=lambda j: product.distance(elements[j]))
+            for v in boundary_vertices(piece.domain, mirror.index, mirror.axis).tolist():
+                a, b = find(g * n + v), find(h * n + v)
+                root[max(a, b)] = min(a, b)
+    points, number, faces, weld_residual = [], {}, [], 0.0
+    for g, element in enumerate(elements):
+        local = []
+        for v, p in enumerate(element.apply_many(piece.points)):
+            first = find(g * n + v)
+            if first == g * n + v:
+                number[first] = len(points)
+                points.append(p)
+            weld_residual = max(weld_residual,
+                                float(np.linalg.norm(points[number[first]] - p)))
+            local.append(number[first])
+        flip = element.det() < 0
+        for i, j, k, l in np.array(local)[piece.domain.quad_index].tolist():
+            faces.append((i, l, k, j) if flip else (i, j, k, l))
+    return elements, np.array(points), faces, weld_residual / max(piece.scale(), 1e-300)
+
+
+def invariance_residual(vertices, iso, radius):
+    """Max distance from the iso image of each vertex to its nearest vertex,
+    inf when one has none within radius; one point at a time."""
+    grid = VertexGrid(vertices, radius)
+    worst = 0.0
+    for p in iso.apply_many(vertices):
+        idx = grid.nearest(p)
+        worst = max(worst, math.inf if idx is None
+                    else float(np.linalg.norm(grid.points[idx] - p)))
+    return worst
+
+
+def orbit_topology(vertex_count, faces):
+    """(V - E + F, boundary loops, edges in more than two faces, vertices with
+    more than one face fan) of a quad mesh.  E counts distinct undirected
+    edges; a loop is a connected set of edges in one face; two faces at a
+    vertex are in one fan when a chain of faces through edges at that vertex
+    joins them."""
+    edge_faces = {}
+    for f, face in enumerate(faces):
+        for a, b in zip(face, face[1:] + face[:1]):
+            edge_faces.setdefault((min(a, b), max(a, b)), []).append(f)
+    root = {}
+
+    def find(x):
+        root.setdefault(x, x)
+        while root[x] != x:
+            x = root[x]
+        return x
+
+    def union(x, y):
+        x, y = find(x), find(y)
+        root[max(x, y)] = min(x, y)
+
+    for (a, b), around in edge_faces.items():
+        if len(around) == 1:
+            union(("loop", a), ("loop", b))
+        for f in around[1:]:
+            union(("fan", a, around[0]), ("fan", a, f))
+            union(("fan", b, around[0]), ("fan", b, f))
+    loops = {find(x) for x in list(root) if x[0] == "loop"}
+    fans = {}
+    for f, face in enumerate(faces):
+        for v in face:
+            fans.setdefault(v, set()).add(find(("fan", v, f)))
+    return (vertex_count - len(edge_faces) + len(faces), len(loops),
+            sorted(e for e, around in edge_faces.items() if len(around) > 2),
+            sorted(v for v, roots in fans.items() if len(roots) > 1))
+
+
 def full_parser() -> argparse.ArgumentParser:
     """The minnet parser with every option of every command and family, each
     added on its own: the oracle of cli.build_parser, which adds only the

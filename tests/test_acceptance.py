@@ -19,7 +19,7 @@ from minnet.reflection import (analyze_boundary_asymptotic,
                                close_group, corner_angles, reflect_isothermic,
                                rotate_extend_asymptotic)
 
-from conftest import edge_label, random_circle_points, rotation_matrix
+from conftest import edge_label, invariance_residual, random_circle_points, rotation_matrix
 
 
 def _report(name, ok, detail):
@@ -163,8 +163,9 @@ def test_criterion_6_global_closure(enneper_pair):
     col = analyze_boundary_isothermic(f, n, 0, "col")
     angle = math.acos(abs(float(row.plane.normal @ col.plane.normal)))
     r1, r2 = (Isometry.plane_reflection(a.plane) for a in (row, col))
-    orbit = build_orbit(f, [r1, r2], max_word=12)
-    inv = max(orbit.invariance_residual(r1), orbit.invariance_residual(r2))
+    orbit = build_orbit(f, [row, col], max_word=12)
+    radius = 1e-9 * orbit.scale()
+    inv = max(invariance_residual(orbit.vertices, r, radius) for r in (r1, r2))
     ok = (len(orbit.elements) == 8 and orbit.weld_residual <= 1e-9
           and inv <= 1e-9 * orbit.scale()
           and abs(angle - math.pi / 4) < 1e-9)
@@ -182,9 +183,7 @@ def test_criterion_7_knoid_and_platonic(knoid_results):
         f, n = pair.isothermic, pair.gauss
         row = analyze_boundary_isothermic(f, n, 0, "row", 1e-7)
         col = analyze_boundary_isothermic(f, n, 0, "col", 1e-7)
-        r1, r2 = (Isometry.plane_reflection(a.plane) for a in (row, col))
-        orbit = build_orbit(f, [r1, r2], max_word=12,
-                            dedup_tol=1e-6, weld_tol=1e-6)
+        orbit = build_orbit(f, [row, col], max_word=12, dedup_tol=1e-6)
         axis = np.cross(row.plane.normal, col.plane.normal)
         axis /= np.linalg.norm(axis)
         mats = np.vstack([row.plane.normal, col.plane.normal])
@@ -192,7 +191,7 @@ def test_criterion_7_knoid_and_platonic(knoid_results):
         point, *_ = np.linalg.lstsq(mats, offs, rcond=None)
         rot_mat = rotation_matrix(axis, 2.0 * math.pi / k)
         rotation = Isometry(rot_mat, point - rot_mat @ point)
-        invariance = orbit.invariance_residual(rotation)
+        invariance = invariance_residual(orbit.vertices, rotation, 1e-6 * orbit.scale())
         elapsed = time.perf_counter() - t0
         good = (result.iterations <= 500
                 and result.residuals["cross_ratio"] <= 1e-8
@@ -210,15 +209,15 @@ def test_criterion_7_knoid_and_platonic(knoid_results):
         pair = MinimalPair.from_grid(result.grid)
         f, n = pair.isothermic, pair.gauss
         dom = f.domain
-        planes = [analyze_boundary_isothermic(f, n, idx, axis, 1e-7).plane
-                  for axis, idx in (("row", dom.n0), ("col", dom.m0),
-                                    ("row", dom.n1))]
-        refl = [Isometry.plane_reflection(p) for p in planes]
+        mirrors = [analyze_boundary_isothermic(f, n, idx, axis, 1e-7)
+                   for axis, idx in (("row", dom.n0), ("col", dom.m0),
+                                     ("row", dom.n1))]
+        refl = [Isometry.plane_reflection(m.plane) for m in mirrors]
         rotations = close_group([refl[0].compose(refl[1]),
                                  refl[1].compose(refl[2])],
                                 max_word=20, dedup_tol=1e-6)
         order = platonic_preset(name).rotation_order
-        full = build_orbit(f, refl, max_word=20, dedup_tol=1e-6, weld_tol=1e-6)
+        full = build_orbit(f, mirrors, max_word=20, dedup_tol=1e-6)
         elapsed = time.perf_counter() - t0
         good = (len(rotations) == order
                 and len(full.elements) == 2 * order

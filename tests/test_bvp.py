@@ -510,6 +510,19 @@ class TestSolvePlatonic:
         result = err.value.result
         assert result.iterations == len(result.trace) == max_iter
 
+    @pytest.mark.parametrize("name, resolution, max_iter, step", [
+        ("tetrahedral", 2, 0, "1 of 4"), ("octahedral", 3, 10, "3 of 6")])
+    def test_cut_short_continuation_is_measured_against_the_preset(
+            self, name, resolution, max_iter, step):
+        # the grid solves an intermediate triangle, so it misses the preset's
+        # boundary by O(1); it used to be measured against its own triangle
+        with pytest.raises(NoConvergence, match=f"^continuation stopped at step {step}: "
+                           f"residuals .* after {max_iter} iterations$") as err:
+            solve_platonic(name, resolution, max_iter=max_iter)
+        result = err.value.result
+        preset = _spherical_triangle(*platonic_preset(name).angles)
+        assert result.residuals["boundary"] == bvp._bullet_deviation(result.grid, preset) > 0.3
+
     def test_wedge_and_circle_membership(self):
         result = solve_platonic("tetrahedral", 2)
         grid = result.grid

@@ -5,15 +5,17 @@ import math
 import numpy as np
 import pytest
 
-from minnet.bvp import solve_platonic
+from minnet.bvp import BoundarySpec, solve_knoid, solve_platonic
 from minnet.commands import _boundary_reflections, _orbit, _write_orbit
 from minnet.errors import OrbitExplosion
+from minnet.holomorphic import power_function
 from minnet.minimal import MinimalPair
 from minnet.mobius import Isometry, PlaneR3
 from minnet.net import LatticeDomain, Net3
-from minnet.reflection import SymmetryOrbit, build_orbit, close_group
+from minnet.reflection import BoundaryAnalysis, build_orbit, close_group
 
-from conftest import VertexGrid, orbit_files, scalar_build_orbit, scalar_close_group
+from conftest import (invariance_residual, orbit_files, orbit_topology, scalar_build_orbit,
+                      scalar_close_group, scalar_mirror_orbit)
 
 
 @pytest.fixture(scope="module")
@@ -23,10 +25,8 @@ def platonic_pairs():
 
 
 def _case(name, request):
-    """(piece, generators) as `generate --orbit` builds them."""
-    if name == "enneper":
-        pair = request.getfixturevalue("enneper_pair")
-    elif name == "knoid":
+    """(piece, mirrors) as `generate --orbit` builds them."""
+    if name == "knoid":
         pair = request.getfixturevalue("trinoid_pair")
     else:
         pair = request.getfixturevalue("platonic_pairs")[name]
@@ -34,12 +34,14 @@ def _case(name, request):
     return f, _boundary_reflections(f, n, 1e-7)
 
 
-@pytest.mark.parametrize("name, order", [("enneper", 8), ("knoid", 12),
-                                         ("tetrahedral", 24), ("octahedral", 48),
-                                         ("icosahedral", 120)])
+@pytest.mark.parametrize("name, order", [("knoid", 12), ("tetrahedral", 24),
+                                         ("octahedral", 48), ("icosahedral", 120)])
 def test_array_orbit_equals_scalar_oracle(name, order, request):
-    piece, generators = _case(name, request)
-    orbit = build_orbit(piece, generators, max_word=20, dedup_tol=1e-6)
+    """On these manifold orbits the weld along the mirrors' lines is the
+    distance weld of the oracle."""
+    piece, mirrors = _case(name, request)
+    generators = [Isometry.plane_reflection(m.plane) for m in mirrors]
+    orbit = build_orbit(piece, mirrors, max_word=20, dedup_tol=1e-6)
     elements, vertices, faces, weld_residual = scalar_build_orbit(
         piece, generators, max_word=20, dedup_tol=1e-6)
     assert len(orbit.elements) == len(elements) == order
@@ -49,15 +51,9 @@ def test_array_orbit_equals_scalar_oracle(name, order, request):
     assert np.array_equal(orbit.vertices, vertices)
     assert orbit.faces == faces
     assert orbit.weld_residual == weld_residual
-    # the invariance residual shares the weld's neighbour search
-    grid = VertexGrid(orbit.vertices, max(orbit.weld_tol * orbit.scale(), 1e-12))
+    radius = 1e-9 * orbit.scale()
     for gen in generators:
-        worst = 0.0
-        for p in gen.apply_many(orbit.vertices):
-            idx = grid.nearest(p)
-            worst = max(worst, float(np.linalg.norm(orbit.vertices[idx] - p))
-                        if idx is not None else math.inf)
-        assert orbit.invariance_residual(gen) == worst
+        assert invariance_residual(orbit.vertices, gen, radius) <= radius
 
 
 def test_irrational_angle_explodes_like_oracle():
@@ -84,7 +80,7 @@ def _piece(points):
 
 
 # the mirror y = 0 through the first row n = 0 of _piece: vertices 0 and 2
-MIRROR = Isometry.plane_reflection(PlaneR3((0, 1, 0), 0.0))
+MIRROR = BoundaryAnalysis("row", 0, "planar_curvature_line", plane=PlaneR3((0, 1, 0), 0.0))
 
 
 def test_copies_share_the_mirror_line():
@@ -98,24 +94,21 @@ def test_copies_share_the_mirror_line():
 
 
 def test_vertex_near_the_mirror_counts_as_fixed():
-    # vertex 2 lies 0.4 r off the mirror, r = weld_tol times the piece's size,
-    # so its image is 0.8 r away: within r, and welded to it
-    weld_tol = 0.01
-    r = weld_tol * math.sqrt(2.09)         # the piece spans (0,0,0)-(1,1,0.3)
-    piece = _piece([[0, 0, 0], [0, 1, 0.3], [1, 0.4 * r, 0], [1, 1, 0]])
-    orbit = build_orbit(piece, [MIRROR], weld_tol=weld_tol)
+    # vertex 2 is on the mirror's row n = 0 but d off its plane: it welds all the
+    # same, and its image 2 d away is the crack weld_residual reports
+    d = 0.01
+    piece = _piece([[0, 0, 0], [0, 1, 0.3], [1, d, 0], [1, 1, 0]])
+    orbit = build_orbit(piece, [MIRROR])
     assert len(orbit.vertices) == 6
     assert orbit.faces == [(0, 2, 3, 1), (0, 4, 5, 2)]
-    assert orbit.weld_residual == pytest.approx(0.8 * weld_tol)
+    assert orbit.weld_residual == pytest.approx(2 * d / piece.scale())
 
 
 def test_near_vertices_off_the_mirrors_stay_apart():
-    # vertices 1 and 3 lie 0.5 r apart, but no mirror fixes either
-    weld_tol = 0.01
-    r = weld_tol * math.sqrt(2.0)          # the piece spans (0,0,0)-(1,1,0)
-    piece = _piece([[0, 0, 0], [0.5, 1, 0], [1, 0, 0], [0.5 + 0.5 * r, 1, 0]])
-    for generators, count in (([], 4), ([MIRROR], 6)):
-        orbit = build_orbit(piece, generators, weld_tol=weld_tol)
+    # vertices 1 and 3 lie 0.005 apart, but no mirror fixes either
+    piece = _piece([[0, 0, 0], [0.5, 1, 0], [1, 0, 0], [0.505, 1, 0]])
+    for mirrors, count in (([], 4), ([MIRROR], 6)):
+        orbit = build_orbit(piece, mirrors)
         assert len(orbit.vertices) == count
         assert orbit.weld_residual == 0.0
 
@@ -124,40 +117,26 @@ def test_dihedral_orbit_in_blocks_equals_scalar_oracle():
     # two mirrors through the z axis at angle pi/64: 128 elements, so the
     # 256 products g∘s take two blocks of the nearest-element lookup
     angle = math.pi / 64
-    generators = [MIRROR, Isometry.plane_reflection(
-        PlaneR3((-math.sin(angle), math.cos(angle), 0), 0.0))]
-    # vertices 0 and 1 lie on the axis, 2 on the mirror y = 0, 3 inside the wedge
+    mirrors = [MIRROR, BoundaryAnalysis("col", 0, "planar_curvature_line", plane=PlaneR3(
+        (-math.sin(angle), math.cos(angle), 0), 0.0))]
+    # vertices 0 and 1 lie on the axis, 2 on the mirror y = 0, 3 inside the wedge;
+    # vertex 0 is on both mirrors' lines, 1 on column 0's only, 2 on row 0's only
     piece = _piece([[0, 0, 0], [0, 0, 1], [1, 0, 0],
                     [math.cos(angle / 2), math.sin(angle / 2), 1]])
-    orbit = build_orbit(piece, generators, max_word=130, dedup_tol=1e-6)
-    _, vertices, faces, weld_residual = scalar_build_orbit(
-        piece, generators, max_word=130, dedup_tol=1e-6)
+    orbit = build_orbit(piece, mirrors, max_word=130, dedup_tol=1e-6)
+    _, vertices, faces, weld_residual = scalar_mirror_orbit(
+        piece, mirrors, max_word=130, dedup_tol=1e-6)
     assert len(orbit.elements) == 128
-    assert len(orbit.vertices) == 2 + 64 + 128
+    assert len(orbit.vertices) == 1 + 64 + 64 + 128
     assert np.array_equal(orbit.vertices, vertices)
     assert orbit.faces == faces
     assert orbit.weld_residual == weld_residual
 
 
-def test_invariance_across_cell_boundary():
-    # the mirror x = 2 r sends a, at x = 1.7 r, to 2.3 r: 0.6 r from a across
-    # x = 2 r, a cell boundary for cells of side r and of side 2 r from the origin
-    r = 0.01
-    vertices = np.array([[0, 0, 0], [4 * r, 0, 0], [1.7 * r, 0.5, 0.5], [2 * r, 1, 1]])
-    scale = float(np.linalg.norm(vertices.max(axis=0) - vertices.min(axis=0)))
-    orbit = SymmetryOrbit([Isometry.identity()], vertices, [], 0.0, r / scale)
-    mirror = Isometry.plane_reflection(PlaneR3((1, 0, 0), 2 * r))
-    grid = VertexGrid(vertices, r)
-    want = max(float(np.linalg.norm(vertices[grid.nearest(p)] - p))
-               for p in mirror.apply_many(vertices))
-    assert orbit.invariance_residual(mirror) == want == pytest.approx(0.6 * r)
-
-
 def test_icosahedral_orbit_has_no_cracks(platonic_pairs):
     """Every pair of distinct orbit vertices at resolution 3 is more than
-    1e-6 times the piece's size apart.  A piece solved only to cr_max 1e-10
-    left three pairs 1.02e-9 to 1.21e-9 apart, just outside the 1e-9 weld
-    radius; solved to the rounding floor, the copies meet."""
+    1e-6 times the piece's size apart: the copies that meet on a mirror's
+    line share its vertices, and no two other vertices coincide."""
     pair = platonic_pairs["icosahedral"]
     piece = pair.isothermic
     orbit = build_orbit(piece, _boundary_reflections(piece, pair.gauss, 1e-7),
@@ -180,3 +159,32 @@ def test_orbit_files_equal_row_by_row_formatting(name, platonic_pairs, tmp_path)
     doc, obj = orbit_files(orbit)
     assert path.read_text() == doc
     assert obj_path.read_text() == obj
+
+
+@pytest.fixture(scope="module")
+def topology_pairs(enneper_pair, planar_enneper_pair, trinoid_pair, platonic_pairs):
+    pairs = {("enneper", k): MinimalPair.from_grid(power_function(2 * k / (k + 1), 8, 8))
+             for k in (1, 2, 4)}
+    pairs["enneper", 3] = enneper_pair
+    pairs["planar_enneper", None] = planar_enneper_pair
+    pairs["knoid", 3] = trinoid_pair
+    pairs["knoid", 4] = MinimalPair.from_grid(solve_knoid(BoundarySpec(4, 3, 10)).grid)
+    for name in platonic_pairs:
+        pairs[name, None] = platonic_pairs[name]
+    return pairs
+
+
+@pytest.mark.parametrize("name, k, euler, loops", [
+    ("enneper", 1, 1, 1), ("enneper", 2, 1, 1), ("enneper", 3, 1, 1), ("enneper", 4, 1, 1),
+    ("planar_enneper", None, 0, 2), ("knoid", 3, -1, 3), ("knoid", 4, -2, 4),
+    ("tetrahedral", None, -2, 4), ("octahedral", None, -4, 6),
+    ("icosahedral", None, -10, 12)])
+def test_orbit_topology(name, k, euler, loops, topology_pairs):
+    """The orbit that `generate --orbit` builds is a manifold surface of the
+    expected Euler characteristic and boundary: Enneper a disk, planar
+    Enneper an annulus, the K-noid a sphere with K holes and each Platonic
+    surface one hole per face of its solid.  The distance weld glued the
+    Enneper sheets where they cross on the symmetry axis."""
+    pair = topology_pairs[name, k]
+    orbit = _orbit(pair.isothermic, pair.gauss, 1e-9, 16)
+    assert orbit_topology(len(orbit.vertices), orbit.faces) == (euler, loops, [], [])

@@ -9,12 +9,12 @@ from minnet.minimal import (MinimalPair, is_asymptotic, quad_curvatures,
                             weierstrass_asymptotic)
 from minnet.mobius import Isometry, PlaneR3, fit_plane_through_origin
 from minnet.net import EdgeLabels, LatticeDomain, Net3, is_isothermic
-from minnet.reflection import (analyze_boundary_asymptotic,
+from minnet.reflection import (BoundaryAnalysis, analyze_boundary_asymptotic,
                                analyze_boundary_isothermic, build_orbit,
                                close_group, corner_angles, reflect_isothermic,
                                rotate_extend_asymptotic)
 
-from conftest import run_bounded, stereographic_project
+from conftest import invariance_residual, run_bounded, stereographic_project
 
 
 def sphere_band(radius=2.0, rows=2, cols=6, dphi=0.25, dtheta=0.2):
@@ -338,11 +338,8 @@ class TestCornerAngles:
 class TestOrbit:
     def test_enneper_dihedral_eight(self, enneper_pair):
         f, n = enneper_pair.isothermic, enneper_pair.gauss
-        r1 = Isometry.plane_reflection(
-            analyze_boundary_isothermic(f, n, 0, "row").plane)
-        r2 = Isometry.plane_reflection(
-            analyze_boundary_isothermic(f, n, 0, "col").plane)
-        orbit = build_orbit(f, [r1, r2], max_word=12)
+        mirrors = [analyze_boundary_isothermic(f, n, 0, axis) for axis in ("row", "col")]
+        orbit = build_orbit(f, mirrors, max_word=12)
         assert len(orbit.elements) == 8
         assert orbit.weld_residual <= 1e-9
         assert orbit.closure_residual() <= 1e-9
@@ -352,10 +349,9 @@ class TestOrbit:
         pair = MinimalPair.from_grid(solve_platonic("octahedral", 2).grid)
         f, n = pair.isothermic, pair.gauss
         dom = f.domain
-        refl = [Isometry.plane_reflection(
-                    analyze_boundary_isothermic(f, n, idx, axis, 1e-7).plane)
-                for axis, idx in (("row", dom.n0), ("col", dom.m0), ("row", dom.n1))]
-        orbit = build_orbit(f, refl, max_word=20, dedup_tol=1e-6)
+        mirrors = [analyze_boundary_isothermic(f, n, idx, axis, 1e-7)
+                   for axis, idx in (("row", dom.n0), ("col", dom.m0), ("row", dom.n1))]
+        orbit = build_orbit(f, mirrors, max_word=20, dedup_tol=1e-6)
         assert len(orbit.elements) == 48
         worst = 0.0
         for a in orbit.elements:
@@ -367,22 +363,20 @@ class TestOrbit:
 
     def test_generators_permute_welded_mesh(self, enneper_pair):
         f, n = enneper_pair.isothermic, enneper_pair.gauss
-        r1 = Isometry.plane_reflection(
-            analyze_boundary_isothermic(f, n, 0, "row").plane)
-        r2 = Isometry.plane_reflection(
-            analyze_boundary_isothermic(f, n, 0, "col").plane)
-        orbit = build_orbit(f, [r1, r2], max_word=12)
-        scale = orbit.scale()
-        assert orbit.invariance_residual(r1) <= 1e-9 * scale
-        assert orbit.invariance_residual(r2) <= 1e-9 * scale
+        mirrors = [analyze_boundary_isothermic(f, n, 0, axis) for axis in ("row", "col")]
+        orbit = build_orbit(f, mirrors, max_word=12)
+        radius = 1e-9 * orbit.scale()
+        for mirror in mirrors:
+            reflection = Isometry.plane_reflection(mirror.plane)
+            assert invariance_residual(orbit.vertices, reflection, radius) <= radius
 
     def test_irrational_angle_explodes(self, enneper_pair):
         p1 = PlaneR3((0, 1, 0), 0.0)
         p2 = PlaneR3((math.sin(1.0), math.cos(1.0), 0.0), 0.0)
         with pytest.raises(OrbitExplosion):
             build_orbit(enneper_pair.isothermic,
-                        [Isometry.plane_reflection(p1),
-                         Isometry.plane_reflection(p2)],
+                        [BoundaryAnalysis("row", 0, "planar_curvature_line", plane=p1),
+                         BoundaryAnalysis("col", 0, "planar_curvature_line", plane=p2)],
                         max_word=64, max_elements=64)
 
     def test_close_group_identity_only(self):

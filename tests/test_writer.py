@@ -11,10 +11,11 @@ from minnet.commands import orbit_to_json
 from minnet.errors import ParseError
 from minnet.holomorphic import HoloGrid, power_function, write_grid
 from minnet.minimal import MinimalPair
-from minnet.mobius import INF, Isometry, PlaneR3
+from minnet.mobius import INF
 from minnet.net import (EdgeLabels, LatticeDomain, Net3, json_rows, load_json, read_net,
                         write_net)
-from minnet.reflection import _mirror_domain, _mirror_labels, build_orbit
+from minnet.reflection import (_mirror_domain, _mirror_labels, analyze_boundary_isothermic,
+                               build_orbit)
 
 from conftest import edge_label
 
@@ -214,8 +215,8 @@ def test_grid_file_with_infinity_equals_recursive_writer(tmp_path):
 
 def test_orbit_document_equals_recursive_writer():
     pair = MinimalPair.from_grid(power_function(1.5, 5, 5))
-    mirrors = [Isometry.plane_reflection(PlaneR3(np.array(normal), 0.0))
-               for normal in ((0.0, 1.0, 0.0), (np.sin(np.pi / 4), -np.cos(np.pi / 4), 0.0))]
+    mirrors = [analyze_boundary_isothermic(pair.isothermic, pair.gauss, 0, axis)
+               for axis in ("row", "col")]
     orbit = build_orbit(pair.isothermic, mirrors)
     assert len(orbit.elements) > 1
     assert orbit_to_json(orbit, json_rows(orbit.vertices)) == dump(orbit_doc(orbit))
