@@ -44,8 +44,7 @@ class _Nets:
 
     @cached_property
     def asym_stars(self) -> minimal.StarPlanes:
-        """The star planes that asymptotic_stars, conjugate_normals and the
-        boundary checks share."""
+        """The star planes that asymptotic_stars and conjugate_normals share."""
         return minimal.StarPlanes(self.asym)
 
     @cached_property
@@ -109,8 +108,7 @@ class _Nets:
                             ("col", dom.m0), ("col", dom.m1)):
             iso = reflection.analyze_boundary_isothermic(self.iso, self.normals, index, axis,
                                                          self.tol)
-            asym = reflection.analyze_boundary_asymptotic(self.asym, index, axis, self.tol,
-                                                          self.asym_stars.normals)
+            asym = reflection.analyze_boundary_asymptotic(self.asym, index, axis, self.tol)
             checks[f"boundary_{axis}_{index}"] = {
                 "ok": ((iso.kind == "planar_curvature_line")
                        == (asym.kind == "straight_asymptotic_line")),

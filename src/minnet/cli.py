@@ -112,19 +112,36 @@ def export_orbit_obj(orbit: reflection.SymmetryOrbit, path: str, rows: list[str]
     _write_obj(path, ["v %s\n" % r[1:-1].replace(",", "") for r in rows], orbit.faces)
 
 
-def _check_output_dirs(*paths: str | None) -> None:
-    """BadParameter naming the first path whose directory does not exist,
-    so that a command fails before it computes rather than after."""
-    for path in filter(None, paths):
+def _file_key(path: str):
+    """(device, inode) of an existing file, so that hard links match too, or
+    the os.path.realpath of a path that does not exist yet."""
+    try:
+        stat = os.stat(path)
+    except OSError:
+        return os.path.realpath(path)
+    return stat.st_dev, stat.st_ino
+
+
+def _check_paths(*outputs: str | None, inputs: tuple) -> None:
+    """BadParameter naming the first output path whose directory does not
+    exist, or that is the same file as an input or an earlier output, so
+    that a command fails before it reads or computes rather than after, and
+    never writes over a file it reads or writes."""
+    named = {_file_key(path): f"the input {path}" for path in filter(None, inputs)}
+    for path in filter(None, outputs):
         directory = os.path.dirname(path)
         if directory and not os.path.isdir(directory):
             raise BadParameter(f"cannot write {path}: {directory} is not a directory")
+        key = _file_key(path)
+        if key in named:
+            raise BadParameter(f"cannot write {path}: it is the same file as {named[key]}")
+        named[key] = f"the output {path}"
 
 
 def export_obj(path_in: str, path_out: str) -> None:
     """OBJ export of a net file or an orbit JSON file, read, checked and
     written as lists, without numpy."""
-    _check_output_dirs(path_out)
+    _check_paths(path_out, inputs=(path_in,))
     doc = load_json(path_in)
     if isinstance(doc, dict) and doc.get("kind") == "orbit":
         try:

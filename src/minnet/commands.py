@@ -11,7 +11,7 @@ import math
 import sys
 
 from . import bvp, holomorphic, minimal, net, reflection
-from .cli import (EXIT_OK, EXIT_VERIFY, _check_output_dirs, export_orbit_obj, verify_net_file,
+from .cli import (EXIT_OK, EXIT_VERIFY, _check_paths, export_orbit_obj, verify_net_file,
                   verify_pair)
 from .errors import BadParameter, NotReflectable, ParseError
 from .jsonio import MAX_MAGNITUDE, _fmt_float, json_float, json_list, load_json, write_text
@@ -114,34 +114,42 @@ def _solver_info(result: bvp.SolveResult) -> dict:
             "trace": result.trace}
 
 
-def _write_pair(base: str, pair: minimal.MinimalPair) -> list[str]:
-    iso, asym, gauss, grid = paths = [f"{base}.{suffix}.dnet.json"
-                                      for suffix in ("iso", "asym", "gauss", "grid")]
-    net.write_net(iso, pair.isothermic, pair.grid.labels, pair.gauss)
+def _write_pair(paths: list[str], pair: minimal.MinimalPair) -> None:
+    """The iso, asym, gauss and grid files of a pair.  The Gauss map's rows
+    are formatted once: they are the iso file's normals and the gauss file's
+    points."""
+    iso, asym, gauss, grid = paths
+    gauss_rows = net.json_rows(pair.gauss.points)
+
+    def rows(points):
+        return gauss_rows if points is pair.gauss.points else net.json_rows(points)
+
+    net.write_net(iso, pair.isothermic, pair.grid.labels, pair.gauss, rows)
     net.write_net(asym, pair.asymptotic, pair.grid.labels)
-    net.write_net(gauss, pair.gauss)
+    net.write_net(gauss, pair.gauss, rows=rows)
     holomorphic.write_grid(grid, pair.grid)
-    return paths
 
 
 def cmd_generate(args) -> int:
     family = args.family.replace("-", "_")
     base = args.out or family
-    _check_output_dirs(base, args.report)
+    files = [f"{base}.{suffix}.dnet.json" for suffix in ("iso", "asym", "gauss", "grid")]
+    orbit_files = [f"{base}.orbit.json", f"{base}.orbit.obj"] if args.orbit else []
+    _check_paths(*files, *orbit_files, args.report,
+                       inputs=(getattr(args, "seed_file", None),))
     pair, info = _family_pair(family, args)
     # built before the first file is written, so that a group that does not
     # close leaves no file
     orbit = _orbit(pair.isothermic, pair.gauss, args.tol, args.max_word) if args.orbit else None
-    files = _write_pair(base, pair)
+    _write_pair(files, pair)
 
     report = verify_pair(pair, args.tol)
     report["info"] = info
     report["files"] = files
 
     if orbit is not None:
-        orbit_path, obj_path = f"{base}.orbit.json", f"{base}.orbit.obj"
-        _write_orbit(orbit, orbit_path, obj_path)
-        files.extend([orbit_path, obj_path])
+        _write_orbit(orbit, *orbit_files)
+        files.extend(orbit_files)
         report["orbit"] = {"elements": len(orbit.elements),
                            "vertices": int(len(orbit.vertices)),
                            "weld_residual": float(orbit.weld_residual),
@@ -152,14 +160,14 @@ def cmd_generate(args) -> int:
 
 
 def cmd_conjugate(args) -> int:
-    _check_output_dirs(args.out)
+    _check_paths(args.out, inputs=(args.grid,))
     grid = holomorphic.read_grid(args.grid)
     net.write_net(args.out, minimal.weierstrass_asymptotic(grid), grid.labels)
     return EXIT_OK
 
 
 def cmd_reflect(args) -> int:
-    _check_output_dirs(args.out)
+    _check_paths(args.out, inputs=(args.net,))
     bundle = net.read_net(args.net)
     if bundle.labels is None:
         raise ParseError("reflection requires edge labels in the net file")
@@ -178,7 +186,7 @@ def cmd_reflect(args) -> int:
 
 
 def cmd_orbit(args) -> int:
-    _check_output_dirs(args.out, args.obj)
+    _check_paths(args.out, args.obj, inputs=(args.net,))
     bundle = net.read_net(args.net)
     if bundle.normals is None:
         raise ParseError("orbit construction requires normals in the net file")
@@ -187,7 +195,7 @@ def cmd_orbit(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    _check_output_dirs(args.report)
+    _check_paths(args.report, inputs=(args.net, args.conjugate, args.grid))
     report = verify_net_file(args.net, args.tol, as_isothermic=args.as_isothermic,
                              conjugate=args.conjugate, grid_path=args.grid)
     _emit_report(report, args.report)

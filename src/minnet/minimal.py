@@ -143,19 +143,14 @@ class StarPlanes:
 
 
 def is_asymptotic(net: Net3, tol: float = 1e-9, stars: StarPlanes | None = None) -> CheckReport:
-    """Star coplanarity at interior vertices plus per-quad non-degeneracy.
+    """Star coplanarity at interior vertices.
 
-    The report is ok when every full 5-point star is coplanar; quads that
-    are themselves planar are listed as degenerate in extra.  The residual
+    The report is ok when every full 5-point star is coplanar; the residual
     of a star is relative to its diameter.  stars: StarPlanes(net), when
     the caller has them.
     """
     stars = StarPlanes(net) if stars is None else stars
-    quads = net.quad_array()
-    flat = planarity_residuals(quads) <= tol * np.maximum(point_scales(quads), 1e-300)
-    degenerate = [net.domain.quads[i] for i in np.flatnonzero(flat)]
-    return worst_report(stars.residual, net.domain.vertices, tol, stars.scale)._replace(
-        extra={"degenerate_quads": degenerate, "nondegenerate_ok": not degenerate})
+    return worst_report(stars.residual, net.domain.vertices, tol, stars.scale)
 
 
 def tangent_normals(net: Net3, vertices=None) -> np.ndarray:

@@ -560,11 +560,13 @@ def json_rows(values) -> list[str]:
 
 
 def net_to_json(net: Net3, labels: EdgeLabels | None = None, normals: Net3 | None = None,
-                infinity: list[Vertex] | None = None) -> str:
-    """The .dnet.json document of a net, with 17-significant-digit floats."""
+                infinity: list[Vertex] | None = None, rows=json_rows) -> str:
+    """The .dnet.json document of a net, with 17-significant-digit floats;
+    rows formats the points of the net and of its normals (json_rows, or
+    rows the caller has formatted before)."""
     dom = net.domain
     records = [f'{{"m": {m}, "n": {n}, "p": {p}}}'
-               for (m, n), p in zip(dom.vertices, json_rows(net.points))]
+               for (m, n), p in zip(dom.vertices, rows(net.points))]
     doc = (f'{{"domain": {{"m0": {dom.m0}, "m1": {dom.m1}, "n0": {dom.n0}, "n1": {dom.n1}, '
            f'"mask": {json_list(json_rows(sorted(dom.mask)))}}}, '
            f'"vertices": {json_list(records)}')
@@ -574,20 +576,21 @@ def net_to_json(net: Net3, labels: EdgeLabels | None = None, normals: Net3 | Non
         doc += "".join(f', "{name}": {json_list(map(_fmt_float, values.tolist()))}'
                        for name, values in (("alpha", labels.alpha), ("beta", labels.beta)))
     if normals is not None:
-        doc += f', "normals": {json_list(json_rows(normals.points))}'
+        doc += f', "normals": {json_list(rows(normals.points))}'
     if infinity is not None:
         doc += f', "infinity": {json_list(json_rows(sorted(infinity)))}'
     return doc + "}"
 
 
 def write_net(path, net: Net3, labels: EdgeLabels | None = None,
-              normals: Net3 | None = None) -> None:
-    """Write a net (with optional labels and Gauss map) as .dnet.json.
+              normals: Net3 | None = None, rows=json_rows) -> None:
+    """Write a net (with optional labels and Gauss map) as .dnet.json;
+    rows as for net_to_json.
 
     The document is formatted before the file is opened, so a net that
     cannot be written leaves no file behind.
     """
-    write_text(path, net_to_json(net, labels, normals) + "\n")
+    write_text(path, net_to_json(net, labels, normals, rows=rows) + "\n")
 
 
 def json_to_bundle(doc, check_edges: bool = True) -> NetBundle:

@@ -31,16 +31,15 @@ from .net import EdgeLabels, LatticeDomain, Net3, Vertex, _norm
 # ---------------------------------------------------------------------------
 
 class BoundaryAnalysis(NamedTuple):
-    """Classification of one boundary lattice line."""
+    """Classification of one boundary lattice line by the one fit that decides it."""
 
     axis: str                 # 'row' or 'col'
     index: int
     kind: str                 # 'planar_curvature_line' | 'straight_asymptotic_line' | 'none'
     plane: PlaneR3 | None = None
     line: LineR3 | None = None
-    gauss_circle: str = "none"   # 'great_circle' | 'small_circle' | 'none'
-    gauss_plane: PlaneR3 | None = None
-    residuals: dict = {}      # shared default: never mutated in place
+    residuals: dict = {}      # the deciding fit's 'congruence_plane' or 'line' residual;
+                              # a shared default, never mutated in place
     scale: float = 1.0        # bounding-box diagonal of the line, for tol * scale
 
 
@@ -57,84 +56,45 @@ def boundary_vertices(domain: LatticeDomain, index: int, axis: str = "row") -> n
     return verts[verts >= 0]
 
 
+def _line_scale(pts: np.ndarray) -> float:
+    """The bounding-box diagonal of a line's points, at least 1e-300."""
+    return max(float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0))), 1e-300)
+
+
 def analyze_boundary_isothermic(net: Net3, normals: Net3, index: int,
                                 axis: str = "row", tol: float = 1e-9) -> BoundaryAnalysis:
     """Planarity of a curvature line together with its normal congruence.
 
     kind is 'planar_curvature_line' only when the points F and F+N along
-    the line fit one plane; the independent great-circle test on N is
-    cross-checked and recorded.
+    the line fit one plane, within tol of the line's size.  (Its Gauss
+    image then lies in a great circle, the plane's parallel through 0.)
     """
     verts = boundary_vertices(net.domain, index, axis)
-    f_pts, n_pts = net.points[verts], normals.points[verts]
-    joint = np.vstack([f_pts, f_pts + n_pts])
-    scale = max(float(np.linalg.norm(f_pts.max(axis=0) - f_pts.min(axis=0))), 1e-300)
-
-    residuals: dict = {}
-    plane = None
+    f_pts = net.points[verts]
+    scale = _line_scale(f_pts)
     try:
-        plane_fit, r_joint = fit_plane(joint)
+        plane, residual = fit_plane(np.vstack([f_pts, f_pts + normals.points[verts]]))
     except DegenerateFit:
-        plane_fit, r_joint = None, float("inf")
-    residuals["congruence_plane"] = r_joint
-
-    # independent Gauss-image circle tests (unit vectors: absolute tolerance)
-    try:
-        gauss_plane, r_great = fit_plane_through_origin(n_pts)
-    except DegenerateFit:
-        gauss_plane, r_great = None, float("inf")
-    residuals["gauss_great_circle"] = r_great
-    try:
-        _, r_small = fit_plane(n_pts) if len(n_pts) >= 3 else (None, float("inf"))
-    except DegenerateFit:
-        r_small = float("inf")
-    residuals["gauss_circle"] = r_small
-
+        plane, residual = None, float("inf")
+    residuals = {"congruence_plane": residual}
     # false when either side is not finite: inf <= inf holds, so an overflowed
     # scale would pass a line whose plane fit failed
-    planar = r_joint <= tol * scale < math.inf
-    great = r_great <= tol
-    residuals["tests_agree"] = planar == great
-
-    if planar:
-        kind = "planar_curvature_line"
-        plane = plane_fit
-        gauss_circle = "great_circle"
-    else:
-        kind = "none"
-        gauss_circle = "great_circle" if great else (
-            "small_circle" if r_small <= tol else "none")
-    return BoundaryAnalysis(axis, index, kind, plane=plane,
-                            gauss_circle=gauss_circle, gauss_plane=gauss_plane,
-                            residuals=residuals, scale=scale)
+    if residual <= tol * scale < math.inf:
+        return BoundaryAnalysis(axis, index, "planar_curvature_line", plane=plane,
+                                residuals=residuals, scale=scale)
+    return BoundaryAnalysis(axis, index, "none", residuals=residuals, scale=scale)
 
 
 def analyze_boundary_asymptotic(net: Net3, index: int, axis: str = "row",
-                                tol: float = 1e-9,
-                                star_normals: np.ndarray | None = None) -> BoundaryAnalysis:
-    """Straight-line test of an asymptotic lattice line.
-
-    Cross-checks that the tangent-plane normals along the line lie in the
-    plane perpendicular to it (the great-circle condition).  star_normals:
-    tangent_normals(net) of every vertex, when the caller has them.
-    """
+                                tol: float = 1e-9) -> BoundaryAnalysis:
+    """Straight-line test of an asymptotic lattice line, within tol of its size."""
     verts = boundary_vertices(net.domain, index, axis)
     pts = net.points[verts]
-    scale = max(float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0))), 1e-300)
-    line, r_line = fit_line(pts)
-    residuals = {"line": r_line}
-
-    normals = minimal.tangent_normals(net, verts) if star_normals is None else star_normals[verts]
-    r_perp = float(np.abs(normals @ line.direction).max())
-    residuals["gauss_perpendicular"] = r_perp
-
-    straight = r_line <= tol * scale
-    residuals["tests_agree"] = straight == (r_perp <= max(tol, 1e3 * r_line / scale))
-    if straight:
-        return BoundaryAnalysis(axis, index, "straight_asymptotic_line", line=line,
-                                gauss_circle="great_circle", residuals=residuals,
-                                scale=scale)
-    return BoundaryAnalysis(axis, index, "none", line=line, residuals=residuals, scale=scale)
+    scale = _line_scale(pts)
+    line, residual = fit_line(pts)
+    kind = "straight_asymptotic_line" if residual <= tol * scale else "none"
+    return BoundaryAnalysis(axis, index, kind, line=line, residuals={"line": residual},
+                            scale=scale)
 
 
 # ---------------------------------------------------------------------------
@@ -336,8 +296,9 @@ def corner_angles(net: Net3, normals: Net3, corner: Vertex,
         apex, *_ = np.linalg.lstsq(a_mat, b_vec, rcond=None)
 
     angle_p = _wedge_angle(u1, u2, axis_dir, apex, f_probe)
-    angle_q = _wedge_angle(row.gauss_plane.normal, col.gauss_plane.normal,
-                           axis_dir, np.zeros(3), n_probe)
+    gauss = [fit_plane_through_origin(normals.points[boundary_vertices(dom, a.index, a.axis)])[0]
+             for a in (row, col)]
+    angle_q = _wedge_angle(gauss[0].normal, gauss[1].normal, axis_dir, np.zeros(3), n_probe)
     return angle_p, angle_q
 
 

@@ -43,6 +43,9 @@ def net_3d(domain=None, m1=1, infinity=None, p0=None, **fields):
 
 # an output path in a directory that does not exist, under the test's tmp_path
 MISSING = "<missing>"
+# the path of the file the command reads, and a path under the test's tmp_path
+READ = "<read>"
+TMP = "<tmp>/"
 # a seed of the default knoid grid that solves to a grid with a collapsed edge
 ZERO_SEED = json.dumps({"params": [0] * 62})
 # "piece" with the normal of its first vertex (0, 0) set to 0
@@ -136,6 +139,15 @@ BAD_INPUT = [
     # knoid seed has the length of the default grid's, so that the cap is what fails
     (["knoid", "--k", "3", "--max-iter", "-1"], json.dumps({"params": [0.5] * 62})),
     (["platonic", "--preset", "tetrahedral", "--resolution", "2", "--max-iter", "-1"], None),
+    # an output that names the same file as another output or as an input, which
+    # the command wrote over; "--out x" comes first in the generate argv
+    (["enneper", "--k", "2", "--size", "6", "--orbit", "--report", TMP + "x.orbit.json"], None),
+    (["orbit", "--out", READ], "piece"),
+    (["reflect", "--row", "0", "--out", READ], "piece"),
+    (["verify", "--report", READ], "piece"),
+    (["export", READ], "piece"),
+    (["conjugate", "--out", READ], "piece"),
+    (["knoid", "--k", "3", "--report", READ], json.dumps({"params": []})),
 ]
 
 # the net files among them, which every reader of a net file must reject alike
@@ -208,7 +220,11 @@ class TestGenerate:
         elif seed is not None:
             path.write_text(seed)
         missing = str(tmp_path / "no_such_dir" / "x")
-        family = [missing if arg == MISSING else arg for arg in family]
+        paths = {MISSING: missing, READ: str(path)}
+        collides = READ in family or any(arg.startswith(TMP) for arg in family)
+        before = {f: f.read_bytes() for f in tmp_path.iterdir() if f.is_file()}
+        family = [str(tmp_path / arg[len(TMP):]) if arg.startswith(TMP)
+                  else paths.get(arg, arg) for arg in family]
         if family[0] == "export":
             argv = ["export", str(path), *(family[1:] or [str(tmp_path / "x.obj")])]
         elif family[0] == "verify":
@@ -224,6 +240,9 @@ class TestGenerate:
         error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         if missing in argv:
             assert error["error"] == "BadParameter" and missing in error["message"], error
+        elif collides:
+            assert error["error"] == "BadParameter" and "same file" in error["message"], error
+            assert {f: f.read_bytes() for f in tmp_path.iterdir() if f.is_file()} == before
         elif seed == ZERO_SEED:
             assert error["error"] == "ZeroDg" and "edge (0, 0)-(1, 0)" in error["message"]
         elif seed == ZERO_NORMAL:
@@ -235,6 +254,26 @@ class TestGenerate:
             assert not list(tmp_path.glob("x*"))
         else:
             assert error["error"] in ("BadParameter", "ParseError")
+
+    def test_output_over_a_companion_input_is_refused(self, tmp_path, capsys):
+        """verify's --grid and --conjugate are inputs too, and a path is
+        compared by the file it names, through a symbolic link, a hard link
+        and a detour through a sibling directory."""
+        base = tmp_path / "enn"
+        assert run(["generate", "enneper", "--k", "3", "--size", "4", "--out", str(base)]) == 0
+        (tmp_path / "link.json").symlink_to(tmp_path / "enn.grid.dnet.json")
+        os.link(tmp_path / "enn.grid.dnet.json", tmp_path / "hard.json")
+        (tmp_path / "sub").mkdir()
+        before = {f: f.read_bytes() for f in tmp_path.iterdir() if f.is_file()}
+        verify = ["verify", f"{base}.iso.dnet.json", "--grid", f"{base}.grid.dnet.json",
+                  "--conjugate", f"{base}.asym.dnet.json", "--report"]
+        for report in (tmp_path / "link.json", tmp_path / "hard.json",
+                       tmp_path / "sub" / ".." / "enn.asym.dnet.json"):
+            capsys.readouterr()
+            assert run(verify + [str(report)]) == 3, report
+            error = json.loads(capsys.readouterr().err)
+            assert error["error"] == "BadParameter" and "same file" in error["message"], report
+        assert {f: f.read_bytes() for f in tmp_path.iterdir() if f.is_file()} == before
 
     # Each a traceback before the magnitude bound: eigh of an overflowed scatter
     # matrix ("Eigenvalues did not converge"), a boundary plane of None, and a
@@ -786,7 +825,9 @@ class TestLazyLayers:
             [0, front, False],                        # export of an orbit
             [0, reader, False],                       # export of a net
             [0, orbit, True],                         # orbit
-            [0, reflect, True], [0, reflect, True],   # reflect --asymptotic, reflect
+            # reflect --asymptotic fits the line only; reflect checks its mirrored
+            # normals by minimal.propagate_normals
+            [0, orbit, True], [0, reflect, True],
             [0, battery, True], [0, battery, True],   # verify, generate enneper
             [0, every, True],                         # generate knoid
         ]

@@ -111,10 +111,11 @@ def test_coincident_points(k):
 
 
 def test_verify_fits_each_point_set_once(tmp_path, monkeypatch):
-    """One verify of the grid piece (Enneper K=3, side 24) fits five whole-net
-    stacks: the iso, Gauss, offset and asymptotic quads, and the asymptotic
-    5-point stars.  Circularity and the curvature pass share the iso fit;
-    asymptotic_stars, conjugate_normals and the boundary checks the star fit."""
+    """One verify of the grid piece (Enneper K=3, side 24) fits four whole-net
+    stacks: the iso, Gauss and offset quads, and the asymptotic 5-point
+    stars.  Circularity and the curvature pass share the iso fit;
+    asymptotic_stars and conjugate_normals the star fit.  No check fits the
+    asymptotic quads."""
     base = str(tmp_path / "enn")
     assert main(["generate", "enneper", "--k", "3", "--size", "24", "--out", base]) == 0
     shapes, svd_shapes = [], []
@@ -134,11 +135,11 @@ def test_verify_fits_each_point_set_once(tmp_path, monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
     stars, quads = (23 * 23, 5, 3), (24 * 24, 4, 3)
     for net, companions, whole in (
-            ("iso", ("grid", "asym"), [stars] + [quads] * 4),
+            ("iso", ("grid", "asym"), [stars] + [quads] * 3),
             # a file without normals is the asymptotic net when it passes
-            # is_asymptotic; the battery reuses that test's star and quad fits
-            ("asym", ("grid", "iso"), [stars] + [quads] * 4),
-            ("asym", (), [stars, quads])):
+            # is_asymptotic; the battery reuses that test's star fits
+            ("asym", ("grid", "iso"), [stars] + [quads] * 3),
+            ("asym", (), [stars])):
         shapes.clear()
         argv = ["verify", f"{base}.{net}.dnet.json"]
         for flag, companion in zip(("--grid", "--conjugate"), companions):
@@ -146,6 +147,6 @@ def test_verify_fits_each_point_set_once(tmp_path, monkeypatch):
         assert main(argv) == 0
         assert sorted(shape for shape in shapes if shape[0] >= 23 * 23) == whole, argv
         # the boundary stars (4 corners of 3 points, 92 of 4) are fitted once
-        # too, for conjugate_normals and the four boundary checks together
+        # too, with the 5-point stars, for their normals
         assert sorted(shapes) == [(4, 3, 3), (92, 4, 3)] + whole, argv
     assert all(shape[0] < 23 * 23 for shape in svd_shapes)

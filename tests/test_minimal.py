@@ -7,7 +7,8 @@ from minnet.minimal import (gauss_map, is_asymptotic, mixed_area,
                             propagate_normals, quad_curvatures, tangent_normals,
                             weierstrass_asymptotic, weierstrass_isothermic)
 from minnet.net import (EdgeLabels, LatticeDomain, Net3, are_parallel_meshes,
-                        circularity_residuals, is_isothermic, point_scales)
+                        circularity_residuals, is_isothermic, planarity_residuals,
+                        point_scales)
 
 from conftest import best_similarity, christoffel, edge_label
 
@@ -114,16 +115,23 @@ class TestChristoffel:
         assert res <= 1e-9
 
 
+def flat_quads(net: Net3) -> np.ndarray:
+    """Whether each quad of the net is planar to 1e-9 of its diameter."""
+    quads = net.quad_array()
+    return planarity_residuals(quads) <= 1e-9 * point_scales(quads)
+
+
 class TestAsymptotic:
     def test_weierstrass_output_passes(self, enneper_pair):
-        report = is_asymptotic(enneper_pair.asymptotic, 1e-9)
-        assert report.ok
-        assert report.extra["nondegenerate_ok"]
+        """Every star of the conjugate net is planar and no quad is: its
+        quads are skew, as an asymptotic net's are."""
+        assert is_asymptotic(enneper_pair.asymptotic, 1e-9).ok
+        assert not flat_quads(enneper_pair.asymptotic).any()
 
-    def test_planar_net_flagged_degenerate(self):
-        report = is_asymptotic(flat_net(), 1e-9)
-        assert report.ok  # stars trivially coplanar
-        assert not report.extra["nondegenerate_ok"]
+    def test_planar_net_passes_with_flat_quads(self):
+        """The star test alone passes a flat net, every quad of which is planar."""
+        assert is_asymptotic(flat_net(), 1e-9).ok  # stars trivially coplanar
+        assert flat_quads(flat_net()).all()
 
     def test_circular_net_fails_star_test(self, enneper_pair):
         report = is_asymptotic(enneper_pair.isothermic, 1e-9)

@@ -3,14 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from minnet.bvp import solve_platonic
+from minnet.bvp import BoundarySpec, solve_knoid, solve_platonic
 from minnet.errors import NotPlanarBoundary, NotReflectable, OrbitExplosion
-from minnet.minimal import (MinimalPair, is_asymptotic, quad_curvatures,
+from minnet.minimal import (MinimalPair, is_asymptotic, quad_curvatures, tangent_normals,
                             weierstrass_asymptotic)
-from minnet.mobius import Isometry, PlaneR3, fit_plane_through_origin
+from minnet.mobius import Isometry, PlaneR3, fit_plane, fit_plane_through_origin
 from minnet.net import EdgeLabels, LatticeDomain, Net3, is_isothermic
 from minnet.reflection import (BoundaryAnalysis, analyze_boundary_asymptotic,
-                               analyze_boundary_isothermic, build_orbit,
+                               analyze_boundary_isothermic, boundary_vertices, build_orbit,
                                close_group, corner_angles, reflect_isothermic,
                                rotate_extend_asymptotic)
 
@@ -32,14 +32,22 @@ def sphere_band(radius=2.0, rows=2, cols=6, dphi=0.25, dtheta=0.2):
     return net, normals, radius
 
 
+def gauss_image(pair, index, axis):
+    """The Gauss normals along the boundary row (column) at index."""
+    return pair.gauss.points[boundary_vertices(pair.gauss.domain, index, axis)]
+
+
 class TestAnalyzeIsothermic:
     def test_enneper_boundaries(self, enneper_pair):
+        """Row 0 and column 0 are planar curvature lines, and the Gauss image
+        of each lies on the great circle parallel to its plane."""
         f, n = enneper_pair.isothermic, enneper_pair.gauss
         for axis, idx in (("row", 0), ("col", 0)):
             a = analyze_boundary_isothermic(f, n, idx, axis)
             assert a.kind == "planar_curvature_line"
-            assert a.gauss_circle == "great_circle"
-            assert a.residuals["tests_agree"]
+            circle, residual = fit_plane_through_origin(gauss_image(enneper_pair, idx, axis))
+            assert residual <= 1e-9
+            assert np.linalg.norm(np.cross(circle.normal, a.plane.normal)) <= 1e-9
 
     def test_generic_row_is_none(self, enneper_pair):
         f, n = enneper_pair.isothermic, enneper_pair.gauss
@@ -65,7 +73,9 @@ class TestAnalyzeIsothermic:
         nrm = Net3(dom, [normals[v] for v in dom.vertices], check_edges=False)
         a = analyze_boundary_isothermic(net, nrm, 0, "row")
         assert a.kind == "none"
-        assert a.gauss_circle == "small_circle"
+        ring = nrm.points[boundary_vertices(dom, 0, "row")]
+        assert fit_plane(ring)[1] <= 1e-9                   # a circle,
+        assert fit_plane_through_origin(ring)[1] > 1e-3     # but not a great one
 
     def test_overflowed_scale_is_not_planar(self):
         """A row from -1e308 to 1e308 has an infinite extent, and with zero
@@ -95,9 +105,13 @@ class TestAnalyzeIsothermic:
 
 class TestAnalyzeAsymptotic:
     def test_conjugate_enneper_boundary(self, enneper_pair):
-        a = analyze_boundary_asymptotic(enneper_pair.asymptotic, 0, "row")
+        """Row 0 of the conjugate net is straight, and the tangent-plane
+        normals along it lie in the plane perpendicular to it."""
+        ft = enneper_pair.asymptotic
+        a = analyze_boundary_asymptotic(ft, 0, "row")
         assert a.kind == "straight_asymptotic_line"
-        assert a.residuals["gauss_perpendicular"] < 1e-9
+        normals = tangent_normals(ft, boundary_vertices(ft.domain, 0, "row"))
+        assert np.abs(normals @ a.line.direction).max() < 1e-9
 
     def test_generic_row_is_none(self, enneper_pair):
         ft = enneper_pair.asymptotic
@@ -297,23 +311,44 @@ def test_extension_equals_extension_of_the_transpose(request, piece, kind, axis,
     assert np.array_equal(direct[-1].beta, lab_t.alpha)
 
 
+@pytest.fixture(scope="module")
+def family_pairs(enneper_pairs, planar_enneper_pair, tetrahedral_pair):
+    """A piece of every family: Enneper K = 2-4, planar Enneper, the K = 3
+    and K = 4 k-noids at (5, 15) and the three presets at resolution 2."""
+    pairs = {f"enneper k={k}": pair for k, pair in enneper_pairs.items()}
+    pairs["planar enneper"] = planar_enneper_pair
+    for k in (3, 4):
+        pairs[f"{k}-noid"] = MinimalPair.from_grid(solve_knoid(BoundarySpec(k, 5, 15)).grid)
+    pairs["tetrahedral"] = tetrahedral_pair
+    for preset in ("octahedral", "icosahedral"):
+        pairs[preset] = MinimalPair.from_grid(solve_platonic(preset, 2).grid)
+    return pairs
+
+
 class TestConjugateDuality:
-    def test_equivalence_on_all_boundaries(self, enneper_pairs,
-                                           planar_enneper_pair):
-        pairs = list(enneper_pairs.values()) + [planar_enneper_pair]
-        for pair in pairs:
+    def test_equivalence_on_all_boundaries(self, family_pairs):
+        """The reflection principle on each boundary line of every family's
+        piece: the line is a planar curvature line exactly when its Gauss
+        image lies on a great circle, and exactly when the conjugate line is
+        straight.  Every piece has lines of both kinds."""
+        for name, pair in family_pairs.items():
             f, ft, n = pair.isothermic, pair.asymptotic, pair.gauss
             dom = f.domain
+            seen = set()
             for axis, idx in (("row", dom.n0), ("row", dom.n1),
                               ("col", dom.m0), ("col", dom.m1)):
                 iso = analyze_boundary_isothermic(f, n, idx, axis)
                 asym = analyze_boundary_asymptotic(ft, idx, axis)
+                _, great = fit_plane_through_origin(gauss_image(pair, idx, axis))
                 planar = iso.kind == "planar_curvature_line"
-                straight = asym.kind == "straight_asymptotic_line"
-                assert planar == straight, (axis, idx)
+                together = {planar, great <= 1e-9, asym.kind == "straight_asymptotic_line"}
+                assert len(together) == 1, (name, axis, idx, iso.residuals, great,
+                                            asym.residuals)
                 if planar:
                     assert iso.residuals["congruence_plane"] <= 1e-9 * f.scale()
                     assert asym.residuals["line"] <= 1e-9 * ft.scale()
+                seen.add(planar)
+            assert seen == {True, False}, name
 
 
 class TestCornerAngles:
@@ -345,9 +380,8 @@ class TestOrbit:
         assert orbit.closure_residual() <= 1e-9
         assert len(orbit.vertices) < 8 * len(f.domain.vertices)
 
-    def test_closure_residual_equals_double_loop(self):
-        pair = MinimalPair.from_grid(solve_platonic("octahedral", 2).grid)
-        f, n = pair.isothermic, pair.gauss
+    def test_closure_residual_equals_double_loop(self, family_pairs):
+        f, n = family_pairs["octahedral"].isothermic, family_pairs["octahedral"].gauss
         dom = f.domain
         mirrors = [analyze_boundary_isothermic(f, n, idx, axis, 1e-7)
                    for axis, idx in (("row", dom.n0), ("col", dom.m0), ("row", dom.n1))]
