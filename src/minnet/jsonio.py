@@ -77,12 +77,13 @@ _NEGATIVE_ZERO = re.compile(r"-0(?![\w.])")
 
 
 def load_json(path):
-    """The JSON document in a file; ParseError with context on failure."""
+    """The JSON document in a file; ParseError with context on failure, naming the
+    file when it cannot be opened, is not UTF-8, nests too deep or has too long an int."""
     try:
         with open(path) as fh:
             text = fh.read()
         return json.loads(text, parse_int=_parse_int if _NEGATIVE_ZERO.search(text) else None)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    except OSError as exc:
+    except (OSError, RecursionError, ValueError) as exc:   # UnicodeDecodeError is a ValueError
         raise ParseError(f"cannot read {path}: {exc}") from exc

@@ -372,33 +372,16 @@ def _nearest(table: np.ndarray):
     return nearest
 
 
-def _distance_table(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Isometry.distance of every column of a to every column of b, per component."""
-    dist = np.abs(a[0][:, None] - b[0])
-    for comp_a, comp_b in zip(a[1:], b[1:]):
-        np.maximum(dist, np.abs(comp_a[:, None] - comp_b), out=dist)
-    return dist
-
-
-def _first_representatives(n: int, later: np.ndarray, earlier: np.ndarray) -> np.ndarray:
-    """Items 0..n-1 in order; one is a representative unless it conflicts with an earlier
-    representative (pairs later > earlier).  Each round decides the first undecided one."""
-    undecided = np.bincount(later, minlength=n) > 0
-    rep = ~undecided
-    while undecided.any():
-        taken = undecided & (np.bincount(later[rep[earlier]], minlength=n) > 0)
-        free = undecided & ~taken & (np.bincount(later[undecided[earlier]], minlength=n) == 0)
-        rep, undecided = rep | free, undecided & ~taken & ~free
-    return rep
-
-
 def close_group(generators: list[Isometry], max_word: int = 16,
                 max_elements: int = 10000, dedup_tol: float = 1e-9) -> list[Isometry]:
     """Breadth-first closure of the generated group.
 
-    Each word length composes every frontier element with every generator as
-    stacked arrays; a candidate is new when its Isometry.distance to every element
-    found before it exceeds dedup_tol.  Raises OrbitExplosion when new elements keep
+    Each word length composes every frontier element f with every generator s
+    as stacked arrays and takes the candidates s∘f in order, f by f and s in
+    generator order.  A candidate is new when its Isometry.distance to its
+    nearest element found so far (_nearest) exceeds dedup_tol; a NaN distance
+    adds nothing.  Distinct elements lie far more than dedup_tol apart, so no
+    other element can be within it.  OrbitExplosion when new elements keep
     appearing past max_word or the count exceeds max_elements (likely infinite).
     """
     gen_m, gen_t = _stacked(generators)
@@ -408,19 +391,15 @@ def close_group(generators: list[Isometry], max_word: int = 16,
         cand_m = np.matmul(gen_m, np.array([e.matrix for e in frontier])[:, None])
         cand_t = np.matmul(gen_m, np.array([e.translation for e in frontier])[:, None, :, None])
         cand_m, cand_t = cand_m.reshape(-1, 3, 3), (cand_t[..., 0] + gen_t).reshape(-1, 3)
-        cands, count, start = _components(cand_m, cand_t), len(elements), 0
-        while start < len(cand_m):
-            k = known.shape[1]
-            block = cands[:, start:start + max(1, (1 << 18) // (k + 512))]  # tables <= 2**18
-            table = _distance_table(block, np.concatenate([known, block], axis=1))
-            later, earlier = np.nonzero(np.tril(~(table > dedup_tol), k - 1))  # NaN: no merge
-            new = _first_representatives(k + block.shape[1], k + later, earlier)[k:]
-            elements.extend(Isometry(cand_m[i], cand_t[i])
-                            for i in start + np.flatnonzero(new))
-            if len(elements) > max_elements:
-                raise OrbitExplosion(
-                    f"more than {max_elements} elements at word length {word}")
-            known, start = np.concatenate([known, block[:, new]], axis=1), start + len(new)
+        cands, count = _components(cand_m, cand_t), len(elements)
+        for i in range(len(cand_m)):
+            cand = cands[:, i:i + 1]
+            if np.abs(cand - known[:, _nearest(known)(cand)]).max() > dedup_tol:
+                elements.append(Isometry(cand_m[i], cand_t[i]))
+                if len(elements) > max_elements:
+                    raise OrbitExplosion(
+                        f"more than {max_elements} elements at word length {word}")
+                known = np.concatenate([known, cand], axis=1)
         frontier = elements[count:]
         if not frontier:
             return elements

@@ -50,6 +50,11 @@ TMP = "<tmp>/"
 ZERO_SEED = json.dumps({"params": [0] * 62})
 # "piece" with the normal of its first vertex (0, 0) set to 0
 ZERO_NORMAL = "piece, zero first normal"
+# files that json cannot read: bytes that are not UTF-8 text, arrays nested
+# past the recursion limit, and an integer longer than Python's 4,300 digits
+NOT_UTF8 = b"\xff\xfe\x00x"
+TOO_DEEP = "[" * 100000
+TOO_LONG = '{"params": [' + "1" * 5000 + "]}"
 
 
 def run(args, env=None):
@@ -148,12 +153,26 @@ BAD_INPUT = [
     (["export", READ], "piece"),
     (["conjugate", "--out", READ], "piece"),
     (["knoid", "--k", "3", "--report", READ], json.dumps({"params": []})),
+    # unreadable files, which escaped as a traceback with exit 1
+    (["verify"], NOT_UTF8),
+    (["export"], NOT_UTF8),
+    (["knoid", "--k", "3"], NOT_UTF8),
+    (["conjugate"], TOO_DEEP),
+    (["knoid", "--k", "3"], TOO_DEEP),
+    (["conjugate"], TOO_LONG),
+    (["knoid", "--k", "3"], TOO_LONG),
 ]
+
+
+def _short_id(value):
+    """Test ids for the long unreadable files; None keeps pytest's own id."""
+    return "too-deep" if value is TOO_DEEP else "too-long" if value is TOO_LONG else None
+
 
 # the net files among them, which every reader of a net file must reject alike
 BAD_NET_FILES = list(dict.fromkeys(
     seed for family, seed in BAD_INPUT
-    if family in (["export"], ["verify"], ["reflect", "--row", "0"])
+    if family in (["export"], ["verify"], ["reflect", "--row", "0"]) and isinstance(seed, str)
     and '"kind": "orbit"' not in seed and seed != ZERO_NORMAL))
 
 
@@ -205,7 +224,7 @@ class TestGenerate:
             b2 = open(f"{out2}.{suffix}.dnet.json", "rb").read()
             assert b1 == b2
 
-    @pytest.mark.parametrize("family, seed", BAD_INPUT)
+    @pytest.mark.parametrize("family, seed", BAD_INPUT, ids=_short_id)
     def test_bad_input_is_typed_error(self, tmp_path, capsys, family, seed):
         path = tmp_path / "seed.json"
         if seed in ("piece", ZERO_NORMAL):
@@ -217,6 +236,8 @@ class TestGenerate:
                 doc = json.loads(path.read_text())
                 doc["normals"][0] = [0, 0, 0]
                 path.write_text(json.dumps(doc))
+        elif isinstance(seed, bytes):
+            path.write_bytes(seed)
         elif seed is not None:
             path.write_text(seed)
         missing = str(tmp_path / "no_such_dir" / "x")
@@ -252,6 +273,8 @@ class TestGenerate:
             expected = "BadParameter" if "enneper" in family[0] else "InfeasibleSpec"
             assert error["error"] == expected, error
             assert not list(tmp_path.glob("x*"))
+        elif seed in (NOT_UTF8, TOO_DEEP, TOO_LONG):
+            assert error["error"] == "ParseError" and str(path) in error["message"], error
         else:
             assert error["error"] in ("BadParameter", "ParseError")
 

@@ -73,6 +73,32 @@ def test_close_group_without_generators():
     assert len(elements) == 1 and elements[0].distance(Isometry.identity()) == 0.0
 
 
+# mirrors through the z axis at angle pi/5, and the plane z = 1 off the origin
+MIRROR_A = Isometry.plane_reflection(PlaneR3((0, 1, 0), 0.0))
+MIRROR_B = Isometry.plane_reflection(PlaneR3((math.sin(math.pi / 5), math.cos(math.pi / 5), 0),
+                                             0.0))
+PLANE_C = Isometry.plane_reflection(PlaneR3((0, 0, 1), 1.0))
+
+
+@pytest.mark.parametrize("generators, order", [
+    ([MIRROR_A, MIRROR_A, MIRROR_B], 10),
+    ([MIRROR_A, Isometry.identity(), MIRROR_B], 10),
+    ([MIRROR_B.compose(MIRROR_A), MIRROR_A], 10),
+    ([MIRROR_A, MIRROR_B, PLANE_C, MIRROR_B], 20),
+    ([], 1),
+], ids=["a-a-b", "a-identity-b", "ba-a", "a-b-c-b", "none"])
+def test_repeated_candidates_equal_scalar_oracle(generators, order):
+    """A repeated generator, the identity or a product of two generators makes
+    candidates of one word length that match each other or an earlier
+    element: the first one found is kept, as in the oracle."""
+    got = close_group(generators, dedup_tol=1e-6)
+    want = scalar_close_group(generators, dedup_tol=1e-6)
+    assert len(got) == len(want) == order
+    for g, w in zip(got, want):
+        assert np.array_equal(g.matrix, w.matrix)
+        assert np.array_equal(g.translation, w.translation)
+
+
 def _piece(points):
     """A 2 x 2 piece with the given four vertices in m-major order."""
     return Net3(LatticeDomain((0, 1), (0, 1)), np.array(points, dtype=float),
