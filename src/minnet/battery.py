@@ -2,8 +2,8 @@
 
 `_run_checks` runs every check of CHECKS whose inputs a `_Nets` carries
 and returns the report's `ok` and `checks` entries.  The checks share
-the plane fits and the curvature pass through `_Nets`' cached properties,
-so one run fits each point set once.
+the plane fits through `_Nets`' cached properties, so one run fits each
+point set once.
 """
 
 from __future__ import annotations
@@ -16,12 +16,6 @@ from . import holomorphic, minimal, reflection
 from .errors import DomainMismatch
 from .net import (CheckReport, EdgeLabels, Net3, PlaneFit, _norm, circularity_residuals,
                   cross_ratio_residuals, edge_angles, plane_fits, worst_report)
-
-
-def steiner_offsets(count: int) -> np.ndarray:
-    """The Steiner check's offsets t_k = cos(2 pi phi k), phi the golden
-    ratio: spread over [-1, 1] like uniform draws, and fixed."""
-    return np.cos(np.pi * (1.0 + 5.0 ** 0.5) * np.arange(count))
 
 
 class _Nets:
@@ -39,25 +33,13 @@ class _Nets:
 
     @cached_property
     def iso_planes(self) -> PlaneFit:
-        """The quad planes that circularity and the curvature pass share."""
+        """The quad planes that circularity and minimality share."""
         return plane_fits(self.iso.quad_array())
 
     @cached_property
     def asym_stars(self) -> minimal.StarPlanes:
         """The star planes that asymptotic_stars and conjugate_normals share."""
         return minimal.StarPlanes(self.asym)
-
-    @cached_property
-    def curvature(self) -> minimal.Curvatures:
-        """The mixed-area pass that minimality and steiner share."""
-        return minimal.Curvatures(self.iso.quad_array(), self.normals.quad_array(),
-                                  self.iso_planes, self.tol)
-
-    def _undefined(self, undefined: np.ndarray) -> CheckReport | None:
-        if undefined.any():
-            return CheckReport(False, float("inf"), self.quads[int(np.argmax(undefined))],
-                               extra={"error": "non-planar quad or vanishing area"})
-        return None
 
     def circularity(self) -> CheckReport:
         pts = self.iso.quad_array()
@@ -69,17 +51,17 @@ class _Nets:
         return worst_report(cross_ratio_residuals(self.iso, self.labels), self.quads, self.tol)
 
     def minimality(self) -> CheckReport:
-        return (self._undefined(self.curvature.undefined)
-                or worst_report(np.abs(self.curvature.H), self.quads, self.tol))
+        curvature = minimal.Curvatures(self.iso.quad_array(), self.normals.quad_array(),
+                                       self.iso_planes, self.tol)
+        if curvature.undefined.any():
+            return CheckReport(False, float("inf"),
+                               self.quads[int(np.argmax(curvature.undefined))],
+                               extra={"error": "non-planar quad or vanishing area"})
+        return worst_report(np.abs(curvature.H), self.quads, self.tol)
 
     def gauss_parallel(self) -> CheckReport:
         return worst_report(edge_angles(self.iso, self.normals), self.iso.domain.edges(),
                             max(self.tol, 1e-9))
-
-    def steiner(self) -> CheckReport:
-        defects, undefined = self.curvature.steiner_defects(steiner_offsets(len(self.quads)))
-        return self._undefined(undefined) or worst_report(defects, self.quads, self.tol,
-                                                          np.abs(self.curvature.area))
 
     def gauss_matches_grid(self) -> CheckReport:
         lift = minimal.gauss_map(self.grid).points
@@ -124,7 +106,6 @@ CHECKS = (
     (_Nets.isothermic, {"iso", "labels"}),
     (_Nets.minimality, {"iso", "normals"}),
     (_Nets.gauss_parallel, {"iso", "normals"}),
-    (_Nets.steiner, {"iso", "normals"}),
     (_Nets.gauss_matches_grid, {"normals", "grid"}),
     (_Nets.asymptotic_stars, {"asym"}),
     (_Nets.conjugate_normals, {"asym", "normals"}),

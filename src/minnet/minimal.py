@@ -243,41 +243,23 @@ def mixed_areas(f: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 class Curvatures:
-    """quad_curvatures of every quad of a net F with Gauss map N, in one
-    mixed-area pass over the (quads, 4, 3) corner stacks f and n, given
-    fit = plane_fits(f).
+    """The mean curvature H of quad_curvatures at every quad of a net F with
+    Gauss map N, in one mixed-area pass over the (quads, 4, 3) corner stacks
+    f and n, given fit = plane_fits(f).
 
     undefined marks the quads where quad_curvatures raises (a non-planar
-    quad or a vanishing area); H, K, area = |A(F)| and normal = A(F)/|A(F)|
-    hold no meaningful value there.
+    quad or a vanishing area); H holds no meaningful value there.
     """
 
     def __init__(self, f: np.ndarray, n: np.ndarray, fit: PlaneFit, tol: float = 1e-9):
-        self.f, self.n = f, n
         scale = np.maximum(point_scales(f), 1e-300)
         af = mixed_areas(f, f)
-        self.area = _norm(af)
+        area = _norm(af)
         with np.errstate(divide="ignore", invalid="ignore"):
-            self.normal = af / self.area[:, None]
-            self.H = -_dot(mixed_areas(f, n), self.normal) / self.area
-            self.K = _dot(mixed_areas(n, n), self.normal) / self.area
+            self.H = -_dot(mixed_areas(f, n), af / area[:, None]) / area
         self.undefined = ((planarity_residuals(f, fit) > tol * scale)
-                          | (self.area <= 1e-12 * scale * scale)
+                          | (area <= 1e-12 * scale * scale)
                           | (planarity_residuals(n) > tol * np.maximum(point_scales(n), 1e-300)))
-
-    def steiner_defects(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """|A(F + tN) - (1 - 2tH + t^2 K) A(F)| / |A(F)| along the quad normal.
-
-        t holds one offset per quad.  Also returns where the defect is
-        undefined, which includes offset quads that are not planar to 1e-6.
-        """
-        offset = self.f + t[:, None, None] * self.n
-        predicted = (1.0 - 2.0 * t * self.H + t * t * self.K) * self.area
-        with np.errstate(divide="ignore", invalid="ignore"):
-            defects = (np.abs(_dot(mixed_areas(offset, offset), self.normal) - predicted)
-                       / np.abs(self.area))
-        bent = planarity_residuals(offset) > 1e-6 * np.maximum(point_scales(offset), 1e-300)
-        return defects, self.undefined | bent
 
 
 # ---------------------------------------------------------------------------

@@ -68,12 +68,16 @@ def analyze_boundary_isothermic(net: Net3, normals: Net3, index: int,
     kind is 'planar_curvature_line' only when the points F and F+N along
     the line fit one plane, within tol of the line's size.  (Its Gauss
     image then lies in a great circle, the plane's parallel through 0.)
+    The residual is the larger of the fit's and the line's size times the
+    largest |N · plane normal|: on a line much longer than its unit normals
+    the fit follows F, and the tilt term still sees N leave the plane.
     """
     verts = boundary_vertices(net.domain, index, axis)
-    f_pts = net.points[verts]
+    f_pts, n_pts = net.points[verts], normals.points[verts]
     scale = _line_scale(f_pts)
     try:
-        plane, residual = fit_plane(np.vstack([f_pts, f_pts + normals.points[verts]]))
+        plane, residual = fit_plane(np.vstack([f_pts, f_pts + n_pts]))
+        residual = max(residual, scale * float(np.abs(n_pts @ plane.normal).max()))
     except DegenerateFit:
         plane, residual = None, float("inf")
     residuals = {"congruence_plane": residual}
@@ -315,28 +319,21 @@ class SymmetryOrbit:
     """
 
     def __init__(self, elements: list[Isometry], vertices: np.ndarray,
-                 faces: list[tuple[int, int, int, int]], weld_residual: float):
+                 faces: list[tuple[int, int, int, int]], weld_residual: float,
+                 closure: float):
         self.elements, self.vertices, self.faces = elements, vertices, faces
-        self.weld_residual = weld_residual
+        self.weld_residual, self._closure = weld_residual, closure
 
     def scale(self) -> float:
         return float(np.linalg.norm(self.vertices.max(axis=0) - self.vertices.min(axis=0)))
 
     def closure_residual(self) -> float:
-        """Max Isometry.distance from any product a∘b of two elements to its
-        nearest element (_nearest), a block of left factors a at a time; in a
-        closed group each product is within roundoff of one element and O(1)
-        from the others, so that is the nearest in the max norm too.  Blocks
-        keep the (products, elements) table near 2**14."""
-        mats, shifts = _stacked(self.elements)
-        table, worst = _components(mats, shifts), 0.0
-        nearest = _nearest(table)
-        step = max(1, (1 << 14) // len(mats) ** 2)
-        for start in range(0, len(mats), step):
-            prods = _products(mats[start:start + step], shifts[start:start + step],
-                              mats, shifts)
-            worst = max(worst, float(np.abs(prods - table[:, nearest(prods)]).max()))
-        return worst
+        """Max Isometry.distance from any product g∘s of an element g and a
+        generator s to its nearest element (_nearest): the products build_orbit
+        forms for its cosets.  The elements are closed under every g ↦ g∘s
+        exactly when they form the generated group, so this is 0 up to
+        roundoff for a closed group and O(1) for a missing element."""
+        return self._closure
 
 
 def _components(mats: np.ndarray, shifts: np.ndarray) -> np.ndarray:
@@ -423,7 +420,9 @@ def build_orbit(piece: Net3, mirrors: list[BoundaryAnalysis], max_word: int = 16
     scale = max(piece.scale(), 1e-300)
     mats, shifts = _stacked(elements)
     gen_m, gen_t = _stacked(generators)
-    times = _nearest(_components(mats, shifts))(_products(mats, shifts, gen_m, gen_t))
+    table, prods = _components(mats, shifts), _products(mats, shifts, gen_m, gen_t)
+    times = _nearest(table)(prods)
+    closure = float(np.abs(prods - table[:, times]).max(initial=0.0))
     times = times.reshape(len(elements), len(generators)).T
     fixes = np.zeros((len(mirrors), len(piece.points)), dtype=bool)
     for k, m in enumerate(mirrors):
@@ -448,4 +447,5 @@ def build_orbit(piece: Net3, mirrors: list[BoundaryAnalysis], max_word: int = 16
     faces = number[:, piece.domain.quad_index]
     faces = np.where(flip[:, None, None], faces[..., [0, 3, 2, 1]], faces).reshape(-1, 4)
     return SymmetryOrbit(elements, moved[rep], [tuple(f) for f in faces.tolist()],
-                         float(_norm(moved - moved[first, vertex]).max(initial=0.0)) / scale)
+                         float(_norm(moved - moved[first, vertex]).max(initial=0.0)) / scale,
+                         closure)

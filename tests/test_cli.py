@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -205,6 +206,30 @@ class TestGenerate:
                     "--max-word", "2", "--out", str(tmp_path / "x")]) == 3
         assert json.loads(capsys.readouterr().err)["error"] == "OrbitExplosion"
         assert not list(tmp_path.iterdir())
+
+    def test_loose_tol_passes_and_closes(self, tmp_path, capsys):
+        """At --tol 1e-3 the far lines of the side-12 Enneper piece stay
+        non-planar, so the battery passes, the orbit closes at 8 elements and
+        reflecting across the far row is refused."""
+        base = str(tmp_path / "loose")
+        assert run(["generate", "enneper", "--k", "3", "--size", "12", "--tol", "1e-3",
+                    "--orbit", "--out", base]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["ok"] and report["orbit"]["elements"] == 8
+        assert report["checks"]["boundary_row_12"]["isothermic_kind"] == "none"
+        assert run(["reflect", f"{base}.iso.dnet.json", "--row", "12", "--tol", "1e-3",
+                    "--out", str(tmp_path / "x.dnet.json")]) == 3
+        assert json.loads(capsys.readouterr().err)["error"] == "NotReflectable"
+
+    def test_octahedral_orbit_closes_at_loose_tol(self, tmp_path, capsys):
+        """The far column's fit of F and F + N reads 2.8e-3 of its size; its
+        normals' tilt out of the fitted plane reads O(1)."""
+        assert run(["generate", "platonic", "--preset", "octahedral", "--tol", "1e-3",
+                    "--orbit", "--out", str(tmp_path / "oct")]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["orbit"]["elements"] == 48
+        far = report["checks"]["boundary_col_8"]
+        assert far["isothermic_kind"] == "none" and far["max_residual"] > 0.5 * far["scale"]
 
     def test_usage_error(self, capsys):
         assert run(["generate"]) == 2
@@ -447,6 +472,24 @@ class TestVerify:
             for key in ("ok", "max_residual", "scale", "worst"):
                 assert key in entry, (name, key)
             assert entry["worst"] is not None or entry["max_residual"] == 0, name
+
+    def test_readme_check_table_names_the_report_keys(self, tmp_path, capsys):
+        """The README's check table lists the report's checks, in report
+        order, for generate and for verify with --grid and --conjugate."""
+        readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
+        table = readme.split("| check | residual | scale | worst |\n|---|---|---|---|\n")[1]
+        rows = table.split("\n\n")[0].splitlines()
+        names = [row.split("`")[1].replace("\\|", "|") for row in rows]
+        base = str(tmp_path / "enn")
+        assert run(["generate", "enneper", "--k", "3", "--size", "5", "--out", base]) == 0
+        generated = json.loads(capsys.readouterr().out)["checks"]
+        assert run(["verify", f"{base}.iso.dnet.json", "--grid", f"{base}.grid.dnet.json",
+                    "--conjugate", f"{base}.asym.dnet.json"]) == 0
+        verified = json.loads(capsys.readouterr().out)["checks"]
+        for checks in (generated, verified):
+            keys = [re.sub(r"^boundary_(row|col)_\d+$", "boundary_<row|col>_<index>", k)
+                    for k in checks]
+            assert list(dict.fromkeys(keys)) == names
 
     def test_asymptotic_as_isothermic_fails_circularity(self, tmp_path):
         base = str(tmp_path / "enn")

@@ -111,11 +111,10 @@ def test_coincident_points(k):
 
 
 def test_verify_fits_each_point_set_once(tmp_path, monkeypatch):
-    """One verify of the grid piece (Enneper K=3, side 24) fits four whole-net
-    stacks: the iso, Gauss and offset quads, and the asymptotic 5-point
-    stars.  Circularity and the curvature pass share the iso fit;
-    asymptotic_stars and conjugate_normals the star fit.  No check fits the
-    asymptotic quads."""
+    """One verify of the grid piece (Enneper K=3, side 24) fits three whole-net
+    stacks: the iso and Gauss quads, and the asymptotic 5-point stars.
+    Circularity and minimality share the iso fit; asymptotic_stars and
+    conjugate_normals the star fit.  No check fits the asymptotic quads."""
     base = str(tmp_path / "enn")
     assert main(["generate", "enneper", "--k", "3", "--size", "24", "--out", base]) == 0
     shapes, svd_shapes = [], []
@@ -135,10 +134,10 @@ def test_verify_fits_each_point_set_once(tmp_path, monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
     stars, quads = (23 * 23, 5, 3), (24 * 24, 4, 3)
     for net, companions, whole in (
-            ("iso", ("grid", "asym"), [stars] + [quads] * 3),
+            ("iso", ("grid", "asym"), [stars] + [quads] * 2),
             # a file without normals is the asymptotic net when it passes
             # is_asymptotic; the battery reuses that test's star fits
-            ("asym", ("grid", "iso"), [stars] + [quads] * 3),
+            ("asym", ("grid", "iso"), [stars] + [quads] * 2),
             ("asym", (), [stars])):
         shapes.clear()
         argv = ["verify", f"{base}.{net}.dnet.json"]

@@ -5,6 +5,7 @@ import pytest
 
 from minnet.bvp import BoundarySpec, solve_knoid, solve_platonic
 from minnet.errors import NotPlanarBoundary, NotReflectable, OrbitExplosion
+from minnet.holomorphic import power_function
 from minnet.minimal import (MinimalPair, is_asymptotic, quad_curvatures, tangent_normals,
                             weierstrass_asymptotic)
 from minnet.mobius import Isometry, PlaneR3, fit_plane, fit_plane_through_origin
@@ -54,6 +55,20 @@ class TestAnalyzeIsothermic:
         a = analyze_boundary_isothermic(f, n, f.domain.n1, "row")
         assert a.kind == "none"
         assert a.residuals["congruence_plane"] > 1e-3
+
+    def test_far_line_of_a_large_net_reads_its_tilt(self):
+        """On the side-12 Enneper piece, about 7,000 across, the fit of F and
+        F + N with unit N follows F: the far row fits within 1.3e-4 of its
+        size, but its normals leave the plane by O(1), so the residual reads
+        O(1) of the size even at tol 1e-3.  Row 0 reads roundoff."""
+        pair = MinimalPair.from_grid(power_function(1.5, 12, 12))
+        f, n = pair.isothermic, pair.gauss
+        far = analyze_boundary_isothermic(f, n, 12, "row", 1e-3)
+        assert far.kind == "none"
+        assert far.residuals["congruence_plane"] > 0.5 * far.scale
+        near = analyze_boundary_isothermic(f, n, 0, "row", 1e-3)
+        assert near.kind == "planar_curvature_line"
+        assert near.residuals["congruence_plane"] <= 1e-13 * near.scale
 
     def test_cone_normals_small_circle(self):
         # planar row whose tilted normals sit on a small circle: the row
@@ -389,8 +404,8 @@ class TestOrbit:
         assert len(orbit.elements) == 48
         worst = 0.0
         for a in orbit.elements:
-            for b in orbit.elements:
-                prod = a.compose(b)
+            for m in mirrors:
+                prod = a.compose(Isometry.plane_reflection(m.plane))
                 worst = max(worst, min(prod.distance(e) for e in orbit.elements))
         assert worst > 0.0
         assert orbit.closure_residual() == worst
