@@ -102,10 +102,9 @@ def _moved(net: Net3, vertex, delta) -> Net3:
     return _points(net, pts)
 
 
-def _corner_quad(net: Net3) -> tuple[list[int], np.ndarray]:
-    """The vertex numbers and points of quad (0, 0), corner (0, 0) first."""
-    verts = [net.domain.vertex_index[v] for v in net.domain.quad_vertices((0, 0))]
-    return verts, net.points[verts]
+def _corner_quad(net: Net3) -> np.ndarray:
+    """The points of quad (0, 0), corner (0, 0) first."""
+    return net.points[[net.domain.vertex_index[v] for v in net.domain.quad_vertices((0, 0))]]
 
 
 def iso_vertex_moved(p):
@@ -189,7 +188,7 @@ def normals_are_positions(p):
 def corner_off_its_plane(p):
     """Iso corner (0, 0) moved off its quad's plane by 1e-6 of the quad's
     diagonal, with the labels only: Re cr is even in the move."""
-    verts, quad = _corner_quad(p["iso"])
+    quad = _corner_quad(p["iso"])
     normal = np.cross(quad[2] - quad[0], quad[3] - quad[1])
     diagonal = np.linalg.norm(np.ptp(quad, axis=0))
     return {"iso": _moved(p["iso"], (0, 0), 1e-6 * diagonal * normal / np.linalg.norm(normal)),
@@ -200,7 +199,7 @@ def corner_normal_along_diagonal(p):
     """The normal at corner (0, 0) moved by 1e-6 along its quad's other
     diagonal, with the iso net only: the normal quad stays planar and
     A(F, N) keeps its normal component, but two edges of N turn."""
-    _, quad = _corner_quad(p["iso"])
+    quad = _corner_quad(p["iso"])
     diagonal = quad[3] - quad[1]
     return {"iso": p["iso"],
             "normals": _moved(p["normals"], (0, 0), 1e-6 * diagonal / np.linalg.norm(diagonal))}
