@@ -60,8 +60,13 @@ class _Nets:
         return worst_report(np.abs(curvature.H), self.quads, self.tol)
 
     def gauss_parallel(self) -> CheckReport:
-        return worst_report(edge_angles(self.iso, self.normals), self.iso.domain.edges(),
-                            max(self.tol, 1e-9))
+        """N is the Gauss map of F: each edge of N parallel to F's, and |N| = 1
+        at both of its ends."""
+        a, b = self.iso.domain.edge_index.T
+        unit = np.abs(_norm(self.normals.points) - 1.0)
+        return worst_report(np.maximum(edge_angles(self.iso, self.normals),
+                                       np.maximum(unit[a], unit[b])),
+                            self.iso.domain.edges(), max(self.tol, 1e-9))
 
     def gauss_matches_grid(self) -> CheckReport:
         lift = minimal.gauss_map(self.grid).points
@@ -82,14 +87,18 @@ class _Nets:
         return worst_report(np.minimum(_norm(star - gauss), _norm(star + gauss)),
                             self.asym.domain.vertices, self.tol)
 
+    @cached_property
+    def iso_lines(self) -> dict:
+        """The congruence-plane analysis of each boundary line (reflection.boundary_lines)."""
+        return reflection.boundary_lines(self.iso, self.normals, self.tol)
+
     def boundaries(self) -> dict:
         """Each boundary line is a planar curvature line of the isothermic net
         exactly when it is a straight asymptotic line of the conjugate net."""
         dom, checks = self.iso.domain, {}
         for axis, index in (("row", dom.n0), ("row", dom.n1),
                             ("col", dom.m0), ("col", dom.m1)):
-            iso = reflection.analyze_boundary_isothermic(self.iso, self.normals, index, axis,
-                                                         self.tol)
+            iso = self.iso_lines[axis, index]
             asym = reflection.analyze_boundary_asymptotic(self.asym, index, axis, self.tol)
             checks[f"boundary_{axis}_{index}"] = {
                 "ok": ((iso.kind == "planar_curvature_line")

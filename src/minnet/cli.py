@@ -59,10 +59,14 @@ def _read_threads() -> None:
 # Verification
 # ---------------------------------------------------------------------------
 
-def verify_pair(pair: minimal.MinimalPair, tol: float = 1e-9) -> dict:
-    """All invariants of a generated isothermic/asymptotic/gauss triple."""
-    return battery._run_checks(battery._Nets(tol, pair.isothermic, pair.gauss,
-                                             pair.grid.labels, pair.asymptotic, pair.grid))
+def verify_pair(pair: minimal.MinimalPair, tol: float = 1e-9, lines: dict | None = None) -> dict:
+    """All invariants of a generated isothermic/asymptotic/gauss triple; lines
+    are its reflection.boundary_lines at tol when the caller has fitted them."""
+    nets = battery._Nets(tol, pair.isothermic, pair.gauss, pair.grid.labels, pair.asymptotic,
+                         pair.grid)
+    if lines is not None:
+        nets.iso_lines = lines
+    return battery._run_checks(nets)
 
 
 def verify_net_file(path: str, tol: float, as_isothermic: bool = False,

@@ -29,34 +29,22 @@ def orbit_to_json(orbit: reflection.SymmetryOrbit, rows: list[str]) -> str:
             f'"weld_residual": {_fmt_float(orbit.weld_residual)}}}')
 
 
-def _boundary_reflections(net: net.Net3, normals: net.Net3,
-                          tol: float) -> list[reflection.BoundaryAnalysis]:
-    """The analyses of every planar boundary curvature line of the piece: the
-    mirrors of its orbit, each with its plane and its lattice line."""
-    dom = net.domain
-    mirrors = []
-    for axis, index in (("row", dom.n0), ("col", dom.m0), ("row", dom.n1),
-                        ("col", dom.m1)):
-        analysis = reflection.analyze_boundary_isothermic(net, normals, index, axis, tol)
-        if analysis.kind == "planar_curvature_line":
-            mirrors.append(analysis)
-    return mirrors
+def _boundary_reflections(lines: dict, tol: float) -> list[reflection.BoundaryAnalysis]:
+    """The boundary lines (reflection.boundary_lines) that are planar curvature
+    lines at tol of their size: the mirrors of the piece's orbit, each with its
+    plane and its lattice line."""
+    return [a for a in (line.at(tol) for line in lines.values())
+            if a.kind == "planar_curvature_line"]
 
 
-def _orbit(piece: net.Net3, normals: net.Net3, tol: float,
-           max_word: int) -> reflection.SymmetryOrbit:
-    """The orbit of the piece under the group of its boundary reflections.
-
-    A boundary line counts as planar at max(tol, 1e-7) of its size.  Group
-    elements merge at max(tol, 1e-6): distinct elements of a finite group
-    differ by O(1), while products of reflections carry roundoff that can
-    exceed 1e-9.
-    """
-    mirrors = _boundary_reflections(piece, normals, max(tol, 1e-7))
+def _orbit(piece: net.Net3, lines: dict, tol: float, max_word: int) -> reflection.SymmetryOrbit:
+    """The orbit of the piece under the group of its boundary reflections, from
+    the plane fits of its boundary lines; a line counts as planar at
+    max(tol, 1e-7) of its size."""
+    mirrors = _boundary_reflections(lines, max(tol, 1e-7))
     if not mirrors:
         raise NotReflectable("no reflectable boundary lines found")
-    return reflection.build_orbit(piece, mirrors, max_word=max_word,
-                                  dedup_tol=max(tol, 1e-6))
+    return reflection.build_orbit(piece, mirrors, max_word)
 
 
 def _write_orbit(orbit: reflection.SymmetryOrbit, path: str, obj_path: str | None) -> None:
@@ -138,12 +126,14 @@ def cmd_generate(args) -> int:
     _check_paths(*files, *orbit_files, args.report,
                        inputs=(getattr(args, "seed_file", None),))
     pair, info = _family_pair(family, args)
+    # one plane fit per boundary line, for the battery and the orbit's mirrors
+    lines = reflection.boundary_lines(pair.isothermic, pair.gauss, args.tol)
     # built before the first file is written, so that a group that does not
     # close leaves no file
-    orbit = _orbit(pair.isothermic, pair.gauss, args.tol, args.max_word) if args.orbit else None
+    orbit = _orbit(pair.isothermic, lines, args.tol, args.max_word) if args.orbit else None
     _write_pair(files, pair)
 
-    report = verify_pair(pair, args.tol)
+    report = verify_pair(pair, args.tol, lines)
     report["info"] = info
     report["files"] = files
 
@@ -190,7 +180,8 @@ def cmd_orbit(args) -> int:
     bundle = net.read_net(args.net)
     if bundle.normals is None:
         raise ParseError("orbit construction requires normals in the net file")
-    _write_orbit(_orbit(bundle.net, bundle.normals, args.tol, args.max_word), args.out, args.obj)
+    lines = reflection.boundary_lines(bundle.net, bundle.normals, args.tol)
+    _write_orbit(_orbit(bundle.net, lines, args.tol, args.max_word), args.out, args.obj)
     return EXIT_OK
 
 

@@ -66,7 +66,8 @@ class NotPlanarBoundary(MinnetError):
 
 
 class OrbitExplosion(MinnetError):
-    """Generated symmetry group exceeded the configured cap."""
+    """The mirrors bound no chamber of a finite Coxeter group, or their group
+    does not close within the word length allowed."""
 
 
 class NoConvergence(MinnetError):

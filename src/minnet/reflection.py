@@ -42,6 +42,14 @@ class BoundaryAnalysis(NamedTuple):
                               # a shared default, never mutated in place
     scale: float = 1.0        # bounding-box diagonal of the line, for tol * scale
 
+    def at(self, tol: float) -> BoundaryAnalysis:
+        """This congruence-plane analysis decided at tol from the same fit:
+        a planar curvature line when the residual is within tol of its size."""
+        # false when either side is not finite: inf <= inf holds, so an overflowed
+        # scale would pass a line whose plane fit failed
+        planar = self.residuals["congruence_plane"] <= tol * self.scale < math.inf
+        return self._replace(kind="planar_curvature_line" if planar else "none")
+
 
 def boundary_vertices(domain: LatticeDomain, index: int, axis: str = "row") -> np.ndarray:
     """Vertex numbers along the row n = index or the column m = index, in order."""
@@ -80,13 +88,17 @@ def analyze_boundary_isothermic(net: Net3, normals: Net3, index: int,
         residual = max(residual, scale * float(np.abs(n_pts @ plane.normal).max()))
     except DegenerateFit:
         plane, residual = None, float("inf")
-    residuals = {"congruence_plane": residual}
-    # false when either side is not finite: inf <= inf holds, so an overflowed
-    # scale would pass a line whose plane fit failed
-    if residual <= tol * scale < math.inf:
-        return BoundaryAnalysis(axis, index, "planar_curvature_line", plane=plane,
-                                residuals=residuals, scale=scale)
-    return BoundaryAnalysis(axis, index, "none", residuals=residuals, scale=scale)
+    return BoundaryAnalysis(axis, index, "none", plane=plane,
+                            residuals={"congruence_plane": residual}, scale=scale).at(tol)
+
+
+def boundary_lines(net: Net3, normals: Net3, tol: float) -> dict:
+    """analyze_boundary_isothermic of the first row, first column, last row and
+    last column, in that order, keyed (axis, index)."""
+    dom = net.domain
+    return {(axis, index): analyze_boundary_isothermic(net, normals, index, axis, tol)
+            for axis, index in (("row", dom.n0), ("col", dom.m0), ("row", dom.n1),
+                                ("col", dom.m1))}
 
 
 def analyze_boundary_asymptotic(net: Net3, index: int, axis: str = "row",
@@ -328,83 +340,138 @@ class SymmetryOrbit:
         return float(np.linalg.norm(self.vertices.max(axis=0) - self.vertices.min(axis=0)))
 
     def closure_residual(self) -> float:
-        """Max Isometry.distance from any product g∘s of an element g and a
-        generator s to its nearest element (_nearest): the products build_orbit
-        forms for its cosets.  The elements are closed under every g ↦ g∘s
-        exactly when they form the generated group, so this is 0 up to
-        roundoff for a closed group and O(1) for a missing element."""
+        """Max Isometry.distance from a product s∘f that close_group forms to its
+        element in the Cayley table: roundoff when the mirrors meet at π/m_ij."""
         return self._closure
 
 
-def _components(mats: np.ndarray, shifts: np.ndarray) -> np.ndarray:
-    """Isometries as a (12, k) array: 9 matrix entries, then 3 translation entries."""
-    return np.concatenate([mats.reshape(-1, 9), shifts], axis=1).T
+# Mirrors at angle θ give (s_i s_j)^m = 1 for m = round(π/θ) when π/θ is within ANGLE_BOUND
+# of m.  The families' fitted angles miss by at most 5.6e-14, and 1 rad by 0.14.
+ANGLE_BOUND = 1e-6
 
 
-def _stacked(isometries: list[Isometry]) -> tuple[np.ndarray, np.ndarray]:
-    """The (k, 3, 3) matrices and (k, 3) translations."""
-    return (np.reshape([e.matrix for e in isometries], (-1, 3, 3)),
-            np.reshape([e.translation for e in isometries], (-1, 3)))
+def _coxeter_matrix(planes: list[PlaneR3]) -> list[list[int]]:
+    """m_ij = round(π/θ_ij) for the angle θ_ij between mirror planes i and j.
+    OrbitExplosion unless each π/θ_ij is within ANGLE_BOUND of an integer, the normals
+    are independent (so the planes share a point) and the form (-cos π/m_ij) is
+    positive definite by more than 1e-12 (the Euclidean groups' singular forms compute
+    within 1e-15 of 0): then the mirrors bound a chamber of the finite Coxeter group
+    W(m), which they generate (Humphreys 1990, ch. 5-6)."""
+    normals = np.reshape([p.normal for p in planes], (-1, 3))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.pi / np.arctan2(_norm(np.cross(normals[:, None], normals)),
+                                   np.abs(normals @ normals.T))
+        np.fill_diagonal(ratio, 1.0)
+        off = np.argwhere(~(np.abs(ratio - np.rint(ratio)) <= ANGLE_BOUND))
+    for i, j in off[:1]:
+        raise OrbitExplosion(f"mirrors {i} and {j}: pi/angle = {ratio[i, j]:.9g} is not "
+                             f"within {ANGLE_BOUND:g} of an integer")
+    if np.linalg.matrix_rank(normals) < len(planes):
+        raise OrbitExplosion("the mirror normals are linearly dependent")
+    m = np.rint(ratio).astype(int)
+    if np.linalg.eigvalsh(-np.cos(np.pi / m)).min(initial=1.0) <= 1e-12:
+        raise OrbitExplosion(f"the mirrors bound no finite Coxeter chamber: m = {m.tolist()}")
+    return m.tolist()
 
 
-def _products(left_m, left_t, right_m, right_t) -> np.ndarray:
-    """_components of every a∘b, a-major, for stacked a and b (_stacked)."""
-    prod_m = left_m[:, None] @ right_m
-    prod_t = (left_m[:, None] @ right_t[..., None])[..., 0] + left_t[:, None]
-    return _components(prod_m.reshape(-1, 3, 3), prod_t.reshape(-1, 3))
+def _cayley_table(m: list[list[int]]) -> list[list[int]]:
+    """Todd-Coxeter (HLT) enumeration of <s_i | s_i^2, (s_i s_j)^m_ij>: table[c][i]
+    is the coset c s_i, coset 0 the identity, and table[c] None for a coset
+    merged into another.  Each s_i is an involution, so c s_i = d links
+    d s_i = c.  A coincidence merges two cosets' rows, and entries are read
+    through the merges (rep)."""
+    n = len(m)
+    relators = [[i, j] * m[i][j] for i in range(n) for j in range(i + 1, n)]
+    table, alias = [[None] * n], [0]
+
+    def rep(c):
+        while c is not None and alias[c] != c:
+            c = alias[c]
+        return c
+
+    def link(c, s, d):                      # d == len(table) defines a new coset
+        if d == len(table):
+            table.append([None] * n)
+            alias.append(d)
+        table[c][s], table[d][s] = d, c
+
+    def merge(pairs):
+        while pairs:
+            c, d = sorted(map(rep, pairs.pop()))
+            if c != d:
+                alias[d] = c
+                pairs += [(e, f) for e, f in zip(table[c], table[d]) if None not in (e, f)]
+                table[c] = [f if e is None else e for e, f in zip(table[c], table[d])]
+
+    c = 0
+    while c < len(table):
+        for word in relators:               # scan and fill, each end as far as it goes
+            f, b, i, j = c, c, 0, len(word) - 1
+            while alias[c] == c:
+                while i <= j and table[f][word[i]] is not None:
+                    f, i = rep(table[f][word[i]]), i + 1
+                while j >= i and table[b][word[j]] is not None:
+                    b, j = rep(table[b][word[j]]), j - 1
+                if j < i:
+                    merge([(f, b)])
+                    break
+                link(f, word[i], b if i == j else len(table))
+        for s in range(n):
+            if alias[c] == c and table[c][s] is None:
+                link(c, s, len(table))
+        c += 1
+    return [[rep(d) for d in row] if alias[c] == c else None for c, row in enumerate(table)]
 
 
-def _nearest(table: np.ndarray):
-    """The map from queries to the column of table nearest each of their columns,
-    both as _components: the largest q·e - |e|²/2, one matmul per block of queries.
-    Blocks keep the (queries, table) array near 2**14 entries."""
-    half_norms = 0.5 * np.einsum("ij,ij->j", table, table)
-    step = max(1, (1 << 14) // table.shape[1])
-
-    def nearest(queries: np.ndarray) -> np.ndarray:
-        found = np.empty(queries.shape[1], dtype=np.intp)
-        for i in range(0, len(found), step):
-            found[i:i + step] = np.argmax(queries[:, i:i + step].T @ table - half_norms, axis=1)
-        return found
-    return nearest
+class Group(list):
+    """Elements in discovery order; times[k, g] is the index of g∘s_k."""
 
 
-def close_group(generators: list[Isometry], max_word: int = 16,
-                max_elements: int = 10000, dedup_tol: float = 1e-9) -> list[Isometry]:
-    """Breadth-first closure of the generated group.
+def close_group(mirrors: list[PlaneR3], max_word: int = 16) -> Group:
+    """Breadth-first closure of the group of the reflections in the mirror planes.
 
     Each word length composes every frontier element f with every generator s
     as stacked arrays and takes the candidates s∘f in order, f by f and s in
-    generator order.  A candidate is new when its Isometry.distance to its
-    nearest element found so far (_nearest) exceeds dedup_tol; a NaN distance
-    adds nothing.  Distinct elements lie far more than dedup_tol apart, so no
-    other element can be within it.  OrbitExplosion when new elements keep
-    appearing past max_word or the count exceeds max_elements (likely infinite).
-    """
-    gen_m, gen_t = _stacked(generators)
-    elements, frontier = [Isometry.identity()], [Isometry.identity()]
-    known = _components(np.eye(3)[None], np.zeros((1, 3)))
-    for word in range(1, max_word + 1):
-        cand_m = np.matmul(gen_m, np.array([e.matrix for e in frontier])[:, None])
-        cand_t = np.matmul(gen_m, np.array([e.translation for e in frontier])[:, None, :, None])
+    generator order.  A candidate is new exactly when its coset in the Cayley
+    table is (coset c s is the element s∘g_c); closure is the largest
+    Isometry.distance from a candidate to its table element.  OrbitExplosion
+    from _coxeter_matrix, and when new elements appear past max_word: at once
+    when max_word <= some m_ij, a length some element has."""
+    m = _coxeter_matrix(mirrors)
+    if max(map(max, m), default=0) >= max_word:
+        raise OrbitExplosion(f"group did not close within word length {max_word}")
+    table = _cayley_table(m)
+    gens = [Isometry.plane_reflection(p) for p in mirrors]
+    gen_m = np.reshape([g.matrix for g in gens], (-1, 3, 3))
+    gen_t = np.reshape([g.translation for g in gens], (-1, 3))
+    group, cosets, parents, index = Group([Isometry.identity()]), [0], [], {0: 0}
+    frontier, group.closure = range(1), 0.0
+    for _ in range(max_word):
+        cand_m = np.matmul(gen_m, np.array([group[f].matrix for f in frontier])[:, None])
+        cand_t = np.matmul(gen_m, np.array([group[f].translation for f in frontier])
+                           [:, None, :, None])
         cand_m, cand_t = cand_m.reshape(-1, 3, 3), (cand_t[..., 0] + gen_t).reshape(-1, 3)
-        cands, count = _components(cand_m, cand_t), len(elements)
-        for i in range(len(cand_m)):
-            cand = cands[:, i:i + 1]
-            if np.abs(cand - known[:, _nearest(known)(cand)]).max() > dedup_tol:
-                elements.append(Isometry(cand_m[i], cand_t[i]))
-                if len(elements) > max_elements:
-                    raise OrbitExplosion(
-                        f"more than {max_elements} elements at word length {word}")
-                known = np.concatenate([known, cand], axis=1)
-        frontier = elements[count:]
+        count = len(group)
+        for i, (f, s) in enumerate([(f, s) for f in frontier for s in range(len(mirrors))]):
+            coset, cand = table[cosets[f]][s], Isometry(cand_m[i], cand_t[i])
+            if coset not in index:
+                index[coset] = len(group)
+                group.append(cand)
+                cosets.append(coset)
+                parents.append((f, s))
+            group.closure = max(group.closure, group[index[coset]].distance(cand))
+        frontier = range(count, len(group))
         if not frontier:
-            return elements
+            right = [table[0]]          # g = t∘h gives g∘s = t∘(h∘s), h found before g
+            for h, t in parents:
+                right.append([table[c][t] for c in right[h]])
+            group.times = np.array([[index[c] for c in row] for row in right]).T
+            return group
     raise OrbitExplosion(f"group did not close within word length {max_word}")
 
 
-def build_orbit(piece: Net3, mirrors: list[BoundaryAnalysis], max_word: int = 16,
-                max_elements: int = 10000, dedup_tol: float = 1e-9) -> SymmetryOrbit:
+def build_orbit(piece: Net3, mirrors: list[BoundaryAnalysis],
+                max_word: int = 16) -> SymmetryOrbit:
     """Apply the group of the mirrors' plane reflections to the piece and weld
     the copies.
 
@@ -415,15 +482,8 @@ def build_orbit(piece: Net3, mirrors: list[BoundaryAnalysis], max_word: int = 16
     the generators whose lines hold v.  So a piece's own vertices never weld.
     Copies are emitted in group-element discovery order; faces of copies
     with negative determinant are reversed to keep orientations usable."""
-    generators = [Isometry.plane_reflection(m.plane) for m in mirrors]
-    elements = close_group(generators, max_word, max_elements, dedup_tol)
+    elements = close_group([m.plane for m in mirrors], max_word)
     scale = max(piece.scale(), 1e-300)
-    mats, shifts = _stacked(elements)
-    gen_m, gen_t = _stacked(generators)
-    table, prods = _components(mats, shifts), _products(mats, shifts, gen_m, gen_t)
-    times = _nearest(table)(prods)
-    closure = float(np.abs(prods - table[:, times]).max(initial=0.0))
-    times = times.reshape(len(elements), len(generators)).T
     fixes = np.zeros((len(mirrors), len(piece.points)), dtype=bool)
     for k, m in enumerate(mirrors):
         fixes[k, boundary_vertices(piece.domain, m.index, m.axis)] = True
@@ -433,7 +493,7 @@ def build_orbit(piece: Net3, mirrors: list[BoundaryAnalysis], max_word: int = 16
         while not np.array_equal(label, before):
             before = label
             for k in np.flatnonzero(fixed):
-                label = np.minimum(label, label[times[k]])
+                label = np.minimum(label, label[elements.times[k]])
         return label
 
     keys = [tuple(col) for col in fixes.T.tolist()]
@@ -448,4 +508,4 @@ def build_orbit(piece: Net3, mirrors: list[BoundaryAnalysis], max_word: int = 16
     faces = np.where(flip[:, None, None], faces[..., [0, 3, 2, 1]], faces).reshape(-1, 4)
     return SymmetryOrbit(elements, moved[rep], [tuple(f) for f in faces.tolist()],
                          float(_norm(moved - moved[first, vertex]).max(initial=0.0)) / scale,
-                         closure)
+                         elements.closure)

@@ -239,13 +239,15 @@ class VertexGrid:
         return best
 
 
-def scalar_close_group(generators, max_word=16, max_elements=10000, dedup_tol=1e-9):
-    """Breadth-first group closure, one candidate and one known element at a time."""
+def scalar_close_group(generators, max_word=16, dedup_tol=1e-9):
+    """Breadth-first group closure, one candidate and one known element at a
+    time: a candidate is new when it lies more than dedup_tol from every known
+    element."""
     from minnet.errors import OrbitExplosion
     from minnet.mobius import Isometry
     elements = [Isometry.identity()]
     frontier = [Isometry.identity()]
-    for word in range(1, max_word + 1):
+    for _ in range(max_word):
         new_frontier = []
         for e in frontier:
             for gen in generators:
@@ -253,21 +255,17 @@ def scalar_close_group(generators, max_word=16, max_elements=10000, dedup_tol=1e
                 if all(cand.distance(known) > dedup_tol for known in elements):
                     elements.append(cand)
                     new_frontier.append(cand)
-                    if len(elements) > max_elements:
-                        raise OrbitExplosion(
-                            f"more than {max_elements} elements at word length {word}")
         if not new_frontier:
             return elements
         frontier = new_frontier
     raise OrbitExplosion(f"group did not close within word length {max_word}")
 
 
-def scalar_build_orbit(piece, generators, max_word=16, max_elements=10000,
-                       dedup_tol=1e-9, weld_tol=1e-9):
+def scalar_build_orbit(piece, generators, max_word=16, dedup_tol=1e-9, weld_tol=1e-9):
     """(elements, vertices, faces, weld_residual) of the orbit, welded one
     vertex at a time: each point joins its nearest earlier representative
     within weld_tol times the piece's size, or becomes one."""
-    elements = scalar_close_group(generators, max_word, max_elements, dedup_tol)
+    elements = scalar_close_group(generators, max_word, dedup_tol)
     scale = max(piece.scale(), 1e-300)
     grid = VertexGrid([], weld_tol * scale)
     faces, face_set = [], set()
@@ -292,7 +290,7 @@ def scalar_build_orbit(piece, generators, max_word=16, max_elements=10000,
     return elements, np.array(grid.points), faces, weld_residual / scale
 
 
-def scalar_mirror_orbit(piece, mirrors, max_word=16, max_elements=10000, dedup_tol=1e-9):
+def scalar_mirror_orbit(piece, mirrors, max_word=16, dedup_tol=1e-9):
     """(elements, vertices, faces, weld_residual) of the orbit welded one pair at a
     time: copies g and g∘s share the vertices on the lattice line of the mirror
     whose reflection is s (g∘s the element nearest it), and a welded vertex is
@@ -300,7 +298,7 @@ def scalar_mirror_orbit(piece, mirrors, max_word=16, max_elements=10000, dedup_t
     from minnet.mobius import Isometry
     from minnet.reflection import boundary_vertices
     generators = [Isometry.plane_reflection(m.plane) for m in mirrors]
-    elements = scalar_close_group(generators, max_word, max_elements, dedup_tol)
+    elements = scalar_close_group(generators, max_word, dedup_tol)
     n = len(piece.points)
     root = list(range(len(elements) * n))          # copy g's vertex v is item g n + v
 

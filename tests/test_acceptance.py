@@ -16,8 +16,7 @@ from minnet.mobius import Isometry, cross_ratio_complex, cross_ratio_quat
 from minnet.net import is_circular, is_isothermic
 from minnet.reflection import (analyze_boundary_asymptotic,
                                analyze_boundary_isothermic, build_orbit,
-                               close_group, corner_angles, reflect_isothermic,
-                               rotate_extend_asymptotic)
+                               corner_angles, reflect_isothermic, rotate_extend_asymptotic)
 
 from conftest import edge_label, invariance_residual, random_circle_points, rotation_matrix
 
@@ -183,7 +182,7 @@ def test_criterion_7_knoid_and_platonic(knoid_results):
         f, n = pair.isothermic, pair.gauss
         row = analyze_boundary_isothermic(f, n, 0, "row", 1e-7)
         col = analyze_boundary_isothermic(f, n, 0, "col", 1e-7)
-        orbit = build_orbit(f, [row, col], max_word=12, dedup_tol=1e-6)
+        orbit = build_orbit(f, [row, col], max_word=12)
         axis = np.cross(row.plane.normal, col.plane.normal)
         axis /= np.linalg.norm(axis)
         mats = np.vstack([row.plane.normal, col.plane.normal])
@@ -212,12 +211,9 @@ def test_criterion_7_knoid_and_platonic(knoid_results):
         mirrors = [analyze_boundary_isothermic(f, n, idx, axis, 1e-7)
                    for axis, idx in (("row", dom.n0), ("col", dom.m0),
                                      ("row", dom.n1))]
-        refl = [Isometry.plane_reflection(m.plane) for m in mirrors]
-        rotations = close_group([refl[0].compose(refl[1]),
-                                 refl[1].compose(refl[2])],
-                                max_word=20, dedup_tol=1e-6)
         order = platonic_preset(name).rotation_order
-        full = build_orbit(f, mirrors, max_word=20, dedup_tol=1e-6)
+        full = build_orbit(f, mirrors, max_word=20)
+        rotations = [e for e in full.elements if e.det() > 0]
         elapsed = time.perf_counter() - t0
         good = (len(rotations) == order
                 and len(full.elements) == 2 * order

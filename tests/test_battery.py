@@ -7,7 +7,7 @@ import pytest
 from minnet import battery
 from minnet.cli import verify_pair
 from minnet.holomorphic import HoloGrid, power_function
-from minnet.minimal import MinimalPair, quad_curvatures
+from minnet.minimal import MinimalPair, propagate_normals, quad_curvatures
 from minnet.mobius import cross_ratio_quat
 from minnet.net import EdgeLabels, Net3, is_circular
 from minnet.reflection import boundary_vertices
@@ -185,6 +185,22 @@ def normals_are_positions(p):
             "normals": _points(p["normals"], p["iso"].points / p["iso"].scale())}
 
 
+def normals_doubled(p):
+    """2N, with the iso net and the labels: edges of 2N stay parallel to those
+    of F, and H = 0 still, but |N| = 2."""
+    return {"iso": p["iso"], "labels": p["labels"],
+            "normals": _points(p["normals"], 2.0 * p["normals"].points)}
+
+
+def normals_propagated_from_tilted_seed(p):
+    """The unit parallel field that propagation gives from the normal at (0, 0)
+    tilted by 1e-6, with the iso net and the labels: a Gauss map of F, but
+    not the one of a minimal net."""
+    seed = p["normals"][(0, 0)] + 1e-6 * TILT
+    return {"iso": p["iso"], "labels": p["labels"],
+            "normals": propagate_normals(p["iso"], seed / np.linalg.norm(seed), root=(0, 0))}
+
+
 def corner_off_its_plane(p):
     """Iso corner (0, 0) moved off its quad's plane by 1e-6 of the quad's
     diagonal, with the labels only: Re cr is even in the move."""
@@ -218,7 +234,9 @@ SENSITIVITY = [
     (asym_far_lines_straightened, {"asymptotic_stars", "conjugate_normals",
                                    "boundary_row_12", "boundary_col_12"}),
     (asym_of_other_exponent, {"conjugate_normals"}),
-    (normals_are_positions, {"minimality"}),
+    (normals_are_positions, {"minimality", "gauss_parallel"}),
+    (normals_doubled, {"gauss_parallel"}),
+    (normals_propagated_from_tilted_seed, {"minimality"}),
     (corner_off_its_plane, {"circularity"}),
     (corner_normal_along_diagonal, {"gauss_parallel"}),
 ]

@@ -223,13 +223,20 @@ class TestGenerate:
 
     def test_octahedral_orbit_closes_at_loose_tol(self, tmp_path, capsys):
         """The far column's fit of F and F + N reads 2.8e-3 of its size; its
-        normals' tilt out of the fitted plane reads O(1)."""
+        normals' tilt out of the fitted plane reads O(1).  No tolerance
+        decides which products are one element, so the orbit file is the
+        one written at the default --tol."""
+        loose, default = tmp_path / "loose", tmp_path / "default"
         assert run(["generate", "platonic", "--preset", "octahedral", "--tol", "1e-3",
-                    "--orbit", "--out", str(tmp_path / "oct")]) == 0
+                    "--orbit", "--out", str(loose)]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["orbit"]["elements"] == 48
         far = report["checks"]["boundary_col_8"]
         assert far["isothermic_kind"] == "none" and far["max_residual"] > 0.5 * far["scale"]
+        assert run(["generate", "platonic", "--preset", "octahedral", "--orbit",
+                    "--out", str(default)]) == 0
+        assert (tmp_path / "loose.orbit.json").read_bytes() == \
+            (tmp_path / "default.orbit.json").read_bytes()
 
     def test_usage_error(self, capsys):
         assert run(["generate"]) == 2

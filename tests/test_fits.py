@@ -7,6 +7,7 @@ import pytest
 import minnet.battery
 import minnet.minimal
 import minnet.net
+import minnet.reflection
 from minnet.cli import main
 from minnet.holomorphic import power_function
 from minnet.minimal import MinimalPair
@@ -149,3 +150,19 @@ def test_verify_fits_each_point_set_once(tmp_path, monkeypatch):
         # too, with the 5-point stars, for their normals
         assert sorted(shapes) == [(4, 3, 3), (92, 4, 3)] + whole, argv
     assert all(shape[0] < 23 * 23 for shape in svd_shapes)
+
+
+def test_generate_orbit_fits_each_boundary_line_once(tmp_path, monkeypatch):
+    """The battery's boundary checks and the orbit's mirrors share one plane
+    fit of F and F + N per boundary line, each deciding it at its own tolerance."""
+    fits = []
+
+    def counted(points):
+        fits.append(len(points))
+        return fit_plane(points)
+
+    fit_plane = minnet.reflection.fit_plane
+    monkeypatch.setattr(minnet.reflection, "fit_plane", counted)
+    assert main(["generate", "enneper", "--k", "3", "--size", "8", "--orbit",
+                 "--out", str(tmp_path / "enn")]) == 0
+    assert fits == [18] * 4
