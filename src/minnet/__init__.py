@@ -21,23 +21,25 @@ __version__ = "0.1.0"
 # layer -> the public names the package re-exports from it
 _API = {
     "battery": (),
+    "boundary": ("BoundaryAnalysis", "analyze_boundary_asymptotic", "analyze_boundary_isothermic"),
     "bvp": ("BoundarySpec", "PlatonicPreset", "SolveResult", "platonic_preset",
             "solve_knoid", "solve_platonic"),
     "commands": (),
+    "coxeter": (),
     "dnet": (),
     "holomorphic": ("INF", "HoloGrid", "power_function", "propagate_fourth", "read_grid",
                     "validate_holomorphic", "write_grid"),
+    "lattice": ("EdgeLabels", "LatticeDomain", "Net3"),
     "minimal": ("MinimalPair", "QuadCurvature", "gauss_map", "is_asymptotic", "mixed_area",
                 "propagate_normals", "quad_curvatures", "tangent_normals",
                 "weierstrass_asymptotic", "weierstrass_isothermic"),
     "mobius": ("CrossRatioValue", "Isometry", "LineR3", "PlaneR3", "Quaternion",
                "cross_ratio_complex", "cross_ratio_quat", "fit_line", "fit_plane",
                "stereographic_lift"),
-    "net": ("EdgeLabels", "LatticeDomain", "Net3", "NetBundle", "are_parallel_meshes",
-            "is_circular", "is_isothermic", "read_net", "write_net"),
-    "reflection": ("BoundaryAnalysis", "SymmetryOrbit", "analyze_boundary_asymptotic",
-                   "analyze_boundary_isothermic", "build_orbit", "close_group",
-                   "corner_angles", "reflect_isothermic", "rotate_extend_asymptotic"),
+    "net": ("NetBundle", "are_parallel_meshes", "is_circular", "is_isothermic", "read_net",
+            "write_net"),
+    "reflection": ("SymmetryOrbit", "build_orbit", "close_group", "corner_angles",
+                   "reflect_isothermic", "rotate_extend_asymptotic"),
 }
 _LAYER_OF = {name: layer for layer, names in _API.items() for name in names}
 

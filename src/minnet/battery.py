@@ -12,10 +12,11 @@ from functools import cached_property
 
 import numpy as np
 
-from . import holomorphic, minimal, reflection
+from . import boundary, holomorphic, minimal
 from .errors import DomainMismatch
-from .net import (CheckReport, EdgeLabels, Net3, PlaneFit, _norm, circularity_residuals,
-                  cross_ratio_residuals, edge_angles, plane_fits, worst_report)
+from .lattice import EdgeLabels, Net3, _norm
+from .net import (CheckReport, PlaneFit, circularity_residuals, cross_ratio_residuals,
+                  edge_angles, plane_fits, worst_report)
 
 
 class _Nets:
@@ -89,8 +90,8 @@ class _Nets:
 
     @cached_property
     def iso_lines(self) -> dict:
-        """The congruence-plane analysis of each boundary line (reflection.boundary_lines)."""
-        return reflection.boundary_lines(self.iso, self.normals, self.tol)
+        """The congruence-plane analysis of each boundary line (boundary.boundary_lines)."""
+        return boundary.boundary_lines(self.iso, self.normals, self.tol)
 
     def boundaries(self) -> dict:
         """Each boundary line is a planar curvature line of the isothermic net
@@ -99,7 +100,7 @@ class _Nets:
         for axis, index in (("row", dom.n0), ("row", dom.n1),
                             ("col", dom.m0), ("col", dom.m1)):
             iso = self.iso_lines[axis, index]
-            asym = reflection.analyze_boundary_asymptotic(self.asym, index, axis, self.tol)
+            asym = boundary.analyze_boundary_asymptotic(self.asym, index, axis, self.tol)
             checks[f"boundary_{axis}_{index}"] = {
                 "ok": ((iso.kind == "planar_curvature_line")
                        == (asym.kind == "straight_asymptotic_line")),

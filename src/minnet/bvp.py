@@ -46,7 +46,7 @@ import numpy as np
 from .errors import BadParameter, InfeasibleSpec, NoConvergence, ZeroDg
 from .holomorphic import HoloGrid, validate_holomorphic
 from .mobius import c_abs
-from .net import EdgeLabels, Frozen, LatticeDomain
+from .lattice import EdgeLabels, Frozen, LatticeDomain
 
 EXP_CLIP = 300.0
 LAM_CAP = 1e14

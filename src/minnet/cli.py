@@ -61,7 +61,7 @@ def _read_threads() -> None:
 
 def verify_pair(pair: minimal.MinimalPair, tol: float = 1e-9, lines: dict | None = None) -> dict:
     """All invariants of a generated isothermic/asymptotic/gauss triple; lines
-    are its reflection.boundary_lines at tol when the caller has fitted them."""
+    are its boundary.boundary_lines at tol when the caller has fitted them."""
     nets = battery._Nets(tol, pair.isothermic, pair.gauss, pair.grid.labels, pair.asymptotic,
                          pair.grid)
     if lines is not None:
@@ -270,6 +270,8 @@ def main(argv=None) -> int:
             if not 0.0 <= value < math.inf:
                 raise BadParameter(f"--{name.replace('_', '-')} must be finite and "
                                    f"non-negative, got {value}")
+        if getattr(args, "max_word", 1) < 1:
+            raise BadParameter(f"--max-word must be at least 1, got {args.max_word}")
         _read_threads()
         if args.command == "export":
             export_obj(args.path_in, args.path_out)

@@ -202,7 +202,7 @@ def _check_edges(nd: NetDoc) -> None:
     """ParseError at the first edge no longer than MIN_EDGE, in the order of
     `LatticeDomain.edge_index`: the edges to (m+1, n), then those to
     (m, n+1).  The test is Net3's, |p_a - p_b| <= MIN_EDGE; math.dist rounds
-    the length correctly, where `net._norm` may differ in the last bit."""
+    the length correctly, where `lattice._norm` may differ in the last bit."""
     cols, pts = nd.cols, nd.points
     # the points in box order; a masked one is NaN, whose distances fail the test
     box = [pts[i] if i >= 0 else _NAN3 for i in nd.box] if nd.mask else pts

@@ -26,8 +26,8 @@ from .errors import DegenerateQuad, ParseError, UnsupportedGamma, ZeroDg
 from .jsonio import json_int, load_json, write_text
 from .mobius import (CNum, INF, c_abs, c_div, c_join, c_mul, cross_ratio_complex, is_inf,
                      sphere_distinct)
-from .net import (GAP_EPS, CheckReport, EdgeLabels, LatticeDomain, Net3, Vertex, integrate_edges,
-                  json_to_bundle, net_to_json, worst_report)
+from .lattice import GAP_EPS, EdgeLabels, LatticeDomain, Net3, Vertex, integrate_edges
+from .net import CheckReport, json_to_bundle, net_to_json, worst_report
 
 # Largest extent of a power_function grid: about 1.6 GB for a side-1000
 # generate (README, "Command line").

@@ -27,8 +27,9 @@ import numpy as np
 
 from .errors import InconsistentBundle, NotCoplanar, ZeroArea, ZeroDg
 from .mobius import CNum, c_abs, c_div, c_mul, is_inf, stereographic_lift
-from .net import (CheckReport, Net3, PlaneFit, Vertex, _dot, _norm, _quad_scale, integrate_edges,
-                  plane_fits, planarity_residual, planarity_residuals, point_scales, worst_report)
+from .lattice import Net3, Vertex, _dot, _norm, integrate_edges
+from .net import (CheckReport, PlaneFit, _quad_scale, plane_fits, planarity_residual,
+                  planarity_residuals, point_scales, worst_report)
 
 if TYPE_CHECKING:
     from .holomorphic import HoloGrid

@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateFit, DegenerateQuad
-from .net import GAP_EPS, Frozen
+from .lattice import GAP_EPS, Frozen
 
 
 # ---------------------------------------------------------------------------

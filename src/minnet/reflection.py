@@ -1,116 +1,24 @@
-"""Reflectable boundaries, Schwarz-type extensions and symmetry orbits.
+"""Schwarz-type extensions across reflectable boundary lines, corner
+angles and symmetry orbits.
 
-A boundary row of an isothermic minimal net is reflectable when the row
-and its normal line congruence lie in one plane; equivalently the Gauss
-image of the row lies in a great circle.  The conjugate asymptotic net is
-extendable across a boundary row exactly when that row is a straight
-line; there the extension is the 180-degree rotation about it.
-
-Orbits close the group generated by boundary reflections breadth-first and
-weld the transformed copies into a single quad mesh along the boundary
-lines the mirrors fix.
+The extensions mirror the lattice across a boundary line that `boundary`
+finds reflectable.  Orbits close the group generated by boundary
+reflections breadth-first and weld the transformed copies into a single
+quad mesh along the boundary lines the mirrors fix.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
-from . import minimal
-from .errors import (DegenerateFit, InconsistentBundle, NotPlanarBoundary,
-                     NotReflectable, OrbitExplosion)
-from .mobius import (Isometry, LineR3, PlaneR3, fit_line, fit_plane,
-                     fit_plane_through_origin)
-from .net import EdgeLabels, LatticeDomain, Net3, Vertex, _norm
-
-
-# ---------------------------------------------------------------------------
-# Boundary analyses
-# ---------------------------------------------------------------------------
-
-class BoundaryAnalysis(NamedTuple):
-    """Classification of one boundary lattice line by the one fit that decides it."""
-
-    axis: str                 # 'row' or 'col'
-    index: int
-    kind: str                 # 'planar_curvature_line' | 'straight_asymptotic_line' | 'none'
-    plane: PlaneR3 | None = None
-    line: LineR3 | None = None
-    residuals: dict = {}      # the deciding fit's 'congruence_plane' or 'line' residual;
-                              # a shared default, never mutated in place
-    scale: float = 1.0        # bounding-box diagonal of the line, for tol * scale
-
-    def at(self, tol: float) -> BoundaryAnalysis:
-        """This congruence-plane analysis decided at tol from the same fit:
-        a planar curvature line when the residual is within tol of its size."""
-        # false when either side is not finite: inf <= inf holds, so an overflowed
-        # scale would pass a line whose plane fit failed
-        planar = self.residuals["congruence_plane"] <= tol * self.scale < math.inf
-        return self._replace(kind="planar_curvature_line" if planar else "none")
-
-
-def boundary_vertices(domain: LatticeDomain, index: int, axis: str = "row") -> np.ndarray:
-    """Vertex numbers along the row n = index or the column m = index, in order."""
-    if axis == "row":
-        verts = domain.indices(np.arange(domain.m0, domain.m1 + 1), index)
-    elif axis == "col":
-        verts = domain.indices(index, np.arange(domain.n0, domain.n1 + 1))
-    else:
-        raise ValueError("axis must be 'row' or 'col'")
-    if np.count_nonzero(verts >= 0) < 2:
-        raise NotReflectable(f"boundary {axis} {index} has fewer than 2 vertices")
-    return verts[verts >= 0]
-
-
-def _line_scale(pts: np.ndarray) -> float:
-    """The bounding-box diagonal of a line's points, at least 1e-300."""
-    return max(float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0))), 1e-300)
-
-
-def analyze_boundary_isothermic(net: Net3, normals: Net3, index: int,
-                                axis: str = "row", tol: float = 1e-9) -> BoundaryAnalysis:
-    """Planarity of a curvature line together with its normal congruence.
-
-    kind is 'planar_curvature_line' only when the points F and F+N along
-    the line fit one plane, within tol of the line's size.  (Its Gauss
-    image then lies in a great circle, the plane's parallel through 0.)
-    The residual is the larger of the fit's and the line's size times the
-    largest |N · plane normal|: on a line much longer than its unit normals
-    the fit follows F, and the tilt term still sees N leave the plane.
-    """
-    verts = boundary_vertices(net.domain, index, axis)
-    f_pts, n_pts = net.points[verts], normals.points[verts]
-    scale = _line_scale(f_pts)
-    try:
-        plane, residual = fit_plane(np.vstack([f_pts, f_pts + n_pts]))
-        residual = max(residual, scale * float(np.abs(n_pts @ plane.normal).max()))
-    except DegenerateFit:
-        plane, residual = None, float("inf")
-    return BoundaryAnalysis(axis, index, "none", plane=plane,
-                            residuals={"congruence_plane": residual}, scale=scale).at(tol)
-
-
-def boundary_lines(net: Net3, normals: Net3, tol: float) -> dict:
-    """analyze_boundary_isothermic of the first row, first column, last row and
-    last column, in that order, keyed (axis, index)."""
-    dom = net.domain
-    return {(axis, index): analyze_boundary_isothermic(net, normals, index, axis, tol)
-            for axis, index in (("row", dom.n0), ("col", dom.m0), ("row", dom.n1),
-                                ("col", dom.m1))}
-
-
-def analyze_boundary_asymptotic(net: Net3, index: int, axis: str = "row",
-                                tol: float = 1e-9) -> BoundaryAnalysis:
-    """Straight-line test of an asymptotic lattice line, within tol of its size."""
-    verts = boundary_vertices(net.domain, index, axis)
-    pts = net.points[verts]
-    scale = _line_scale(pts)
-    line, residual = fit_line(pts)
-    kind = "straight_asymptotic_line" if residual <= tol * scale else "none"
-    return BoundaryAnalysis(axis, index, kind, line=line, residuals={"line": residual},
-                            scale=scale)
+from . import coxeter, minimal
+from .boundary import (BoundaryAnalysis, analyze_boundary_asymptotic,
+                       analyze_boundary_isothermic, boundary_vertices)
+from .errors import InconsistentBundle, NotPlanarBoundary, NotReflectable, OrbitExplosion
+from .lattice import EdgeLabels, LatticeDomain, Net3, Vertex, _norm
+from .mobius import Isometry, PlaneR3, fit_plane_through_origin
 
 
 # ---------------------------------------------------------------------------
@@ -345,84 +253,6 @@ class SymmetryOrbit:
         return self._closure
 
 
-# Mirrors at angle θ give (s_i s_j)^m = 1 for m = round(π/θ) when π/θ is within ANGLE_BOUND
-# of m.  The families' fitted angles miss by at most 5.6e-14, and 1 rad by 0.14.
-ANGLE_BOUND = 1e-6
-
-
-def _coxeter_matrix(planes: list[PlaneR3]) -> list[list[int]]:
-    """m_ij = round(π/θ_ij) for the angle θ_ij between mirror planes i and j.
-    OrbitExplosion unless each π/θ_ij is within ANGLE_BOUND of an integer, the normals
-    are independent (so the planes share a point) and the form (-cos π/m_ij) is
-    positive definite by more than 1e-12 (the Euclidean groups' singular forms compute
-    within 1e-15 of 0): then the mirrors bound a chamber of the finite Coxeter group
-    W(m), which they generate (Humphreys 1990, ch. 5-6)."""
-    normals = np.reshape([p.normal for p in planes], (-1, 3))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.pi / np.arctan2(_norm(np.cross(normals[:, None], normals)),
-                                   np.abs(normals @ normals.T))
-        np.fill_diagonal(ratio, 1.0)
-        off = np.argwhere(~(np.abs(ratio - np.rint(ratio)) <= ANGLE_BOUND))
-    for i, j in off[:1]:
-        raise OrbitExplosion(f"mirrors {i} and {j}: pi/angle = {ratio[i, j]:.9g} is not "
-                             f"within {ANGLE_BOUND:g} of an integer")
-    if np.linalg.matrix_rank(normals) < len(planes):
-        raise OrbitExplosion("the mirror normals are linearly dependent")
-    m = np.rint(ratio).astype(int)
-    if np.linalg.eigvalsh(-np.cos(np.pi / m)).min(initial=1.0) <= 1e-12:
-        raise OrbitExplosion(f"the mirrors bound no finite Coxeter chamber: m = {m.tolist()}")
-    return m.tolist()
-
-
-def _cayley_table(m: list[list[int]]) -> list[list[int]]:
-    """Todd-Coxeter (HLT) enumeration of <s_i | s_i^2, (s_i s_j)^m_ij>: table[c][i]
-    is the coset c s_i, coset 0 the identity, and table[c] None for a coset
-    merged into another.  Each s_i is an involution, so c s_i = d links
-    d s_i = c.  A coincidence merges two cosets' rows, and entries are read
-    through the merges (rep)."""
-    n = len(m)
-    relators = [[i, j] * m[i][j] for i in range(n) for j in range(i + 1, n)]
-    table, alias = [[None] * n], [0]
-
-    def rep(c):
-        while c is not None and alias[c] != c:
-            c = alias[c]
-        return c
-
-    def link(c, s, d):                      # d == len(table) defines a new coset
-        if d == len(table):
-            table.append([None] * n)
-            alias.append(d)
-        table[c][s], table[d][s] = d, c
-
-    def merge(pairs):
-        while pairs:
-            c, d = sorted(map(rep, pairs.pop()))
-            if c != d:
-                alias[d] = c
-                pairs += [(e, f) for e, f in zip(table[c], table[d]) if None not in (e, f)]
-                table[c] = [f if e is None else e for e, f in zip(table[c], table[d])]
-
-    c = 0
-    while c < len(table):
-        for word in relators:               # scan and fill, each end as far as it goes
-            f, b, i, j = c, c, 0, len(word) - 1
-            while alias[c] == c:
-                while i <= j and table[f][word[i]] is not None:
-                    f, i = rep(table[f][word[i]]), i + 1
-                while j >= i and table[b][word[j]] is not None:
-                    b, j = rep(table[b][word[j]]), j - 1
-                if j < i:
-                    merge([(f, b)])
-                    break
-                link(f, word[i], b if i == j else len(table))
-        for s in range(n):
-            if alias[c] == c and table[c][s] is None:
-                link(c, s, len(table))
-        c += 1
-    return [[rep(d) for d in row] if alias[c] == c else None for c, row in enumerate(table)]
-
-
 class Group(list):
     """Elements in discovery order; times[k, g] is the index of g∘s_k."""
 
@@ -435,12 +265,12 @@ def close_group(mirrors: list[PlaneR3], max_word: int = 16) -> Group:
     generator order.  A candidate is new exactly when its coset in the Cayley
     table is (coset c s is the element s∘g_c); closure is the largest
     Isometry.distance from a candidate to its table element.  OrbitExplosion
-    from _coxeter_matrix, and when new elements appear past max_word: at once
+    from coxeter._coxeter_matrix, and when new elements appear past max_word: at once
     when max_word <= some m_ij, a length some element has."""
-    m = _coxeter_matrix(mirrors)
+    m = coxeter._coxeter_matrix(mirrors)
     if max(map(max, m), default=0) >= max_word:
         raise OrbitExplosion(f"group did not close within word length {max_word}")
-    table = _cayley_table(m)
+    table = coxeter._cayley_table(m)
     gens = [Isometry.plane_reflection(p) for p in mirrors]
     gen_m = np.reshape([g.matrix for g in gens], (-1, 3, 3))
     gen_t = np.reshape([g.translation for g in gens], (-1, 3))

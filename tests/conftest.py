@@ -13,7 +13,8 @@ from minnet.errors import DegenerateQuad, NotIsothermic
 from minnet.holomorphic import power_function
 from minnet.minimal import MinimalPair
 from minnet.mobius import INF
-from minnet.net import Net3, PlaneFit, _dot, integrate_edges, is_isothermic
+from minnet.lattice import Net3, _dot, integrate_edges
+from minnet.net import PlaneFit, is_isothermic
 
 # The constant of the written bound on plane fits through the scatter matrix
 # (README, "Plane fits"): residuals measured with net.plane_fits lie within
@@ -296,7 +297,7 @@ def scalar_mirror_orbit(piece, mirrors, max_word=16, dedup_tol=1e-9):
     whose reflection is s (g∘s the element nearest it), and a welded vertex is
     its first copy's point."""
     from minnet.mobius import Isometry
-    from minnet.reflection import boundary_vertices
+    from minnet.boundary import boundary_vertices
     generators = [Isometry.plane_reflection(m.plane) for m in mirrors]
     elements = scalar_close_group(generators, max_word, dedup_tol)
     n = len(piece.points)

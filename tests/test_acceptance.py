@@ -7,6 +7,7 @@ import time
 import numpy as np
 import pytest
 
+from minnet.boundary import analyze_boundary_asymptotic, analyze_boundary_isothermic
 from minnet.bvp import BoundarySpec, platonic_preset, solve_knoid, solve_platonic
 from minnet.holomorphic import power_function
 from minnet.minimal import (MinimalPair, gauss_map, is_asymptotic, mixed_area,
@@ -14,9 +15,8 @@ from minnet.minimal import (MinimalPair, gauss_map, is_asymptotic, mixed_area,
                             weierstrass_isothermic)
 from minnet.mobius import Isometry, cross_ratio_complex, cross_ratio_quat
 from minnet.net import is_circular, is_isothermic
-from minnet.reflection import (analyze_boundary_asymptotic,
-                               analyze_boundary_isothermic, build_orbit,
-                               corner_angles, reflect_isothermic, rotate_extend_asymptotic)
+from minnet.reflection import (build_orbit, corner_angles, reflect_isothermic,
+                               rotate_extend_asymptotic)
 
 from conftest import edge_label, invariance_residual, random_circle_points, rotation_matrix
 

@@ -9,8 +9,9 @@ from minnet.cli import verify_pair
 from minnet.holomorphic import HoloGrid, power_function
 from minnet.minimal import MinimalPair, propagate_normals, quad_curvatures
 from minnet.mobius import cross_ratio_quat
-from minnet.net import EdgeLabels, Net3, is_circular
-from minnet.reflection import boundary_vertices
+from minnet.boundary import boundary_vertices
+from minnet.lattice import EdgeLabels, Net3
+from minnet.net import is_circular
 
 from conftest import edge_label, fit_error_bound
 

@@ -16,7 +16,7 @@ from minnet.holomorphic import HoloGrid, _axis_radii, power_function, propagate_
 from minnet.minimal import (_wei_increment, gauss_map, propagate_normals,
                             weierstrass_asymptotic, weierstrass_isothermic)
 from minnet.mobius import INF, is_inf, stereographic_lift
-from minnet.net import EdgeLabels, LatticeDomain
+from minnet.lattice import EdgeLabels, LatticeDomain
 
 from conftest import christoffel, edge_label, neighbors
 

@@ -12,7 +12,8 @@ import minnet
 from minnet.cli import build_parser, main, verify_pair
 from minnet.holomorphic import power_function, read_grid
 from minnet.minimal import MinimalPair, _vertex_stars
-from minnet.net import LatticeDomain, Net3, read_net, write_net
+from minnet.lattice import LatticeDomain, Net3
+from minnet.net import read_net, write_net
 
 from conftest import full_parser
 
@@ -162,6 +163,12 @@ BAD_INPUT = [
     (["knoid", "--k", "3"], TOO_DEEP),
     (["conjugate"], TOO_LONG),
     (["knoid", "--k", "3"], TOO_LONG),
+    # a word length below 1, which ended in "group did not close within word
+    # length -3"; generate refuses it before it solves or writes a file
+    (["enneper", "--k", "3", "--size", "4", "--orbit", "--max-word", "0"], None),
+    (["platonic", "--preset", "tetrahedral", "--resolution", "2", "--orbit", "--max-word", "0"],
+     None),
+    (["orbit", "--max-word", "-3"], "piece"),
 ]
 
 
@@ -301,6 +308,9 @@ class TestGenerate:
         elif seed == ZERO_NORMAL:
             assert error["error"] == "InconsistentBundle" and "vertex (0, 0)" in error["message"]
             assert not (tmp_path / "x.json").exists()
+        elif "--max-word" in family:
+            assert error["error"] == "BadParameter" and "--max-word" in error["message"], error
+            assert not list(tmp_path.glob("x*"))
         elif "1000000000" in family:
             expected = "BadParameter" if "enneper" in family[0] else "InfeasibleSpec"
             assert error["error"] == expected, error
@@ -805,7 +815,7 @@ class TestNoMaskedArrays:
 def test_import_generates_no_dataclasses(tmp_path):
     # every command pays its imports; @dataclass builds methods through exec.
     # Importing bvp and reflection runs every layer.
-    done = run_python("import sys, minnet.cli, minnet.bvp, minnet.reflection\n"
+    done = run_python("import sys, minnet.cli, minnet.bvp, minnet.reflection, minnet.coxeter\n"
                       "assert 'dataclasses' not in sys.modules", tmp_path)
     assert done.returncode == 0, done.stderr
 
@@ -832,20 +842,20 @@ with open("steps.json", "w") as fh:
 
 # The names minnet re-exports, each from its layer.
 PUBLIC_API = {
+    "boundary": "BoundaryAnalysis analyze_boundary_asymptotic analyze_boundary_isothermic",
     "bvp": "BoundarySpec PlatonicPreset SolveResult platonic_preset solve_knoid solve_platonic",
     "errors": "MinnetError",
     "holomorphic": "INF HoloGrid power_function propagate_fourth read_grid validate_holomorphic "
                    "write_grid",
+    "lattice": "EdgeLabels LatticeDomain Net3",
     "minimal": "MinimalPair QuadCurvature gauss_map is_asymptotic mixed_area "
                "propagate_normals quad_curvatures tangent_normals "
                "weierstrass_asymptotic weierstrass_isothermic",
     "mobius": "CrossRatioValue Isometry LineR3 PlaneR3 Quaternion cross_ratio_complex "
               "cross_ratio_quat fit_line fit_plane stereographic_lift",
-    "net": "EdgeLabels LatticeDomain Net3 NetBundle are_parallel_meshes is_circular "
-           "is_isothermic read_net write_net",
-    "reflection": "BoundaryAnalysis SymmetryOrbit analyze_boundary_asymptotic "
-                  "analyze_boundary_isothermic build_orbit close_group corner_angles "
-                  "reflect_isothermic rotate_extend_asymptotic",
+    "net": "NetBundle are_parallel_meshes is_circular is_isothermic read_net write_net",
+    "reflection": "SymmetryOrbit build_orbit close_group corner_angles reflect_isothermic "
+                  "rotate_extend_asymptotic",
 }
 
 
@@ -854,20 +864,19 @@ class TestLazyLayers:
         """Each chain runs in one fresh interpreter, which lists the layers
         that have run after each command.  Along a chain every command needs
         the layers of the commands before it, so each list is what its own
-        command runs; conjugate, which needs no reflection, gets a chain of
-        its own.  numpy stays unloaded until a command computes with arrays:
-        import, --help, a usage error and export of an orbit file only read
-        and write text, export of a net file reads it through the numpy-free
+        command runs.  generate without --orbit and verify read the boundary
+        lines but run neither the extensions nor the orbit groups; reflect
+        runs the extensions but not the Coxeter groups, and orbit runs all
+        three; conjugate, which needs no boundary, gets a chain of its own.
+        numpy stays unloaded until a command computes with arrays: import,
+        --help, a usage error and export of an orbit file only read and
+        write text, export of a net file reads it through the numpy-free
         dnet, and export checks its output directory first."""
         assert run(["generate", "enneper", "--k", "3", "--size", "5", "--orbit",
                     "--out", str(tmp_path / "enn")]) == 0
         chains = [
             [["export", "enn.orbit.json", "b.obj"],
              ["export", "enn.iso.dnet.json", "a.obj"],
-             ["orbit", "enn.iso.dnet.json", "--out", "o.json"],
-             ["reflect", "enn.asym.dnet.json", "--row", "0", "--asymptotic", "--out",
-              "ra.dnet.json"],
-             ["reflect", "enn.iso.dnet.json", "--row", "0", "--out", "r.dnet.json"],
              ["verify", "enn.iso.dnet.json", "--grid", "enn.grid.dnet.json",
               "--conjugate", "enn.asym.dnet.json", "--report", "v.json"],
              ["generate", "enneper", "--k", "3", "--size", "5", "--out", "e", "--report",
@@ -878,40 +887,42 @@ class TestLazyLayers:
              ["generate", "enneper"],                   # usage error: --k is required
              ["export", "enn.iso.dnet.json", "no_such_dir/a.obj"],
              ["conjugate", "enn.grid.dnet.json", "--out", "c.dnet.json"]],
+            [["reflect", "enn.asym.dnet.json", "--row", "0", "--asymptotic", "--out",
+              "ra.dnet.json"],
+             ["reflect", "enn.iso.dnet.json", "--row", "0", "--out", "r.dnet.json"]],
+            [["orbit", "enn.iso.dnet.json", "--out", "o.json"]],
         ]
         steps = []
         for commands in chains:
             done = run_python(f"COMMANDS = {commands!r}\n{LAYERS_RUN}", tmp_path)
             assert done.returncode == 0, done.stderr
             steps.append(json.loads((tmp_path / "steps.json").read_text()))
-        every = ["battery", "bvp", "cli", "commands", "dnet", "errors", "holomorphic", "jsonio",
-                 "minimal", "mobius", "net", "reflection"]
+        every = ["battery", "boundary", "bvp", "cli", "commands", "coxeter", "dnet", "errors",
+                 "holomorphic", "jsonio", "lattice", "minimal", "mobius", "net", "reflection"]
         front = ["cli", "errors", "jsonio"]
         reader = sorted(front + ["dnet"])
-        net = sorted(reader + ["net"])
-        orbit = sorted(net + ["commands", "mobius", "reflection"])
-        reflect = sorted(orbit + ["minimal"])
-        battery = sorted(reflect + ["battery", "holomorphic"])
-        assert steps[0] == [
-            [f"minnet.{name}" for name in every],     # import minnet.cli
-            [0, front, False],                        # what import minnet.cli runs
+        net = sorted(reader + ["commands", "lattice", "mobius", "net"])
+        battery = sorted(net + ["battery", "boundary", "holomorphic", "minimal"])
+        reflect = sorted(net + ["boundary", "reflection"])
+        loaded = [[f"minnet.{name}" for name in every],  # import minnet.cli
+                  [0, front, False]]                     # what import minnet.cli runs
+        assert steps[0] == loaded + [
             [0, front, False],                        # export of an orbit
             [0, reader, False],                       # export of a net
-            [0, orbit, True],                         # orbit
-            # reflect --asymptotic fits the line only; reflect checks its mirrored
-            # normals by minimal.propagate_normals
-            [0, orbit, True], [0, reflect, True],
             [0, battery, True], [0, battery, True],   # verify, generate enneper
-            [0, every, True],                         # generate knoid
+            [0, sorted(battery + ["bvp"]), True],     # generate knoid
         ]
-        assert steps[1] == [
-            [f"minnet.{name}" for name in every], [0, front, False],
+        assert steps[1] == loaded + [
             [0, front, False],                                     # --help
             [2, front, False],                                     # usage error
             [3, front, False],                     # export of a net to a missing directory
-            # conjugate
-            [0, sorted(net + ["commands", "holomorphic", "minimal", "mobius"]), True],
+            [0, sorted(net + ["holomorphic", "minimal"]), True],  # conjugate
         ]
+        # reflect --asymptotic fits the line only; reflect checks its mirrored
+        # normals by minimal.propagate_normals
+        assert steps[2] == loaded + [[0, reflect, True],
+                                     [0, sorted(reflect + ["minimal"]), True]]
+        assert steps[3] == loaded + [[0, sorted(reflect + ["coxeter"]), True]]   # orbit
 
     def test_public_names_are_the_layers_objects(self):
         for layer, names in PUBLIC_API.items():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from minnet.net import LatticeDomain
+from minnet.lattice import LatticeDomain
 
 from conftest import neighbors
 

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 import minnet.battery
+import minnet.boundary
 import minnet.minimal
 import minnet.net
-import minnet.reflection
 from minnet.cli import main
 from minnet.holomorphic import power_function
 from minnet.minimal import MinimalPair
@@ -161,8 +161,8 @@ def test_generate_orbit_fits_each_boundary_line_once(tmp_path, monkeypatch):
         fits.append(len(points))
         return fit_plane(points)
 
-    fit_plane = minnet.reflection.fit_plane
-    monkeypatch.setattr(minnet.reflection, "fit_plane", counted)
+    fit_plane = minnet.boundary.fit_plane
+    monkeypatch.setattr(minnet.boundary, "fit_plane", counted)
     assert main(["generate", "enneper", "--k", "3", "--size", "8", "--orbit",
                  "--out", str(tmp_path / "enn")]) == 0
     assert fits == [18] * 4

@@ -8,7 +8,7 @@ from minnet.errors import DegenerateQuad, UnsupportedGamma
 from minnet.holomorphic import (INF, HoloGrid, power_function, propagate_fourth, read_grid,
                                 validate_holomorphic, write_grid)
 from minnet.mobius import cross_ratio_complex, is_inf
-from minnet.net import EdgeLabels, LatticeDomain
+from minnet.lattice import EdgeLabels, LatticeDomain
 
 
 def identity_grid(m=4, n=4):

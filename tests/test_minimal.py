@@ -6,9 +6,9 @@ from minnet.holomorphic import HoloGrid, power_function
 from minnet.minimal import (gauss_map, is_asymptotic, mixed_area,
                             propagate_normals, quad_curvatures, tangent_normals,
                             weierstrass_asymptotic, weierstrass_isothermic)
-from minnet.net import (EdgeLabels, LatticeDomain, Net3, are_parallel_meshes,
-                        circularity_residuals, is_isothermic, planarity_residuals,
-                        point_scales)
+from minnet.lattice import EdgeLabels, LatticeDomain, Net3
+from minnet.net import (are_parallel_meshes, circularity_residuals, is_isothermic,
+                        planarity_residuals, point_scales)
 
 from conftest import best_similarity, christoffel, edge_label
 

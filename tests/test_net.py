@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from minnet.errors import ClosureFailure, DomainMismatch, NotCircular, ParseError
-from minnet.net import (EdgeLabels, LatticeDomain, Net3, are_parallel_meshes, integrate_edges,
-                        is_circular, is_isothermic, read_net, write_net)
+from minnet.lattice import EdgeLabels, LatticeDomain, Net3, integrate_edges
+from minnet.net import are_parallel_meshes, is_circular, is_isothermic, read_net, write_net
 
 from conftest import christoffel, random_similarity
 

@@ -7,7 +7,7 @@ import pytest
 
 from minnet.bvp import BoundarySpec
 from minnet.mobius import Isometry, LineR3, PlaneR3, Quaternion
-from minnet.net import EdgeLabels, LatticeDomain
+from minnet.lattice import EdgeLabels, LatticeDomain
 
 FROZEN = {
     "LatticeDomain": (lambda: LatticeDomain((0, 2), (0, 3)), "mask"),

@@ -3,17 +3,18 @@ import math
 import numpy as np
 import pytest
 
+from minnet.boundary import (BoundaryAnalysis, analyze_boundary_asymptotic,
+                             analyze_boundary_isothermic, boundary_vertices)
 from minnet.bvp import BoundarySpec, solve_knoid, solve_platonic
 from minnet.errors import NotPlanarBoundary, NotReflectable, OrbitExplosion
-from minnet.holomorphic import power_function
+from minnet.holomorphic import HoloGrid, power_function
+from minnet.lattice import EdgeLabels, LatticeDomain, Net3
 from minnet.minimal import (MinimalPair, is_asymptotic, quad_curvatures, tangent_normals,
-                            weierstrass_asymptotic)
+                            weierstrass_asymptotic, weierstrass_isothermic)
 from minnet.mobius import Isometry, PlaneR3, fit_plane, fit_plane_through_origin
-from minnet.net import EdgeLabels, LatticeDomain, Net3, is_isothermic
-from minnet.reflection import (BoundaryAnalysis, analyze_boundary_asymptotic,
-                               analyze_boundary_isothermic, boundary_vertices, build_orbit,
-                               close_group, corner_angles, reflect_isothermic,
-                               rotate_extend_asymptotic)
+from minnet.net import is_isothermic
+from minnet.reflection import (_mirror_domain, _mirror_labels, build_orbit, close_group,
+                               corner_angles, reflect_isothermic, rotate_extend_asymptotic)
 
 from conftest import invariance_residual, run_bounded, stereographic_project
 
@@ -109,8 +110,8 @@ class TestAnalyzeIsothermic:
         overflows: the plane fit used to hang in LAPACK's SVD, so this runs
         in a subprocess."""
         done = run_bounded(
-            "from minnet.net import LatticeDomain, Net3\n"
-            "from minnet.reflection import analyze_boundary_isothermic\n"
+            "from minnet.boundary import analyze_boundary_isothermic\n"
+            "from minnet.lattice import LatticeDomain, Net3\n"
             "dom = LatticeDomain((0, 1), (0, 1))\n"
             "net = Net3(dom, [[0, 0, 0], [0, 0, 1], [1.5e308, 1.5e308, 0], [1.5e308, 1.5e308, 1]])\n"
             "nrm = Net3(dom, [[0, 0, 1]] * 4, check_edges=False)\n"
@@ -364,6 +365,67 @@ class TestConjugateDuality:
                     assert asym.residuals["line"] <= 1e-9 * ft.scale()
                 seen.add(planar)
             assert seen == {True, False}, name
+
+
+def reflected_data(grid: HoloGrid, index: int, axis: str) -> HoloGrid:
+    """The grid extended across its boundary row (column) at index by the
+    inversion of g in the circle C that the line's g values lie on:
+    A|z|^2 + 2 Re(conj(B) z) + C = 0, the least-squares null vector of the
+    rows (|z|^2, x, y, 1), so that C may be a line.  A value at C's centre
+    becomes INF; the labels are mirrored as the extensions mirror them."""
+    assert not grid.inf.any()
+    dom = grid.domain
+    line = grid.values[boundary_vertices(dom, index, axis)]
+    rows = np.column_stack([np.abs(line) ** 2, line.real, line.imag, np.ones(len(line))])
+    a, bx, by, c = np.linalg.svd(rows)[2][-1]
+    b = complex(bx, by) / 2
+    extended, old, mirror = _mirror_domain(dom, index, axis)
+    z = np.conj(grid.values[mirror])
+    den = a * z + np.conj(b)            # 0 at C's centre
+    at_centre = (old < 0) & (np.abs(den) <= 1e-12 * (abs(a) * np.abs(line).max() + abs(b)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        values = np.where(old >= 0, grid.values[old], -(b * z + c) / den)
+    return HoloGrid(extended, np.where(at_centre, 0j, values),
+                    _mirror_labels(grid.labels, dom, index, axis), at_centre)
+
+
+# Both sides integrate cross-ratio -1 data along the spanning trees of
+# different domains, and C is a least-squares fit.  The largest error
+# measured on these cases is 1.0e-14 of the net's size (the K=3 k-noid
+# across row 5, through its INF vertex); 1e-13 leaves a tenfold margin.
+REFLECTED_DATA_TOL = 1e-13
+
+
+@pytest.fixture(scope="module")
+def octahedral_pair():
+    return MinimalPair.from_grid(solve_platonic("octahedral", 3).grid)
+
+
+@pytest.mark.parametrize("piece, axis, index, infinite", [
+    ("enneper k=2", "row", 0, 0), ("enneper k=3", "row", 0, 0), ("enneper k=4", "row", 0, 0),
+    ("3-noid", "row", 0, 0), ("3-noid", "row", 5, 1), ("3-noid", "col", 0, 0),
+    ("octahedral", "row", 0, 0), ("octahedral", "row", 3, 0), ("octahedral", "col", 0, 0)])
+def test_extensions_are_the_nets_of_the_reflected_data(request, piece, axis, index, infinite):
+    """The reflection principle on the holomorphic side: reflect_isothermic's
+    net is, up to one translation, the Weierstrass net of the data inverted
+    in the circle of the boundary line's g values, and rotate_extend_asymptotic's
+    net is its conjugate.  The k-noid and Enneper pieces are the (5, 15) and
+    side-6 ones of family_pairs; the octahedral piece is at resolution 3."""
+    pair = (request.getfixturevalue("octahedral_pair") if piece == "octahedral"
+            else request.getfixturevalue("family_pairs")[piece])
+    grid = reflected_data(pair.grid, index, axis)
+    assert np.count_nonzero(grid.inf) == infinite
+    labels = pair.grid.labels
+    extensions = [
+        (weierstrass_isothermic(grid),
+         reflect_isothermic(pair.isothermic, pair.gauss, index, axis, labels=labels)[0]),
+        (weierstrass_asymptotic(grid),
+         rotate_extend_asymptotic(pair.asymptotic, index, axis, labels=labels)[0])]
+    for built, extended in extensions:
+        assert built.domain == extended.domain
+        shift = extended.points[0] - built.points[0]
+        error = np.abs(built.points + shift - extended.points).max()
+        assert error <= REFLECTED_DATA_TOL * extended.scale(), error / extended.scale()
 
 
 class TestCornerAngles:

@@ -12,10 +12,10 @@ from minnet.errors import ParseError
 from minnet.holomorphic import HoloGrid, power_function, write_grid
 from minnet.minimal import MinimalPair
 from minnet.mobius import INF
-from minnet.net import (EdgeLabels, LatticeDomain, Net3, json_rows, load_json, read_net,
-                        write_net)
-from minnet.reflection import (_mirror_domain, _mirror_labels, analyze_boundary_isothermic,
-                               build_orbit)
+from minnet.boundary import analyze_boundary_isothermic
+from minnet.lattice import EdgeLabels, LatticeDomain, Net3
+from minnet.net import json_rows, load_json, read_net, write_net
+from minnet.reflection import _mirror_domain, _mirror_labels, build_orbit
 
 from conftest import edge_label
 
