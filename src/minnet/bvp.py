@@ -18,13 +18,10 @@ solve_knoid minimizes a collocation system: all interior vertices are
 unknowns and every quad contributes its cross-ratio deviation directly.
 The collocation residual is evaluated on one complex vertex array, and
 Levenberg-Marquardt gets its Jacobian in closed form (the sparse-structured
-Jacobian of Nocedal & Wright, Numerical Optimization, ch. 10).  Each quad's
-cr = (a-b)(c-d)/((b-c)(d-a)) is holomorphic in its corners, with
-dcr/da = cr (1/(a-b) + 1/(d-a)) and its three siblings; these are chained
-through dV/dx: the identity (as a Cauchy-Riemann 2x2 block) for interior
-vertices, and the derivative of the cumulative-exp encodings for the three
-boundary sequences.  Containment rows take the gradient of the active
-branch of the penalty.
+Jacobian of Nocedal & Wright, Numerical Optimization, ch. 10): each quad's
+holomorphic cross-ratio slopes chained through dV/dx, and the gradient of
+the active branch of the containment penalty.  Their indices depend on the
+grid shape alone and are built once per shape.
 
 Platonic presets replace the wedge/circle data by the Möbius-triangle data
 of the rotation group: sides meeting at (pi/2, pi/3, pi/3) for the
@@ -38,6 +35,7 @@ Möbius map that matches the corner points (which preserves cross ratios).
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from typing import NamedTuple
 
@@ -160,20 +158,20 @@ def levenberg_marquardt(fun, x0: np.ndarray, converged, max_iter: int = 500,
     r = fun(x)
     cost = float(r @ r)
     lam = lam0
-    diagonal = np.diag_indices(len(x))
     for it in range(1, max_iter + 1):
         if converged(x):
             return x, it - 1, True
         j = jac(x) if jac is not None else _jacobian(fun, x, r)
         a = j.T @ j
-        g = j.T @ r
+        g = -(j.T @ r)
+        damping = np.diag(a) + 1e-12
         stepped, tried, nu = False, lam, 2.0
         while lam <= LAM_CAP:
             tried = lam
             m = a.copy()
-            m[diagonal] += lam * (np.diag(a) + 1e-12)
+            m.ravel()[::len(x) + 1] += lam * damping
             try:
-                delta = np.linalg.solve(m, -g)
+                delta = np.linalg.solve(m, g)
             except np.linalg.LinAlgError:
                 lam, nu = lam * nu, 2.0 * nu
                 continue
@@ -216,16 +214,10 @@ class _Triangle(NamedTuple):
     arc_start: float      # circle angle of corner
     arc_span: float       # signed angle from corner to puncture
 
-    def region_distance(self, z: complex) -> float:
-        ang = math.atan2(z.imag, z.real)
-        angular = max(0.0, -ang, ang - self.wedge) * max(abs(z), 1e-12)
-        radial = max(0.0, abs(z - self.center) - self.radius)
-        return max(angular, radial)
-
     def region_penalty(self, z: np.ndarray):
-        """region_distance of every entry of z, and its gradient
-        d/dRe + i d/dIm: that of the active branch, zero where the
-        penalty is zero."""
+        """How far each entry of z lies outside the triangle, the larger of
+        its angular and radial overshoots, and its gradient d/dRe + i d/dIm:
+        that of the active branch, zero where the penalty is zero."""
         r = np.abs(z)
         ang = np.arctan2(z.imag, z.real)
         over = np.maximum(np.maximum(0.0, -ang), ang - self.wedge)
@@ -239,17 +231,14 @@ class _Triangle(NamedTuple):
         rad = radial > angular
         grad[rad] = off[rad] / dist[rad]
         act = ~rad & (angular > 0.0)
-        za, ra = z[act], r[act]
-        # over is -ang below the real axis and ang - wedge beyond the ray;
-        # grad(ang) = i z / r^2 and grad(rho) = z / r while r > 1e-12
-        sign = np.where(ang[act] < 0.0, -1.0, 1.0)
-        grad[act] = (sign * rho[act] * 1j * za / ra ** 2
-                     + over[act] * np.where(ra > 1e-12, za / ra, 0.0))
+        if act.any():
+            za, ra = z[act], r[act]
+            # over is -ang below the real axis and ang - wedge beyond the ray;
+            # grad(ang) = i z / r^2 and grad(rho) = z / r while r > 1e-12
+            sign = np.where(ang[act] < 0.0, -1.0, 1.0)
+            grad[act] = (sign * rho[act] * 1j * za / ra ** 2
+                         + over[act] * np.where(ra > 1e-12, za / ra, 0.0))
         return penalty, grad
-
-    def arc_point(self, frac: float) -> complex:
-        return self.center + self.radius * cmath.exp(
-            1j * (self.arc_start + self.arc_span * frac))
 
 
 def _spherical_triangle(theta0: float, theta1: float, theta_end: float) -> _Triangle:
@@ -283,35 +272,64 @@ def _spherical_triangle(theta0: float, theta1: float, theta_end: float) -> _Tria
     return _Triangle(theta0, corner, puncture, center, radius, arc_start, span)
 
 
-def _cumexp(u: np.ndarray, upper: float):
+def _cumexp(u: np.ndarray, upper: float, tri=None):
     """upper * s / (s[-1] + 1) with s = cumsum(exp(u)), a strictly
     increasing sequence in (0, upper), and its derivative D[j, i] =
-    d out_j / d u_i = upper * e_i * ([i <= j] / (s[-1] + 1) - s_j / (s[-1] + 1)^2)."""
+    d out_j / d u_i = upper * e_i * ([i <= j] / (s[-1] + 1) - s_j / (s[-1] + 1)^2);
+    tri = np.tri(len(u))."""
     if len(u) == 0:
         return np.empty(0), np.empty((0, 0))
-    e = np.exp(np.clip(u, -EXP_CLIP, EXP_CLIP))
-    s = np.cumsum(e)
+    if np.abs(u).max() <= EXP_CLIP:         # nothing clipped, as nearly always
+        e = slope = np.exp(u)
+    else:
+        e = np.exp(np.clip(u, -EXP_CLIP, EXP_CLIP))
+        slope = np.where(np.abs(u) <= EXP_CLIP, e, 0.0)   # the clip is flat beyond
+    s = e.cumsum()
     total = s[-1] + 1.0
-    slope = np.where(np.abs(u) <= EXP_CLIP, e, 0.0)   # the clip is flat beyond
-    deriv = upper * slope * (np.tri(len(u)) / total - s[:, None] / total ** 2)
+    tri = np.tri(len(u)) if tri is None else tri
+    deriv = upper * slope * (tri / total - s[:, None] / total ** 2)
     return upper * s / total, deriv
+
+
+@functools.lru_cache(maxsize=8)
+def _shape_tables(m_max: int, n_max: int):
+    """Read-only tables of a grid shape: the corners a, b, c, d = (m, n),
+    (m+1, n), (m+1, n+1), (m, n+1) of each quad, n-major; the slopes and
+    vertices with unknowns and their Jacobian places; np.tri."""
+    nb, n_quads = 2 * m_max + n_max - 1, m_max * n_max
+    width = nb + 2 * m_max * (n_max - 1)
+    flat = np.arange((m_max + 1) * (n_max + 1)).reshape(m_max + 1, n_max + 1)
+    corners = np.array([flat[:-1, :-1], flat[1:, :-1], flat[1:, 1:], flat[:-1, 1:]])
+    corners = corners.swapaxes(1, 2).reshape(4, n_quads)
+    column = np.full(flat.size, -1)          # of each vertex's real part, -1 on the boundary
+    column[flat[1:, 1:n_max].T.ravel()] = nb + 2 * np.arange(m_max * (n_max - 1))
+    slot, inner = np.flatnonzero(column[corners] >= 0), np.flatnonzero(column >= 0)
+    at = 2 * (slot % n_quads) * width + column[corners].ravel()[slot]
+    pen = (2 * n_quads + inner) * width + column[inner]
+    at = np.concatenate([at, at + width, at + 1, at + width + 1, pen, pen + 1])
+    tables = (corners, slot, inner, at, np.tri(m_max), np.tri(n_max - 1))
+    for a in tables:
+        a.flags.writeable = False
+    return tables
 
 
 class _Evaluation(NamedTuple):
     """Everything the collocation system reads at one parameter vector:
     the flat vertex array V, the left-column radii, dV/dx over the boundary
-    columns, d(left)/dx over its block, the per-quad cross ratios with
-    their four corner slopes, and the containment penalty of every vertex
-    with its gradient."""
+    columns, d(left)/dx over its block, cr + 1 per quad with its four
+    corner slopes, and the containment penalty of every vertex with its
+    gradient; and the largest |cr + 1| and penalty."""
 
     v: np.ndarray
     left: np.ndarray
     dv: np.ndarray
     d_left: np.ndarray
-    q: np.ndarray
-    slopes: list
+    q1: np.ndarray
+    slopes: np.ndarray
     penalty: np.ndarray
     grad: np.ndarray
+    cr_max: float
+    containment_max: float
 
 
 class _TriangleCollocation:
@@ -336,25 +354,18 @@ class _TriangleCollocation:
         self.n_max = n_max
         self.n_boundary = 2 * m_max + n_max - 1
         self.n_params = self.n_boundary + 2 * m_max * (n_max - 1)
-        flat = np.arange((m_max + 1) * (n_max + 1)).reshape(m_max + 1, n_max + 1)
-        # flat vertex index of each quad's corners a, b, c, d = (m, n),
-        # (m+1, n), (m+1, n+1), (m, n+1), quads in n-major order
-        self._corners = [flat[:-1, :-1].T.ravel(), flat[1:, :-1].T.ravel(),
-                         flat[1:, 1:].T.ravel(), flat[:-1, 1:].T.ravel()]
-        # parameter column of each vertex's real part; -1 on the boundary
-        column = np.full((m_max + 1, n_max + 1), -1)
-        column[1:, 1:n_max] = (self.n_boundary + 2 * np.arange(
-            m_max * (n_max - 1))).reshape(n_max - 1, m_max).T
-        self._column = column.ravel()
+        self._corners, self._slot, self._inner, self._at, *self._tri = _shape_tables(
+            m_max, n_max)
         self._memo: tuple[bytes | None, _Evaluation | None] = (None, None)
 
     def _vertices(self, x: np.ndarray):
         """Flat vertex array V, left-column radii, dV/dx over the boundary
         columns and d(left)/dx over its block."""
         tri, m_max, n_max, nb = self.tri, self.m_max, self.n_max, self.n_boundary
-        bottom, d_bottom = _cumexp(x[:m_max], tri.puncture)
-        left, d_left = _cumexp(x[m_max:m_max + n_max - 1], abs(tri.corner))
-        arc, d_arc = _cumexp(x[m_max + n_max - 1:nb], 1.0)
+        tri_m, tri_n = self._tri
+        bottom, d_bottom = _cumexp(x[:m_max], tri.puncture, tri_m)
+        left, d_left = _cumexp(x[m_max:m_max + n_max - 1], abs(tri.corner), tri_n)
+        arc, d_arc = _cumexp(x[m_max + n_max - 1:nb], 1.0, tri_m)
         ray = cmath.exp(1j * tri.wedge)
         v = np.empty((m_max + 1, n_max + 1), dtype=complex)
         v[0, 0] = 0j
@@ -389,30 +400,37 @@ class _TriangleCollocation:
             v, left, dv, d_left = self._vertices(x)
             q, slopes = self._cross_ratios(v)
             penalty, grad = self.tri.region_penalty(v)
-            for a in (v, left, dv, d_left, q, penalty, grad, *slopes):
+            q += 1.0
+            for a in (v, left, dv, d_left, q, slopes, penalty, grad):
                 a.flags.writeable = False
-            self._memo = (key, _Evaluation(v, left, dv, d_left, q, slopes, penalty, grad))
+            self._memo = (key, _Evaluation(v, left, dv, d_left, q, slopes, penalty, grad,
+                                           float(np.abs(q).max()), float(penalty.max())))
         return self._memo[1]
 
     def _cross_ratios(self, v: np.ndarray):
         """cr(a, b, c, d) per quad, 1e9 where den = (b-c)(d-a) vanishes, and
-        its slopes dq/da, dq/db, dq/dc, dq/dd (zero there), e.g.
+        its slopes dq/da, dq/db, dq/dc, dq/dd stacked (zero there), e.g.
         dq/da = q (1/(a-b) + 1/(d-a)) = (c-d)/den + q/(d-a)."""
-        a, b, c, d = (v[i] for i in self._corners)
-        zero = (b - c) * (d - a) == 0
-        bc, da = np.where(zero, 1.0, b - c), np.where(zero, 1.0, d - a)
+        a, b, c, d = v[self._corners]
+        bc, da = b - c, d - a
         den = bc * da
-        q = np.where(zero, 1e9, ((a - b) * (c - d)) / den)
+        zero = den == 0
+        if zero.any():
+            bc, da = np.where(zero, 1.0, bc), np.where(zero, 1.0, da)
+            den = bc * da
         ab_den, cd_den = (a - b) / den, (c - d) / den
-        slopes = [cd_den + q / da, -cd_den - q / bc, ab_den + q / bc, -ab_den - q / da]
-        return q, [np.where(zero, 0.0, s) for s in slopes]
+        q = ((a - b) * (c - d)) / den
+        q_da, q_bc = q / da, q / bc
+        slopes = np.array([cd_den + q_da, -cd_den - q_bc, ab_den + q_bc, -ab_den - q_da])
+        if zero.any():
+            return np.where(zero, 1e9, q), np.where(zero, 0.0, slopes)
+        return q, slopes
 
     def residual(self, x: np.ndarray, reg_weight: float,
                  left_ref: np.ndarray) -> np.ndarray:
         e = self._evaluate(x)
-        q = e.q + 1.0
-        return np.concatenate([np.stack([q.real, q.imag], axis=1).ravel(),
-                               e.penalty, reg_weight * (e.left - left_ref)])
+        # (Re, Im) of each cr + 1 are adjacent in its float view
+        return np.concatenate([e.q1.view(float), e.penalty, reg_weight * (e.left - left_ref)])
 
     def jacobian(self, x: np.ndarray, reg_weight: float) -> np.ndarray:
         """Closed-form d(residual)/dx.  Complex derivatives of the vertex
@@ -424,20 +442,13 @@ class _TriangleCollocation:
         m_max, n_max, nb = self.m_max, self.n_max, self.n_boundary
         n_quads, n_vertices = m_max * n_max, len(e.v)
         jac = np.zeros((2 * n_quads + n_vertices + n_max - 1, self.n_params))
-        quad_rows = 2 * np.arange(n_quads)
         boundary = np.zeros((n_quads, nb), dtype=complex)
-        for corner, slope in zip(self._corners, e.slopes):
-            boundary += slope[:, None] * dv[corner]
-            col = self._column[corner]
-            inner = col >= 0
-            rows, col, s = quad_rows[inner], col[inner], slope[inner]
-            jac[rows, col], jac[rows + 1, col] = s.real, s.imag
-            jac[rows, col + 1], jac[rows + 1, col + 1] = -s.imag, s.real
+        for term in e.slopes[:, :, None] * dv[self._corners]:
+            boundary += term
         jac[0:2 * n_quads:2, :nb] = boundary.real
         jac[1:2 * n_quads:2, :nb] = boundary.imag
-        inner = self._column >= 0
-        rows, col = 2 * n_quads + np.flatnonzero(inner), self._column[inner]
-        jac[rows, col], jac[rows, col + 1] = grad.real[inner], grad.imag[inner]
+        s, g = e.slopes.ravel()[self._slot], grad[self._inner]
+        jac.put(self._at, np.concatenate([s.real, s.imag, -s.imag, s.real, g.real, g.imag]))
         jac[2 * n_quads:2 * n_quads + n_vertices, :nb] = (grad.conj()[:, None] * dv).real
         jac[2 * n_quads + n_vertices:, m_max:m_max + n_max - 1] = reg_weight * e.d_left
         return jac
@@ -453,10 +464,10 @@ class _TriangleCollocation:
             np.stack([z.real, z.imag], axis=1).ravel()])
 
     def cr_max(self, x: np.ndarray) -> float:
-        return float(np.max(np.abs(self._evaluate(x).q + 1.0)))
+        return self._evaluate(x).cr_max
 
     def containment_max(self, x: np.ndarray) -> float:
-        return float(np.max(self._evaluate(x).penalty))
+        return self._evaluate(x).containment_max
 
     def solve(self, x0: np.ndarray, tol: float, max_iter: int, trace: list,
               to_floor: bool = True):

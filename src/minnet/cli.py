@@ -224,27 +224,43 @@ def _add_options(parser: argparse.ArgumentParser, options) -> None:
             parser.add_argument(flags, **keywords)
 
 
+def _subparsers(parser: argparse.ArgumentParser, dest: str, names, named: str | None):
+    """parser's subparsers for dest and the names to register: only named
+    when it is one of names, under a metavar that lists them all, as usage
+    lines show them; else every name."""
+    if named in names:
+        return parser.add_subparsers(dest=dest, required=True,
+                                     metavar="{%s}" % ",".join(names)), [named]
+    return parser.add_subparsers(dest=dest, required=True), list(names)
+
+
 def build_parser(argv: list[str]) -> argparse.ArgumentParser:
-    """The minnet parser for argv: every command and generate family, and
-    the options of only the one that argv names, the only subparser that
-    argparse runs.  It is named by argv's first token that is not an
-    option, and for generate by the next one too: the top-level and
-    generate parsers have no option but -h, so no option value comes
-    before it."""
+    """The minnet parser for argv.  When argv's first token is a command,
+    only that command is registered, and for generate, when the next token
+    is a family, only that family.  Any other argv (a leading option, no
+    command, an unknown command or family) gets every command and family,
+    for --help and argparse's errors.  Only the one that argv names has
+    options, the only subparser that argparse runs: it is named by argv's
+    first token that is not an option, and for generate by the next one
+    too, since the top-level and generate parsers have no option but -h."""
     path = [token for token in argv if not token.startswith("-")][:2]
+    first, second = (list(argv) + [None, None])[:2]
     parser = argparse.ArgumentParser(
         prog="minnet",
         description="Discrete minimal nets: generation, reflection, verification")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for command, (text, options) in _COMMANDS.items():
+    sub, commands = _subparsers(parser, "command", _COMMANDS, first)
+    for command in commands:
+        text, options = _COMMANDS[command]
         command_parser = sub.add_parser(command, help=text)
         if path[:1] == [command]:
             _add_options(command_parser, options)
-    families = sub.choices["generate"].add_subparsers(dest="family", required=True)
-    for family, options in _FAMILIES.items():
-        family_parser = families.add_parser(family)
-        if path == ["generate", family]:
-            _add_options(family_parser, options)
+    if "generate" in commands:
+        families, names = _subparsers(sub.choices["generate"], "family", _FAMILIES,
+                                      second if first == "generate" else None)
+        for family in names:
+            family_parser = families.add_parser(family)
+            if path == ["generate", family]:
+                _add_options(family_parser, _FAMILIES[family])
     return parser
 
 

@@ -257,9 +257,13 @@ def _read_normals(doc: dict, nd: NetDoc) -> None:
 def read_doc(doc, check_edges: bool = True) -> NetDoc:
     """The checked contents of a parsed .dnet.json document; ParseError at
     the first fault, in the order domain, vertex records, missing vertices,
-    positions, edges (check_edges: surface nets, not grids), labels, normals."""
+    positions, edges (check_edges: surface nets, not grids), labels, normals.
+    An orbit file is refused by name: only export reads one."""
     if not isinstance(doc, dict):
         raise ParseError("top-level JSON value must be an object")
+    if doc.get("kind") == "orbit":
+        raise ParseError("this is an orbit file, not a net or grid file; "
+                         "export reads orbit files")
     nd = NetDoc()
     _read_domain(doc, nd)
     _read_points(doc, nd)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from minnet import bvp
-from minnet.bvp import (BoundarySpec, _collocation_seed, _cumexp,
+from minnet.bvp import (EXP_CLIP, BoundarySpec, _collocation_seed, _cumexp,
                         _increasing_inverse, _knoid_triangle, levenberg_marquardt,
                         _reencode_between, _spherical_triangle,
                         _TriangleCollocation, platonic_preset, solve_knoid,
@@ -15,6 +15,20 @@ from minnet.errors import BadParameter, InfeasibleSpec, NoConvergence
 from minnet.holomorphic import validate_holomorphic
 
 from conftest import run_bounded
+
+
+def region_distance(tri, z: complex) -> float:
+    """How far z lies outside the triangle tri: the scalar oracle of
+    _Triangle.region_penalty."""
+    ang = math.atan2(z.imag, z.real)
+    angular = max(0.0, -ang, ang - tri.wedge) * max(abs(z), 1e-12)
+    radial = max(0.0, abs(z - tri.center) - tri.radius)
+    return max(angular, radial)
+
+
+def arc_point(tri, frac: float) -> complex:
+    """The point of tri's arc at fraction frac from its corner to its puncture."""
+    return tri.center + tri.radius * cmath.exp(1j * (tri.arc_start + tri.arc_span * frac))
 
 
 class TestBoundarySpec:
@@ -29,9 +43,9 @@ class TestBoundarySpec:
     def test_region(self):
         spec = BoundarySpec(3, 3, 10)
         tri = _knoid_triangle(spec)
-        assert tri.region_distance(0.5 + 0.2j) == 0.0
-        assert tri.region_distance(1.5 + 0j) > 0.4
-        assert tri.region_distance(0.5 - 0.5j) > 0.0  # below the wedge
+        assert region_distance(tri, 0.5 + 0.2j) == 0.0
+        assert region_distance(tri, 1.5 + 0j) > 0.4
+        assert region_distance(tri, 0.5 - 0.5j) > 0.0  # below the wedge
         assert abs(spec.corner_value - cmath.exp(2j * math.pi / 3)) < 1e-15
 
 
@@ -126,18 +140,19 @@ class TestKnoidResidual:
         grid = trinoid_result.grid
         boundary = max(abs(abs(grid[(m, spec.n_max)]) - 1.0)
                        for m in range(1, spec.m_max + 1))
-        containment = max(_knoid_triangle(spec).region_distance(grid[v])
+        containment = max(region_distance(_knoid_triangle(spec), grid[v])
                           for v in grid.domain.vertices)
         assert boundary <= 1e-6
         assert containment <= 1e-6
 
 
-def _perturbed_system(case):
+def _perturbed_system(case, perturb=True):
     """A collocation system, a non-converged point and a left reference.
 
     Random noise (relative to the triangle's size for the interior values)
     plus three interior vertices placed below the real axis, beyond the ray
-    and outside the circle, so every branch of the penalty is active."""
+    and outside the circle, so every branch of the penalty is active; or,
+    with perturb False, the system's seed."""
     if case == "knoid":
         spec = BoundarySpec(3, 3, 10)
         system = _TriangleCollocation(_knoid_triangle(spec), spec.m_max, spec.n_max)
@@ -152,17 +167,18 @@ def _perturbed_system(case):
     tri, m_max, nb = system.tri, system.m_max, system.n_boundary
     noise = np.random.default_rng(1).normal(scale=0.3, size=len(x))
     noise[nb:] *= tri.puncture
-    x = x + noise
+    x = x + noise if perturb else x
 
     def put(m, n, z):
         i = nb + 2 * ((n - 1) * m_max + m - 1)
         x[i], x[i + 1] = z.real, z.imag
 
     size = abs(tri.corner)
-    put(m_max // 2, 1, complex(0.5 * tri.puncture, -0.2 * size))
-    put(1, 1, 0.5 * size * cmath.exp(1j * (tri.wedge + 0.3)))
-    edge = tri.arc_point(0.5) - tri.center
-    put(m_max - 1, system.n_max - 1, tri.center + 1.1 * edge)
+    if perturb:
+        put(m_max // 2, 1, complex(0.5 * tri.puncture, -0.2 * size))
+        put(1, 1, 0.5 * size * cmath.exp(1j * (tri.wedge + 0.3)))
+        edge = arc_point(tri, 0.5) - tri.center
+        put(m_max - 1, system.n_max - 1, tri.center + 1.1 * edge)
     left_ref = _cumexp(x[m_max:m_max + system.n_max - 1], size)[0] + 0.01
     return system, x, left_ref
 
@@ -184,7 +200,7 @@ def _loop_residual(system, x, reg_weight, left_ref):
     vals = {(0, 0): 0j, (0, n_max): tri.corner}
     for m in range(1, m_max + 1):
         vals[(m, 0)] = complex(bottom[m - 1])
-        vals[(m, n_max)] = tri.arc_point(arc[m - 1])
+        vals[(m, n_max)] = arc_point(tri, arc[m - 1])
     for n in range(1, n_max):
         vals[(0, n)] = left[n - 1] * cmath.exp(1j * tri.wedge)
     i = 2 * m_max + n_max - 1
@@ -198,7 +214,7 @@ def _loop_residual(system, x, reg_weight, left_ref):
             q = _cr4(vals[(m, n)], vals[(m + 1, n)],
                      vals[(m + 1, n + 1)], vals[(m, n + 1)]) + 1.0
             out.extend((q.real, q.imag))
-    out.extend(tri.region_distance(vals[v]) for v in sorted(vals))
+    out.extend(region_distance(tri, vals[v]) for v in sorted(vals))
     out.extend(reg_weight * (left - left_ref))
     return np.array(out), vals
 
@@ -220,7 +236,7 @@ class TestCollocation:
         assert system.cr_max(x) == pytest.approx(
             np.max(np.hypot(quads[0::2], quads[1::2])), rel=1e-14)
         assert system.containment_max(x) == pytest.approx(
-            max(system.tri.region_distance(v) for v in z), rel=1e-14)
+            max(region_distance(system.tri, v) for v in z), rel=1e-14)
 
     @pytest.mark.parametrize("case", ["knoid", "octahedral"])
     def test_jacobian_matches_central_difference(self, case):
@@ -235,6 +251,171 @@ class TestCollocation:
             fd[:, i] = (system.residual(xp, 1e-3, left_ref)
                         - system.residual(xm, 1e-3, left_ref)) / (2.0 * step)
         assert np.max(np.abs(jac - fd)) <= 1e-6 * np.max(np.abs(jac))
+
+
+def _reference_cumexp(u, upper):
+    """_cumexp with the clip, its flat slope and np.tri taken on every call."""
+    if len(u) == 0:
+        return np.empty(0), np.empty((0, 0))
+    e = np.exp(np.clip(u, -EXP_CLIP, EXP_CLIP))
+    s = np.cumsum(e)
+    total = s[-1] + 1.0
+    slope = np.where(np.abs(u) <= EXP_CLIP, e, 0.0)
+    return upper * s / total, upper * slope * (np.tri(len(u)) / total - s[:, None] / total ** 2)
+
+
+def _reference_system(system, x, reg_weight, left_ref):
+    """(residual, Jacobian, cr_max, containment_max) of a collocation system,
+    and whether a vertex is on the penalty's angular branch, by the same
+    formulas, each taken whole: every branch of the cumulative
+    exponentials, of the cross ratios' zero denominators and of the
+    penalty's gradient runs on every call, and the Jacobian is written one
+    corner at a time from per-call index arrays.  So it must equal the
+    system's tables and fast paths bit for bit."""
+    tri, m_max, n_max, nb = system.tri, system.m_max, system.n_max, system.n_boundary
+    bottom, d_bottom = _reference_cumexp(x[:m_max], tri.puncture)
+    left, d_left = _reference_cumexp(x[m_max:m_max + n_max - 1], abs(tri.corner))
+    arc, d_arc = _reference_cumexp(x[m_max + n_max - 1:nb], 1.0)
+    ray = cmath.exp(1j * tri.wedge)
+    v = np.empty((m_max + 1, n_max + 1), dtype=complex)
+    v[0, 0] = 0j
+    v[0, n_max] = tri.corner
+    v[1:, 0] = bottom
+    v[0, 1:n_max] = left * ray
+    v[1:, n_max] = tri.center + tri.radius * np.exp(1j * (tri.arc_start + tri.arc_span * arc))
+    v[1:, 1:n_max] = (x[nb::2] + 1j * x[nb + 1::2]).reshape(n_max - 1, m_max).T
+    dv = np.zeros((m_max + 1, n_max + 1, nb), dtype=complex)
+    dv[1:, 0, :m_max] = d_bottom
+    dv[0, 1:n_max, m_max:m_max + n_max - 1] = ray * d_left
+    dv[1:, n_max, m_max + n_max - 1:] = (
+        1j * tri.arc_span * (v[1:, n_max] - tri.center))[:, None] * d_arc
+    v, dv = v.ravel(), dv.reshape(-1, nb)
+
+    flat = np.arange((m_max + 1) * (n_max + 1)).reshape(m_max + 1, n_max + 1)
+    corners = [flat[:-1, :-1].T.ravel(), flat[1:, :-1].T.ravel(),
+               flat[1:, 1:].T.ravel(), flat[:-1, 1:].T.ravel()]
+    a, b, c, d = (v[i] for i in corners)
+    zero = (b - c) * (d - a) == 0
+    bc, da = np.where(zero, 1.0, b - c), np.where(zero, 1.0, d - a)
+    den = bc * da
+    q = np.where(zero, 1e9, ((a - b) * (c - d)) / den)
+    ab_den, cd_den = (a - b) / den, (c - d) / den
+    slopes = [np.where(zero, 0.0, s) for s in
+              (cd_den + q / da, -cd_den - q / bc, ab_den + q / bc, -ab_den - q / da)]
+
+    r = np.abs(v)
+    ang = np.arctan2(v.imag, v.real)
+    over = np.maximum(np.maximum(0.0, -ang), ang - tri.wedge)
+    rho = np.maximum(r, 1e-12)
+    angular = over * rho
+    off = v - tri.center
+    dist = np.abs(off)
+    radial = np.maximum(0.0, dist - tri.radius)
+    penalty = np.maximum(angular, radial)
+    grad = np.zeros_like(v)
+    rad = radial > angular
+    grad[rad] = off[rad] / dist[rad]
+    act = ~rad & (angular > 0.0)
+    za, ra = v[act], r[act]
+    sign = np.where(ang[act] < 0.0, -1.0, 1.0)
+    grad[act] = (sign * rho[act] * 1j * za / ra ** 2
+                 + over[act] * np.where(ra > 1e-12, za / ra, 0.0))
+
+    q1 = q + 1.0
+    residual = np.concatenate([np.stack([q1.real, q1.imag], axis=1).ravel(), penalty,
+                               reg_weight * (left - left_ref)])
+    column = np.full((m_max + 1, n_max + 1), -1)
+    column[1:, 1:n_max] = (nb + 2 * np.arange(m_max * (n_max - 1))).reshape(n_max - 1, m_max).T
+    column = column.ravel()
+    n_quads, n_vertices = m_max * n_max, len(v)
+    jac = np.zeros((2 * n_quads + n_vertices + n_max - 1, system.n_params))
+    quad_rows = 2 * np.arange(n_quads)
+    boundary = np.zeros((n_quads, nb), dtype=complex)
+    for corner, slope in zip(corners, slopes):
+        boundary += slope[:, None] * dv[corner]
+        col = column[corner]
+        inner = col >= 0
+        rows, col, s = quad_rows[inner], col[inner], slope[inner]
+        jac[rows, col], jac[rows + 1, col] = s.real, s.imag
+        jac[rows, col + 1], jac[rows + 1, col + 1] = -s.imag, s.real
+    jac[0:2 * n_quads:2, :nb] = boundary.real
+    jac[1:2 * n_quads:2, :nb] = boundary.imag
+    inner = column >= 0
+    rows, col = 2 * n_quads + np.flatnonzero(inner), column[inner]
+    jac[rows, col], jac[rows, col + 1] = grad.real[inner], grad.imag[inner]
+    jac[2 * n_quads:2 * n_quads + n_vertices, :nb] = (grad.conj()[:, None] * dv).real
+    jac[2 * n_quads + n_vertices:, m_max:m_max + n_max - 1] = reg_weight * d_left
+    return residual, jac, float(np.max(np.abs(q1))), float(np.max(penalty)), act.any()
+
+
+def _branch_point(case, branch):
+    """A system, a point and a left reference that take one branch: "seed"
+    the usual one of every fast path, "angular" the penalty's angular
+    gradient (the _perturbed_system point), "clipped" boundary parameters
+    past EXP_CLIP, "coincident" a quad with (b-c)(d-a) == 0."""
+    system, x, left_ref = _perturbed_system(case, perturb=branch != "seed")
+    m_max, nb = system.m_max, system.n_boundary
+    if branch == "clipped":
+        x[0], x[m_max], x[nb - 1] = 2 * EXP_CLIP, -EXP_CLIP - 1.0, EXP_CLIP + 1e-9
+    elif branch == "coincident":
+        # interior vertex (3, 2) on (3, 1): quad (2, 1) has b == c
+        i = nb + 4
+        x[i + 2 * m_max:i + 2 * m_max + 2] = x[i:i + 2]
+    return system, x, left_ref
+
+
+class TestFastPaths:
+    """The shape tables and the fast paths of the collocation system change
+    no bit: at a point on each branch, the residual, Jacobian, cr_max and
+    containment_max equal _reference_system's byte for byte."""
+
+    @pytest.mark.parametrize("branch", ["seed", "angular", "clipped", "coincident"])
+    @pytest.mark.parametrize("case", ["knoid", "octahedral"])
+    def test_equal_to_reference(self, case, branch):
+        system, x, left_ref = _branch_point(case, branch)
+        residual, jac, cr_max, containment_max, angular = _reference_system(
+            system, x, 1e-3, left_ref)
+        nb = system.n_boundary
+        clipped = np.abs(x[:nb]).max() > EXP_CLIP
+        v = system.vertices(x)
+        quads = [v[:-1, :-1], v[1:, :-1], v[1:, 1:], v[:-1, 1:]]
+        coincident = ((quads[1] - quads[2]) * (quads[3] - quads[0]) == 0).any()
+        assert (angular, clipped, coincident) == (
+            branch != "seed", branch == "clipped", branch == "coincident")
+        assert system.residual(x, 1e-3, left_ref).tobytes() == residual.tobytes()
+        assert system.jacobian(x, 1e-3).tobytes() == jac.tobytes()
+        assert (system.cr_max(x), system.containment_max(x)) == (cr_max, containment_max)
+
+    def test_shapes_do_not_mix(self):
+        """A system or solve made after others of other shapes, or of the
+        same shape, gives the bytes it gives with its tables built afresh."""
+        points = [_branch_point(case, "angular") for case in ("knoid", "octahedral")]
+        spec = BoundarySpec(3, 2, 6)        # the tetrahedral shape at resolution 2
+        small = _knoid_system(spec)
+        points.append((small, _collocation_seed(small, 4.0 / 3.0), np.full(1, 0.5)))
+
+        def evaluate(system, x, left_ref):
+            fresh = _TriangleCollocation(system.tri, system.m_max, system.n_max)
+            return (fresh.residual(x, 1e-3, left_ref).tobytes(),
+                    fresh.jacobian(x, 1e-3).tobytes())
+
+        solves = [lambda: solve_knoid(spec), lambda: solve_platonic("tetrahedral", 2),
+                  lambda: solve_knoid(BoundarySpec(3, 3, 10))]
+
+        def solve(run):
+            result = run()
+            return result.params.tobytes() + result.grid.values.tobytes()
+
+        alone = []
+        for point in points:
+            bvp._shape_tables.cache_clear()
+            alone.append(evaluate(*point))
+        assert [evaluate(*p) for p in points + points[::-1]] == alone + alone[::-1]
+        alone = []
+        for run in solves:
+            bvp._shape_tables.cache_clear()
+            alone.append(solve(run))
+        assert [solve(run) for run in solves + solves[::-1]] == alone + alone[::-1]
 
 
 class TestEvaluationMemo:
@@ -364,7 +545,7 @@ class TestSolveKnoid:
         args = [cmath.phase(grid[(m, 3)]) for m in range(11)]
         assert all(a > b for a, b in zip(args, args[1:]))
         assert all(abs(abs(grid[(m, 3)]) - 1.0) < 1e-9 for m in range(11))
-        assert all(_knoid_triangle(spec).region_distance(grid[v]) <= 1e-9
+        assert all(region_distance(_knoid_triangle(spec), grid[v]) <= 1e-9
                    for v in grid.domain.vertices)
 
     def test_deterministic(self):

@@ -678,6 +678,26 @@ class TestExport:
         assert dst.read_text().splitlines() == oracle
 
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", READ], ["conjugate", READ, "--out", TMP + "x.dnet.json"],
+        ["reflect", READ, "--row", "0", "--out", TMP + "x.dnet.json"],
+        ["orbit", READ, "--out", TMP + "x.json"]], ids=lambda argv: argv[0])
+    def test_orbit_file_is_refused_by_name(self, tmp_path, capsys, argv):
+        """An orbit file read as a net or grid file: a ParseError that names
+        its kind and export, exit 3, and no file written."""
+        base = str(tmp_path / "enn")
+        assert run(["generate", "enneper", "--k", "3", "--size", "3",
+                    "--orbit", "--out", base]) == 0
+        capsys.readouterr()
+        argv = [f"{base}.orbit.json" if a == READ else a.replace(TMP, f"{tmp_path}/")
+                for a in argv]
+        assert run(argv) == 3
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ParseError", "message": "this is an orbit file, not a net or grid "
+                                              "file; export reads orbit files"}
+        assert not (tmp_path / "x.dnet.json").exists() and not (tmp_path / "x.json").exists()
+
+
 class TestReflectAndConjugate:
     def test_reflect_roundtrip(self, tmp_path):
         base = str(tmp_path / "enn")
@@ -971,7 +991,7 @@ class TestParser:
     def test_only_the_named_command_has_options(self, argv):
         full = parser_options(full_parser())
         assert parser_options(build_parser(argv)) == {
-            name: options if name in argv[:2] else [] for name, options in full.items()}
+            name: full[name] for name in argv[:2] if name in full}
 
     # --help of the top level, of each command and of each family; the usage
     # error of each command and family without its required arguments
@@ -987,8 +1007,16 @@ class TestParser:
         ["orbit", "n", "--out", "o", "--obj", "b", "--tol", "0"],
         ["conjugate", "g", "--out", "o"], ["export", "a", "b"], ["export", "a", "b", "--tol", "1"],
         ["bogus"], ["generate", "bogus"],
+        # a leading NAME=value sets the environment, as in a shell: a usage
+        # error wrapped at 40 columns
+        ["COLUMNS=40", "generate", "knoid", "--k", "3", "--bogus"],
     ], ids=" ".join)
-    def test_parses_as_the_full_parser(self, argv, capsys):
+    def test_parses_as_the_full_parser(self, argv, capsys, monkeypatch):
+        while "=" in argv[0]:
+            name, _, value = argv[0].partition("=")
+            monkeypatch.setenv(name, value)
+            argv = argv[1:]
+
         def parse(parser):
             try:
                 parsed = (None, vars(parser.parse_args(argv)))
