@@ -91,7 +91,7 @@ class _Nets:
     @cached_property
     def iso_lines(self) -> dict:
         """The congruence-plane analysis of each boundary line (boundary.boundary_lines)."""
-        return boundary.boundary_lines(self.iso, self.normals, self.tol)
+        return boundary.boundary_lines(self.iso, self.normals)
 
     def boundaries(self) -> dict:
         """Each boundary line is a planar curvature line of the isothermic net
@@ -100,13 +100,13 @@ class _Nets:
         for axis, index in (("row", dom.n0), ("row", dom.n1),
                             ("col", dom.m0), ("col", dom.m1)):
             iso = self.iso_lines[axis, index]
-            asym = boundary.analyze_boundary_asymptotic(self.asym, index, axis, self.tol)
+            planar = iso.holds(self.tol)
+            straight = boundary.analyze_boundary_asymptotic(self.asym, index, axis).holds(self.tol)
             checks[f"boundary_{axis}_{index}"] = {
-                "ok": ((iso.kind == "planar_curvature_line")
-                       == (asym.kind == "straight_asymptotic_line")),
-                "max_residual": iso.residuals["congruence_plane"], "scale": iso.scale,
-                "worst": [axis, index], "isothermic_kind": iso.kind,
-                "asymptotic_kind": asym.kind}
+                "ok": planar == straight, "max_residual": iso.residual, "scale": iso.scale,
+                "worst": [axis, index],
+                "isothermic_kind": "planar_curvature_line" if planar else "none",
+                "asymptotic_kind": "straight_asymptotic_line" if straight else "none"}
         return checks
 
 

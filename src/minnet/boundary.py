@@ -20,24 +20,20 @@ from .mobius import LineR3, PlaneR3, fit_line, fit_plane
 
 
 class BoundaryAnalysis(NamedTuple):
-    """Classification of one boundary lattice line by the one fit that decides it."""
+    """The one fit of a boundary lattice line; each caller decides it with holds(tol)."""
 
     axis: str                 # 'row' or 'col'
     index: int
-    kind: str                 # 'planar_curvature_line' | 'straight_asymptotic_line' | 'none'
+    residual: float           # the congruence-plane or the line fit's residual
+    scale: float              # bounding-box diagonal of the line
     plane: PlaneR3 | None = None
     line: LineR3 | None = None
-    residuals: dict = {}      # the deciding fit's 'congruence_plane' or 'line' residual;
-                              # a shared default, never mutated in place
-    scale: float = 1.0        # bounding-box diagonal of the line, for tol * scale
 
-    def at(self, tol: float) -> BoundaryAnalysis:
-        """This congruence-plane analysis decided at tol from the same fit:
-        a planar curvature line when the residual is within tol of its size."""
+    def holds(self, tol: float) -> bool:
+        """The line is planar (straight) within tol of its size."""
         # false when either side is not finite: inf <= inf holds, so an overflowed
-        # scale would pass a line whose plane fit failed
-        planar = self.residuals["congruence_plane"] <= tol * self.scale < math.inf
-        return self._replace(kind="planar_curvature_line" if planar else "none")
+        # scale would pass a line whose fit failed
+        return self.residual <= tol * self.scale < math.inf
 
 
 def boundary_vertices(domain: LatticeDomain, index: int, axis: str = "row") -> np.ndarray:
@@ -59,15 +55,14 @@ def _line_scale(pts: np.ndarray) -> float:
 
 
 def analyze_boundary_isothermic(net: Net3, normals: Net3, index: int,
-                                axis: str = "row", tol: float = 1e-9) -> BoundaryAnalysis:
+                                axis: str = "row") -> BoundaryAnalysis:
     """Planarity of a curvature line together with its normal congruence.
 
-    kind is 'planar_curvature_line' only when the points F and F+N along
-    the line fit one plane, within tol of the line's size.  (Its Gauss
-    image then lies in a great circle, the plane's parallel through 0.)
-    The residual is the larger of the fit's and the line's size times the
-    largest |N · plane normal|: on a line much longer than its unit normals
-    the fit follows F, and the tilt term still sees N leave the plane.
+    A planar curvature line has F and F+N in one plane, and its Gauss image
+    in a great circle, the plane's parallel through 0.  The residual is the
+    larger of the fit's and the line's size times the largest |N · plane
+    normal|: on a line much longer than its unit normals the fit follows F,
+    and the tilt term still sees N leave the plane.
     """
     verts = boundary_vertices(net.domain, index, axis)
     f_pts, n_pts = net.points[verts], normals.points[verts]
@@ -77,26 +72,21 @@ def analyze_boundary_isothermic(net: Net3, normals: Net3, index: int,
         residual = max(residual, scale * float(np.abs(n_pts @ plane.normal).max()))
     except DegenerateFit:
         plane, residual = None, float("inf")
-    return BoundaryAnalysis(axis, index, "none", plane=plane,
-                            residuals={"congruence_plane": residual}, scale=scale).at(tol)
+    return BoundaryAnalysis(axis, index, residual, scale, plane=plane)
 
 
-def boundary_lines(net: Net3, normals: Net3, tol: float) -> dict:
+def boundary_lines(net: Net3, normals: Net3) -> dict:
     """analyze_boundary_isothermic of the first row, first column, last row and
     last column, in that order, keyed (axis, index)."""
     dom = net.domain
-    return {(axis, index): analyze_boundary_isothermic(net, normals, index, axis, tol)
+    return {(axis, index): analyze_boundary_isothermic(net, normals, index, axis)
             for axis, index in (("row", dom.n0), ("col", dom.m0), ("row", dom.n1),
                                 ("col", dom.m1))}
 
 
-def analyze_boundary_asymptotic(net: Net3, index: int, axis: str = "row",
-                                tol: float = 1e-9) -> BoundaryAnalysis:
-    """Straight-line test of an asymptotic lattice line, within tol of its size."""
+def analyze_boundary_asymptotic(net: Net3, index: int, axis: str = "row") -> BoundaryAnalysis:
+    """Straightness of an asymptotic lattice line: the line fit of its points."""
     verts = boundary_vertices(net.domain, index, axis)
     pts = net.points[verts]
-    scale = _line_scale(pts)
     line, residual = fit_line(pts)
-    kind = "straight_asymptotic_line" if residual <= tol * scale else "none"
-    return BoundaryAnalysis(axis, index, kind, line=line, residuals={"line": residual},
-                            scale=scale)
+    return BoundaryAnalysis(axis, index, residual, _line_scale(pts), line=line)

@@ -63,8 +63,8 @@ class BoundarySpec(Frozen):
     def __init__(self, k: int, n_max: int, m_max: int):
         if k < 3:
             raise InfeasibleSpec("k must be at least 3")
-        if n_max < 1:
-            raise InfeasibleSpec("n_max must be at least 1")
+        if n_max < 2:
+            raise InfeasibleSpec("n_max must be at least 2 so that an interior vertex exists")
         if m_max < n_max:
             raise InfeasibleSpec("m_max must be at least n_max")
         if (n_max + 1) * (m_max + 1) > MAX_VERTICES:

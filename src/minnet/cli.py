@@ -61,7 +61,7 @@ def _read_threads() -> None:
 
 def verify_pair(pair: minimal.MinimalPair, tol: float = 1e-9, lines: dict | None = None) -> dict:
     """All invariants of a generated isothermic/asymptotic/gauss triple; lines
-    are its boundary.boundary_lines at tol when the caller has fitted them."""
+    are its boundary.boundary_lines when the caller has fitted them."""
     nets = battery._Nets(tol, pair.isothermic, pair.gauss, pair.grid.labels, pair.asymptotic,
                          pair.grid)
     if lines is not None:

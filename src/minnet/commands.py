@@ -29,19 +29,11 @@ def orbit_to_json(orbit: reflection.SymmetryOrbit, rows: list[str]) -> str:
             f'"weld_residual": {_fmt_float(orbit.weld_residual)}}}')
 
 
-def _boundary_reflections(lines: dict, tol: float) -> list[boundary.BoundaryAnalysis]:
-    """The boundary lines (boundary.boundary_lines) that are planar curvature
-    lines at tol of their size: the mirrors of the piece's orbit, each with its
-    plane and its lattice line."""
-    return [a for a in (line.at(tol) for line in lines.values())
-            if a.kind == "planar_curvature_line"]
-
-
 def _orbit(piece: lattice.Net3, lines: dict, tol: float, max_word: int) -> reflection.SymmetryOrbit:
     """The orbit of the piece under the group of its boundary reflections, from
     the plane fits of its boundary lines; a line counts as planar at
     max(tol, 1e-7) of its size."""
-    mirrors = _boundary_reflections(lines, max(tol, 1e-7))
+    mirrors = [line for line in lines.values() if line.holds(max(tol, 1e-7))]
     if not mirrors:
         raise NotReflectable("no reflectable boundary lines found")
     return reflection.build_orbit(piece, mirrors, max_word)
@@ -127,7 +119,7 @@ def cmd_generate(args) -> int:
                        inputs=(getattr(args, "seed_file", None),))
     pair, info = _family_pair(family, args)
     # one plane fit per boundary line, for the battery and the orbit's mirrors
-    lines = boundary.boundary_lines(pair.isothermic, pair.gauss, args.tol)
+    lines = boundary.boundary_lines(pair.isothermic, pair.gauss)
     # built before the first file is written, so that a group that does not
     # close leaves no file
     orbit = _orbit(pair.isothermic, lines, args.tol, args.max_word) if args.orbit else None
@@ -180,7 +172,7 @@ def cmd_orbit(args) -> int:
     bundle = net.read_net(args.net)
     if bundle.normals is None:
         raise ParseError("orbit construction requires normals in the net file")
-    lines = boundary.boundary_lines(bundle.net, bundle.normals, args.tol)
+    lines = boundary.boundary_lines(bundle.net, bundle.normals)
     _write_orbit(_orbit(bundle.net, lines, args.tol, args.max_word), args.out, args.obj)
     return EXIT_OK
 

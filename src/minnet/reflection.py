@@ -105,11 +105,10 @@ def reflect_isothermic(net: Net3, normals: Net3, index: int,
     and, when labels are given, the extended edge labels.
     """
     _check_boundary_line(net.domain, index, axis)
-    analysis = analyze_boundary_isothermic(net, normals, index, axis, tol)
-    if analysis.kind != "planar_curvature_line":
-        raise NotReflectable(
-            f"{axis} {index}: congruence-plane residual "
-            f"{analysis.residuals['congruence_plane']:.3e}")
+    analysis = analyze_boundary_isothermic(net, normals, index, axis)
+    if not analysis.holds(tol):
+        raise NotReflectable(f"{axis} {index}: congruence-plane residual "
+                             f"{analysis.residual:.3e}")
     net_ext, normals_ext, labels_ext = _extend(net, normals, labels, index, axis,
                                                Isometry.plane_reflection(analysis.plane))
 
@@ -133,10 +132,9 @@ def rotate_extend_asymptotic(net: Net3, index: int, axis: str = "row",
     rotation images of the mirrored rows.
     """
     _check_boundary_line(net.domain, index, axis)
-    analysis = analyze_boundary_asymptotic(net, index, axis, tol)
-    if analysis.kind != "straight_asymptotic_line":
-        raise NotReflectable(
-            f"{axis} {index}: line residual {analysis.residuals['line']:.3e}")
+    analysis = analyze_boundary_asymptotic(net, index, axis)
+    if not analysis.holds(tol):
+        raise NotReflectable(f"{axis} {index}: line residual {analysis.residual:.3e}")
     net_ext, _, labels_ext = _extend(net, None, labels, index, axis,
                                      Isometry.line_rotation_180(analysis.line))
     return net_ext, labels_ext
@@ -194,12 +192,11 @@ def corner_angles(net: Net3, normals: Net3, corner: Vertex,
     dom = net.domain
     if m0 not in (dom.m0, dom.m1) or n0 not in (dom.n0, dom.n1):
         raise NotPlanarBoundary(f"{corner} is not a domain corner")
-    row = analyze_boundary_isothermic(net, normals, n0, "row", tol)
-    col = analyze_boundary_isothermic(net, normals, m0, "col", tol)
+    row = analyze_boundary_isothermic(net, normals, n0, "row")
+    col = analyze_boundary_isothermic(net, normals, m0, "col")
     for a in (row, col):
-        if a.kind != "planar_curvature_line":
-            raise NotPlanarBoundary(
-                f"{a.axis} {a.index} residual {a.residuals['congruence_plane']:.3e}")
+        if not a.holds(tol):
+            raise NotPlanarBoundary(f"{a.axis} {a.index} residual {a.residual:.3e}")
 
     quad = _nearest_quad(dom, corner)
     f_probe = np.mean(net.quad_points(quad), axis=0)

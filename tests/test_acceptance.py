@@ -143,13 +143,13 @@ def test_criterion_5_reflection_theorems(enneper_pairs, planar_enneper_pair):
                           ("col", dom.m0), ("col", dom.m1)):
             iso = analyze_boundary_isothermic(f, n, idx, axis)
             asym = analyze_boundary_asymptotic(ft, idx, axis)
-            planar = iso.kind == "planar_curvature_line"
-            straight = asym.kind == "straight_asymptotic_line"
+            planar = iso.holds(1e-9)
+            straight = asym.holds(1e-9)
             duality_ok = duality_ok and (planar == straight)
             if planar:
                 duality_ok = duality_ok and \
-                    iso.residuals["congruence_plane"] <= 1e-9 * f.scale() and \
-                    asym.residuals["line"] <= 1e-9 * ft.scale()
+                    iso.residual <= 1e-9 * f.scale() and \
+                    asym.residual <= 1e-9 * ft.scale()
     ok = worst_h <= 1e-9 and worst_star <= 1e-9 and duality_ok
     _report("5 (reflection theorems)", ok,
             f"seam max|H|={worst_h:.2e}, extended star residual={worst_star:.2e}, "
@@ -180,8 +180,8 @@ def test_criterion_7_knoid_and_platonic(knoid_results):
         t0 = time.perf_counter()
         pair = MinimalPair.from_grid(result.grid)
         f, n = pair.isothermic, pair.gauss
-        row = analyze_boundary_isothermic(f, n, 0, "row", 1e-7)
-        col = analyze_boundary_isothermic(f, n, 0, "col", 1e-7)
+        row = analyze_boundary_isothermic(f, n, 0, "row")
+        col = analyze_boundary_isothermic(f, n, 0, "col")
         orbit = build_orbit(f, [row, col], max_word=12)
         axis = np.cross(row.plane.normal, col.plane.normal)
         axis /= np.linalg.norm(axis)
@@ -208,7 +208,7 @@ def test_criterion_7_knoid_and_platonic(knoid_results):
         pair = MinimalPair.from_grid(result.grid)
         f, n = pair.isothermic, pair.gauss
         dom = f.domain
-        mirrors = [analyze_boundary_isothermic(f, n, idx, axis, 1e-7)
+        mirrors = [analyze_boundary_isothermic(f, n, idx, axis)
                    for axis, idx in (("row", dom.n0), ("col", dom.m0),
                                      ("row", dom.n1))]
         order = platonic_preset(name).rotation_order

@@ -37,6 +37,10 @@ class TestBoundarySpec:
             BoundarySpec(2, 3, 10)
         with pytest.raises(InfeasibleSpec):
             BoundarySpec(3, 0, 10)
+        # one row of quads has no interior vertex; its far column, of two
+        # vertices, fitted a false mirror plane
+        with pytest.raises(InfeasibleSpec, match="interior vertex"):
+            BoundarySpec(3, 1, 3)
         with pytest.raises(InfeasibleSpec):
             BoundarySpec(3, 3, 1)
 
@@ -677,6 +681,13 @@ class TestSolvePlatonic:
     def test_resolution_too_small(self):
         with pytest.raises(InfeasibleSpec):
             solve_platonic("tetrahedral", 1)
+
+    @pytest.mark.xfail(strict=True, raises=NoConvergence,
+                       reason="the continuation steps the corner angles by a fixed "
+                              "0.15 rad, too far for resolution 8: the last step stalls at "
+                              "cross_ratio 0.49 (README, Lattice sizes)")
+    def test_octahedral_resolution_8_converges(self):
+        solve_platonic("octahedral", 8)
 
     def test_negative_cap_is_bad_parameter(self):
         with pytest.raises(BadParameter, match="max_iter must be at least 0, got -1"):

@@ -411,6 +411,16 @@ class TestGenerate:
         assert solver["iterations"] == 0
         assert solver["trace"] == []
 
+    def test_knoid_without_interior_vertex_is_refused(self, tmp_path, capsys):
+        """With --nmax 1 the far column has two vertices, and F and F + N of a
+        two-vertex line are coplanar wherever its two normal lines meet: it
+        passed as a mirror, and the orbit failed with OrbitExplosion."""
+        assert run(["generate", "knoid", "--k", "3", "--nmax", "1", "--mmax", "3", "--orbit",
+                    "--out", str(tmp_path / "x")]) == 3
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert error["error"] == "InfeasibleSpec" and "interior vertex" in error["message"]
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("k", [6, 8])
     def test_knoid_passes_the_battery_at_default_settings(self, k, tmp_path):
         """Solved only until cr_max <= --solver-tol, these nets failed

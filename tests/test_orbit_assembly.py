@@ -8,7 +8,7 @@ import pytest
 
 from minnet.boundary import BoundaryAnalysis, boundary_lines
 from minnet.bvp import BoundarySpec, solve_knoid, solve_platonic
-from minnet.commands import _boundary_reflections, _orbit, _write_orbit
+from minnet.commands import _orbit, _write_orbit
 from minnet.coxeter import ANGLE_BOUND, _cayley_table
 from minnet.errors import OrbitExplosion
 from minnet.holomorphic import power_function
@@ -38,7 +38,8 @@ def _case(name, request):
 
 def _mirrors(pair, tol=1e-7):
     """The mirrors of the pair's piece at tol, as `generate --orbit` takes them."""
-    return _boundary_reflections(boundary_lines(pair.isothermic, pair.gauss, tol), tol)
+    return [line for line in boundary_lines(pair.isothermic, pair.gauss).values()
+            if line.holds(tol)]
 
 
 @pytest.mark.parametrize("name, order", [("knoid", 12), ("tetrahedral", 24),
@@ -208,7 +209,7 @@ def _piece(points):
 
 
 # the mirror y = 0 through the first row n = 0 of _piece: vertices 0 and 2
-MIRROR = BoundaryAnalysis("row", 0, "planar_curvature_line", plane=PlaneR3((0, 1, 0), 0.0))
+MIRROR = BoundaryAnalysis("row", 0, 0.0, 1.0, plane=PlaneR3((0, 1, 0), 0.0))
 
 
 def test_copies_share_the_mirror_line():
@@ -244,7 +245,7 @@ def test_near_vertices_off_the_mirrors_stay_apart():
 def test_dihedral_orbit_equals_scalar_oracle():
     # two mirrors through the z axis at angle pi/64: 128 elements
     angle = math.pi / 64
-    mirrors = [MIRROR, BoundaryAnalysis("col", 0, "planar_curvature_line", plane=PlaneR3(
+    mirrors = [MIRROR, BoundaryAnalysis("col", 0, 0.0, 1.0, plane=PlaneR3(
         (-math.sin(angle), math.cos(angle), 0), 0.0))]
     # vertices 0 and 1 lie on the axis, 2 on the mirror y = 0, 3 inside the wedge;
     # vertex 0 is on both mirrors' lines, 1 on column 0's only, 2 on row 0's only
@@ -279,7 +280,7 @@ def test_orbit_files_equal_row_by_row_formatting(name, platonic_pairs, tmp_path)
     their bytes are those of formatting each row and number on its own."""
     pair = platonic_pairs[name]
     path, obj_path = tmp_path / "o.orbit.json", tmp_path / "o.orbit.obj"
-    orbit = _orbit(pair.isothermic, boundary_lines(pair.isothermic, pair.gauss, 1e-9), 1e-9, 16)
+    orbit = _orbit(pair.isothermic, boundary_lines(pair.isothermic, pair.gauss), 1e-9, 16)
     _write_orbit(orbit, str(path), str(obj_path))
     doc, obj = orbit_files(orbit)
     assert path.read_text() == doc
@@ -311,5 +312,5 @@ def test_orbit_topology(name, k, euler, loops, topology_pairs):
     surface one hole per face of its solid.  The distance weld glued the
     Enneper sheets where they cross on the symmetry axis."""
     pair = topology_pairs[name, k]
-    orbit = _orbit(pair.isothermic, boundary_lines(pair.isothermic, pair.gauss, 1e-9), 1e-9, 16)
+    orbit = _orbit(pair.isothermic, boundary_lines(pair.isothermic, pair.gauss), 1e-9, 16)
     assert orbit_topology(len(orbit.vertices), orbit.faces) == (euler, loops, [], [])

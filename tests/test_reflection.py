@@ -46,7 +46,7 @@ class TestAnalyzeIsothermic:
         f, n = enneper_pair.isothermic, enneper_pair.gauss
         for axis, idx in (("row", 0), ("col", 0)):
             a = analyze_boundary_isothermic(f, n, idx, axis)
-            assert a.kind == "planar_curvature_line"
+            assert a.holds(1e-9)
             circle, residual = fit_plane_through_origin(gauss_image(enneper_pair, idx, axis))
             assert residual <= 1e-9
             assert np.linalg.norm(np.cross(circle.normal, a.plane.normal)) <= 1e-9
@@ -54,8 +54,8 @@ class TestAnalyzeIsothermic:
     def test_generic_row_is_none(self, enneper_pair):
         f, n = enneper_pair.isothermic, enneper_pair.gauss
         a = analyze_boundary_isothermic(f, n, f.domain.n1, "row")
-        assert a.kind == "none"
-        assert a.residuals["congruence_plane"] > 1e-3
+        assert not a.holds(1e-9)
+        assert a.residual > 1e-3
 
     def test_far_line_of_a_large_net_reads_its_tilt(self):
         """On the side-12 Enneper piece, about 7,000 across, the fit of F and
@@ -64,12 +64,12 @@ class TestAnalyzeIsothermic:
         O(1) of the size even at tol 1e-3.  Row 0 reads roundoff."""
         pair = MinimalPair.from_grid(power_function(1.5, 12, 12))
         f, n = pair.isothermic, pair.gauss
-        far = analyze_boundary_isothermic(f, n, 12, "row", 1e-3)
-        assert far.kind == "none"
-        assert far.residuals["congruence_plane"] > 0.5 * far.scale
-        near = analyze_boundary_isothermic(f, n, 0, "row", 1e-3)
-        assert near.kind == "planar_curvature_line"
-        assert near.residuals["congruence_plane"] <= 1e-13 * near.scale
+        far = analyze_boundary_isothermic(f, n, 12, "row")
+        assert not far.holds(1e-3)
+        assert far.residual > 0.5 * far.scale
+        near = analyze_boundary_isothermic(f, n, 0, "row")
+        assert near.holds(1e-3)
+        assert near.residual <= 1e-13 * near.scale
 
     def test_cone_normals_small_circle(self):
         # planar row whose tilted normals sit on a small circle: the row
@@ -88,7 +88,7 @@ class TestAnalyzeIsothermic:
         net = Net3(dom, [positions[v] for v in dom.vertices])
         nrm = Net3(dom, [normals[v] for v in dom.vertices], check_edges=False)
         a = analyze_boundary_isothermic(net, nrm, 0, "row")
-        assert a.kind == "none"
+        assert not a.holds(1e-9)
         ring = nrm.points[boundary_vertices(dom, 0, "row")]
         assert fit_plane(ring)[1] <= 1e-9                   # a circle,
         assert fit_plane_through_origin(ring)[1] > 1e-3     # but not a great one
@@ -102,8 +102,8 @@ class TestAnalyzeIsothermic:
         with np.errstate(over="ignore"):
             net = Net3(dom, [[-1e308, 0, 0], [-1e308, 1, 0], [1e308, 0, 0], [1e308, 1, 0]])
             a = analyze_boundary_isothermic(net, nrm, 0, "row")
-        assert a.scale == math.inf and a.residuals["congruence_plane"] == math.inf
-        assert a.kind == "none" and a.plane is None
+        assert a.scale == math.inf and a.residual == math.inf
+        assert not a.holds(1e-9) and a.plane is None
 
     def test_overflowing_centroid_is_not_planar(self):
         """Row 0 and its F + N are the points OVERFLOWING, whose centroid
@@ -115,8 +115,8 @@ class TestAnalyzeIsothermic:
             "dom = LatticeDomain((0, 1), (0, 1))\n"
             "net = Net3(dom, [[0, 0, 0], [0, 0, 1], [1.5e308, 1.5e308, 0], [1.5e308, 1.5e308, 1]])\n"
             "nrm = Net3(dom, [[0, 0, 1]] * 4, check_edges=False)\n"
-            "print(analyze_boundary_isothermic(net, nrm, 0, 'row').kind)\n")
-        assert done.stdout == "none\n", done.stderr
+            "print(analyze_boundary_isothermic(net, nrm, 0, 'row').holds(1e-9))\n")
+        assert done.stdout == "False\n", done.stderr
 
 
 class TestAnalyzeAsymptotic:
@@ -125,14 +125,14 @@ class TestAnalyzeAsymptotic:
         normals along it lie in the plane perpendicular to it."""
         ft = enneper_pair.asymptotic
         a = analyze_boundary_asymptotic(ft, 0, "row")
-        assert a.kind == "straight_asymptotic_line"
+        assert a.holds(1e-9)
         normals = tangent_normals(ft, boundary_vertices(ft.domain, 0, "row"))
         assert np.abs(normals @ a.line.direction).max() < 1e-9
 
     def test_generic_row_is_none(self, enneper_pair):
         ft = enneper_pair.asymptotic
         a = analyze_boundary_asymptotic(ft, ft.domain.n1, "row")
-        assert a.kind == "none"
+        assert not a.holds(1e-9)
 
     def test_line_direction_is_gauss_plane_normal(self, enneper_pair):
         # along a straight asymptotic line the edges are parallel to the
@@ -145,6 +145,26 @@ class TestAnalyzeAsymptotic:
         assert res < 1e-9
         cross = np.linalg.norm(np.cross(plane.normal, a.line.direction))
         assert cross < 1e-9
+
+    def test_overflowed_scale_is_not_straight(self):
+        """Row 0 runs from -1e308 to 1e308: its line fit reads 0, and
+        0 <= tol * inf must not make it straight."""
+        dom = LatticeDomain((0, 1), (0, 1))
+        with np.errstate(over="ignore"):
+            net = Net3(dom, [[-1e308, 0, 0], [-1e308, 1, 0], [1e308, 0, 0], [1e308, 1, 0]])
+            a = analyze_boundary_asymptotic(net, 0, "row")
+        assert a.scale == math.inf
+        assert not a.holds(1e-9)
+
+    def test_overflowing_centroid_is_not_straight(self):
+        """Row 0 is (0, 0, 0) and (1.5e308, 1.5e308, 0), whose centroid
+        overflows: residual and scale are both inf."""
+        dom = LatticeDomain((0, 1), (0, 1))
+        with np.errstate(over="ignore"):
+            net = Net3(dom, [[0, 0, 0], [0, 0, 1], [1.5e308, 1.5e308, 0], [1.5e308, 1.5e308, 1]])
+            a = analyze_boundary_asymptotic(net, 0, "row")
+        assert a.scale == math.inf and a.residual == math.inf
+        assert not a.holds(1e-9)
 
 
 class TestReflectIsothermic:
@@ -356,13 +376,13 @@ class TestConjugateDuality:
                 iso = analyze_boundary_isothermic(f, n, idx, axis)
                 asym = analyze_boundary_asymptotic(ft, idx, axis)
                 _, great = fit_plane_through_origin(gauss_image(pair, idx, axis))
-                planar = iso.kind == "planar_curvature_line"
-                together = {planar, great <= 1e-9, asym.kind == "straight_asymptotic_line"}
-                assert len(together) == 1, (name, axis, idx, iso.residuals, great,
-                                            asym.residuals)
+                planar = iso.holds(1e-9)
+                together = {planar, great <= 1e-9, asym.holds(1e-9)}
+                assert len(together) == 1, (name, axis, idx, iso.residual, great,
+                                            asym.residual)
                 if planar:
-                    assert iso.residuals["congruence_plane"] <= 1e-9 * f.scale()
-                    assert asym.residuals["line"] <= 1e-9 * ft.scale()
+                    assert iso.residual <= 1e-9 * f.scale()
+                    assert asym.residual <= 1e-9 * ft.scale()
                 seen.add(planar)
             assert seen == {True, False}, name
 
@@ -462,7 +482,7 @@ class TestOrbit:
         the nearest one: distinct elements lie O(1) apart."""
         f, n = family_pairs["octahedral"].isothermic, family_pairs["octahedral"].gauss
         dom = f.domain
-        mirrors = [analyze_boundary_isothermic(f, n, idx, axis, 1e-7)
+        mirrors = [analyze_boundary_isothermic(f, n, idx, axis)
                    for axis, idx in (("row", dom.n0), ("col", dom.m0), ("row", dom.n1))]
         orbit = build_orbit(f, mirrors, max_word=20)
         assert len(orbit.elements) == 48
@@ -488,8 +508,8 @@ class TestOrbit:
         p2 = PlaneR3((math.sin(1.0), math.cos(1.0), 0.0), 0.0)
         with pytest.raises(OrbitExplosion):
             build_orbit(enneper_pair.isothermic,
-                        [BoundaryAnalysis("row", 0, "planar_curvature_line", plane=p1),
-                         BoundaryAnalysis("col", 0, "planar_curvature_line", plane=p2)],
+                        [BoundaryAnalysis("row", 0, 0.0, 1.0, plane=p1),
+                         BoundaryAnalysis("col", 0, 0.0, 1.0, plane=p2)],
                         max_word=64)
 
     def test_close_group_of_one_mirror(self):
