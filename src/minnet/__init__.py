@@ -25,21 +25,20 @@ _API = {
     "bvp": ("BoundarySpec", "PlatonicPreset", "SolveResult", "platonic_preset",
             "solve_knoid", "solve_platonic"),
     "commands": (),
-    "coxeter": (),
+    "coxeter": ("corner_angles",),
     "dnet": (),
-    "holomorphic": ("INF", "HoloGrid", "power_function", "propagate_fourth", "read_grid",
-                    "validate_holomorphic", "write_grid"),
+    "holomorphic": ("INF", "HoloGrid", "cross_ratio_complex", "power_function",
+                    "propagate_fourth", "read_grid", "validate_holomorphic", "write_grid"),
     "lattice": ("EdgeLabels", "LatticeDomain", "Net3"),
     "minimal": ("MinimalPair", "QuadCurvature", "gauss_map", "is_asymptotic", "mixed_area",
                 "propagate_normals", "quad_curvatures", "tangent_normals",
                 "weierstrass_asymptotic", "weierstrass_isothermic"),
     "mobius": ("CrossRatioValue", "Isometry", "LineR3", "PlaneR3", "Quaternion",
-               "cross_ratio_complex", "cross_ratio_quat", "fit_line", "fit_plane",
-               "stereographic_lift"),
+               "cross_ratio_quat", "fit_line", "fit_plane", "stereographic_lift"),
     "net": ("NetBundle", "are_parallel_meshes", "is_circular", "is_isothermic", "read_net",
             "write_net"),
-    "reflection": ("SymmetryOrbit", "build_orbit", "close_group", "corner_angles",
-                   "reflect_isothermic", "rotate_extend_asymptotic"),
+    "reflection": ("SymmetryOrbit", "build_orbit", "close_group", "reflect_isothermic",
+                   "rotate_extend_asymptotic"),
 }
 _LAYER_OF = {name: layer for layer, names in _API.items() for name in names}
 

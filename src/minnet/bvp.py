@@ -42,8 +42,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BadParameter, InfeasibleSpec, NoConvergence, ZeroDg
-from .holomorphic import HoloGrid, validate_holomorphic
-from .mobius import c_abs
+from .holomorphic import HoloGrid, c_abs, validate_holomorphic
 from .lattice import EdgeLabels, Frozen, LatticeDomain
 
 EXP_CLIP = 300.0

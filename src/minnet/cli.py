@@ -8,11 +8,11 @@ own workers; minnet runs in one thread.  It does not govern the threads
 that numpy's BLAS library starts: OPENBLAS_NUM_THREADS or OMP_NUM_THREADS
 set those.
 
-The commands that compute with arrays live in the `commands` layer.  It
-and numpy load only when such a command runs: importing this module,
---help, usage errors and export never load them.  export reads an orbit
-file through the numpy-free jsonio, and a net file through the numpy-free
-dnet, the reader behind every command's net files.
+The commands that compute with arrays live in the layers they run
+(_HANDLERS).  Those and numpy load only when such a command runs:
+importing this module, --help, usage errors and export never load them.
+export reads an orbit file through the numpy-free jsonio, and a net file
+through the numpy-free dnet, the reader behind every command's net files.
 """
 
 from __future__ import annotations
@@ -42,6 +42,10 @@ EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 EXIT_PIPE = 141
+
+# The layer that holds each array command's cmd_<command>.
+_HANDLERS = {"generate": commands, "verify": commands, "conjugate": holomorphic,
+             "reflect": reflection, "orbit": reflection}
 
 
 def _read_threads() -> None:
@@ -292,7 +296,7 @@ def main(argv=None) -> int:
         if args.command == "export":
             export_obj(args.path_in, args.path_out)
             return EXIT_OK
-        return getattr(commands, f"cmd_{args.command}")(args)
+        return getattr(_HANDLERS[args.command], f"cmd_{args.command}")(args)
     except MinnetError as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
@@ -336,6 +340,7 @@ def run() -> None:
 
 if __name__ == "__main__":
     # python -m minnet.cli runs this file as __main__; registered as
-    # minnet.cli too, it is not compiled and run again when commands imports it
+    # minnet.cli too, it is not compiled and run again when a command's layer
+    # imports it
     sys.modules["minnet.cli"] = sys.modules[__name__]
     run()

@@ -22,16 +22,125 @@ import math
 
 import numpy as np
 
+from . import battery, minimal
+from .cli import EXIT_OK, _check_paths
 from .errors import DegenerateQuad, ParseError, UnsupportedGamma, ZeroDg
 from .jsonio import json_int, load_json, write_text
-from .mobius import (CNum, INF, c_abs, c_div, c_join, c_mul, cross_ratio_complex, is_inf,
-                     sphere_distinct)
 from .lattice import GAP_EPS, EdgeLabels, LatticeDomain, Net3, Vertex, integrate_edges
-from .net import CheckReport, json_to_bundle, net_to_json, worst_report
+from .net import json_to_bundle, net_to_json, write_net
 
 # Largest extent of a power_function grid: about 1.6 GB for a side-1000
 # generate (README, "Command line").
 MAX_EXTENT = 1000
+
+
+# ---------------------------------------------------------------------------
+# Riemann sphere values
+# ---------------------------------------------------------------------------
+
+class _Infinity:
+    """Tagged point at infinity of C ∪ {∞}."""
+
+    __slots__ = ()
+
+    def __repr__(self):
+        return "INF"
+
+
+INF = _Infinity()
+
+#: A value on the Riemann sphere: a finite complex number or INF.
+CNum = complex | _Infinity
+
+
+def is_inf(v) -> bool:
+    return isinstance(v, _Infinity)
+
+
+def sphere_distinct(a: CNum, b: CNum) -> bool:
+    """Whether two Riemann-sphere values are separated (chordal sense)."""
+    if is_inf(a) and is_inf(b):
+        return False
+    if is_inf(a) or is_inf(b):
+        return True
+    return abs(a - b) > GAP_EPS
+
+
+# numpy's complex *, / and abs differ from Python's in the last bit for many
+# inputs.  These repeat CPython's formulas on complex arrays (a real operand
+# counts as complex(x, 0.0)), so array code gives the bits of scalar code.
+
+def c_join(re, im) -> np.ndarray:
+    out = np.empty(np.broadcast_shapes(np.shape(re), np.shape(im)), dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
+def c_mul(a, b) -> np.ndarray:
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    return c_join(a.real * b.real - a.imag * b.imag, a.real * b.imag + a.imag * b.real)
+
+
+def c_div(a, b) -> np.ndarray:
+    """a / b by Smith's scaled division; NaN where b is 0."""
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    big = np.abs(b.real) >= np.abs(b.imag)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(big, b.imag / b.real, b.real / b.imag)
+        den = np.where(big, b.real + b.imag * ratio, b.real * ratio + b.imag)
+        return c_join(np.where(big, a.real + a.imag * ratio, a.real * ratio + a.imag) / den,
+                      np.where(big, a.imag - a.real * ratio, a.imag * ratio - a.real) / den)
+
+
+def c_abs(z) -> np.ndarray:
+    return np.hypot(np.real(z), np.imag(z))
+
+
+def cross_ratio_complex(g1: CNum, g2: CNum, g3: CNum, g4: CNum) -> CNum:
+    """Cross ratio (g1-g2)(g2-g3)^-1(g3-g4)(g4-g1)^-1 on C ∪ {∞}.
+
+    Each argument equal to INF cancels between its numerator and
+    denominator factor, contributing a factor -1 (the standard limit).
+    """
+    vals = (g1, g2, g3, g4)
+    for a, b in ((0, 1), (1, 2), (2, 3), (3, 0)):
+        if not sphere_distinct(vals[a], vals[b]):
+            raise DegenerateQuad(f"values {a+1} and {b+1} coincide on the sphere")
+    n_inf = sum(1 for v in vals if is_inf(v))
+    if n_inf >= 2:
+        # Only the diagonal patterns {1,3} or {2,4} can occur.  If the two
+        # finite values are both 0, inversion loops; the limit there is 1.
+        finite = [v for v in vals if not is_inf(v)]
+        if all(abs(v) <= GAP_EPS for v in finite):
+            return complex(1.0, 0.0)
+        return cross_ratio_complex(*(_invert(v) for v in vals))
+
+    num = complex(1.0, 0.0)
+    den = complex(1.0, 0.0)
+    sign = 1.0
+    # numerator factors (g1-g2), (g3-g4); denominator (g2-g3), (g4-g1)
+    for a, b, is_num in ((0, 1, True), (2, 3, True), (1, 2, False), (3, 0, False)):
+        va, vb = vals[a], vals[b]
+        if is_inf(va) or is_inf(vb):
+            continue  # handled by the -1 factor below
+        if is_num:
+            num *= va - vb
+        else:
+            den *= va - vb
+    for idx in range(4):
+        if is_inf(vals[idx]):
+            sign = -sign
+    if den == 0:
+        return INF
+    return sign * num / den
+
+
+def _invert(v: CNum) -> CNum:
+    if is_inf(v):
+        return complex(0.0, 0.0)
+    if v == 0:
+        return INF
+    return 1.0 / v
 
 
 class HoloGrid:
@@ -86,7 +195,7 @@ class HoloGrid:
         return [self.domain.vertices[i] for i in np.flatnonzero(self.inf)]
 
 
-def validate_holomorphic(grid: HoloGrid, tol: float = 1e-9) -> CheckReport:
+def validate_holomorphic(grid: HoloGrid, tol: float = 1e-9) -> battery.CheckReport:
     """Per-quad residual |cr - alpha/beta| relative to max(1, |alpha/beta|).
 
     Quads with a vertex at INF take cross_ratio_complex; the others repeat
@@ -111,7 +220,7 @@ def validate_holomorphic(grid: HoloGrid, tol: float = 1e-9) -> CheckReport:
         except DegenerateQuad:
             cr = INF
         res[i] = float("inf") if is_inf(cr) else abs(cr - target[i]) / max(1.0, abs(target[i]))
-    return worst_report(res, dom.quads, tol)
+    return battery.worst_report(res, dom.quads, tol)
 
 
 def propagate_fourth(g1: CNum, g2: CNum, g4: CNum, q: float) -> CNum:
@@ -270,3 +379,10 @@ def read_grid(path) -> HoloGrid:
         return HoloGrid(dom, c_join(points[:, 0], points[:, 1]), bundle.labels, inf)
     except ValueError as exc:
         raise ParseError(f"bad grid values: {exc}") from exc
+
+
+def cmd_conjugate(args) -> int:
+    _check_paths(args.out, inputs=(args.grid,))
+    grid = read_grid(args.grid)
+    write_net(args.out, minimal.weierstrass_asymptotic(grid), grid.labels)
+    return EXIT_OK

@@ -25,14 +25,14 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
+from . import battery, holomorphic, mobius
 from .errors import InconsistentBundle, NotCoplanar, ZeroArea, ZeroDg
-from .mobius import CNum, c_abs, c_div, c_mul, is_inf, stereographic_lift
 from .lattice import Net3, Vertex, _dot, _norm, integrate_edges
-from .net import (CheckReport, PlaneFit, _quad_scale, plane_fits, planarity_residual,
-                  planarity_residuals, point_scales, worst_report)
+from .net import planarity_residual
 
 if TYPE_CHECKING:
-    from .holomorphic import HoloGrid
+    from .battery import CheckReport, PlaneFit
+    from .holomorphic import CNum, HoloGrid
 
 
 # ---------------------------------------------------------------------------
@@ -41,11 +41,11 @@ if TYPE_CHECKING:
 
 def _wei_increment(gi: CNum, gj: CNum, label: float, conjugate: bool) -> np.ndarray:
     """One Weierstrass edge increment; conjugate=True inserts the factor i."""
-    if is_inf(gi) and is_inf(gj):
+    if holomorphic.is_inf(gi) and holomorphic.is_inf(gj):
         raise ZeroDg("both endpoints at infinity")
-    if is_inf(gj):
+    if holomorphic.is_inf(gj):
         vec = (-gi, 1j * gi, 1.0 + 0j)
-    elif is_inf(gi):
+    elif holomorphic.is_inf(gi):
         vec = (gj, -1j * gj, -1.0 + 0j)
     else:
         dg = gj - gi
@@ -62,6 +62,7 @@ def _weierstrass(grid: HoloGrid, conjugate: bool) -> Net3:
     gi, gj = grid.values[a], grid.values[b]
     at_inf = grid.inf[a] | grid.inf[b]
     dg = gj - gi
+    c_mul, c_div = holomorphic.c_mul, holomorphic.c_div
     prod = c_mul(gi, gj)
     factor = 1j if conjugate else 1.0
     vec = [c_mul(c_div(c, dg), factor).real
@@ -91,13 +92,13 @@ def gauss_map(grid: HoloGrid) -> Net3:
     stereographic_lift's arithmetic on arrays; INF and values beyond 1e150
     take stereographic_lift itself.
     """
-    g, size = grid.values, c_abs(grid.values)
+    g, size = grid.values, holomorphic.c_abs(grid.values)
     with np.errstate(over="ignore", invalid="ignore"):
         sq = size * size
         den = sq + 1.0
         lift = np.stack([2.0 * g.real / den, 2.0 * g.imag / den, (sq - 1.0) / den], axis=1)
     for i in np.flatnonzero(grid.inf | (size > 1e150)):
-        lift[i] = stereographic_lift(grid[grid.domain.vertices[i]])
+        lift[i] = mobius.stereographic_lift(grid[grid.domain.vertices[i]])
     return Net3(grid.domain, lift, check_edges=False)
 
 
@@ -136,11 +137,11 @@ class StarPlanes:
         self.normals = np.zeros((len(verts), 3))
         self.residual, self.scale = np.zeros(len(verts)), np.ones(len(verts))
         for rows, pts in _vertex_stars(net, verts):
-            fit = plane_fits(pts)
+            fit = battery.plane_fits(pts)
             self.normals[rows] = fit.vt[:, 2]
             if pts.shape[1] == 5:
-                self.scale[rows] = np.maximum(point_scales(pts), 1e-300)
-                self.residual[rows] = planarity_residuals(pts, fit) / self.scale[rows]
+                self.scale[rows] = np.maximum(battery.point_scales(pts), 1e-300)
+                self.residual[rows] = battery.planarity_residuals(pts, fit) / self.scale[rows]
 
 
 def is_asymptotic(net: Net3, tol: float = 1e-9, stars: StarPlanes | None = None) -> CheckReport:
@@ -151,7 +152,7 @@ def is_asymptotic(net: Net3, tol: float = 1e-9, stars: StarPlanes | None = None)
     the caller has them.
     """
     stars = StarPlanes(net) if stars is None else stars
-    return worst_report(stars.residual, net.domain.vertices, tol, stars.scale)
+    return battery.worst_report(stars.residual, net.domain.vertices, tol, stars.scale)
 
 
 def tangent_normals(net: Net3, vertices=None) -> np.ndarray:
@@ -206,7 +207,7 @@ def mixed_area(quad_f, quad_g, tol: float = 1e-9) -> np.ndarray:
     g = [np.asarray(p, dtype=float) for p in quad_g]
     for pts, name in ((f, "first"), (g, "second")):
         res = planarity_residual(pts)
-        if res > tol * max(_quad_scale(pts), 1e-300):
+        if res > tol * max(battery._quad_scale(pts), 1e-300):
             raise NotCoplanar(f"{name} quad non-planar (residual {res:.3e})")
     df_ik, df_jl = f[2] - f[0], f[3] - f[1]
     dg_ik, dg_jl = g[2] - g[0], g[3] - g[1]
@@ -226,7 +227,7 @@ def quad_curvatures(quad_f, quad_n, tol: float = 1e-9) -> QuadCurvature:
     """Curvatures along the common quad normal; ZeroArea if A(F) vanishes."""
     af = mixed_area(quad_f, quad_f, tol)
     norm_af = float(np.linalg.norm(af))
-    scale = max(_quad_scale(quad_f), 1e-300)
+    scale = max(battery._quad_scale(quad_f), 1e-300)
     if norm_af <= 1e-12 * scale * scale:
         raise ZeroArea("quad area vector too small")
     nhat = af / norm_af
@@ -246,21 +247,24 @@ def mixed_areas(f: np.ndarray, g: np.ndarray) -> np.ndarray:
 class Curvatures:
     """The mean curvature H of quad_curvatures at every quad of a net F with
     Gauss map N, in one mixed-area pass over the (quads, 4, 3) corner stacks
-    f and n, given fit = plane_fits(f).
+    f and n, given fit = battery.plane_fits(f).
 
-    undefined marks the quads where quad_curvatures raises (a non-planar
-    quad or a vanishing area); H holds no meaningful value there.
+    undefined marks the quads of F that are not planar or whose area
+    vanishes; H holds no meaningful value there.  The quads of N are not
+    tested, as quad_curvatures tests them: circularity makes each quad of F
+    planar and gauss_parallel each edge of N parallel to F's, so they add
+    nothing, and near the pole, where N's quads shrink to 1e-7 and less, the
+    rounding of unit normals alone reads as their planarity residual.
     """
 
     def __init__(self, f: np.ndarray, n: np.ndarray, fit: PlaneFit, tol: float = 1e-9):
-        scale = np.maximum(point_scales(f), 1e-300)
+        scale = np.maximum(battery.point_scales(f), 1e-300)
         af = mixed_areas(f, f)
         area = _norm(af)
         with np.errstate(divide="ignore", invalid="ignore"):
             self.H = -_dot(mixed_areas(f, n), af / area[:, None]) / area
-        self.undefined = ((planarity_residuals(f, fit) > tol * scale)
-                          | (area <= 1e-12 * scale * scale)
-                          | (planarity_residuals(n) > tol * np.maximum(point_scales(n), 1e-300)))
+        self.undefined = ((battery.planarity_residuals(f, fit) > tol * scale)
+                          | (area <= 1e-12 * scale * scale))
 
 
 # ---------------------------------------------------------------------------

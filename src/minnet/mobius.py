@@ -1,4 +1,4 @@
-"""Quaternionic cross ratios, Riemann-sphere values and rigid isometries.
+"""Quaternionic cross ratios and rigid isometries.
 
 Conventions used throughout the toolkit:
 
@@ -6,9 +6,8 @@ Conventions used throughout the toolkit:
   x*i + y*j + z*k.  Products of differences of such quaternions give the
   cross ratio; its eigenvalue pair is {q0 + i|qv|, q0 - i|qv|} where q0 is
   the scalar part and qv the imaginary vector.
-- Values on the Riemann sphere are python complex numbers plus the module
-  sentinel INF.  The unit-sphere lift sends 0 to the south pole (0,0,-1)
-  and INF to the north pole (0,0,1).
+- The unit-sphere lift sends 0 to the south pole (0,0,-1) and INF
+  (`holomorphic`) to the north pole (0,0,1).
 - Planes are stored as {x : normal·x = offset} with |normal| = 1; lines as
   base + span(direction) with |direction| = 1.
 """
@@ -20,70 +19,9 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import holomorphic
 from .errors import DegenerateFit, DegenerateQuad
 from .lattice import GAP_EPS, Frozen
-
-
-# ---------------------------------------------------------------------------
-# Riemann sphere values
-# ---------------------------------------------------------------------------
-
-class _Infinity:
-    """Tagged point at infinity of C ∪ {∞}."""
-
-    __slots__ = ()
-
-    def __repr__(self):
-        return "INF"
-
-
-INF = _Infinity()
-
-#: A value on the Riemann sphere: a finite complex number or INF.
-CNum = complex | _Infinity
-
-
-def is_inf(v) -> bool:
-    return isinstance(v, _Infinity)
-
-
-def sphere_distinct(a: CNum, b: CNum) -> bool:
-    """Whether two Riemann-sphere values are separated (chordal sense)."""
-    if is_inf(a) and is_inf(b):
-        return False
-    if is_inf(a) or is_inf(b):
-        return True
-    return abs(a - b) > GAP_EPS
-
-
-# numpy's complex *, / and abs differ from Python's in the last bit for many
-# inputs.  These repeat CPython's formulas on complex arrays (a real operand
-# counts as complex(x, 0.0)), so array code gives the bits of scalar code.
-
-def c_join(re, im) -> np.ndarray:
-    out = np.empty(np.broadcast_shapes(np.shape(re), np.shape(im)), dtype=complex)
-    out.real, out.imag = re, im
-    return out
-
-
-def c_mul(a, b) -> np.ndarray:
-    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
-    return c_join(a.real * b.real - a.imag * b.imag, a.real * b.imag + a.imag * b.real)
-
-
-def c_div(a, b) -> np.ndarray:
-    """a / b by Smith's scaled division; NaN where b is 0."""
-    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
-    big = np.abs(b.real) >= np.abs(b.imag)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(big, b.imag / b.real, b.real / b.imag)
-        den = np.where(big, b.real + b.imag * ratio, b.real * ratio + b.imag)
-        return c_join(np.where(big, a.real + a.imag * ratio, a.real * ratio + a.imag) / den,
-                      np.where(big, a.imag - a.real * ratio, a.imag * ratio - a.real) / den)
-
-
-def c_abs(z) -> np.ndarray:
-    return np.hypot(np.real(z), np.imag(z))
 
 
 # ---------------------------------------------------------------------------
@@ -121,9 +59,6 @@ class Quaternion(Frozen):
             a * g - b * h + c * e + d * f,
             a * h + b * g - c * f + d * e,
         )
-
-    def conjugate(self) -> "Quaternion":
-        return Quaternion(self.w, -self.x, -self.y, -self.z)
 
     def norm2(self) -> float:
         return self.w * self.w + self.x * self.x + self.y * self.y + self.z * self.z
@@ -163,63 +98,16 @@ def cross_ratio_quat(x1, x2, x3, x4) -> CrossRatioValue:
     return CrossRatioValue(out.w, out.vector_norm())
 
 
-def cross_ratio_complex(g1: CNum, g2: CNum, g3: CNum, g4: CNum) -> CNum:
-    """Cross ratio (g1-g2)(g2-g3)^-1(g3-g4)(g4-g1)^-1 on C ∪ {∞}.
-
-    Each argument equal to INF cancels between its numerator and
-    denominator factor, contributing a factor -1 (the standard limit).
-    """
-    vals = (g1, g2, g3, g4)
-    for a, b in ((0, 1), (1, 2), (2, 3), (3, 0)):
-        if not sphere_distinct(vals[a], vals[b]):
-            raise DegenerateQuad(f"values {a+1} and {b+1} coincide on the sphere")
-    n_inf = sum(1 for v in vals if is_inf(v))
-    if n_inf >= 2:
-        # Only the diagonal patterns {1,3} or {2,4} can occur.  If the two
-        # finite values are both 0, inversion loops; the limit there is 1.
-        finite = [v for v in vals if not is_inf(v)]
-        if all(abs(v) <= GAP_EPS for v in finite):
-            return complex(1.0, 0.0)
-        return cross_ratio_complex(*(_invert(v) for v in vals))
-
-    num = complex(1.0, 0.0)
-    den = complex(1.0, 0.0)
-    sign = 1.0
-    # numerator factors (g1-g2), (g3-g4); denominator (g2-g3), (g4-g1)
-    for a, b, is_num in ((0, 1, True), (2, 3, True), (1, 2, False), (3, 0, False)):
-        va, vb = vals[a], vals[b]
-        if is_inf(va) or is_inf(vb):
-            continue  # handled by the -1 factor below
-        if is_num:
-            num *= va - vb
-        else:
-            den *= va - vb
-    for idx in range(4):
-        if is_inf(vals[idx]):
-            sign = -sign
-    if den == 0:
-        return INF
-    return sign * num / den
-
-
-def _invert(v: CNum) -> CNum:
-    if is_inf(v):
-        return complex(0.0, 0.0)
-    if v == 0:
-        return INF
-    return 1.0 / v
-
-
 # ---------------------------------------------------------------------------
 # Stereographic projection
 # ---------------------------------------------------------------------------
 
-def stereographic_lift(g: CNum) -> np.ndarray:
+def stereographic_lift(g: holomorphic.CNum) -> np.ndarray:
     """Lift a Riemann-sphere value to the unit sphere in R^3.
 
     g maps to (2 Re g, 2 Im g, |g|^2 - 1) / (|g|^2 + 1); INF to (0,0,1).
     """
-    if is_inf(g):
+    if holomorphic.is_inf(g):
         return np.array([0.0, 0.0, 1.0])
     g = complex(g)
     m = abs(g)

@@ -1,5 +1,5 @@
-"""Schwarz-type extensions across reflectable boundary lines, corner
-angles and symmetry orbits.
+"""Schwarz-type extensions across reflectable boundary lines and symmetry
+orbits, and the reflect and orbit commands that build them.
 
 The extensions mirror the lattice across a boundary line that `boundary`
 finds reflectable.  Orbits close the group generated by boundary
@@ -9,16 +9,17 @@ quad mesh along the boundary lines the mirrors fix.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from . import coxeter, minimal
 from .boundary import (BoundaryAnalysis, analyze_boundary_asymptotic,
-                       analyze_boundary_isothermic, boundary_vertices)
-from .errors import InconsistentBundle, NotPlanarBoundary, NotReflectable, OrbitExplosion
-from .lattice import EdgeLabels, LatticeDomain, Net3, Vertex, _norm
-from .mobius import Isometry, PlaneR3, fit_plane_through_origin
+                       analyze_boundary_isothermic, boundary_lines, boundary_vertices)
+from .cli import EXIT_OK, _check_paths, export_orbit_obj
+from .errors import InconsistentBundle, NotReflectable, OrbitExplosion, ParseError
+from .jsonio import _fmt_float, json_list, write_text
+from .lattice import EdgeLabels, LatticeDomain, Net3, _norm
+from .mobius import Isometry, PlaneR3
+from .net import json_rows, read_net, write_net
 
 
 # ---------------------------------------------------------------------------
@@ -141,89 +142,6 @@ def rotate_extend_asymptotic(net: Net3, index: int, axis: str = "row",
 
 
 # ---------------------------------------------------------------------------
-# Corner angles
-# ---------------------------------------------------------------------------
-
-def _wedge_angle(u1: np.ndarray, u2: np.ndarray, axis_dir: np.ndarray,
-                 apex: np.ndarray, probe: np.ndarray) -> float:
-    """Dihedral angle between planes with normals u1, u2 on the probe's side.
-
-    axis_dir spans the intersection line through apex; probe selects which
-    of the four wedges to measure.
-    """
-    e = axis_dir / np.linalg.norm(axis_dir)
-    w1 = np.cross(e, u1)
-    w1 /= np.linalg.norm(w1)
-    w2 = np.cross(e, u2)
-    w2 /= np.linalg.norm(w2)
-    v = probe - apex
-    v = v - (v @ e) * e
-    nv = np.linalg.norm(v)
-    if nv < 1e-14:
-        raise NotPlanarBoundary("probe point sits on the intersection line")
-    v /= nv
-    # decompose v = x*w1 + y*w2 and flip signs until both coefficients >= 0
-    basis = np.column_stack([w1, w2])
-    coeff, *_ = np.linalg.lstsq(basis, v, rcond=None)
-    if coeff[0] < 0:
-        w1 = -w1
-    if coeff[1] < 0:
-        w2 = -w2
-    return float(math.acos(max(-1.0, min(1.0, float(w1 @ w2)))))
-
-
-def _nearest_quad(domain: LatticeDomain, corner: Vertex):
-    if not domain.quads:
-        raise NotPlanarBoundary("domain has no quads")
-    return min(domain.quads,
-               key=lambda q: (abs(q[0] - corner[0]) + abs(q[1] - corner[1]), q))
-
-
-def corner_angles(net: Net3, normals: Net3, corner: Vertex,
-                  tol: float = 1e-9) -> tuple[float, float]:
-    """Angles between the two boundary planes at a domain corner.
-
-    Returns (angleP, angleQ): the dihedral angle of the curvature-line
-    planes measured on the side of the adjacent surface quad, and the
-    angle of the corresponding great-circle planes on the side of the
-    adjacent Gauss quad.  The two are supplementary.
-    """
-    m0, n0 = corner
-    dom = net.domain
-    if m0 not in (dom.m0, dom.m1) or n0 not in (dom.n0, dom.n1):
-        raise NotPlanarBoundary(f"{corner} is not a domain corner")
-    row = analyze_boundary_isothermic(net, normals, n0, "row")
-    col = analyze_boundary_isothermic(net, normals, m0, "col")
-    for a in (row, col):
-        if not a.holds(tol):
-            raise NotPlanarBoundary(f"{a.axis} {a.index} residual {a.residual:.3e}")
-
-    quad = _nearest_quad(dom, corner)
-    f_probe = np.mean(net.quad_points(quad), axis=0)
-    n_probe = np.mean(normals.quad_points(quad), axis=0)
-
-    u1, u2 = row.plane.normal, col.plane.normal
-    axis_dir = np.cross(u1, u2)
-    if np.linalg.norm(axis_dir) < 1e-12:
-        raise NotPlanarBoundary("boundary planes are parallel")
-
-    # apex of the surface wedge: the corner vertex if present, otherwise
-    # any point on the intersection line of the two fitted planes
-    if corner in dom:
-        apex = net[corner]
-    else:
-        a_mat = np.vstack([u1, u2])
-        b_vec = np.array([row.plane.offset, col.plane.offset])
-        apex, *_ = np.linalg.lstsq(a_mat, b_vec, rcond=None)
-
-    angle_p = _wedge_angle(u1, u2, axis_dir, apex, f_probe)
-    gauss = [fit_plane_through_origin(normals.points[boundary_vertices(dom, a.index, a.axis)])[0]
-             for a in (row, col)]
-    angle_q = _wedge_angle(gauss[0].normal, gauss[1].normal, axis_dir, np.zeros(3), n_probe)
-    return angle_p, angle_q
-
-
-# ---------------------------------------------------------------------------
 # Symmetry orbits
 # ---------------------------------------------------------------------------
 
@@ -336,3 +254,66 @@ def build_orbit(piece: Net3, mirrors: list[BoundaryAnalysis],
     return SymmetryOrbit(elements, moved[rep], [tuple(f) for f in faces.tolist()],
                          float(_norm(moved - moved[first, vertex]).max(initial=0.0)) / scale,
                          elements.closure)
+
+
+# ---------------------------------------------------------------------------
+# The reflect and orbit commands
+# ---------------------------------------------------------------------------
+
+def orbit_to_json(orbit: SymmetryOrbit, rows: list[str]) -> str:
+    """The .orbit.json document of an orbit, with 17-significant-digit floats,
+    given the JSON rows of its vertices (json_rows)."""
+    elements = [f'{{"matrix": {json_list(json_rows(e.matrix))}, '
+                f'"translation": {json_list(map(_fmt_float, e.translation.tolist()))}}}'
+                for e in orbit.elements]
+    return (f'{{"kind": "orbit", "vertices": {json_list(rows)}, '
+            f'"faces": {json_list(["[%d, %d, %d, %d]" % f for f in orbit.faces])}, '
+            f'"elements": {json_list(elements)}, '
+            f'"weld_residual": {_fmt_float(orbit.weld_residual)}}}')
+
+
+def _orbit(piece: Net3, lines: dict, tol: float, max_word: int) -> SymmetryOrbit:
+    """The orbit of the piece under the group of its boundary reflections, from
+    the plane fits of its boundary lines; a line counts as planar at
+    max(tol, 1e-7) of its size."""
+    mirrors = [line for line in lines.values() if line.holds(max(tol, 1e-7))]
+    if not mirrors:
+        raise NotReflectable("no reflectable boundary lines found")
+    return build_orbit(piece, mirrors, max_word)
+
+
+def _write_orbit(orbit: SymmetryOrbit, path: str, obj_path: str | None) -> None:
+    """The orbit's .orbit.json file, and its OBJ file when obj_path is given."""
+    rows = json_rows(orbit.vertices)        # each coordinate formatted once
+    write_text(path, orbit_to_json(orbit, rows) + "\n")
+    if obj_path:
+        export_orbit_obj(orbit, obj_path, rows)
+
+
+def cmd_reflect(args) -> int:
+    _check_paths(args.out, inputs=(args.net,))
+    bundle = read_net(args.net)
+    if bundle.labels is None:
+        raise ParseError("reflection requires edge labels in the net file")
+    axis, index = ("row", args.row) if args.row is not None else ("col", args.col)
+    if args.asymptotic:
+        net_ext, labels_ext = rotate_extend_asymptotic(bundle.net, index, axis, args.tol,
+                                                       bundle.labels)
+        write_net(args.out, net_ext, labels_ext)
+    else:
+        if bundle.normals is None:
+            raise ParseError("isothermic reflection requires normals in the net file")
+        net_ext, normals_ext, labels_ext = reflect_isothermic(
+            bundle.net, bundle.normals, index, axis, args.tol, bundle.labels)
+        write_net(args.out, net_ext, labels_ext, normals_ext)
+    return EXIT_OK
+
+
+def cmd_orbit(args) -> int:
+    _check_paths(args.out, args.obj, inputs=(args.net,))
+    bundle = read_net(args.net)
+    if bundle.normals is None:
+        raise ParseError("orbit construction requires normals in the net file")
+    lines = boundary_lines(bundle.net, bundle.normals)
+    _write_orbit(_orbit(bundle.net, lines, args.tol, args.max_word), args.out, args.obj)
+    return EXIT_OK

@@ -8,13 +8,13 @@ import numpy as np
 import pytest
 
 import minnet
+from minnet.battery import PlaneFit
 from minnet.bvp import BoundarySpec, solve_knoid
 from minnet.errors import DegenerateQuad, NotIsothermic
-from minnet.holomorphic import power_function
+from minnet.holomorphic import INF, power_function
 from minnet.minimal import MinimalPair
-from minnet.mobius import INF
 from minnet.lattice import Net3, _dot, integrate_edges
-from minnet.net import PlaneFit, is_isothermic
+from minnet.net import is_isothermic
 
 # The constant of the written bound on plane fits through the scatter matrix
 # (README, "Plane fits"): residuals measured with net.plane_fits lie within

@@ -9,14 +9,14 @@ import pytest
 
 from minnet.boundary import analyze_boundary_asymptotic, analyze_boundary_isothermic
 from minnet.bvp import BoundarySpec, platonic_preset, solve_knoid, solve_platonic
-from minnet.holomorphic import power_function
+from minnet.holomorphic import cross_ratio_complex, power_function
 from minnet.minimal import (MinimalPair, gauss_map, is_asymptotic, mixed_area,
                             quad_curvatures, tangent_normals,
                             weierstrass_isothermic)
-from minnet.mobius import Isometry, cross_ratio_complex, cross_ratio_quat
+from minnet.coxeter import corner_angles
+from minnet.mobius import Isometry, cross_ratio_quat
 from minnet.net import is_circular, is_isothermic
-from minnet.reflection import (build_orbit, corner_angles, reflect_isothermic,
-                               rotate_extend_asymptotic)
+from minnet.reflection import build_orbit, reflect_isothermic, rotate_extend_asymptotic
 
 from conftest import edge_label, invariance_residual, random_circle_points, rotation_matrix
 
@@ -251,7 +251,7 @@ def test_criterion_8_oracle_equivalence():
             continue
         q = rng.uniform(-3.0, -0.3)
         g3 = propagate_fourth(g1, g2, g4, q)
-        from minnet.mobius import is_inf
+        from minnet.holomorphic import is_inf
         if is_inf(g3):
             continue
         worst_rt = max(worst_rt,

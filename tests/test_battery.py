@@ -76,6 +76,18 @@ def test_valid_data_passes_at_size_160():
                           if not c["ok"]}
 
 
+def test_planar_enneper_at_side_96_fails_gauss_parallel_only():
+    """Far out in the planar Enneper piece N nears the pole, and its quads
+    shrink to about 1e-7 at side 96.  Minimality tests only the quads of F,
+    so the rounding of unit normals no longer reads as non-planar normal
+    quads (minimality was inf there).  It still reads as gauss_parallel's
+    edge angle, 1.45e-9 over tol, until that check gets a floor derived from
+    the rounding (ROADMAP item 19)."""
+    checks = verify_pair(MinimalPair.from_grid(power_function(3.0, 96, 96)))["checks"]
+    assert checks["minimality"]["ok"] and checks["minimality"]["max_residual"] < 1e-15
+    assert [name for name, check in checks.items() if not check["ok"]] == ["gauss_parallel"]
+
+
 
 # ---------------------------------------------------------------------------
 # Sensitivity: one change per row, and the exact set of checks it fails

@@ -12,10 +12,10 @@ import math
 import numpy as np
 import pytest
 
-from minnet.holomorphic import HoloGrid, _axis_radii, power_function, propagate_fourth
+from minnet.holomorphic import INF, HoloGrid, _axis_radii, is_inf, power_function, propagate_fourth
 from minnet.minimal import (_wei_increment, gauss_map, propagate_normals,
                             weierstrass_asymptotic, weierstrass_isothermic)
-from minnet.mobius import INF, is_inf, stereographic_lift
+from minnet.mobius import stereographic_lift
 from minnet.lattice import EdgeLabels, LatticeDomain
 
 from conftest import christoffel, edge_label, neighbors

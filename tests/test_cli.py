@@ -850,6 +850,14 @@ def test_import_generates_no_dataclasses(tmp_path):
     assert done.returncode == 0, done.stderr
 
 
+def test_commands_layer_loads_no_numpy(tmp_path):
+    # generate compiles bvp, its largest layer, before numpy loads only while
+    # the layer of generate and verify loads no layer that imports numpy
+    done = run_python("import sys, minnet.commands\nminnet.commands.cmd_generate\n"
+                      "assert 'numpy' not in sys.modules", tmp_path)
+    assert done.returncode == 0, done.stderr
+
+
 # Commands in turn in one fresh interpreter, each followed by its exit code,
 # the layers that have run so far and whether numpy is loaded.  A layer that
 # has not run is still a lazy module; its type tells it apart, where reading
@@ -874,17 +882,18 @@ with open("steps.json", "w") as fh:
 PUBLIC_API = {
     "boundary": "BoundaryAnalysis analyze_boundary_asymptotic analyze_boundary_isothermic",
     "bvp": "BoundarySpec PlatonicPreset SolveResult platonic_preset solve_knoid solve_platonic",
+    "coxeter": "corner_angles",
     "errors": "MinnetError",
-    "holomorphic": "INF HoloGrid power_function propagate_fourth read_grid validate_holomorphic "
-                   "write_grid",
+    "holomorphic": "INF HoloGrid cross_ratio_complex power_function propagate_fourth read_grid "
+                   "validate_holomorphic write_grid",
     "lattice": "EdgeLabels LatticeDomain Net3",
     "minimal": "MinimalPair QuadCurvature gauss_map is_asymptotic mixed_area "
                "propagate_normals quad_curvatures tangent_normals "
                "weierstrass_asymptotic weierstrass_isothermic",
-    "mobius": "CrossRatioValue Isometry LineR3 PlaneR3 Quaternion cross_ratio_complex "
-              "cross_ratio_quat fit_line fit_plane stereographic_lift",
+    "mobius": "CrossRatioValue Isometry LineR3 PlaneR3 Quaternion cross_ratio_quat fit_line "
+              "fit_plane stereographic_lift",
     "net": "NetBundle are_parallel_meshes is_circular is_isothermic read_net write_net",
-    "reflection": "SymmetryOrbit build_orbit close_group corner_angles reflect_isothermic "
+    "reflection": "SymmetryOrbit build_orbit close_group reflect_isothermic "
                   "rotate_extend_asymptotic",
 }
 
@@ -894,25 +903,33 @@ class TestLazyLayers:
         """Each chain runs in one fresh interpreter, which lists the layers
         that have run after each command.  Along a chain every command needs
         the layers of the commands before it, so each list is what its own
-        command runs.  generate without --orbit and verify read the boundary
-        lines but run neither the extensions nor the orbit groups; reflect
-        runs the extensions but not the Coxeter groups, and orbit runs all
-        three; conjugate, which needs no boundary, gets a chain of its own.
-        numpy stays unloaded until a command computes with arrays: import,
-        --help, a usage error and export of an orbit file only read and
-        write text, export of a net file reads it through the numpy-free
+        command runs: one step for each row of README's layer table.  The
+        array commands run the layer that holds their handler and the layers
+        it calls, and no other: generate and verify read the boundary lines
+        but run neither the extensions nor the orbit groups; reflect runs the
+        extensions but not the Coxeter groups, and orbit and generate --orbit
+        run all three; conjugate, which needs no boundary, runs no battery and
+        no mobius.  numpy stays unloaded until a command computes with arrays:
+        import, --help, a usage error and export of an orbit file only read
+        and write text, export of a net file reads it through the numpy-free
         dnet, and export checks its output directory first."""
         assert run(["generate", "enneper", "--k", "3", "--size", "5", "--orbit",
                     "--out", str(tmp_path / "enn")]) == 0
         chains = [
             [["export", "enn.orbit.json", "b.obj"],
              ["export", "enn.iso.dnet.json", "a.obj"],
+             ["verify", "enn.iso.dnet.json", "--conjugate", "enn.asym.dnet.json",
+              "--report", "v0.json"],
              ["verify", "enn.iso.dnet.json", "--grid", "enn.grid.dnet.json",
-              "--conjugate", "enn.asym.dnet.json", "--report", "v.json"],
-             ["generate", "enneper", "--k", "3", "--size", "5", "--out", "e", "--report",
+              "--conjugate", "enn.asym.dnet.json", "--report", "v.json"]],
+            [["generate", "enneper", "--k", "3", "--size", "5", "--out", "e", "--report",
               "e.json"],
+             ["generate", "platonic", "--preset", "tetrahedral", "--resolution", "2",
+              "--out", "t", "--report", "t.json"],
              ["generate", "knoid", "--k", "3", "--nmax", "2", "--mmax", "6", "--out", "k",
-              "--report", "k.json"]],
+              "--report", "k.json"],
+             ["generate", "enneper", "--k", "3", "--size", "5", "--orbit", "--out", "o",
+              "--report", "o.json"]],
             [["--help"],
              ["generate", "enneper"],                   # usage error: --k is required
              ["export", "enn.iso.dnet.json", "no_such_dir/a.obj"],
@@ -931,28 +948,35 @@ class TestLazyLayers:
                  "holomorphic", "jsonio", "lattice", "minimal", "mobius", "net", "reflection"]
         front = ["cli", "errors", "jsonio"]
         reader = sorted(front + ["dnet"])
-        net = sorted(reader + ["commands", "lattice", "mobius", "net"])
-        battery = sorted(net + ["battery", "boundary", "holomorphic", "minimal"])
-        reflect = sorted(net + ["boundary", "reflection"])
+        arrays = sorted(front + ["lattice", "net"])
+        checks = sorted(arrays + ["battery", "boundary", "commands", "minimal", "mobius"])
+        generate = sorted(checks + ["holomorphic"])
+        reflect = sorted(reader + ["boundary", "lattice", "mobius", "net", "reflection"])
         loaded = [[f"minnet.{name}" for name in every],  # import minnet.cli
                   [0, front, False]]                     # what import minnet.cli runs
         assert steps[0] == loaded + [
-            [0, front, False],                        # export of an orbit
-            [0, reader, False],                       # export of a net
-            [0, battery, True], [0, battery, True],   # verify, generate enneper
-            [0, sorted(battery + ["bvp"]), True],     # generate knoid
+            [0, front, False],                                   # export of an orbit
+            [0, reader, False],                                  # export of a net
+            [0, sorted(checks + ["dnet"]), True],                # verify without --grid
+            [0, sorted(generate + ["dnet"]), True],              # verify
         ]
         assert steps[1] == loaded + [
+            [0, generate, True],                                 # generate enneper
+            [0, sorted(generate + ["bvp"]), True],               # generate platonic
+            [0, sorted(generate + ["bvp"]), True],               # generate knoid
+            [0, sorted(generate + ["bvp", "coxeter", "reflection"]), True],  # --orbit
+        ]
+        assert steps[2] == loaded + [
             [0, front, False],                                     # --help
             [2, front, False],                                     # usage error
             [3, front, False],                     # export of a net to a missing directory
-            [0, sorted(net + ["holomorphic", "minimal"]), True],  # conjugate
+            [0, sorted(reader + ["holomorphic", "lattice", "minimal", "net"]), True],  # conjugate
         ]
         # reflect --asymptotic fits the line only; reflect checks its mirrored
         # normals by minimal.propagate_normals
-        assert steps[2] == loaded + [[0, reflect, True],
+        assert steps[3] == loaded + [[0, reflect, True],
                                      [0, sorted(reflect + ["minimal"]), True]]
-        assert steps[3] == loaded + [[0, sorted(reflect + ["coxeter"]), True]]   # orbit
+        assert steps[4] == loaded + [[0, sorted(reflect + ["coxeter"]), True]]   # orbit
 
     def test_public_names_are_the_layers_objects(self):
         for layer, names in PUBLIC_API.items():

@@ -8,10 +8,10 @@ import minnet.battery
 import minnet.boundary
 import minnet.minimal
 import minnet.net
+from minnet.battery import circularity_residuals, plane_fits, planarity_residuals
 from minnet.cli import main
 from minnet.holomorphic import power_function
 from minnet.minimal import MinimalPair
-from minnet.net import circularity_residuals, plane_fits, planarity_residuals
 
 from conftest import FIT_BOUND, fit_error_bound, svd_plane_fits
 
@@ -112,10 +112,10 @@ def test_coincident_points(k):
 
 
 def test_verify_fits_each_point_set_once(tmp_path, monkeypatch):
-    """One verify of the grid piece (Enneper K=3, side 24) fits three whole-net
-    stacks: the iso and Gauss quads, and the asymptotic 5-point stars.
-    Circularity and minimality share the iso fit; asymptotic_stars and
-    conjugate_normals the star fit.  No check fits the asymptotic quads."""
+    """One verify of the grid piece (Enneper K=3, side 24) fits two whole-net
+    stacks: the iso quads and the asymptotic 5-point stars.  Circularity and
+    minimality share the iso fit; asymptotic_stars and conjugate_normals the
+    star fit.  No check fits the Gauss or the asymptotic quads."""
     base = str(tmp_path / "enn")
     assert main(["generate", "enneper", "--k", "3", "--size", "24", "--out", base]) == 0
     shapes, svd_shapes = [], []
@@ -135,10 +135,10 @@ def test_verify_fits_each_point_set_once(tmp_path, monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
     stars, quads = (23 * 23, 5, 3), (24 * 24, 4, 3)
     for net, companions, whole in (
-            ("iso", ("grid", "asym"), [stars] + [quads] * 2),
+            ("iso", ("grid", "asym"), [stars, quads]),
             # a file without normals is the asymptotic net when it passes
             # is_asymptotic; the battery reuses that test's star fits
-            ("asym", ("grid", "iso"), [stars] + [quads] * 2),
+            ("asym", ("grid", "iso"), [stars, quads]),
             ("asym", (), [stars])):
         shapes.clear()
         argv = ["verify", f"{base}.{net}.dnet.json"]

@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from minnet.errors import DegenerateQuad, UnsupportedGamma
-from minnet.holomorphic import (INF, HoloGrid, power_function, propagate_fourth, read_grid,
-                                validate_holomorphic, write_grid)
-from minnet.mobius import cross_ratio_complex, is_inf
+from minnet.holomorphic import (INF, HoloGrid, cross_ratio_complex, is_inf, power_function,
+                                propagate_fourth, read_grid, validate_holomorphic, write_grid)
 from minnet.lattice import EdgeLabels, LatticeDomain
 
 

@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
+from minnet.battery import circularity_residuals, planarity_residuals, point_scales
 from minnet.errors import ClosureFailure, NotCoplanar, NotIsothermic, ZeroArea
 from minnet.holomorphic import HoloGrid, power_function
 from minnet.minimal import (gauss_map, is_asymptotic, mixed_area,
                             propagate_normals, quad_curvatures, tangent_normals,
                             weierstrass_asymptotic, weierstrass_isothermic)
 from minnet.lattice import EdgeLabels, LatticeDomain, Net3
-from minnet.net import (are_parallel_meshes, circularity_residuals, is_isothermic,
-                        planarity_residuals, point_scales)
+from minnet.net import are_parallel_meshes, is_isothermic
 
 from conftest import best_similarity, christoffel, edge_label
 

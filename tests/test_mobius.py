@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from minnet.errors import DegenerateFit, DegenerateQuad
-from minnet.mobius import (INF, Isometry, LineR3, PlaneR3,
-                           Quaternion, cross_ratio_complex, cross_ratio_quat,
-                           fit_line, fit_plane, fit_plane_through_origin,
-                           stereographic_lift)
+from minnet.holomorphic import INF, cross_ratio_complex
+from minnet.mobius import (Isometry, LineR3, PlaneR3, Quaternion, cross_ratio_quat, fit_line,
+                           fit_plane, fit_plane_through_origin, stereographic_lift)
 
 from conftest import (OVERFLOWING, random_circle_points, random_similarity, rotation_matrix,
                       run_bounded, sphere_inversion, stereographic_project)

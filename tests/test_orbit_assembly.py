@@ -8,14 +8,13 @@ import pytest
 
 from minnet.boundary import BoundaryAnalysis, boundary_lines
 from minnet.bvp import BoundarySpec, solve_knoid, solve_platonic
-from minnet.commands import _orbit, _write_orbit
 from minnet.coxeter import ANGLE_BOUND, _cayley_table
 from minnet.errors import OrbitExplosion
 from minnet.holomorphic import power_function
 from minnet.lattice import LatticeDomain, Net3
 from minnet.minimal import MinimalPair
 from minnet.mobius import Isometry, PlaneR3
-from minnet.reflection import build_orbit, close_group
+from minnet.reflection import _orbit, _write_orbit, build_orbit, close_group
 
 from conftest import (invariance_residual, orbit_files, orbit_topology, scalar_build_orbit,
                       scalar_close_group, scalar_mirror_orbit)

@@ -6,6 +6,7 @@ import pytest
 from minnet.boundary import (BoundaryAnalysis, analyze_boundary_asymptotic,
                              analyze_boundary_isothermic, boundary_vertices)
 from minnet.bvp import BoundarySpec, solve_knoid, solve_platonic
+from minnet.coxeter import corner_angles
 from minnet.errors import NotPlanarBoundary, NotReflectable, OrbitExplosion
 from minnet.holomorphic import HoloGrid, power_function
 from minnet.lattice import EdgeLabels, LatticeDomain, Net3
@@ -14,7 +15,7 @@ from minnet.minimal import (MinimalPair, is_asymptotic, quad_curvatures, tangent
 from minnet.mobius import Isometry, PlaneR3, fit_plane, fit_plane_through_origin
 from minnet.net import is_isothermic
 from minnet.reflection import (_mirror_domain, _mirror_labels, build_orbit, close_group,
-                               corner_angles, reflect_isothermic, rotate_extend_asymptotic)
+                               reflect_isothermic, rotate_extend_asymptotic)
 
 from conftest import invariance_residual, run_bounded, stereographic_project
 
@@ -410,9 +411,10 @@ def reflected_data(grid: HoloGrid, index: int, axis: str) -> HoloGrid:
 
 
 # Both sides integrate cross-ratio -1 data along the spanning trees of
-# different domains, and C is a least-squares fit.  The largest error
-# measured on these cases is 1.0e-14 of the net's size (the K=3 k-noid
-# across row 5, through its INF vertex); 1e-13 leaves a tenfold margin.
+# different domains, and C is a least-squares fit.  The largest errors
+# measured on these cases are 1.29e-14 of the net's size (the tetrahedral
+# piece across row 2) and 1.04e-14 (the K=3 k-noid across row 5, through
+# its INF vertex); 1e-13 leaves a 7.7-fold margin.
 REFLECTED_DATA_TOL = 1e-13
 
 
@@ -424,13 +426,16 @@ def octahedral_pair():
 @pytest.mark.parametrize("piece, axis, index, infinite", [
     ("enneper k=2", "row", 0, 0), ("enneper k=3", "row", 0, 0), ("enneper k=4", "row", 0, 0),
     ("3-noid", "row", 0, 0), ("3-noid", "row", 5, 1), ("3-noid", "col", 0, 0),
-    ("octahedral", "row", 0, 0), ("octahedral", "row", 3, 0), ("octahedral", "col", 0, 0)])
+    ("octahedral", "row", 0, 0), ("octahedral", "row", 3, 0), ("octahedral", "col", 0, 0),
+    ("planar enneper", "row", 0, 0), ("planar enneper", "col", 0, 0),
+    ("tetrahedral", "row", 0, 0), ("tetrahedral", "row", 2, 0), ("tetrahedral", "col", 0, 0)])
 def test_extensions_are_the_nets_of_the_reflected_data(request, piece, axis, index, infinite):
     """The reflection principle on the holomorphic side: reflect_isothermic's
     net is, up to one translation, the Weierstrass net of the data inverted
     in the circle of the boundary line's g values, and rotate_extend_asymptotic's
-    net is its conjugate.  The k-noid and Enneper pieces are the (5, 15) and
-    side-6 ones of family_pairs; the octahedral piece is at resolution 3."""
+    net is its conjugate.  The k-noid, Enneper, planar Enneper and
+    tetrahedral pieces are those of family_pairs; the octahedral piece is at
+    resolution 3."""
     pair = (request.getfixturevalue("octahedral_pair") if piece == "octahedral"
             else request.getfixturevalue("family_pairs")[piece])
     grid = reflected_data(pair.grid, index, axis)

@@ -7,15 +7,13 @@ import numpy as np
 import pytest
 
 from minnet.cli import main
-from minnet.commands import orbit_to_json
 from minnet.errors import ParseError
-from minnet.holomorphic import HoloGrid, power_function, write_grid
+from minnet.holomorphic import INF, HoloGrid, power_function, write_grid
 from minnet.minimal import MinimalPair
-from minnet.mobius import INF
 from minnet.boundary import analyze_boundary_isothermic
 from minnet.lattice import EdgeLabels, LatticeDomain, Net3
 from minnet.net import json_rows, load_json, read_net, write_net
-from minnet.reflection import _mirror_domain, _mirror_labels, build_orbit
+from minnet.reflection import _mirror_domain, _mirror_labels, build_orbit, orbit_to_json
 
 from conftest import edge_label
 
